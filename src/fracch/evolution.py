@@ -5,9 +5,16 @@ Each step solves the coupled system
     M (u_n - u_prev) / tau + A_s w_n = 0
     M w_n = A_sigma u_n + b_beta(u_n) - lambda M u_prev
 
-by Newton on the 2x2 block system with the exact Jacobian
-[[M/tau, A_s], [-(A_sigma + B'(u)), M]].  The monotone part of the
-nonlinearity is implicit, the expansive lambda-term is lagged, so testing
+by Newton with the exact Jacobian [[M/tau, A_s], [-(A_sigma + B'(u)), M]].
+The update of w is eliminated: with G = A_s M^{-1}, each iteration solves
+the n x n Schur complement
+
+    (M/tau + G A_sigma + G B') du = -r1 + G r2
+
+by one LU and recovers dw = M^{-1} (-r2 + (A_sigma + B') du) from the
+cached Cholesky factor of M.  G and G A_sigma are fixed per operator set and
+cached there; B' is tridiagonal, so G B' costs O(n^2).  The monotone part of
+the nonlinearity is implicit, the expansive lambda-term is lagged, so testing
 the two equations with w_n and u_n - u_prev gives the per-step inequality
 
     E(u_n) + tau w_n^T A_s w_n + (lambda/2) |u_n - u_prev|_M^2 <= E(u_prev)
@@ -106,8 +113,36 @@ def _beta_pair(ctx: EnergyContext, cfg: StepConfig):
     return beta_eps, beta_eps_prime
 
 
-def step(ctx: EnergyContext, cfg: StepConfig, u_prev: np.ndarray, tau: float | None = None):
-    """One convex-splitting step; returns (u_n, w_n, certificate)."""
+def _newton_delta(ops, tau: float, Bp: np.ndarray, r1: np.ndarray, r2: np.ndarray):
+    """Newton update (du, dw) for the residuals (r1, r2), by Schur elimination of dw."""
+    Gt, AGt = ops.schur_blocks()
+    d, e = np.diagonal(Bp), np.diagonal(Bp, 1)
+    # K^T = M/tau + A_sigma G^T + B' G^T; B' G^T is built row-wise from B's three diagonals
+    Kt = d[:, None] * Gt
+    Kt[1:] += e[:, None] * Gt[:-1]
+    Kt[:-1] += e[:, None] * Gt[1:]
+    Kt += AGt
+    Kt += ops.M / tau
+    try:
+        du = np.linalg.solve(Kt.T, r2 @ Gt - r1)
+    except np.linalg.LinAlgError as exc:
+        raise JacobianSingularError(f"singular step Jacobian at tau={tau}") from exc
+    dw = ops.solve_M(ops.A_sigma @ du + Bp @ du - r2)
+    return du, dw
+
+
+def step(
+    ctx: EnergyContext,
+    cfg: StepConfig,
+    u_prev: np.ndarray,
+    tau: float | None = None,
+    e_before: float | None = None,
+):
+    """One convex-splitting step; returns (u_n, w_n, certificate).
+
+    ``e_before`` is E(u_prev) when the caller already has it (``evolve``
+    passes the previous step's ``e_after``); it is computed otherwise.
+    """
     ops = ctx.ops
     mesh = ops.mesh
     u_prev = check_coeffs(mesh, u_prev)
@@ -115,36 +150,33 @@ def step(ctx: EnergyContext, cfg: StepConfig, u_prev: np.ndarray, tau: float | N
     beta, beta_prime = _beta_pair(ctx, cfg)
     lam = ctx.pot.lam
     M, A_s, A_sig = ops.M, ops.A_s, ops.A_sigma
-    dof = mesh.dof_count
 
-    e_before = energy(ctx, u_prev)
+    if e_before is None:
+        e_before = energy(ctx, u_prev)
     Mu_prev = M @ u_prev
     u = u_prev.copy()
-    w = ops.solve_M(A_sig @ u + load_vector(ctx, beta, u) - lam * Mu_prev)
+    b_beta = load_vector(ctx, beta, u)
+    w = ops.solve_M(A_sig @ u + b_beta - lam * Mu_prev)
 
     converged = False
     for it in range(cfg.newton_max + 1):
-        b_beta = load_vector(ctx, beta, u)
         r1 = M @ (u - u_prev) / tau + A_s @ w
         r2 = M @ w - A_sig @ u - b_beta + lam * Mu_prev
-        res = math.sqrt(max(float(r1 @ ops.solve_M(r1) + r2 @ ops.solve_M(r2)), 0.0))
+        r = np.column_stack((r1, r2))
+        res = math.sqrt(max(float(np.vdot(r, ops.solve_M(r))), 0.0))
         if res < cfg.newton_tol:
             converged = True
             break
         if it == cfg.newton_max:
             break
-        Bp = weighted_mass(ctx, beta_prime, u)
-        jac = np.block([[M / tau, A_s], [-(A_sig + Bp), M]])
-        try:
-            delta = np.linalg.solve(jac, -np.concatenate([r1, r2]))
-        except np.linalg.LinAlgError as exc:
-            raise JacobianSingularError(f"singular step Jacobian at tau={tau}") from exc
-        u = u + delta[:dof]
-        w = w + delta[dof:]
+        du, dw = _newton_delta(ops, tau, weighted_mass(ctx, beta_prime, u), r1, r2)
+        u = u + du
+        w = w + dw
+        b_beta = load_vector(ctx, beta, u)
     if not converged:
         raise NewtonDivergenceError(
             f"step Newton stalled at residual {res:.3e} after {cfg.newton_max} iterations "
-            f"(tau={tau}); consider halving tau"
+            f"(tau={tau})"
         )
 
     e_after = energy(ctx, u)
@@ -188,7 +220,7 @@ def evolve(
     ops = ctx.ops
     mesh = ops.mesh
     u = check_coeffs(mesh, u0)
-    energy(ctx, u)  # rejects initial data without finite energy
+    e_u = energy(ctx, u)  # also rejects initial data without finite energy
 
     times, energies, w_xn, u_xn, u_li, dn_ut, defects, taus = ([] for _ in range(8))
     certificates = []
@@ -203,11 +235,14 @@ def evolve(
         tau_try = cfg.tau
         for attempt in range(max_halvings + 1):
             try:
-                u_new, w, cert = step(ctx, cfg, u, tau=tau_try)
+                u_new, w, cert = step(ctx, cfg, u, tau=tau_try, e_before=e_u)
                 break
-            except NewtonDivergenceError:
+            except NewtonDivergenceError as exc:
                 if attempt == max_halvings:
-                    raise
+                    raise NewtonDivergenceError(
+                        f"{exc}; still stalled after {max_halvings} tau halvings "
+                        f"(final tau={tau_try:.6g})"
+                    ) from exc
                 tau_try *= 0.5
         if not cert.satisfied:
             msg = (f"energy certificate violated at step {step_idx + 1} "
@@ -242,6 +277,7 @@ def evolve(
             states.append(u_new.copy())
             w_states.append(w.copy())
         u = u_new
+        e_u = cert.e_after
 
     if state_times[-1] != t and step_idx > 0:
         state_times.append(t)

@@ -301,8 +301,9 @@ def rayleigh_lambda1(A_sigma: np.ndarray, M: np.ndarray) -> float:
 class OperatorSet:
     """Assembled operators for one mesh and exponent pair.
 
-    Immutable after construction; Cholesky factors are created lazily on
-    first use and then treated as read-only.
+    Immutable after construction; Cholesky factors and the Schur blocks of
+    the time stepper are created lazily on first use and then treated as
+    read-only.
     """
 
     A_s: np.ndarray
@@ -333,6 +334,18 @@ class OperatorSet:
 
     def solve_A_sigma(self, f: np.ndarray) -> np.ndarray:
         return cho_solve(self._factor("A_sigma", self.A_sigma), f)
+
+    def schur_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(M^{-1} A_s, A_sigma M^{-1} A_s): G^T and (G A_sigma)^T for G = A_s M^{-1}.
+
+        The fixed part of the time stepper's Schur complement.  Stored
+        transposed: the stepper builds the complement's transpose row by
+        row, which is the column-major layout LAPACK factors.
+        """
+        if "schur" not in self._factors:
+            Gt = np.ascontiguousarray(self.solve_M(self.A_s))
+            self._factors["schur"] = (Gt, self.A_sigma @ Gt)
+        return self._factors["schur"]
 
 
 def build_operator_set(mesh: FracMesh, exps: FracExponents, gauss_order: int = 5) -> OperatorSet:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fracch.energy import EnergyContext, energy
-from fracch.errors import CertificateViolationError, ConfigurationError
-from fracch.evolution import StepConfig, energy_balance_defect, evolve, step
+from fracch.energy import EnergyContext, energy, weighted_mass
+from fracch.errors import CertificateViolationError, ConfigurationError, NewtonDivergenceError
+from fracch.evolution import StepConfig, _beta_pair, _newton_delta, energy_balance_defect, evolve, step
 from fracch.equilibrium import default_equilibrium_seed, solve_stationary
 from fracch.mesh import build_uniform_mesh, interpolate
 from fracch.operators import FracExponents, build_operator_set, xnorm
@@ -179,3 +179,40 @@ def test_energy_matches_certificates(ctx64, rng):
     for k, cert in enumerate(traj.certificates):
         assert traj.energies[k] == cert.e_after
     assert traj.certificates[0].e_before == pytest.approx(energy(ctx64, u0), rel=1e-14)
+
+
+@pytest.mark.parametrize("exps", [(0.3, 0.7), (0.5, 0.5)])
+@pytest.mark.parametrize("yosida", [None, 1e-2])
+def test_schur_update_matches_block_solve(exps, yosida, rng):
+    ops = build_operator_set(build_uniform_mesh(-4, 4, 64), FracExponents(*exps))
+    ctx = EnergyContext(ops=ops, pot=double_well(4.0))
+    dof = ops.mesh.dof_count
+    u, r1, r2 = rng.standard_normal((3, dof))
+    tau = 1e-3
+    _, beta_prime = _beta_pair(ctx, StepConfig(tau=tau, use_yosida=yosida))
+    Bp = weighted_mass(ctx, beta_prime, u)
+    # reference: the exact Jacobian of the coupled system, solved as one 2n x 2n block
+    jac = np.block([[ops.M / tau, ops.A_s], [-(ops.A_sigma + Bp), ops.M]])
+    ref = np.linalg.solve(jac, -np.concatenate([r1, r2]))
+    du, dw = _newton_delta(ops, tau, Bp, r1, r2)
+    assert np.linalg.norm(du - ref[:dof]) <= 1e-10 * np.linalg.norm(ref[:dof])
+    assert np.linalg.norm(dw - ref[dof:]) <= 1e-10 * np.linalg.norm(ref[dof:])
+
+
+def test_energy_chains_between_steps(ctx64, rng):
+    u0 = 0.3 * rng.standard_normal(ctx64.ops.mesh.dof_count)
+    traj = evolve(ctx64, StepConfig(tau=1e-2), u0, t_end=0.2)
+    certs = traj.certificates
+    assert certs[0].e_before == energy(ctx64, u0)
+    for prev, cur in zip(certs, certs[1:]):
+        assert cur.e_before == prev.e_after
+
+
+def test_stall_after_halvings_reports_them(ctx64, rng):
+    u0 = rng.standard_normal(ctx64.ops.mesh.dof_count)
+    cfg = StepConfig(tau=1e-2, newton_tol=1e-300, newton_max=1)
+    with pytest.raises(NewtonDivergenceError) as info:
+        evolve(ctx64, cfg, u0, t_end=0.1, max_halvings=2)
+    msg = str(info.value)
+    assert "still stalled after 2 tau halvings (final tau=0.0025)" in msg
+    assert "consider halving" not in msg
