@@ -3,7 +3,8 @@
 Every subcommand takes --config <path> (JSON, see fracch.config) and an
 optional --out <dir> overriding output.dir.  Exit codes: 0 ok, 1 verification
 check failed, 2 configuration error, 3 missing input, 4 solver divergence,
-5 certificate violation.  Time series go out as CSV, reports as JSON; the
+5 certificate violation, 6 numerical failure (assembly, energy overflow or
+linear algebra).  Time series go out as CSV, reports as JSON; the
 trajectory CSV streams row by row so long runs are inspectable mid-flight.
 """
 
@@ -29,6 +30,7 @@ from .equilibrium import (
     solve_stationary,
 )
 from .errors import (
+    AssemblyError,
     CertificateViolationError,
     ConfigurationError,
     JacobianSingularError,
@@ -273,6 +275,9 @@ def main(argv=None) -> int:
     except CertificateViolationError as exc:
         print(f"certificate violation: {exc}", file=sys.stderr)
         return 5
+    except (AssemblyError, OverflowError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

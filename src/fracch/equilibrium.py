@@ -111,6 +111,14 @@ def kernel_and_projection(
     M-self-adjoint.  The default tolerance is 1e-8 times the largest pencil
     eigenvalue magnitude (scale-aware zero detection).
     """
+    _, basis, P = _pencil_kernel(L, M, kernel_tol)
+    return basis, P
+
+
+def _pencil_kernel(
+    L: np.ndarray, M: np.ndarray, kernel_tol: float | None
+) -> tuple[np.ndarray, list, np.ndarray]:
+    """Eigenvalues, near-kernel basis and projection from one solve of the pencil."""
     mu, V = eigh(L, M)
     if kernel_tol is None:
         kernel_tol = 1e-8 * float(np.max(np.abs(mu)))
@@ -121,7 +129,7 @@ def kernel_and_projection(
         P = Vk @ Vk.T @ M
     else:
         P = np.zeros_like(M)
-    return basis, P
+    return mu, basis, P
 
 
 def isomorphism_check(L: np.ndarray, M: np.ndarray, P_mat: np.ndarray) -> float:
@@ -138,13 +146,17 @@ def pencil_eigenvalues(L: np.ndarray, M: np.ndarray) -> np.ndarray:
 def complete_report(
     ctx: EnergyContext, rep: EquilibriumReport, kernel_tol: float | None = None
 ) -> EquilibriumReport:
-    """Attach spectrum, kernel, projection quality, and a theta hint."""
+    """Attach spectrum, kernel, projection quality, and a theta hint.
+
+    One decomposition of the pencil (L, M) feeds the spectrum, the kernel and
+    the projection.
+    """
     L = linearize(ctx, rep.phi)
     M = ctx.ops.M
-    basis, P = kernel_and_projection(L, M, kernel_tol)
+    mu, basis, P = _pencil_kernel(L, M, kernel_tol)
     return replace(
         rep,
-        pencil_eigs=pencil_eigenvalues(L, M),
+        pencil_eigs=mu,
         kernel_dim=len(basis),
         kernel_basis=basis,
         iso_condition=isomorphism_check(L, M, P),
@@ -190,7 +202,6 @@ class LsiProbeResult:
     skipped: int
     max_ratio: float
     median_ratio: float
-    omega_estimate: float
     delta: float
     decade_medians: tuple
     diverging: bool
@@ -261,7 +272,6 @@ def lsi_probe(
         skipped=skipped,
         max_ratio=float(ratios.max()) if ratios.size else math.nan,
         median_ratio=float(np.median(ratios)) if ratios.size else math.nan,
-        omega_estimate=float(ratios.max()) if ratios.size else math.nan,
         delta=delta,
         decade_medians=medians,
         diverging=diverging,

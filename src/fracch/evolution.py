@@ -89,7 +89,6 @@ class Trajectory:
     u_linfs: np.ndarray
     dual_norm_uts: np.ndarray
     cert_defects: np.ndarray
-    taus: np.ndarray
     certificates: list
     state_times: np.ndarray
     states: list
@@ -206,8 +205,9 @@ def evolve(
 ) -> Trajectory:
     """March the scheme to t_end, recording monitors every step.
 
-    On Newton divergence the step retries with tau halved (this step only,
-    up to ``max_halvings``); the certificate records the tau actually used.
+    A last step that would pass t_end is shortened to end there.  On Newton
+    divergence the step retries with tau halved (this step only, up to
+    ``max_halvings``); the certificate records the tau actually used.
     ``on_step(step_index, t, monitors_row, cert)`` streams rows out as they
     are produced.
     """
@@ -222,7 +222,7 @@ def evolve(
     u = check_coeffs(mesh, u0)
     e_u = energy(ctx, u)  # also rejects initial data without finite energy
 
-    times, energies, w_xn, u_xn, u_li, dn_ut, defects, taus = ([] for _ in range(8))
+    times, energies, w_xn, u_xn, u_li, dn_ut, defects = ([] for _ in range(7))
     certificates = []
     state_times = [0.0]
     states = [u.copy()]
@@ -231,8 +231,9 @@ def evolve(
 
     t = 0.0
     step_idx = 0
-    while t < t_end * (1.0 - 1e-12):
-        tau_try = cfg.tau
+    slack = 1e-9 * t_end  # rounding that summing the step sizes leaves in t
+    while t < t_end - slack:
+        tau_try = cfg.tau if t + cfg.tau <= t_end + slack else t_end - t
         for attempt in range(max_halvings + 1):
             try:
                 u_new, w, cert = step(ctx, cfg, u, tau=tau_try, e_before=e_u)
@@ -268,7 +269,6 @@ def evolve(
         u_li.append(row["u_linf"])
         dn_ut.append(row["dual_norm_ut"])
         defects.append(cert.defect)
-        taus.append(cert.tau_used)
         certificates.append(cert)
         if on_step is not None:
             on_step(step_idx, t, row, cert)
@@ -292,7 +292,6 @@ def evolve(
         u_linfs=np.asarray(u_li),
         dual_norm_uts=np.asarray(dn_ut),
         cert_defects=np.asarray(defects),
-        taus=np.asarray(taus),
         certificates=certificates,
         state_times=np.asarray(state_times),
         states=states,

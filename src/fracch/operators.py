@@ -11,9 +11,10 @@ complement part 2 * int_Omega u v (x) * int_{Omega^c} |x-y|^(-1-2s) dy dx.
 The sqrt of the induced quadratic form is the working norm; its dual norm
 satisfies |A v|_dual = |v|_A, which downstream code relies on.
 
-Assembly runs over element pairs in lexicographic order.  On a uniform mesh
-the pair integral depends on the element distance only, so the local blocks
-are precomputed per distance:
+On a uniform mesh the integral over an element pair depends only on the
+distance d between the two elements, so assembly computes one local block
+per distance and adds it, for all n - d pairs at once, into a matrix over
+all nodes whose boundary rows and columns are dropped at the end:
 
 * identical elements: the basis differences factor as slope * (x - y), and
   the radial integral of |x-y|^(1-2s) is elementary;
@@ -21,9 +22,11 @@ are precomputed per distance:
   diagonal, the radial direction integrates in closed form and the remaining
   1-D integrals of t^k (1+t)^(-1-2s) are elementary (binomial expansion);
 * separated elements: smooth integrand, tensor Gauss-Legendre with
-  ``gauss_order`` points per direction;
+  ``_GAUSS_ORDER`` points per direction;
 * complement term: hat products are piecewise quadratic, so the weighted
-  integrals against (x-a)^(-2s) and (b-x)^(-2s) are elementary as well.
+  integral against (x-a)^(-2s) is elementary as well; the one against
+  (b-x)^(-2s) is its mirror image under x -> a+b-x, which maps the mesh
+  onto itself.
 
 Everything is deterministic: fixed accumulation order, no randomness, so
 repeated assemblies are bit-identical.
@@ -43,6 +46,7 @@ from .errors import AssemblyError, ConfigurationError
 from .mesh import FracMesh, mass_matrix
 
 _STIFFNESS_MAGIC = b"FRACSTF1"
+_GAUSS_ORDER = 5  # Gauss-Legendre points per direction for separated element pairs
 
 
 @dataclass(frozen=True)
@@ -151,121 +155,76 @@ def _separated_local(h: float, s: float, d: int, pts: np.ndarray, wts: np.ndarra
     return local
 
 
-def _complement_local(mesh: FracMesh, s: float, k: int) -> np.ndarray:
-    """2x2 exterior-complement block for element k, nodes (k, k+1).
+def _left_exterior_local(h: float, s: float, k: int) -> np.ndarray:
+    """2x2 left-exterior block for element k, nodes (k, k+1).
 
-    Contributes 2 * int_elem phi_i phi_j (x) * [(x-a)^(-2s) + (b-x)^(-2s)]/(2s) dx,
-    integrated exactly (hat products are quadratic polynomials).
+    Contributes 2 * int_elem phi_i phi_j (x) * (x-a)^(-2s)/(2s) dx, integrated
+    exactly in t = x - a over [kh, (k+1)h] (hat products are quadratic
+    polynomials).  The right exterior is the mirror image under x -> a+b-x.
     """
-    h = mesh.h
-    inv2s = 1.0 / (2.0 * s)
+    lo, hi = k * h, (k + 1) * h
+    # both nodal shapes as c0 + c1 t with exact coefficients: node k, node k+1
+    lin = ((hi / h, -1.0 / h), (-lo / h, 1.0 / h))
     out = np.zeros((2, 2))
-    # entries hitting a boundary node are discarded by the caller; computing
-    # them anyway would pair a nonvanishing product with a divergent weight
-    keep = (k >= 1, k + 1 <= mesh.n_elems - 1)
-    for side in (0, 1):
-        if side == 0:
-            lo = mesh.nodes[k] - mesh.a
-            hi = mesh.nodes[k + 1] - mesh.a
-            t0, t1 = lo, hi  # node k sits at t0, node k+1 at t1
-        else:
-            lo = mesh.b - mesh.nodes[k + 1]
-            hi = mesh.b - mesh.nodes[k]
-            t0, t1 = hi, lo  # orientation flips under x -> b - x
-        # write both nodal shapes as c0 + c1 t with exact coefficients
-        if side == 0:
-            lin = ((t1 / h, -1.0 / h), (-t0 / h, 1.0 / h))  # node k, node k+1
-        else:
-            lin = ((-t1 / h, 1.0 / h), (t0 / h, -1.0 / h))
-        moments: dict[int, float] = {}
-
-        def moment(order):
-            # computed lazily: on boundary elements the surviving products have
-            # no low-order coefficients, keeping the weight integrable
-            if order not in moments:
-                moments[order] = _power_integral(lo, hi, order - 2.0 * s)
-            return moments[order]
-
-        for i in range(2):
-            for j in range(2):
-                if not (keep[i] and keep[j]):
-                    continue
-                c0i, c1i = lin[i]
-                c0j, c1j = lin[j]
-                coeffs = (c0i * c0j, c0i * c1j + c1i * c0j, c1i * c1j)
-                acc = 0.0
-                for order, c in enumerate(coeffs):
-                    if c != 0.0:
-                        acc += c * moment(order)
-                out[i, j] += 2.0 * inv2s * acc
+    for i in range(2):
+        for j in range(2):
+            if k == 0 and 0 in (i, j):
+                continue  # node 0 sits at a, where the weight is not integrable
+            (c0i, c1i), (c0j, c1j) = lin[i], lin[j]
+            coeffs = (c0i * c0j, c0i * c1j + c1i * c0j, c1i * c1j)
+            # zero coefficients are skipped: at t = 0 the low moments diverge
+            out[i, j] = sum(
+                c * _power_integral(lo, hi, order - 2.0 * s)
+                for order, c in enumerate(coeffs) if c != 0.0
+            ) / s
     return out
 
 
-def assemble_gagliardo(
-    mesh: FracMesh, s: float, C_s: float, gauss_order: int = 5
-) -> np.ndarray:
+def assemble_gagliardo(mesh: FracMesh, s: float, C_s: float) -> np.ndarray:
     """Dense symmetric Gagliardo stiffness matrix on interior hat functions.
 
     Entry (i, j) approximates (C_s/2) times the full-plane double integral of
     the hat-function differences against |x-y|^(-1-2s), including the
-    exterior-complement contribution of the zero extension.  Element pairs
-    accumulate in lexicographic (k, l) order; local blocks are exact except
-    for separated pairs, which use ``gauss_order`` Gauss points per direction.
+    exterior-complement contribution of the zero extension.  Local blocks are
+    exact except for separated pairs, which use ``_GAUSS_ORDER`` Gauss points
+    per direction.
     """
     if not (0.0 < s < 1.0):
         raise ConfigurationError(f"exponent s must lie in (0,1), got {s}")
     if not (math.isfinite(C_s) and C_s > 0.0):
         raise ConfigurationError(f"normalization constant must be finite positive, got {C_s}")
-    if gauss_order < 2:
-        raise ConfigurationError(f"gauss_order must be >= 2, got {gauss_order}")
     n = mesh.n_elems
     h = mesh.h
-    dof = mesh.dof_count
-    raw = np.zeros((dof, dof))
 
-    pts, wts = np.polynomial.legendre.leggauss(gauss_order)
+    pts, wts = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
     pts = 0.5 * (pts + 1.0)
     wts = 0.5 * wts
 
-    # per-distance local blocks (uniform mesh: pair integrals depend on d only)
-    i_same = _self_pair_integral(h, s)
-    local_same = np.array([[1.0, -1.0], [-1.0, 1.0]]) * (i_same / (h * h))
-    locals_by_d: dict[int, np.ndarray] = {0: local_same, 1: _touching_local(h, s)}
-    for d in range(2, n):
-        locals_by_d[d] = _separated_local(h, s, d, pts, wts)
-    for d, block in locals_by_d.items():
+    # one block per element distance d, with its node offsets; d >= 1 carries
+    # weight 2 for the pairs (k, k+d) and (k+d, k)
+    same = np.array([[1.0, -1.0], [-1.0, 1.0]]) * (_self_pair_integral(h, s) / (h * h))
+    blocks = [((0, 1), same), ((0, 1, 2), 2.0 * _touching_local(h, s))]
+    blocks += [((0, 1, d, d + 1), 2.0 * _separated_local(h, s, d, pts, wts)) for d in range(2, n)]
+
+    # all nodes, boundary nodes 0 and n included and dropped at the end
+    full = np.zeros((n + 1, n + 1))
+    for d, (offsets, block) in enumerate(blocks):
         if not np.all(np.isfinite(block)):
-            raise AssemblyError(
-                f"non-finite quadrature for element pair (0, {d}) at s={s}"
-            )
+            raise AssemblyError(f"non-finite quadrature for element pair (0, {d}) at s={s}")
+        k = np.arange(n - d)
+        for p, op in enumerate(offsets):
+            for q, oq in enumerate(offsets):
+                full[k + op, k + oq] += block[p, q]
 
-    def scatter(nodes_rowcol, block, weight):
-        for p, gp in enumerate(nodes_rowcol):
-            if gp < 1 or gp > n - 1:
-                continue
-            for q, gq in enumerate(nodes_rowcol):
-                if gq < 1 or gq > n - 1:
-                    continue
-                raw[gp - 1, gq - 1] += weight * block[p, q]
-
+    # x -> a+b-x maps element k onto element n-1-k with its node order reversed
     for k in range(n):
-        for l in range(k, n):
-            d = l - k
-            weight = 1.0 if d == 0 else 2.0
-            if d == 0:
-                scatter((k, k + 1), locals_by_d[0], weight)
-            elif d == 1:
-                scatter((k, k + 1, k + 2), locals_by_d[1], weight)
-            else:
-                scatter((k, k + 1, l, l + 1), locals_by_d[d], weight)
-
-    for k in range(n):
-        comp = _complement_local(mesh, s, k)
-        if not np.all(np.isfinite(comp)):
+        left = _left_exterior_local(h, s, k)
+        if not np.all(np.isfinite(left)):
             raise AssemblyError(f"non-finite complement integral on element {k} at s={s}")
-        scatter((k, k + 1), comp, 1.0)
+        full[k:k + 2, k:k + 2] += left
+        full[n - 1 - k:n + 1 - k, n - 1 - k:n + 1 - k] += left[::-1, ::-1]
 
-    A = 0.5 * C_s * raw
+    A = 0.5 * C_s * full[1:-1, 1:-1]
     return 0.5 * (A + A.T)  # guarantee bit-exact symmetry regardless of BLAS
 
 
@@ -348,15 +307,15 @@ class OperatorSet:
         return self._factors["schur"]
 
 
-def build_operator_set(mesh: FracMesh, exps: FracExponents, gauss_order: int = 5) -> OperatorSet:
+def build_operator_set(mesh: FracMesh, exps: FracExponents) -> OperatorSet:
     """Assemble both stiffness matrices and the mass matrix for a mesh."""
     C_s = normalization_constant(1, exps.s)
     C_sigma = normalization_constant(1, exps.sigma)
-    A_s = assemble_gagliardo(mesh, exps.s, C_s, gauss_order)
+    A_s = assemble_gagliardo(mesh, exps.s, C_s)
     if exps.sigma == exps.s:
         A_sigma = A_s
     else:
-        A_sigma = assemble_gagliardo(mesh, exps.sigma, C_sigma, gauss_order)
+        A_sigma = assemble_gagliardo(mesh, exps.sigma, C_sigma)
     return OperatorSet(
         A_s=A_s, A_sigma=A_sigma, M=mass_matrix(mesh),
         C_s=C_s, C_sigma=C_sigma, mesh=mesh, exps=exps,

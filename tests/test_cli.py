@@ -3,11 +3,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fracch.cli import TRAJECTORY_COLUMNS, main
-from fracch.config import parse_config
-from fracch.errors import ConfigurationError
+from fracch.config import RunConfig, parse_config
+from fracch.errors import AssemblyError, ConfigurationError
 
 
 def _write(tmp_path, name, payload):
@@ -80,6 +81,21 @@ def test_config_error_exit_code(tmp_path):
     bad = _write(tmp_path, "bad.json", {"time": {"tau": -1.0}})
     assert main(["simulate", "--config", bad]) == 2
     assert main(["simulate", "--config", str(tmp_path / "nonexistent.json")]) == 2
+
+
+@pytest.mark.parametrize("error", [
+    AssemblyError("non-finite quadrature"),
+    OverflowError("potential overflow while evaluating the energy"),
+    np.linalg.LinAlgError("matrix is singular"),
+])
+def test_numerical_failure_exit_code(quick_cfg, monkeypatch, capsys, error):
+    def fail(self):
+        raise error
+
+    monkeypatch.setattr(RunConfig, "build_context", fail)
+    assert main(["simulate", "--config", quick_cfg]) == 6
+    err = capsys.readouterr().err
+    assert err == f"numerical failure: {error}\n"
 
 
 def test_rates_without_inputs_is_missing_input(quick_cfg, tmp_path):

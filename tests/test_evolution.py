@@ -119,9 +119,11 @@ def test_divergence_fallback_halves_tau(ctx64, rng):
     # a tight iteration budget forces halvings on the rough first step only
     u0 = rng.standard_normal(ctx64.ops.mesh.dof_count)
     cfg = StepConfig(tau=10.0, newton_max=4)
-    traj = evolve(ctx64, cfg, u0, t_end=10.0)
-    assert traj.taus[0] < 10.0  # first step needed halving
-    assert traj.taus[-1] == 10.0  # later steps succeed at the nominal tau
+    traj = evolve(ctx64, cfg, u0, t_end=20.0)
+    taus = [c.tau_used for c in traj.certificates]
+    assert taus[0] < 10.0  # first step needed halving
+    assert taus[1] == 10.0  # later steps succeed at the nominal tau
+    assert traj.times[-1] == pytest.approx(20.0)  # the last step is clamped to t_end
     assert all(c.satisfied for c in traj.certificates)
 
 
@@ -216,3 +218,23 @@ def test_stall_after_halvings_reports_them(ctx64, rng):
     msg = str(info.value)
     assert "still stalled after 2 tau halvings (final tau=0.0025)" in msg
     assert "consider halving" not in msg
+
+
+def test_last_step_clamped_to_t_end(ctx64, rng):
+    u0 = 0.3 * rng.standard_normal(ctx64.ops.mesh.dof_count)
+    traj = evolve(ctx64, StepConfig(tau=0.1), u0, t_end=0.25)
+    assert [c.tau_used for c in traj.certificates][:2] == [0.1, 0.1]
+    assert len(traj.certificates) == 3
+    assert traj.certificates[-1].tau_used == pytest.approx(0.05)
+    assert traj.times[-1] == 0.25
+    assert traj.state_times[-1] == 0.25
+
+
+@pytest.mark.parametrize("tau, t_end", [(1e-3, 0.3), (1e-3, 2.0), (1e-2, 0.2), (0.1, 0.3)])
+def test_t_end_multiple_of_tau_keeps_every_step_full(tau, t_end):
+    # summing tau leaves t a few ulps off t_end; no step may be clamped for that
+    ops = build_operator_set(build_uniform_mesh(-1.0, 1.0, 4), FracExponents(0.5, 0.5))
+    ctx = EnergyContext(ops=ops, pot=double_well(4.0))
+    traj = evolve(ctx, StepConfig(tau=tau), np.zeros(3), t_end=t_end, record_stride=10**6)
+    assert len(traj.certificates) == round(t_end / tau)
+    assert all(c.tau_used == tau for c in traj.certificates)

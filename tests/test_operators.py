@@ -2,13 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gagliardo_oracle import oracle_entry
 
 from fracch.errors import AssemblyError, ConfigurationError
 from fracch.mesh import build_uniform_mesh, interpolate
 from fracch.operators import (
+    _GAUSS_ORDER,
     FracExponents,
+    _power_integral,
+    _self_pair_integral,
+    _separated_local,
+    _touching_local,
     assemble_gagliardo,
     build_operator_set,
     dual_norm,
@@ -72,6 +79,78 @@ def test_assembly_matches_oracle_s_half(mesh8):
         for j in range(i, mesh8.dof_count):
             ref = oracle_entry(mesh8, 0.5, C, i, j)
             assert abs(A[i, j] - ref) <= 1e-4 * abs(ref)
+
+
+def _two_sided_exterior(mesh, s, k):
+    """Exterior block of element k, nodes (k, k+1), integrated on each side directly."""
+    h, n = mesh.h, mesh.n_elems
+    keep = (k >= 1, k + 1 <= n - 1)
+    lo_l, hi_l = mesh.nodes[k] - mesh.a, mesh.nodes[k + 1] - mesh.a  # t = x - a
+    lo_r, hi_r = mesh.b - mesh.nodes[k + 1], mesh.b - mesh.nodes[k]  # t = b - x
+    sides = (
+        (lo_l, hi_l, ((hi_l / h, -1.0 / h), (-lo_l / h, 1.0 / h))),
+        (lo_r, hi_r, ((-lo_r / h, 1.0 / h), (hi_r / h, -1.0 / h))),
+    )
+    out = np.zeros((2, 2))
+    for lo, hi, lin in sides:
+        for i in range(2):
+            for j in range(2):
+                if keep[i] and keep[j]:
+                    (c0i, c1i), (c0j, c1j) = lin[i], lin[j]
+                    coeffs = (c0i * c0j, c0i * c1j + c1i * c0j, c1i * c1j)
+                    out[i, j] += sum(c * _power_integral(lo, hi, m - 2.0 * s)
+                                     for m, c in enumerate(coeffs) if c != 0.0) / s
+    return out
+
+
+def _element_pair_reference(mesh, s, C_s):
+    """Stiffness matrix by visiting every element pair (k, l), k <= l."""
+    n, h = mesh.n_elems, mesh.h
+    pts, wts = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    pts, wts = 0.5 * (pts + 1.0), 0.5 * wts
+    raw = np.zeros((n - 1, n - 1))
+
+    def scatter(nodes, block, weight):
+        for p, gp in enumerate(nodes):
+            for q, gq in enumerate(nodes):
+                if 1 <= gp <= n - 1 and 1 <= gq <= n - 1:
+                    raw[gp - 1, gq - 1] += weight * block[p, q]
+
+    same = np.array([[1.0, -1.0], [-1.0, 1.0]]) * (_self_pair_integral(h, s) / (h * h))
+    for k in range(n):
+        scatter((k, k + 1), same, 1.0)
+        if k + 1 < n:
+            scatter((k, k + 1, k + 2), _touching_local(h, s), 2.0)
+        for l in range(k + 2, n):
+            scatter((k, k + 1, l, l + 1), _separated_local(h, s, l - k, pts, wts), 2.0)
+        scatter((k, k + 1), _two_sided_exterior(mesh, s, k), 1.0)
+    A = 0.5 * C_s * raw
+    return 0.5 * (A + A.T)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 33])
+@pytest.mark.parametrize("s", [0.01, 0.25, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.75, 0.99])
+def test_assembly_matches_element_pair_reference(n, s):
+    mesh = build_uniform_mesh(-1.0, 1.0, n)
+    C = normalization_constant(1, s)
+    A = assemble_gagliardo(mesh, s, C)
+    ref = _element_pair_reference(mesh, s, C)
+    assert np.linalg.norm(A - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.floats(-10.0, 10.0),
+    width=st.floats(0.1, 20.0),
+    n=st.integers(2, 48),
+    s=st.floats(0.01, 0.99),
+)
+def test_assembly_symmetric_definite_persymmetric(a, width, n, s):
+    # x -> a+b-x maps the uniform mesh onto itself and reverses the node order
+    A = assemble_gagliardo(build_uniform_mesh(a, a + width, n), s, normalization_constant(1, s))
+    assert np.array_equal(A, A.T)
+    np.linalg.cholesky(A)  # raises unless positive definite
+    assert np.max(np.abs(A - A[::-1, ::-1])) <= 1e-14 * np.max(np.abs(A))
 
 
 def test_assembly_rejects_nonfinite_constant(mesh8):
