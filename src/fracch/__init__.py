@@ -46,7 +46,6 @@ from .evolution import (
     StepCertificate,
     StepConfig,
     Trajectory,
-    energy_balance_defect,
     evolve,
     step,
 )

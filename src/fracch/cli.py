@@ -3,8 +3,8 @@
 Every subcommand takes --config <path> (JSON, see fracch.config) and an
 optional --out <dir> overriding output.dir.  Exit codes: 0 ok, 1 verification
 check failed, 2 configuration error, 3 missing input, 4 solver divergence,
-5 certificate violation, 6 numerical failure (assembly, energy overflow or
-linear algebra).  Time series go out as CSV, reports as JSON; the
+5 certificate violation, 6 numerical failure (assembly, energy overflow,
+linear algebra or memory).  Time series go out as CSV, reports as JSON; the
 trajectory CSV streams row by row so long runs are inspectable mid-flight.
 """
 
@@ -57,7 +57,10 @@ def _fmt(x) -> str:
 
 def _out_dir(cfg: RunConfig, override: str | None) -> str:
     out = override if override else cfg.out_dir
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {out}: {exc.strerror}") from None
     return out
 
 
@@ -78,11 +81,11 @@ def run_simulate(cfg: RunConfig, out: str | None) -> int:
         tw.writerow(TRAJECTORY_COLUMNS)
         cw.writerow(CERTIFICATE_COLUMNS)
 
-        def on_step(step_idx, t, row, cert):
+        def on_step(step_idx, t, cert):
             tw.writerow([
-                step_idx, _fmt(t), _fmt(cert.tau_used), _fmt(row["energy"]),
-                _fmt(row["w_xnorm"]), _fmt(row["u_xnorm_sigma"]),
-                _fmt(row["u_linf"]), _fmt(row["dual_norm_ut"]), _fmt(cert.defect),
+                step_idx, _fmt(t), _fmt(cert.tau_used), _fmt(cert.e_after),
+                _fmt(math.sqrt(max(cert.w_normsq, 0.0))), _fmt(cert.u_xnorm_sigma),
+                _fmt(cert.u_linf), _fmt(cert.dual_norm_ut), _fmt(cert.defect),
             ])
             cw.writerow([
                 step_idx, _fmt(t), _fmt(cert.tau_used), _fmt(cert.e_before),
@@ -184,7 +187,7 @@ def run_verify(cfg: RunConfig, out: str | None) -> int:
     checks["energy_stability"] = {
         "pass": bool(sat),
         "steps": len(traj.certificates),
-        "max_defect": float(traj.cert_defects.max()),
+        "max_defect": float(traj.certificates.defect.max()),
     }
 
     all_pass = all(c["pass"] for c in checks.values())
@@ -275,7 +278,7 @@ def main(argv=None) -> int:
     except CertificateViolationError as exc:
         print(f"certificate violation: {exc}", file=sys.stderr)
         return 5
-    except (AssemblyError, OverflowError, np.linalg.LinAlgError) as exc:
+    except (AssemblyError, OverflowError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 6
 

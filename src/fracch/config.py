@@ -7,6 +7,8 @@ offending key as ``group.key``.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,11 @@ _DEFAULTS = {
     "seeds": {"rng_seed": 0},
     "output": {"dir": "fracch-out"},
 }
+
+# dense dof x dof float64 arrays a simulate run holds at once: A_s, A_sigma,
+# M, the Cholesky factors of M and A_s, the two Schur blocks, and the Newton
+# step's complement with its LU copy
+_DENSE_ARRAYS = 9
 
 
 @dataclass(frozen=True)
@@ -90,7 +97,7 @@ def _require_number(group: str, key: str, value, integer: bool = False):
 def parse_config(path) -> RunConfig:
     """Load, validate, and default-fill a JSON run configuration."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
@@ -98,6 +105,10 @@ def parse_config(path) -> RunConfig:
         raise ConfigurationError(
             f"config parse error at {path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config {path} is not UTF-8: {exc.reason}") from None
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc.strerror}") from None
     if not isinstance(data, dict):
         raise ConfigurationError("config root must be a JSON object")
 
@@ -119,6 +130,16 @@ def parse_config(path) -> RunConfig:
     n_elems = _require_number("mesh", "n_elems", merged["mesh"]["n_elems"], integer=True)
     if n_elems < 2:
         raise ConfigurationError(f"mesh.n_elems must be >= 2, got {n_elems}")
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # the platform does not say
+        memory = math.inf
+    footprint = _DENSE_ARRAYS * 8 * (n_elems - 1) ** 2
+    if footprint > memory:
+        raise ConfigurationError(
+            f"mesh.n_elems={n_elems} needs about {footprint / 2**30:.3g} GiB of dense "
+            f"matrices, more than the {memory / 2**30:.3g} GiB of physical memory"
+        )
     s = _require_number("frac", "s", merged["frac"]["s"])
     sigma = _require_number("frac", "sigma", merged["frac"]["sigma"])
     for name, val in (("frac.s", s), ("frac.sigma", sigma)):

@@ -109,7 +109,7 @@ def fit_decay_series(
 
 def decay_fit(traj: Trajectory, phi_energy: float, theta: float) -> LojFit:
     """Decay-rate fit of a recorded trajectory against a limit energy."""
-    return fit_decay_series(traj.times, traj.energies, phi_energy, theta)
+    return fit_decay_series(traj.times, traj.certificates.e_after, phi_energy, theta)
 
 
 def fit_curve_points(
@@ -196,6 +196,6 @@ def smoothing_report(traj: Trajectory, t0_grid=(0.1, 0.2, 0.5, 1.0)) -> list:
         mask = traj.times >= t0
         if not np.any(mask):
             raise ValueError(f"trajectory ends before t0={t0}")
-        sup = float(np.max(traj.w_xnorms[mask] ** 2))
+        sup = float(np.max(traj.certificates.w_normsq[mask]))
         out.append((float(t0), float(t0) * sup))
     return out

@@ -26,8 +26,9 @@ StepCertificate for every accepted step.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,10 +65,14 @@ class StepConfig:
             raise ConfigurationError(f"tau must be positive, got {self.tau}")
         if self.newton_tol <= 0:
             raise ConfigurationError(f"newton_tol must be positive, got {self.newton_tol}")
+        if self.newton_max < 0:
+            raise ConfigurationError(f"newton_max must be >= 0, got {self.newton_max}")
 
 
 @dataclass(frozen=True)
 class StepCertificate:
+    """Everything one accepted step records: its dissipation terms and monitors."""
+
     e_before: float
     e_after: float
     w_normsq: float
@@ -76,23 +81,25 @@ class StepCertificate:
     defect: float
     satisfied: bool
     tau_used: float
+    u_xnorm_sigma: float  # |u_n| in the A_sigma energy norm
+    u_linf: float  # max |nodal value| of u_n
+    dual_norm_ut: float  # dual s-norm of M (u_n - u_prev) / tau
+
+
+# one record column per certificate field; the annotations are the strings
+# "float" and "bool", which numpy reads as float64 and bool
+_CERT_DTYPE = np.dtype([(f.name, f.type) for f in fields(StepCertificate)])
+_cert_row = operator.attrgetter(*_CERT_DTYPE.names)
 
 
 @dataclass
 class Trajectory:
-    """Recorded run: per-step monitors plus strided state snapshots."""
+    """Recorded run: a recarray of StepCertificate fields per step plus state snapshots."""
 
     times: np.ndarray
-    energies: np.ndarray
-    w_xnorms: np.ndarray
-    u_xnorm_sigmas: np.ndarray
-    u_linfs: np.ndarray
-    dual_norm_uts: np.ndarray
-    cert_defects: np.ndarray
-    certificates: list
+    certificates: np.recarray
     state_times: np.ndarray
     states: list
-    w_states: list
 
 
 def _beta_pair(ctx: EnergyContext, cfg: StepConfig):
@@ -189,6 +196,8 @@ def step(
         e_before=e_before, e_after=e_after, w_normsq=w_normsq, du_msq=du_msq,
         lambda_half_du=lambda_half_du, defect=defect,
         satisfied=defect <= tol, tau_used=tau,
+        u_xnorm_sigma=xnorm(A_sig, u), u_linf=linf_norm(mesh, u),
+        dual_norm_ut=ops.dual_norm_s(M @ du / tau),
     )
     return u, w, cert
 
@@ -208,8 +217,8 @@ def evolve(
     A last step that would pass t_end is shortened to end there.  On Newton
     divergence the step retries with tau halved (this step only, up to
     ``max_halvings``); the certificate records the tau actually used.
-    ``on_step(step_index, t, monitors_row, cert)`` streams rows out as they
-    are produced.
+    ``on_step(step_index, t, cert)`` streams each step's record out as it
+    is produced.
     """
     if t_end <= 0:
         raise ConfigurationError(f"t_end must be positive, got {t_end}")
@@ -217,17 +226,12 @@ def evolve(
         raise ConfigurationError(f"record_stride must be >= 1, got {record_stride}")
     if on_violation not in ("abort", "warn"):
         raise ConfigurationError(f"on_violation must be 'abort' or 'warn', got {on_violation}")
-    ops = ctx.ops
-    mesh = ops.mesh
-    u = check_coeffs(mesh, u0)
+    u = check_coeffs(ctx.ops.mesh, u0)
     e_u = energy(ctx, u)  # also rejects initial data without finite energy
 
-    times, energies, w_xn, u_xn, u_li, dn_ut, defects = ([] for _ in range(7))
-    certificates = []
+    times, certificates = [], []
     state_times = [0.0]
     states = [u.copy()]
-    w0 = ops.solve_M(ops.A_sigma @ u + load_vector(ctx, ctx.pot.g, u))
-    w_states = [w0]
 
     t = 0.0
     step_idx = 0
@@ -236,7 +240,7 @@ def evolve(
         tau_try = cfg.tau if t + cfg.tau <= t_end + slack else t_end - t
         for attempt in range(max_halvings + 1):
             try:
-                u_new, w, cert = step(ctx, cfg, u, tau=tau_try, e_before=e_u)
+                u_new, _, cert = step(ctx, cfg, u, tau=tau_try, e_before=e_u)
                 break
             except NewtonDivergenceError as exc:
                 if attempt == max_halvings:
@@ -254,56 +258,23 @@ def evolve(
 
         t += cert.tau_used
         step_idx += 1
-        du_rate = ops.M @ (u_new - u) / cert.tau_used
-        row = {
-            "energy": cert.e_after,
-            "w_xnorm": math.sqrt(max(cert.w_normsq, 0.0)),
-            "u_xnorm_sigma": xnorm(ops.A_sigma, u_new),
-            "u_linf": linf_norm(mesh, u_new),
-            "dual_norm_ut": ops.dual_norm_s(du_rate),
-        }
         times.append(t)
-        energies.append(row["energy"])
-        w_xn.append(row["w_xnorm"])
-        u_xn.append(row["u_xnorm_sigma"])
-        u_li.append(row["u_linf"])
-        dn_ut.append(row["dual_norm_ut"])
-        defects.append(cert.defect)
         certificates.append(cert)
         if on_step is not None:
-            on_step(step_idx, t, row, cert)
+            on_step(step_idx, t, cert)
         if step_idx % record_stride == 0:
             state_times.append(t)
             states.append(u_new.copy())
-            w_states.append(w.copy())
         u = u_new
         e_u = cert.e_after
 
     if state_times[-1] != t and step_idx > 0:
         state_times.append(t)
         states.append(u.copy())
-        w_states.append(w.copy())
 
     return Trajectory(
         times=np.asarray(times),
-        energies=np.asarray(energies),
-        w_xnorms=np.asarray(w_xn),
-        u_xnorm_sigmas=np.asarray(u_xn),
-        u_linfs=np.asarray(u_li),
-        dual_norm_uts=np.asarray(dn_ut),
-        cert_defects=np.asarray(defects),
-        certificates=certificates,
+        certificates=np.array([_cert_row(c) for c in certificates], _CERT_DTYPE).view(np.recarray),
         state_times=np.asarray(state_times),
         states=states,
-        w_states=w_states,
     )
-
-
-def energy_balance_defect(traj: Trajectory) -> np.ndarray:
-    """Per-step defect magnitude of the discrete energy identity.
-
-    The certificate inequality becomes an equality as tau -> 0; from data
-    resolved by the step size the per-step defect shrinks linearly with tau
-    (the sigma >= s equality case), which is what the scaling checks fit.
-    """
-    return np.abs(traj.cert_defects)

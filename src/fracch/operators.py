@@ -291,9 +291,6 @@ class OperatorSet:
     def solve_M(self, f: np.ndarray) -> np.ndarray:
         return cho_solve(self._factor("M", self.M), f)
 
-    def solve_A_sigma(self, f: np.ndarray) -> np.ndarray:
-        return cho_solve(self._factor("A_sigma", self.A_sigma), f)
-
     def schur_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """(M^{-1} A_s, A_sigma M^{-1} A_s): G^T and (G A_sigma)^T for G = A_s M^{-1}.
 

@@ -25,7 +25,7 @@ from fracch.equilibrium import (
     pencil_eigenvalues,
     solve_stationary,
 )
-from fracch.evolution import StepConfig, energy_balance_defect, evolve
+from fracch.evolution import StepConfig, evolve
 from fracch.mesh import build_uniform_mesh, interpolate
 from fracch.operators import (
     FracExponents,
@@ -96,9 +96,9 @@ def test_criterion_04_unconditional_energy_stability(ctx128):
         traj = evolve(ctx128, StepConfig(tau=tau), u0, t_end=2000 * tau)
         assert len(traj.certificates) == 2000
         tol = 1e-9 * np.maximum(1.0, np.abs([c.e_before for c in traj.certificates]))
-        assert np.all(traj.cert_defects <= tol)
+        assert np.all(traj.certificates.defect <= tol)
         assert all(c.satisfied for c in traj.certificates)
-        worst = max(worst, float(np.max(traj.cert_defects)))
+        worst = max(worst, float(np.max(traj.certificates.defect)))
     _report(4, f"6000 certified steps across three step sizes (max defect {worst:.2e})")
 
 
@@ -109,7 +109,7 @@ def test_criterion_05_energy_equality_defect_scaling(ctx128):
     maxima = []
     for tau in (1e-2, 5e-3, 2.5e-3):
         traj = evolve(ctx128, StepConfig(tau=tau), u0, t_end=1.0)
-        maxima.append(float(energy_balance_defect(traj).max()))
+        maxima.append(float(np.abs(traj.certificates.defect).max()))
     ratios = [maxima[k + 1] / maxima[k] for k in range(2)]
     for r in ratios:
         assert 0.4 <= r <= 0.6  # halving tau halves the defect within 20%
@@ -121,11 +121,12 @@ def test_criterion_06_convergence_to_equilibrium(ctx128, settle_run):
     final = xnorm(ctx128.ops.A_sigma, np.asarray(settle_run.states[-1]) - phi)
     assert settle_run.times[-1] >= 20.0 - 1e-9
     assert final < 1e-6
-    fit = fit_decay_series(settle_run.times, settle_run.energies, 0.0, 0.5)
+    energies = settle_run.certificates.e_after
+    fit = fit_decay_series(settle_run.times, energies, 0.0, 0.5)
     assert fit.mode == "exponential"
     assert fit.r_squared >= 0.99
-    h_start = (settle_run.energies[np.searchsorted(settle_run.times, fit.window[0])]) ** 0.5
-    h_end = (settle_run.energies[np.searchsorted(settle_run.times, fit.window[1])]) ** 0.5
+    h_start = (energies[np.searchsorted(settle_run.times, fit.window[0])]) ** 0.5
+    h_end = (energies[np.searchsorted(settle_run.times, fit.window[1])]) ** 0.5
     decades = math.log10(h_start / h_end)
     assert decades >= 3.0
     _report(6, f"distance {final:.2e} at t=20; exponential fit r2={fit.r_squared:.6f} "
@@ -215,7 +216,7 @@ def test_criterion_11_smoothing_shape():
     traj = evolve(ctx, StepConfig(tau=2e-3), u0, t_end=1.5)
     products = []
     for t0 in (0.1, 0.2, 0.5, 1.0):
-        sup = float(np.max(traj.w_xnorms[traj.times >= t0] ** 2))
+        sup = float(np.max(traj.certificates.w_normsq[traj.times >= t0]))
         products.append(t0 * sup)
     assert all(np.isfinite(p) for p in products)
     growth = max(products) / products[0]

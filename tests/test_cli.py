@@ -1,14 +1,17 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from fracch.cli import TRAJECTORY_COLUMNS, main
+import fracch
+from fracch.cli import CERTIFICATE_COLUMNS, TRAJECTORY_COLUMNS, _initial_data, main
 from fracch.config import RunConfig, parse_config
 from fracch.errors import AssemblyError, ConfigurationError
+from fracch.evolution import evolve
 
 
 def _write(tmp_path, name, payload):
@@ -69,6 +72,36 @@ def test_simulate_writes_csvs(quick_cfg, tmp_path):
     assert (tmp_path / "out" / "certificates.csv").exists()
 
 
+def _read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_simulate_csvs_agree_with_each_other_and_evolve(quick_cfg, tmp_path):
+    assert main(["simulate", "--config", quick_cfg]) == 0
+    traj_rows = _read_rows(tmp_path / "out" / "trajectory.csv")
+    cert_rows = _read_rows(tmp_path / "out" / "certificates.csv")
+    assert len(traj_rows) == len(cert_rows) == 20
+    for tr, cr in zip(traj_rows, cert_rows):
+        assert (tr["step"], tr["t"], tr["tau_used"]) == (cr["step"], cr["t"], cr["tau_used"])
+        assert tr["energy"] == cr["e_after"]
+        assert tr["cert_defect"] == cr["defect"]
+        assert float(tr["w_xnorm"]) == np.sqrt(float(cr["w_normsq"]))
+
+    cfg = parse_config(quick_cfg)
+    ctx = cfg.build_context()
+    traj = evolve(ctx, cfg.build_step_config(), _initial_data(cfg, ctx.ops.mesh.dof_count),
+                  cfg.t_end, record_stride=cfg.record_stride)
+    certs = traj.certificates
+    assert [float(r["t"]) for r in traj_rows] == list(traj.times)
+    for name in CERTIFICATE_COLUMNS[2:]:
+        assert [float(r[name]) for r in cert_rows] == list(certs[name].astype(float)), name
+    for col, field in (("energy", "e_after"), ("u_xnorm_sigma", "u_xnorm_sigma"),
+                       ("u_linf", "u_linf"), ("dual_norm_ut", "dual_norm_ut"),
+                       ("cert_defect", "defect")):
+        assert [float(r[col]) for r in traj_rows] == list(certs[field]), col
+
+
 def test_simulate_deterministic(quick_cfg, tmp_path):
     assert main(["simulate", "--config", quick_cfg, "--out", str(tmp_path / "a")]) == 0
     assert main(["simulate", "--config", quick_cfg, "--out", str(tmp_path / "b")]) == 0
@@ -77,16 +110,29 @@ def test_simulate_deterministic(quick_cfg, tmp_path):
     assert a == b
 
 
-def test_config_error_exit_code(tmp_path):
+def test_config_error_exit_code(tmp_path, quick_cfg, capsys):
     bad = _write(tmp_path, "bad.json", {"time": {"tau": -1.0}})
     assert main(["simulate", "--config", bad]) == 2
     assert main(["simulate", "--config", str(tmp_path / "nonexistent.json")]) == 2
+    assert main(["simulate", "--config", str(tmp_path)]) == 2  # a directory
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"output": {"dir": "\xe9t\xe9"}}')
+    assert main(["simulate", "--config", str(latin1)]) == 2
+    assert main(["simulate", "--config", quick_cfg, "--out", "/dev/null/x"]) == 2
+    # oversize meshes are refused before anything is allocated
+    huge = _write(tmp_path, "huge.json", {"mesh": {"n_elems": 10**9}})
+    assert main(["equilibrium", "--config", huge]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 6
+    assert all(line.startswith("configuration error: ") for line in err)
+    assert "mesh.n_elems" in err[-1] and "physical memory" in err[-1]
 
 
 @pytest.mark.parametrize("error", [
     AssemblyError("non-finite quadrature"),
     OverflowError("potential overflow while evaluating the energy"),
     np.linalg.LinAlgError("matrix is singular"),
+    MemoryError("Unable to allocate 7.28 EiB for an array with shape (10**9, 10**9)"),
 ])
 def test_numerical_failure_exit_code(quick_cfg, monkeypatch, capsys, error):
     def fail(self):
@@ -154,10 +200,14 @@ def test_rates_pipeline(tmp_path):
 
 
 def test_console_entry_point(quick_cfg, tmp_path):
+    # the child imports the same fracch as this process, installed or not
+    src = os.path.dirname(os.path.dirname(fracch.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "fracch.cli", "simulate", "--config", quick_cfg,
          "--out", str(tmp_path / "sub")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sub" / "trajectory.csv").exists()

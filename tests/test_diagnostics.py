@@ -78,7 +78,7 @@ def test_decay_fit_warns_on_negative_gap():
 
 
 def test_decay_fit_on_settled_run(ctx64, settled_run):
-    fit = fit_decay_series(settled_run.times, settled_run.energies, 0.0, 0.5)
+    fit = fit_decay_series(settled_run.times, settled_run.certificates.e_after, 0.0, 0.5)
     assert fit.mode == "exponential"
     assert fit.r_squared >= 0.99
 
@@ -115,7 +115,7 @@ def test_omega_distances_dimension_mismatch(ctx64, settled_run):
 
 
 def test_energy_monotone_along_runs(settled_run):
-    assert np.all(np.diff(settled_run.energies) <= 1e-9)
+    assert np.all(np.diff(settled_run.certificates.e_after) <= 1e-9)
 
 
 def test_poincare_report(ops64, rng):

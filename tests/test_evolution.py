@@ -5,7 +5,7 @@ import pytest
 
 from fracch.energy import EnergyContext, energy, weighted_mass
 from fracch.errors import CertificateViolationError, ConfigurationError, NewtonDivergenceError
-from fracch.evolution import StepConfig, _beta_pair, _newton_delta, energy_balance_defect, evolve, step
+from fracch.evolution import StepConfig, _beta_pair, _newton_delta, evolve, step
 from fracch.equilibrium import default_equilibrium_seed, solve_stationary
 from fracch.mesh import build_uniform_mesh, interpolate
 from fracch.operators import FracExponents, build_operator_set, xnorm
@@ -17,6 +17,8 @@ def test_step_config_validation():
         StepConfig(tau=0.0)
     with pytest.raises(ConfigurationError):
         StepConfig(tau=1e-2, newton_tol=0.0)
+    with pytest.raises(ConfigurationError, match="newton_max"):
+        StepConfig(tau=1e-3, newton_max=-1)
 
 
 def test_zero_is_exact_fixed_point(ctx64):
@@ -43,19 +45,20 @@ def test_certificates_from_random_data(ctx64, rng, tau):
     traj = evolve(ctx64, StepConfig(tau=tau), u0, t_end=50 * tau)
     assert all(c.satisfied for c in traj.certificates)
     tol = 1e-9 * np.maximum(1.0, np.abs([c.e_before for c in traj.certificates]))
-    assert np.all(traj.cert_defects <= tol)
+    assert np.all(traj.certificates.defect <= tol)
 
 
 def test_flux_identity_along_run(ctx64, rng):
     u0 = 0.5 * rng.standard_normal(ctx64.ops.mesh.dof_count)
     traj = evolve(ctx64, StepConfig(tau=1e-2), u0, t_end=0.3)
-    rel = np.abs(traj.dual_norm_uts - traj.w_xnorms) / traj.w_xnorms
+    w_xnorms = np.sqrt(traj.certificates.w_normsq)
+    rel = np.abs(traj.certificates.dual_norm_ut - w_xnorms) / w_xnorms
     assert np.max(rel) < 1e-8
 
 
 def test_zero_initial_data_trajectory(ctx64):
     traj = evolve(ctx64, StepConfig(tau=1e-2), np.zeros(ctx64.ops.mesh.dof_count), t_end=0.2)
-    assert np.all(traj.energies == 0.0)
+    assert np.all(traj.certificates.e_after == 0.0)
     assert all(c.satisfied for c in traj.certificates)
 
 
@@ -63,16 +66,16 @@ def test_settles_to_equilibrium(ctx64):
     mesh = ctx64.ops.mesh
     u0 = 0.1 * interpolate(mesh, lambda x: np.sin(np.pi * x))
     traj = evolve(ctx64, StepConfig(tau=1e-2), u0, t_end=10.0)
-    assert np.all(np.diff(traj.energies) <= 1e-9)
-    assert traj.dual_norm_uts[-1] < 1e-6
+    assert np.all(np.diff(traj.certificates.e_after) <= 1e-9)
+    assert traj.certificates.dual_norm_ut[-1] < 1e-6
 
 
 def test_linf_stays_bounded_from_large_data(ctx64, rng):
     u0 = rng.standard_normal(ctx64.ops.mesh.dof_count)
     u0 *= 5.0 / np.max(np.abs(u0))
     traj = evolve(ctx64, StepConfig(tau=1e-2), u0, t_end=2.0)
-    assert np.all(np.isfinite(traj.u_linfs))
-    late = traj.u_linfs[traj.times >= 1.0]
+    assert np.all(np.isfinite(traj.certificates.u_linf))
+    late = traj.certificates.u_linf[traj.times >= 1.0]
     assert np.max(late) <= 1.5  # mesh-dependent constant; wells sit at +-1
 
 
@@ -92,7 +95,7 @@ def test_defect_scaling_with_tau(ctx64):
     maxima = []
     for tau in (1e-2, 5e-3, 2.5e-3):
         traj = evolve(ctx64, StepConfig(tau=tau), u0, t_end=0.5)
-        maxima.append(energy_balance_defect(traj).max())
+        maxima.append(np.abs(traj.certificates.defect).max())
     for k in range(2):
         assert 0.4 <= maxima[k + 1] / maxima[k] <= 0.6
 
@@ -104,7 +107,7 @@ def test_defect_loglog_slope_sigma_above_s():
     pts = []
     for tau in (1e-2, 5e-3, 2.5e-3):
         traj = evolve(ctx, StepConfig(tau=tau), u0, t_end=0.5)
-        pts.append((math.log(tau), math.log(energy_balance_defect(traj).max())))
+        pts.append((math.log(tau), math.log(np.abs(traj.certificates.defect).max())))
     slope = np.polyfit([p[0] for p in pts], [p[1] for p in pts], 1)[0]
     assert 0.7 <= slope <= 1.3
 
@@ -112,7 +115,7 @@ def test_defect_loglog_slope_sigma_above_s():
 def test_stationary_trajectory_defects_below_tolerance(ctx64_wide):
     rep = solve_stationary(ctx64_wide, default_equilibrium_seed(ctx64_wide), tol=1e-12)
     traj = evolve(ctx64_wide, StepConfig(tau=1e-3), rep.phi, t_end=0.05)
-    assert np.all(energy_balance_defect(traj) < 1e-9)
+    assert np.all(np.abs(traj.certificates.defect) < 1e-9)
 
 
 def test_divergence_fallback_halves_tau(ctx64, rng):
@@ -142,16 +145,16 @@ def test_yosida_stepping_runs(ctx64, rng):
     u0 = 0.1 * rng.standard_normal(ctx64.ops.mesh.dof_count)
     cfg = StepConfig(tau=1e-2, use_yosida=1e-3)
     traj = evolve(ctx64, cfg, u0, t_end=0.1, on_violation="warn")
-    assert np.all(np.isfinite(traj.energies))
+    assert np.all(np.isfinite(traj.certificates.e_after))
     # regularization error is O(epsilon); defects must stay comparably small
-    assert np.max(traj.cert_defects) < 1e-3
+    assert np.max(traj.certificates.defect) < 1e-3
 
 
 def test_smoothing_monitor_bounded(ctx64, rng):
     u0 = rng.standard_normal(ctx64.ops.mesh.dof_count)
     traj = evolve(ctx64, StepConfig(tau=2e-3), u0, t_end=1.2)
     for t0 in (0.1, 0.2, 0.5, 1.0):
-        sup = np.max(traj.w_xnorms[traj.times >= t0] ** 2)
+        sup = np.max(traj.certificates.w_normsq[traj.times >= t0])
         assert np.isfinite(t0 * sup)
 
 
@@ -178,8 +181,6 @@ def test_beta_l2_bounded_per_unit_window(ctx64, rng):
 def test_energy_matches_certificates(ctx64, rng):
     u0 = 0.3 * rng.standard_normal(ctx64.ops.mesh.dof_count)
     traj = evolve(ctx64, StepConfig(tau=1e-2), u0, t_end=0.1)
-    for k, cert in enumerate(traj.certificates):
-        assert traj.energies[k] == cert.e_after
     assert traj.certificates[0].e_before == pytest.approx(energy(ctx64, u0), rel=1e-14)
 
 
