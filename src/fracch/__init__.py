@@ -47,6 +47,7 @@ from .evolution import (
     StepConfig,
     Trajectory,
     evolve,
+    march,
     step,
 )
 from .mesh import FracMesh, build_uniform_mesh, interpolate, linf_norm, mass_matrix

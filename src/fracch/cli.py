@@ -37,7 +37,8 @@ from .errors import (
     MissingInputError,
     NewtonDivergenceError,
 )
-from .evolution import evolve
+from .evolution import evolve, march
+from .mesh import check_coeffs
 from .operators import xnorm
 from .potentials import YosidaParams, yosida_apply, yosida_resolvent
 
@@ -80,8 +81,8 @@ def run_simulate(cfg: RunConfig, out: str | None) -> int:
         cw = csv.writer(cfh)
         tw.writerow(TRAJECTORY_COLUMNS)
         cw.writerow(CERTIFICATE_COLUMNS)
-
-        def on_step(step_idx, t, cert):
+        steps = march(ctx, cfg.build_step_config(), u0, cfg.t_end)
+        for step_idx, (t, _, cert) in enumerate(steps, 1):
             tw.writerow([
                 step_idx, _fmt(t), _fmt(cert.tau_used), _fmt(cert.e_after),
                 _fmt(math.sqrt(max(cert.w_normsq, 0.0))), _fmt(cert.u_xnorm_sigma),
@@ -93,9 +94,6 @@ def run_simulate(cfg: RunConfig, out: str | None) -> int:
                 _fmt(cert.lambda_half_du), _fmt(cert.defect), int(cert.satisfied),
             ])
             tfh.flush()
-
-        evolve(ctx, cfg.build_step_config(), u0, cfg.t_end,
-               record_stride=cfg.record_stride, on_step=on_step)
     print(f"wrote {traj_path} and {cert_path}")
     return 0
 
@@ -103,7 +101,8 @@ def run_simulate(cfg: RunConfig, out: str | None) -> int:
 def _equilibrium_payload(cfg: RunConfig):
     ctx = cfg.build_context()
     seed = default_equilibrium_seed(ctx)
-    rep = complete_report(ctx, solve_stationary(ctx, seed, tol=cfg.newton_tol))
+    rep = solve_stationary(ctx, seed, tol=cfg.newton_tol, max_iter=cfg.newton_max)
+    rep = complete_report(ctx, rep)
     payload = {
         "phi": [float(x) for x in rep.phi],
         "residual_dual": rep.residual_dual,
@@ -209,18 +208,24 @@ def run_rates(cfg: RunConfig, out: str | None) -> int:
         if not os.path.exists(p):
             raise MissingInputError(f"{p} not found; run simulate and equilibrium first")
     times, energies = [], []
-    with open(traj_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            times.append(float(row["t"]))
-            energies.append(float(row["energy"]))
+    try:
+        with open(traj_path, newline="") as fh:
+            for row in csv.DictReader(fh):
+                times.append(float(row["t"]))
+                energies.append(float(row["energy"]))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise MissingInputError(f"{traj_path} is malformed: {exc!r}") from None
     if not times:
         raise MissingInputError(f"{traj_path} contains no steps")
-    with open(eq_path) as fh:
-        eq = json.load(fh)
     ctx = cfg.build_context()
-    phi = np.asarray(eq["phi"], dtype=float)
+    try:
+        with open(eq_path) as fh:
+            eq = json.load(fh)  # JSONDecodeError is a ValueError
+        phi = check_coeffs(ctx.ops.mesh, eq["phi"])  # also rejects a phi of another mesh
+        theta = eq.get("theta_hint") or 0.5
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise MissingInputError(f"{eq_path} is malformed: {exc!r}") from None
     phi_energy = energy(ctx, phi)
-    theta = eq.get("theta_hint") or 0.5
     try:
         fit = fit_decay_series(np.asarray(times), np.asarray(energies), phi_energy, theta)
     except ValueError as exc:

@@ -50,7 +50,6 @@ class RunConfig:
     lam: float | None
     tau: float
     t_end: float
-    record_stride: int
     newton_tol: float
     newton_max: int
     yosida_enabled: bool
@@ -164,6 +163,7 @@ def parse_config(path) -> RunConfig:
     t_end = _require_number("time", "t_end", merged["time"]["t_end"])
     if t_end <= 0:
         raise ConfigurationError(f"time.t_end must be positive, got {t_end}")
+    # still accepted and checked so that existing configs parse; no output reads it
     stride = _require_number("time", "record_stride", merged["time"]["record_stride"], integer=True)
     if stride < 1:
         raise ConfigurationError(f"time.record_stride must be >= 1, got {stride}")
@@ -189,7 +189,7 @@ def parse_config(path) -> RunConfig:
     return RunConfig(
         a=a, b=b, n_elems=n_elems, s=s, sigma=sigma,
         potential_kind=kind, m=m, lam=lam,
-        tau=tau, t_end=t_end, record_stride=stride,
+        tau=tau, t_end=t_end,
         newton_tol=tol, newton_max=max_iter,
         yosida_enabled=enabled, yosida_epsilon=epsilon,
         rng_seed=seed, out_dir=out_dir,

@@ -139,13 +139,13 @@ def fit_curve_points(
 
 
 def omega_limit_distances(traj: Trajectory, phi: np.ndarray, ops: OperatorSet) -> np.ndarray:
-    """(t, |u(t) - phi| in the sigma energy norm) over recorded states."""
+    """(t, |u(t) - phi| in the sigma energy norm) over every state of the run, t=0 first."""
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (ops.mesh.dof_count,):
         raise ValueError(f"phi has shape {phi.shape}, expected ({ops.mesh.dof_count},)")
     rows = [
-        (t, xnorm(ops.A_sigma, np.asarray(u) - phi))
-        for t, u in zip(traj.state_times, traj.states)
+        (t, xnorm(ops.A_sigma, u - phi))
+        for t, u in zip(np.concatenate(([0.0], traj.times)), traj.states)
     ]
     return np.asarray(rows)
 

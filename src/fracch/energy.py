@@ -31,23 +31,19 @@ class EnergyContext:
             raise ConfigurationError(f"quad_order must be >= 2, got {self.quad_order}")
 
     def quad_data(self):
-        """(weights, shape0, shape1, points) of the per-element Gauss rule."""
+        """(weights, shape0, shape1) of the per-element Gauss rule."""
         if not self._quad:
-            mesh = self.ops.mesh
             ref, w = np.polynomial.legendre.leggauss(self.quad_order)
             ref = 0.5 * (ref + 1.0)
-            w = 0.5 * w * mesh.h
-            pts = mesh.nodes[:-1, None] + mesh.h * ref[None, :]
-            self._quad["w"] = w
+            self._quad["w"] = 0.5 * w * self.ops.mesh.h
             self._quad["n0"] = 1.0 - ref
             self._quad["n1"] = ref
-            self._quad["pts"] = pts
         q = self._quad
-        return q["w"], q["n0"], q["n1"], q["pts"]
+        return q["w"], q["n0"], q["n1"]
 
     def values_at_quad(self, v: np.ndarray) -> np.ndarray:
         """P1 interpolant values on the (n_elems, quad_order) point grid."""
-        _, n0, n1, _ = self.quad_data()
+        _, n0, n1 = self.quad_data()
         full = np.concatenate(([0.0], np.asarray(v, dtype=float), [0.0]))
         return np.outer(full[:-1], n0) + np.outer(full[1:], n1)
 
@@ -56,7 +52,7 @@ def energy(ctx: EnergyContext, v: np.ndarray) -> float:
     """E(v) = (1/2) v^T A_sigma v + quadrature of the potential primitive."""
     v = np.asarray(v, dtype=float)
     quadratic = 0.5 * float(v @ ctx.ops.A_sigma @ v)
-    w, _, _, _ = ctx.quad_data()
+    w, _, _ = ctx.quad_data()
     nonlinear = float((ctx.pot.g_hat(ctx.values_at_quad(v)) @ w).sum())
     total = quadratic + nonlinear
     if not math.isfinite(total):
@@ -66,7 +62,7 @@ def energy(ctx: EnergyContext, v: np.ndarray) -> float:
 
 def load_vector(ctx: EnergyContext, fn, v: np.ndarray) -> np.ndarray:
     """Weak-form load b_i = integral of fn(v_h) phi_i, by element quadrature."""
-    w, n0, n1, _ = ctx.quad_data()
+    w, n0, n1 = ctx.quad_data()
     fvals = fn(ctx.values_at_quad(v))
     left = (fvals * n0) @ w
     right = (fvals * n1) @ w
@@ -78,7 +74,7 @@ def load_vector(ctx: EnergyContext, fn, v: np.ndarray) -> np.ndarray:
 
 def weighted_mass(ctx: EnergyContext, fn, v: np.ndarray) -> np.ndarray:
     """Matrix B_ij = integral of fn(v_h) phi_i phi_j (tridiagonal, dense storage)."""
-    w, n0, n1, _ = ctx.quad_data()
+    w, n0, n1 = ctx.quad_data()
     fvals = fn(ctx.values_at_quad(v))
     m00 = (fvals * n0 * n0) @ w
     m01 = (fvals * n0 * n1) @ w

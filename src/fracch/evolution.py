@@ -94,12 +94,11 @@ _cert_row = operator.attrgetter(*_CERT_DTYPE.names)
 
 @dataclass
 class Trajectory:
-    """Recorded run: a recarray of StepCertificate fields per step plus state snapshots."""
+    """A run in memory: per-step times and certificates; states[0] is u0, states[k] after step k."""
 
     times: np.ndarray
     certificates: np.recarray
-    state_times: np.ndarray
-    states: list
+    states: np.ndarray
 
 
 def _beta_pair(ctx: EnergyContext, cfg: StepConfig):
@@ -146,7 +145,7 @@ def step(
 ):
     """One convex-splitting step; returns (u_n, w_n, certificate).
 
-    ``e_before`` is E(u_prev) when the caller already has it (``evolve``
+    ``e_before`` is E(u_prev) when the caller already has it (``march``
     passes the previous step's ``e_after``); it is computed otherwise.
     """
     ops = ctx.ops
@@ -202,36 +201,27 @@ def step(
     return u, w, cert
 
 
-def evolve(
+def march(
     ctx: EnergyContext,
     cfg: StepConfig,
     u0: np.ndarray,
     t_end: float,
-    record_stride: int = 10,
     on_violation: str = "abort",
-    on_step=None,
     max_halvings: int = 10,
-) -> Trajectory:
-    """March the scheme to t_end, recording monitors every step.
+):
+    """Step the scheme to t_end, yielding ``(t, u_n, cert)`` for each accepted step.
 
+    Nothing is kept between steps; arguments are checked at the first step.
     A last step that would pass t_end is shortened to end there.  On Newton
     divergence the step retries with tau halved (this step only, up to
     ``max_halvings``); the certificate records the tau actually used.
-    ``on_step(step_index, t, cert)`` streams each step's record out as it
-    is produced.
     """
     if t_end <= 0:
         raise ConfigurationError(f"t_end must be positive, got {t_end}")
-    if record_stride < 1:
-        raise ConfigurationError(f"record_stride must be >= 1, got {record_stride}")
     if on_violation not in ("abort", "warn"):
         raise ConfigurationError(f"on_violation must be 'abort' or 'warn', got {on_violation}")
     u = check_coeffs(ctx.ops.mesh, u0)
     e_u = energy(ctx, u)  # also rejects initial data without finite energy
-
-    times, certificates = [], []
-    state_times = [0.0]
-    states = [u.copy()]
 
     t = 0.0
     step_idx = 0
@@ -258,23 +248,23 @@ def evolve(
 
         t += cert.tau_used
         step_idx += 1
-        times.append(t)
-        certificates.append(cert)
-        if on_step is not None:
-            on_step(step_idx, t, cert)
-        if step_idx % record_stride == 0:
-            state_times.append(t)
-            states.append(u_new.copy())
+        yield t, u_new, cert
         u = u_new
         e_u = cert.e_after
 
-    if state_times[-1] != t and step_idx > 0:
-        state_times.append(t)
-        states.append(u.copy())
 
+def evolve(
+    ctx: EnergyContext,
+    cfg: StepConfig,
+    u0: np.ndarray,
+    t_end: float,
+    on_violation: str = "abort",
+    max_halvings: int = 10,
+) -> Trajectory:
+    """Collect ``march`` to t_end in memory; runs that only stream should iterate ``march``."""
+    times, states, certs = zip(*march(ctx, cfg, u0, t_end, on_violation, max_halvings))
     return Trajectory(
-        times=np.asarray(times),
-        certificates=np.array([_cert_row(c) for c in certificates], _CERT_DTYPE).view(np.recarray),
-        state_times=np.asarray(state_times),
-        states=states,
+        times=np.array(times),
+        certificates=np.array([_cert_row(c) for c in certs], _CERT_DTYPE).view(np.recarray),
+        states=np.array([u0, *states], dtype=float),
     )

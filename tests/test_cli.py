@@ -32,7 +32,6 @@ def quick_cfg(tmp_path):
 def test_defaults_filled(tmp_path):
     cfg = parse_config(_write(tmp_path, "minimal.json", {}))
     assert cfg.newton_tol == 1e-10
-    assert cfg.record_stride == 10
     assert cfg.s == 0.5 and cfg.sigma == 0.5
     assert cfg.potential_kind == "double_well"
 
@@ -91,7 +90,7 @@ def test_simulate_csvs_agree_with_each_other_and_evolve(quick_cfg, tmp_path):
     cfg = parse_config(quick_cfg)
     ctx = cfg.build_context()
     traj = evolve(ctx, cfg.build_step_config(), _initial_data(cfg, ctx.ops.mesh.dof_count),
-                  cfg.t_end, record_stride=cfg.record_stride)
+                  cfg.t_end)
     certs = traj.certificates
     assert [float(r["t"]) for r in traj_rows] == list(traj.times)
     for name in CERTIFICATE_COLUMNS[2:]:
@@ -119,11 +118,14 @@ def test_config_error_exit_code(tmp_path, quick_cfg, capsys):
     latin1.write_bytes(b'{"output": {"dir": "\xe9t\xe9"}}')
     assert main(["simulate", "--config", str(latin1)]) == 2
     assert main(["simulate", "--config", quick_cfg, "--out", "/dev/null/x"]) == 2
+    # record_stride changes no output but is still range-checked
+    no_stride = _write(tmp_path, "stride.json", {"time": {"record_stride": 0}})
+    assert main(["simulate", "--config", no_stride]) == 2
     # oversize meshes are refused before anything is allocated
     huge = _write(tmp_path, "huge.json", {"mesh": {"n_elems": 10**9}})
     assert main(["equilibrium", "--config", huge]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 6
+    assert len(err) == 7
     assert all(line.startswith("configuration error: ") for line in err)
     assert "mesh.n_elems" in err[-1] and "physical memory" in err[-1]
 
@@ -146,6 +148,40 @@ def test_numerical_failure_exit_code(quick_cfg, monkeypatch, capsys, error):
 
 def test_rates_without_inputs_is_missing_input(quick_cfg, tmp_path):
     assert main(["rates", "--config", quick_cfg, "--out", str(tmp_path / "empty")]) == 3
+
+
+@pytest.mark.parametrize("name, content", [
+    ("equilibrium.json", "{not json"),
+    ("equilibrium.json", json.dumps({"theta_hint": 0.5})),
+    ("equilibrium.json", json.dumps({"phi": [0.0] * 7})),  # the mesh has 15 unknowns
+    ("trajectory.csv", "step,t,energy\n1,0.01,abc\n"),
+], ids=["not-json", "no-phi", "phi-of-another-mesh", "non-numeric-energy"])
+def test_rates_on_malformed_inputs_is_missing_input(tmp_path, capsys, name, content):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "cfg.json", {
+        "mesh": {"n_elems": 16},
+        "time": {"tau": 0.01, "t_end": 0.1},
+        "output": {"dir": str(out)},
+    })
+    assert main(["simulate", "--config", cfg]) == 0
+    assert main(["equilibrium", "--config", cfg]) == 0
+    (out / name).write_text(content)
+    capsys.readouterr()
+    assert main(["rates", "--config", cfg]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("missing input: ") and name in err[0]
+
+
+def test_equilibrium_respects_newton_max_iter(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", {
+        "domain": {"a": -4, "b": 4},
+        "mesh": {"n_elems": 32},
+        "newton": {"max_iter": 1},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["equilibrium", "--config", cfg]) == 4
+    assert capsys.readouterr().err.startswith("solver divergence: ")
 
 
 def test_equilibrium_and_spectrum(quick_cfg, tmp_path):

@@ -141,7 +141,7 @@ def test_beta_bound_at_elliptic_solves(ctx64, rng):
     ops = ctx64.ops
     mesh = ops.mesh
     pot = ctx64.pot
-    w, _, _, _ = ctx64.quad_data()
+    w, _, _ = ctx64.quad_data()
     for _ in range(5):
         coeffs = rng.standard_normal(4)
         f = interpolate(

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from fracch.energy import EnergyContext, energy, weighted_mass
 from fracch.errors import CertificateViolationError, ConfigurationError, NewtonDivergenceError
-from fracch.evolution import StepConfig, _beta_pair, _newton_delta, evolve, step
+from fracch.evolution import StepConfig, _beta_pair, _newton_delta, evolve, march, step
 from fracch.equilibrium import default_equilibrium_seed, solve_stationary
 from fracch.mesh import build_uniform_mesh, interpolate
 from fracch.operators import FracExponents, build_operator_set, xnorm
@@ -163,12 +164,12 @@ def test_beta_l2_bounded_per_unit_window(ctx64, rng):
     import math
 
     u0 = rng.standard_normal(ctx64.ops.mesh.dof_count)
-    traj = evolve(ctx64, StepConfig(tau=1e-2), u0, t_end=3.0, record_stride=5)
-    w, _, _, _ = ctx64.quad_data()
+    traj = evolve(ctx64, StepConfig(tau=1e-2), u0, t_end=3.0)
+    w, _, _ = ctx64.quad_data()
     pot = ctx64.pot
     windows = []
     for k in range(3):
-        sel = [u for t, u in zip(traj.state_times, traj.states) if k <= t < k + 1]
+        sel = [u for t, u in zip([0.0, *traj.times], traj.states) if k <= t < k + 1]
         vals = [
             math.sqrt(float((pot.beta(ctx64.values_at_quad(np.asarray(u))) ** 2 @ w).sum()))
             for u in sel
@@ -228,7 +229,7 @@ def test_last_step_clamped_to_t_end(ctx64, rng):
     assert len(traj.certificates) == 3
     assert traj.certificates[-1].tau_used == pytest.approx(0.05)
     assert traj.times[-1] == 0.25
-    assert traj.state_times[-1] == 0.25
+    assert len(traj.states) == 4
 
 
 @pytest.mark.parametrize("tau, t_end", [(1e-3, 0.3), (1e-3, 2.0), (1e-2, 0.2), (0.1, 0.3)])
@@ -236,6 +237,33 @@ def test_t_end_multiple_of_tau_keeps_every_step_full(tau, t_end):
     # summing tau leaves t a few ulps off t_end; no step may be clamped for that
     ops = build_operator_set(build_uniform_mesh(-1.0, 1.0, 4), FracExponents(0.5, 0.5))
     ctx = EnergyContext(ops=ops, pot=double_well(4.0))
-    traj = evolve(ctx, StepConfig(tau=tau), np.zeros(3), t_end=t_end, record_stride=10**6)
+    traj = evolve(ctx, StepConfig(tau=tau), np.zeros(3), t_end=t_end)
     assert len(traj.certificates) == round(t_end / tau)
     assert all(c.tau_used == tau for c in traj.certificates)
+
+
+def test_march_is_lazy(ctx64, rng):
+    u0 = 0.3 * rng.standard_normal(ctx64.ops.mesh.dof_count)
+    cfg = StepConfig(tau=1e-2)
+    steps = list(itertools.islice(march(ctx64, cfg, u0, t_end=1e9), 3))
+    assert len(steps) == 3
+    assert [cert.tau_used for _, _, cert in steps] == [1e-2] * 3
+    # each yield carries the state after its step
+    u1, _, cert1 = step(ctx64, cfg, u0)
+    assert np.array_equal(steps[0][1], u1) and steps[0][2] == cert1
+    assert np.array_equal(steps[1][1], step(ctx64, cfg, u1)[0])
+
+
+def test_evolve_collects_march(ctx64, rng):
+    dof = ctx64.ops.mesh.dof_count
+    u0 = 0.3 * rng.standard_normal(dof)
+    cfg = StepConfig(tau=0.1)
+    traj = evolve(ctx64, cfg, u0, t_end=0.25)
+    steps = list(march(ctx64, cfg, u0, t_end=0.25))
+    assert list(traj.times) == [t for t, _, _ in steps]
+    for name in traj.certificates.dtype.names:
+        assert list(traj.certificates[name]) == [getattr(c, name) for _, _, c in steps], name
+    assert traj.states.shape == (len(traj.times) + 1, dof)
+    assert np.array_equal(traj.states[0], u0)
+    for row, (_, u, _) in zip(traj.states[1:], steps):
+        assert np.array_equal(row, u)
