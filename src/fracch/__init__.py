@@ -14,6 +14,7 @@ from .diagnostics import (
 from .energy import (
     CoercivityReport,
     EnergyContext,
+    add_tridiagonal,
     coercivity_probe,
     energy,
     energy_gradient,

@@ -33,9 +33,10 @@ _DEFAULTS = {
 }
 
 # dense dof x dof float64 arrays a simulate run holds at once: A_s, A_sigma,
-# M, the Cholesky factors of M and A_s, the two Schur blocks, and the Newton
-# step's complement with its LU copy
-_DENSE_ARRAYS = 9
+# M, the Cholesky factors of M and A_s, the stepper's P = M A_s^{-1} M, and
+# either the Newton step matrix (factored in place) or, while P is first
+# built, the intermediate A_s^{-1} M
+_DENSE_ARRAYS = 7
 
 
 @dataclass(frozen=True)

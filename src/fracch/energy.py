@@ -60,10 +60,9 @@ def energy(ctx: EnergyContext, v: np.ndarray) -> float:
     return total
 
 
-def load_vector(ctx: EnergyContext, fn, v: np.ndarray) -> np.ndarray:
-    """Weak-form load b_i = integral of fn(v_h) phi_i, by element quadrature."""
+def load_vector(ctx: EnergyContext, fvals: np.ndarray) -> np.ndarray:
+    """Weak-form load b_i = integral of f phi_i, from f's values on the quadrature grid."""
     w, n0, n1 = ctx.quad_data()
-    fvals = fn(ctx.values_at_quad(v))
     left = (fvals * n0) @ w
     right = (fvals * n1) @ w
     full = np.zeros(ctx.ops.mesh.n_elems + 1)
@@ -72,27 +71,32 @@ def load_vector(ctx: EnergyContext, fn, v: np.ndarray) -> np.ndarray:
     return full[1:-1]
 
 
-def weighted_mass(ctx: EnergyContext, fn, v: np.ndarray) -> np.ndarray:
-    """Matrix B_ij = integral of fn(v_h) phi_i phi_j (tridiagonal, dense storage)."""
+def weighted_mass(ctx: EnergyContext, fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals (diag, off) of the tridiagonal B_ij = integral of f phi_i phi_j.
+
+    ``fvals`` are f's values on the quadrature grid; ``off`` is both the
+    super- and the subdiagonal.
+    """
     w, n0, n1 = ctx.quad_data()
-    fvals = fn(ctx.values_at_quad(v))
     m00 = (fvals * n0 * n0) @ w
     m01 = (fvals * n0 * n1) @ w
     m11 = (fvals * n1 * n1) @ w
-    dof = ctx.ops.mesh.dof_count
-    B = np.zeros((dof, dof))
-    diag = m11[:-1] + m00[1:]
-    B[np.arange(dof), np.arange(dof)] = diag
-    off = m01[1:-1]
-    B[np.arange(dof - 1), np.arange(1, dof)] = off
-    B[np.arange(1, dof), np.arange(dof - 1)] = off
-    return B
+    return m11[:-1] + m00[1:], m01[1:-1]
+
+
+def add_tridiagonal(A: np.ndarray, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Add the symmetric tridiagonal (diag, off) to the square matrix A in place; returns A."""
+    n = A.shape[0]
+    A.flat[::n + 1] += diag
+    A.flat[1::n + 1] += off
+    A.flat[n::n + 1] += off
+    return A
 
 
 def energy_gradient(ctx: EnergyContext, v: np.ndarray) -> np.ndarray:
     """Dual-vector gradient A_sigma v + b_g(v)."""
     v = np.asarray(v, dtype=float)
-    grad = ctx.ops.A_sigma @ v + load_vector(ctx, ctx.pot.g, v)
+    grad = ctx.ops.A_sigma @ v + load_vector(ctx, ctx.pot.g(ctx.values_at_quad(v)))
     if not np.all(np.isfinite(grad)):
         raise OverflowError("potential overflow while evaluating the gradient")
     return grad

@@ -16,7 +16,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import eigh
 
-from .energy import EnergyContext, energy, energy_gradient, load_vector, weighted_mass
+from .energy import (
+    EnergyContext,
+    add_tridiagonal,
+    energy,
+    energy_gradient,
+    load_vector,
+    weighted_mass,
+)
 from .errors import ConfigurationError, JacobianSingularError, NewtonDivergenceError
 from .mesh import linf_norm
 from .operators import xnorm
@@ -54,14 +61,15 @@ def solve_semilinear(
     u = np.zeros(ops.mesh.dof_count) if u_init is None else np.array(u_init, dtype=float)
 
     def residual(vec):
-        return ops.A_sigma @ vec + load_vector(ctx, fn, vec) - rhs
+        return ops.A_sigma @ vec + load_vector(ctx, fn(ctx.values_at_quad(vec))) - rhs
 
     F = residual(u)
     res = ops.dual_norm_sigma(F)
     for _ in range(max_iter):
         if res < tol:
             return u
-        jac = ops.A_sigma + weighted_mass(ctx, fn_prime, u)
+        B = weighted_mass(ctx, fn_prime(ctx.values_at_quad(u)))
+        jac = add_tridiagonal(ops.A_sigma.copy(), *B)
         try:
             direction = np.linalg.solve(jac, -F)
         except np.linalg.LinAlgError as exc:
@@ -99,7 +107,8 @@ def solve_stationary(
 
 def linearize(ctx: EnergyContext, phi: np.ndarray) -> np.ndarray:
     """Second variation at phi: A_sigma + weighted mass of g'(phi)."""
-    return ctx.ops.A_sigma + weighted_mass(ctx, ctx.pot.g_prime, phi)
+    B = weighted_mass(ctx, ctx.pot.g_prime(ctx.values_at_quad(phi)))
+    return add_tridiagonal(ctx.ops.A_sigma.copy(), *B)
 
 
 def kernel_and_projection(
@@ -184,7 +193,7 @@ def default_equilibrium_seed(ctx: EnergyContext, amplitude: float = 0.9) -> np.n
     """
     zero = np.zeros(ctx.ops.mesh.dof_count)
     L0 = linearize(ctx, zero)
-    mu, V = eigh(L0, ctx.ops.M)
+    mu, V = eigh(L0, ctx.ops.M, subset_by_index=(0, 0))
     if mu[0] >= 0:
         return zero
     v = V[:, 0]

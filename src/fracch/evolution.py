@@ -6,16 +6,20 @@ Each step solves the coupled system
     M w_n = A_sigma u_n + b_beta(u_n) - lambda M u_prev
 
 by Newton with the exact Jacobian [[M/tau, A_s], [-(A_sigma + B'(u)), M]].
-The update of w is eliminated: with G = A_s M^{-1}, each iteration solves
-the n x n Schur complement
+The update of w is eliminated through A_s: each iteration solves
 
-    (M/tau + G A_sigma + G B') du = -r1 + G r2
+    (P/tau + A_sigma + B') du = r2 - M A_s^{-1} r1,    P = M A_s^{-1} M,
 
-by one LU and recovers dw = M^{-1} (-r2 + (A_sigma + B') du) from the
-cached Cholesky factor of M.  G and G A_sigma are fixed per operator set and
-cached there; B' is tridiagonal, so G B' costs O(n^2).  The monotone part of
-the nonlinearity is implicit, the expansive lambda-term is lagged, so testing
-the two equations with w_n and u_n - u_prev gives the per-step inequality
+and recovers dw = -A_s^{-1} (r1 + M du / tau) from the cached Cholesky
+factor of A_s.  P is fixed per operator set and cached there; B', the
+weighted mass of beta' >= 0, is tridiagonal.  So the step matrix is
+symmetric positive definite and one in-place Cholesky factorization per
+iteration solves it.  (With potential.lambda below the tightest monotone
+split, beta' < 0 can make it indefinite; the factorization then fails with
+JacobianSingularError.)  The pair (beta, beta') is evaluated once per
+iterate on the quadrature grid.  The monotone part of the nonlinearity is
+implicit, the expansive lambda-term is lagged, so testing the two equations
+with w_n and u_n - u_prev gives the per-step inequality
 
     E(u_n) + tau w_n^T A_s w_n + (lambda/2) |u_n - u_prev|_M^2 <= E(u_prev)
 
@@ -31,8 +35,9 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .energy import EnergyContext, energy, load_vector, weighted_mass
+from .energy import EnergyContext, add_tridiagonal, energy, load_vector, weighted_mass
 from .errors import (
     CertificateViolationError,
     ConfigurationError,
@@ -41,7 +46,7 @@ from .errors import (
 )
 from .mesh import check_coeffs, linf_norm
 from .operators import xnorm
-from .potentials import YosidaParams, yosida_apply, yosida_resolvent
+from .potentials import YosidaParams, yosida_apply
 
 
 @dataclass(frozen=True)
@@ -102,37 +107,37 @@ class Trajectory:
 
 
 def _beta_pair(ctx: EnergyContext, cfg: StepConfig):
+    """One callable r -> (beta(r), beta'(r)), with beta Yosida-regularized if configured."""
     pot = ctx.pot
     if cfg.use_yosida is None:
-        return pot.beta, pot.beta_prime
+        return lambda r: (pot.beta(r), pot.beta_prime(r))
     yp = YosidaParams(epsilon=cfg.use_yosida)
 
-    def beta_eps(r):
-        return yosida_apply(pot, yp, r)
+    def beta_eps_pair(r):
+        beta_eps = yosida_apply(pot, yp, r)
+        # chain rule through the resolvent j = r - eps beta_eps:
+        # beta_eps' = beta'(j) / (1 + eps beta'(j))
+        bp = pot.beta_prime(r - yp.epsilon * beta_eps)
+        return beta_eps, bp / (1.0 + yp.epsilon * bp)
 
-    def beta_eps_prime(r):
-        # chain rule through the resolvent: beta_eps' = beta'(j) / (1 + eps beta'(j))
-        bp = pot.beta_prime(yosida_resolvent(pot, yp, r))
-        return bp / (1.0 + yp.epsilon * bp)
-
-    return beta_eps, beta_eps_prime
+    return beta_eps_pair
 
 
-def _newton_delta(ops, tau: float, Bp: np.ndarray, r1: np.ndarray, r2: np.ndarray):
-    """Newton update (du, dw) for the residuals (r1, r2), by Schur elimination of dw."""
-    Gt, AGt = ops.schur_blocks()
-    d, e = np.diagonal(Bp), np.diagonal(Bp, 1)
-    # K^T = M/tau + A_sigma G^T + B' G^T; B' G^T is built row-wise from B's three diagonals
-    Kt = d[:, None] * Gt
-    Kt[1:] += e[:, None] * Gt[:-1]
-    Kt[:-1] += e[:, None] * Gt[1:]
-    Kt += AGt
-    Kt += ops.M / tau
+def _newton_delta(ops, tau: float, Bp, r1: np.ndarray, r2: np.ndarray):
+    """Newton update (du, dw) for the residuals (r1, r2); Bp is B' as (diag, off)."""
+    S = ops.step_block() / tau
+    S += ops.A_sigma
+    add_tridiagonal(S, *Bp)
     try:
-        du = np.linalg.solve(Kt.T, r2 @ Gt - r1)
-    except np.linalg.LinAlgError as exc:
-        raise JacobianSingularError(f"singular step Jacobian at tau={tau}") from exc
-    dw = ops.solve_M(ops.A_sigma @ du + Bp @ du - r2)
+        # S.T is S's Fortran-ordered view, so LAPACK factors it in place
+        factor = cho_factor(S.T, overwrite_a=True, check_finite=False)
+    except LinAlgError as exc:
+        raise JacobianSingularError(
+            f"step matrix not positive definite at tau={tau} because beta' < 0 somewhere "
+            "(potential.lambda below the tightest monotone split)"
+        ) from exc
+    du = cho_solve(factor, r2 - ops.M @ ops.solve_A_s(r1), check_finite=False)
+    dw = -ops.solve_A_s(r1 + ops.M @ du / tau)
     return du, dw
 
 
@@ -152,7 +157,7 @@ def step(
     mesh = ops.mesh
     u_prev = check_coeffs(mesh, u_prev)
     tau = cfg.tau if tau is None else tau
-    beta, beta_prime = _beta_pair(ctx, cfg)
+    beta_pair = _beta_pair(ctx, cfg)
     lam = ctx.pot.lam
     M, A_s, A_sig = ops.M, ops.A_s, ops.A_sigma
 
@@ -160,7 +165,8 @@ def step(
         e_before = energy(ctx, u_prev)
     Mu_prev = M @ u_prev
     u = u_prev.copy()
-    b_beta = load_vector(ctx, beta, u)
+    b_q, bp_q = beta_pair(ctx.values_at_quad(u))
+    b_beta = load_vector(ctx, b_q)
     w = ops.solve_M(A_sig @ u + b_beta - lam * Mu_prev)
 
     converged = False
@@ -169,15 +175,20 @@ def step(
         r2 = M @ w - A_sig @ u - b_beta + lam * Mu_prev
         r = np.column_stack((r1, r2))
         res = math.sqrt(max(float(np.vdot(r, ops.solve_M(r))), 0.0))
+        if not math.isfinite(res):
+            raise NewtonDivergenceError(
+                f"step Newton residual is not finite after {it} iterations (tau={tau})"
+            )
         if res < cfg.newton_tol:
             converged = True
             break
         if it == cfg.newton_max:
             break
-        du, dw = _newton_delta(ops, tau, weighted_mass(ctx, beta_prime, u), r1, r2)
+        du, dw = _newton_delta(ops, tau, weighted_mass(ctx, bp_q), r1, r2)
         u = u + du
         w = w + dw
-        b_beta = load_vector(ctx, beta, u)
+        b_q, bp_q = beta_pair(ctx.values_at_quad(u))
+        b_beta = load_vector(ctx, b_q)
     if not converged:
         raise NewtonDivergenceError(
             f"step Newton stalled at residual {res:.3e} after {cfg.newton_max} iterations "

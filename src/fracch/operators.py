@@ -260,9 +260,9 @@ def rayleigh_lambda1(A_sigma: np.ndarray, M: np.ndarray) -> float:
 class OperatorSet:
     """Assembled operators for one mesh and exponent pair.
 
-    Immutable after construction; Cholesky factors and the Schur blocks of
-    the time stepper are created lazily on first use and then treated as
-    read-only.
+    Immutable after construction; Cholesky factors and the time stepper's
+    block P = M A_s^{-1} M are created lazily on first use and then treated
+    as read-only.
     """
 
     A_s: np.ndarray
@@ -289,19 +289,16 @@ class OperatorSet:
         return dual_norm(self.A_sigma, f, factor=self._factor("A_sigma", self.A_sigma))
 
     def solve_M(self, f: np.ndarray) -> np.ndarray:
-        return cho_solve(self._factor("M", self.M), f)
+        return cho_solve(self._factor("M", self.M), f, check_finite=False)
 
-    def schur_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(M^{-1} A_s, A_sigma M^{-1} A_s): G^T and (G A_sigma)^T for G = A_s M^{-1}.
+    def solve_A_s(self, f: np.ndarray) -> np.ndarray:
+        return cho_solve(self._factor("A_s", self.A_s), f, check_finite=False)
 
-        The fixed part of the time stepper's Schur complement.  Stored
-        transposed: the stepper builds the complement's transpose row by
-        row, which is the column-major layout LAPACK factors.
-        """
-        if "schur" not in self._factors:
-            Gt = np.ascontiguousarray(self.solve_M(self.A_s))
-            self._factors["schur"] = (Gt, self.A_sigma @ Gt)
-        return self._factors["schur"]
+    def step_block(self) -> np.ndarray:
+        """P = M A_s^{-1} M, the tau-free part of the time stepper's step matrix."""
+        if "P" not in self._factors:
+            self._factors["P"] = self.M @ self.solve_A_s(self.M)
+        return self._factors["P"]
 
 
 def build_operator_set(mesh: FracMesh, exps: FracExponents) -> OperatorSet:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fracch import evolution
 from fracch.energy import EnergyContext
 from fracch.mesh import build_uniform_mesh
 from fracch.operators import FracExponents, build_operator_set
@@ -36,3 +37,24 @@ def ctx64_wide():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def nan_from_first_update(monkeypatch):
+    """Make every step's beta values NaN from its first Newton update on."""
+    beta_pair = evolution._beta_pair
+
+    def patched(ctx, cfg):
+        pair = beta_pair(ctx, cfg)
+        calls = []
+
+        def nan_pair(r):
+            b, bp = pair(r)
+            if calls:
+                b = np.full_like(b, np.nan)
+            calls.append(r)
+            return b, bp
+
+        return nan_pair
+
+    monkeypatch.setattr(evolution, "_beta_pair", patched)

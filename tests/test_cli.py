@@ -184,6 +184,30 @@ def test_equilibrium_respects_newton_max_iter(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("solver divergence: ")
 
 
+def test_lambda_below_split_exits_solver_divergence(tmp_path, capsys):
+    # lambda 0 leaves beta' = 3 u^2 - 1 < 0 near zero; at tau 10 the step matrix is indefinite
+    cfg = _write(tmp_path, "cfg.json", {
+        "domain": {"a": -4, "b": 4},
+        "mesh": {"n_elems": 64},
+        "potential": {"lambda": 0},
+        "time": {"tau": 10.0, "t_end": 50.0},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["simulate", "--config", cfg]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("solver divergence: step matrix not positive definite")
+    assert "potential.lambda below the tightest monotone split" in err[0]
+
+
+def test_non_finite_residual_exits_solver_divergence(quick_cfg, nan_from_first_update, capsys):
+    assert main(["simulate", "--config", quick_cfg]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("solver divergence: step Newton residual is not finite")
+    assert "still stalled after 10 tau halvings" in err[0]
+
+
 def test_equilibrium_and_spectrum(quick_cfg, tmp_path):
     assert main(["equilibrium", "--config", quick_cfg]) == 0
     payload = json.loads((tmp_path / "out" / "equilibrium.json").read_text())

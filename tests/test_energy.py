@@ -3,6 +3,7 @@ import pytest
 
 from fracch.energy import (
     EnergyContext,
+    add_tridiagonal,
     coercivity_probe,
     energy,
     energy_gradient,
@@ -73,12 +74,16 @@ def test_gradient_zero_at_origin(ctx64):
 
 def test_load_vector_constant_function(ctx64):
     # integral of phi_i is h for interior hats; fn == 1 regardless of v
-    b = load_vector(ctx64, lambda r: np.ones_like(r), np.zeros(ctx64.ops.mesh.dof_count))
+    b = load_vector(ctx64, np.ones_like(ctx64.values_at_quad(np.zeros(ctx64.ops.mesh.dof_count))))
     assert np.allclose(b, ctx64.ops.mesh.h, rtol=1e-12)
 
 
 def test_weighted_mass_reduces_to_mass(ctx64):
-    B = weighted_mass(ctx64, lambda r: np.ones_like(r), np.zeros(ctx64.ops.mesh.dof_count))
+    ones = np.ones_like(ctx64.values_at_quad(np.zeros(ctx64.ops.mesh.dof_count)))
+    diag, off = weighted_mass(ctx64, ones)
+    assert np.allclose(diag, np.diagonal(ctx64.ops.M), atol=1e-14)
+    assert np.allclose(off, np.diagonal(ctx64.ops.M, 1), atol=1e-14)
+    B = add_tridiagonal(np.zeros_like(ctx64.ops.M), diag, off)
     assert np.allclose(B, ctx64.ops.M, atol=1e-14)
     assert np.array_equal(B, B.T)
 

@@ -4,13 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from fracch.energy import EnergyContext, energy, weighted_mass
-from fracch.errors import CertificateViolationError, ConfigurationError, NewtonDivergenceError
+from fracch import evolution, potentials
+from fracch.energy import EnergyContext, add_tridiagonal, energy, weighted_mass
+from fracch.errors import (
+    CertificateViolationError,
+    ConfigurationError,
+    JacobianSingularError,
+    NewtonDivergenceError,
+)
 from fracch.evolution import StepConfig, _beta_pair, _newton_delta, evolve, march, step
 from fracch.equilibrium import default_equilibrium_seed, solve_stationary
 from fracch.mesh import build_uniform_mesh, interpolate
 from fracch.operators import FracExponents, build_operator_set, xnorm
-from fracch.potentials import double_well
+from fracch.potentials import YosidaParams, custom_potential, double_well, yosida_apply
 
 
 def test_step_config_validation():
@@ -185,22 +191,79 @@ def test_energy_matches_certificates(ctx64, rng):
     assert traj.certificates[0].e_before == pytest.approx(energy(ctx64, u0), rel=1e-14)
 
 
+@pytest.mark.parametrize("tau", [1e-3, 1.0])
 @pytest.mark.parametrize("exps", [(0.3, 0.7), (0.5, 0.5)])
 @pytest.mark.parametrize("yosida", [None, 1e-2])
-def test_schur_update_matches_block_solve(exps, yosida, rng):
+def test_spd_update_matches_block_solve(exps, yosida, tau, rng):
     ops = build_operator_set(build_uniform_mesh(-4, 4, 64), FracExponents(*exps))
     ctx = EnergyContext(ops=ops, pot=double_well(4.0))
     dof = ops.mesh.dof_count
     u, r1, r2 = rng.standard_normal((3, dof))
-    tau = 1e-3
-    _, beta_prime = _beta_pair(ctx, StepConfig(tau=tau, use_yosida=yosida))
-    Bp = weighted_mass(ctx, beta_prime, u)
+    _, bp_q = _beta_pair(ctx, StepConfig(tau=tau, use_yosida=yosida))(ctx.values_at_quad(u))
+    Bp = weighted_mass(ctx, bp_q)
     # reference: the exact Jacobian of the coupled system, solved as one 2n x 2n block
-    jac = np.block([[ops.M / tau, ops.A_s], [-(ops.A_sigma + Bp), ops.M]])
+    B_dense = add_tridiagonal(np.zeros((dof, dof)), *Bp)
+    jac = np.block([[ops.M / tau, ops.A_s], [-(ops.A_sigma + B_dense), ops.M]])
     ref = np.linalg.solve(jac, -np.concatenate([r1, r2]))
     du, dw = _newton_delta(ops, tau, Bp, r1, r2)
     assert np.linalg.norm(du - ref[:dof]) <= 1e-10 * np.linalg.norm(ref[:dof])
     assert np.linalg.norm(dw - ref[dof:]) <= 1e-10 * np.linalg.norm(ref[dof:])
+
+
+def test_yosida_pair_is_yosida_apply_and_its_derivative():
+    ops = build_operator_set(build_uniform_mesh(-1, 1, 8), FracExponents(0.5, 0.5))
+    ctx = EnergyContext(ops=ops, pot=double_well(4.0))
+    yp = YosidaParams(epsilon=1e-2)
+    pair = _beta_pair(ctx, StepConfig(tau=1e-3, use_yosida=yp.epsilon))
+    half = np.linspace(0.05, 6.0, 120)
+    r = np.concatenate([-half[::-1], half]).reshape(8, 30)  # a quadrature-grid shape
+    beta_eps, beta_eps_prime = pair(r)
+    assert np.array_equal(beta_eps, yosida_apply(ctx.pot, yp, r))
+    h = 1e-5 * (1.0 + np.abs(r))
+    fd = (yosida_apply(ctx.pot, yp, r + h) - yosida_apply(ctx.pot, yp, r - h)) / (2.0 * h)
+    assert np.all(np.abs(beta_eps_prime - fd) <= 1e-6 * np.abs(fd))
+
+
+def test_yosida_step_solves_one_resolvent_per_iterate(ctx64, rng, monkeypatch):
+    calls = {"resolvent": 0, "updates": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(potentials, "yosida_resolvent",
+                        counted("resolvent", potentials.yosida_resolvent))
+    monkeypatch.setattr(evolution, "weighted_mass", counted("updates", evolution.weighted_mass))
+    u0 = 0.3 * rng.standard_normal(ctx64.ops.mesh.dof_count)
+    step(ctx64, StepConfig(tau=1e-2, use_yosida=1e-2), u0, e_before=0.0)
+    assert calls["updates"] >= 2
+    assert calls["resolvent"] == calls["updates"] + 1
+
+
+def test_non_finite_residual_is_divergence(ctx64, rng, nan_from_first_update):
+    u0 = 0.3 * rng.standard_normal(ctx64.ops.mesh.dof_count)
+    with pytest.raises(NewtonDivergenceError, match="not finite after 1 iterations"):
+        step(ctx64, StepConfig(tau=1e-2), u0)
+    # march treats it like any stall: halve tau, then give up
+    with pytest.raises(NewtonDivergenceError, match="still stalled after 2 tau halvings"):
+        evolve(ctx64, StepConfig(tau=1e-2), u0, t_end=0.1, max_halvings=2)
+
+
+def test_lambda_below_split_is_singular_step(ctx64_wide, rng):
+    # double-well g with lambda 0: beta' = g' = 3 r^2 - 1 < 0 near r = 0
+    pot = custom_potential(
+        lambda r: r**3 - r, lambda r: 3.0 * r**2 - 1.0, lambda r: 0.25 * r**4 - 0.5 * r**2,
+        lam=0.0, check=False,
+    )
+    ctx = EnergyContext(ops=ctx64_wide.ops, pot=pot)
+    u0 = 0.25 * rng.standard_normal(ctx.ops.mesh.dof_count)
+    with pytest.raises(JacobianSingularError, match="not positive definite.*lambda below"):
+        step(ctx, StepConfig(tau=10.0), u0)
+    # not a stall: march does not halve tau for it
+    with pytest.raises(JacobianSingularError):
+        evolve(ctx, StepConfig(tau=10.0), u0, t_end=20.0)
 
 
 def test_energy_chains_between_steps(ctx64, rng):
