@@ -1,7 +1,7 @@
 """Run configuration: strict JSON parsing with defaults and range checks.
 
-Unknown keys are rejected (typo safety); every range violation names the
-offending key as ``group.key``.
+Unknown keys are rejected (typo safety), and so are non-finite numbers; every
+range violation names the offending key as ``group.key``.
 """
 
 from __future__ import annotations
@@ -89,9 +89,15 @@ class RunConfig:
 def _require_number(group: str, key: str, value, integer: bool = False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{group}.{key} must be a number, got {value!r}")
+    try:
+        number = float(value)  # json reads NaN, Infinity and 1e400 as non-finite floats
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{group}.{key} must be a finite number, got {value!r}")
     if integer and int(value) != value:
         raise ConfigurationError(f"{group}.{key} must be an integer, got {value!r}")
-    return int(value) if integer else float(value)
+    return int(value) if integer else number
 
 
 def parse_config(path) -> RunConfig:

@@ -3,19 +3,20 @@
 Each step solves the coupled system
 
     M (u_n - u_prev) / tau + A_s w_n = 0
-    M w_n = A_sigma u_n + b_beta(u_n) - lambda M u_prev
+    M w_n = A_sigma u_n + b_beta(u_n) - lambda M u_prev.
 
-by Newton with the exact Jacobian [[M/tau, A_s], [-(A_sigma + B'(u)), M]].
-The update of w is eliminated through A_s: each iteration solves
+The first equation gives w_n = -A_s^{-1} M (u_n - u_prev) / tau, and putting
+that into the second leaves one equation in u_n alone,
 
-    (P/tau + A_sigma + B') du = r2 - M A_s^{-1} r1,    P = M A_s^{-1} M,
+    F(u) = P (u - u_prev) / tau + A_sigma u + b_beta(u) - lambda M u_prev = 0,
 
-and recovers dw = -A_s^{-1} (r1 + M du / tau) from the cached Cholesky
-factor of A_s.  P is fixed per operator set and cached there; B', the
-weighted mass of beta' >= 0, is tridiagonal.  So the step matrix is
+with P = M A_s^{-1} M.  Newton solves it until |F(u)|_{M^{-1}} < newton_tol;
+w_n is then recovered once, by one A_s solve.  The Jacobian of F is
+S = P/tau + A_sigma + B'(u), where P is fixed per operator set and cached
+there and B', the weighted mass of beta' >= 0, is tridiagonal.  So S is
 symmetric positive definite and one in-place Cholesky factorization per
-iteration solves it.  (With potential.lambda below the tightest monotone
-split, beta' < 0 can make it indefinite; the factorization then fails with
+iterate solves it.  (With potential.lambda below the tightest monotone
+split, beta' < 0 can make S indefinite; the factorization then fails with
 JacobianSingularError.)  The pair (beta, beta') is evaluated once per
 iterate on the quadrature grid.  The monotone part of the nonlinearity is
 implicit, the expansive lambda-term is lagged, so testing the two equations
@@ -123,8 +124,8 @@ def _beta_pair(ctx: EnergyContext, cfg: StepConfig):
     return beta_eps_pair
 
 
-def _newton_delta(ops, tau: float, Bp, r1: np.ndarray, r2: np.ndarray):
-    """Newton update (du, dw) for the residuals (r1, r2); Bp is B' as (diag, off)."""
+def _newton_delta(ops, tau: float, Bp, F: np.ndarray) -> np.ndarray:
+    """Newton update du = -S^{-1} F, S = P/tau + A_sigma + B'; Bp is B' as (diag, off)."""
     S = ops.step_block() / tau
     S += ops.A_sigma
     add_tridiagonal(S, *Bp)
@@ -136,9 +137,7 @@ def _newton_delta(ops, tau: float, Bp, r1: np.ndarray, r2: np.ndarray):
             f"step matrix not positive definite at tau={tau} because beta' < 0 somewhere "
             "(potential.lambda below the tightest monotone split)"
         ) from exc
-    du = cho_solve(factor, r2 - ops.M @ ops.solve_A_s(r1), check_finite=False)
-    dw = -ops.solve_A_s(r1 + ops.M @ du / tau)
-    return du, dw
+    return cho_solve(factor, -F, check_finite=False)
 
 
 def step(
@@ -159,45 +158,35 @@ def step(
     tau = cfg.tau if tau is None else tau
     beta_pair = _beta_pair(ctx, cfg)
     lam = ctx.pot.lam
-    M, A_s, A_sig = ops.M, ops.A_s, ops.A_sigma
+    M, A_s, A_sig, P = ops.M, ops.A_s, ops.A_sigma, ops.step_block()
 
     if e_before is None:
         e_before = energy(ctx, u_prev)
     Mu_prev = M @ u_prev
     u = u_prev.copy()
-    b_q, bp_q = beta_pair(ctx.values_at_quad(u))
-    b_beta = load_vector(ctx, b_q)
-    w = ops.solve_M(A_sig @ u + b_beta - lam * Mu_prev)
 
-    converged = False
     for it in range(cfg.newton_max + 1):
-        r1 = M @ (u - u_prev) / tau + A_s @ w
-        r2 = M @ w - A_sig @ u - b_beta + lam * Mu_prev
-        r = np.column_stack((r1, r2))
-        res = math.sqrt(max(float(np.vdot(r, ops.solve_M(r))), 0.0))
+        b_q, bp_q = beta_pair(ctx.values_at_quad(u))
+        F = P @ (u - u_prev) / tau + A_sig @ u + load_vector(ctx, b_q) - lam * Mu_prev
+        res = math.sqrt(max(float(F @ ops.solve_M(F)), 0.0))
         if not math.isfinite(res):
             raise NewtonDivergenceError(
                 f"step Newton residual is not finite after {it} iterations (tau={tau})"
             )
         if res < cfg.newton_tol:
-            converged = True
             break
         if it == cfg.newton_max:
-            break
-        du, dw = _newton_delta(ops, tau, weighted_mass(ctx, bp_q), r1, r2)
-        u = u + du
-        w = w + dw
-        b_q, bp_q = beta_pair(ctx.values_at_quad(u))
-        b_beta = load_vector(ctx, b_q)
-    if not converged:
-        raise NewtonDivergenceError(
-            f"step Newton stalled at residual {res:.3e} after {cfg.newton_max} iterations "
-            f"(tau={tau})"
-        )
+            raise NewtonDivergenceError(
+                f"step Newton stalled at residual {res:.3e} after {cfg.newton_max} iterations "
+                f"(tau={tau})"
+            )
+        u = u + _newton_delta(ops, tau, weighted_mass(ctx, bp_q), F)
 
+    du = u - u_prev
+    flux = M @ du / tau  # M u_t, so that A_s w_n = -flux
+    w = -ops.solve_A_s(flux)
     e_after = energy(ctx, u)
     w_normsq = float(w @ A_s @ w)
-    du = u - u_prev
     du_msq = float(du @ M @ du)
     lambda_half_du = 0.5 * lam * du_msq
     defect = e_after + tau * w_normsq + lambda_half_du - e_before
@@ -207,7 +196,7 @@ def step(
         lambda_half_du=lambda_half_du, defect=defect,
         satisfied=defect <= tol, tau_used=tau,
         u_xnorm_sigma=xnorm(A_sig, u), u_linf=linf_norm(mesh, u),
-        dual_norm_ut=ops.dual_norm_s(M @ du / tau),
+        dual_norm_ut=ops.dual_norm_s(flux),
     )
     return u, w, cert
 
@@ -224,8 +213,9 @@ def march(
 
     Nothing is kept between steps; arguments are checked at the first step.
     A last step that would pass t_end is shortened to end there.  On Newton
-    divergence the step retries with tau halved (this step only, up to
-    ``max_halvings``); the certificate records the tau actually used.
+    divergence or an indefinite step matrix (P/tau grows as tau shrinks) the
+    step retries with tau halved (this step only, up to ``max_halvings``);
+    the certificate records the tau actually used.
     """
     if t_end <= 0:
         raise ConfigurationError(f"t_end must be positive, got {t_end}")
@@ -243,9 +233,9 @@ def march(
             try:
                 u_new, _, cert = step(ctx, cfg, u, tau=tau_try, e_before=e_u)
                 break
-            except NewtonDivergenceError as exc:
+            except (NewtonDivergenceError, JacobianSingularError) as exc:
                 if attempt == max_halvings:
-                    raise NewtonDivergenceError(
+                    raise type(exc)(
                         f"{exc}; still stalled after {max_halvings} tau halvings "
                         f"(final tau={tau_try:.6g})"
                     ) from exc

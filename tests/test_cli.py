@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -146,6 +147,29 @@ def test_numerical_failure_exit_code(quick_cfg, monkeypatch, capsys, error):
     assert err == f"numerical failure: {error}\n"
 
 
+@pytest.mark.parametrize("command, group, key, value", [
+    ("simulate", "mesh", "n_elems", math.nan),
+    ("simulate", "mesh", "n_elems", math.inf),
+    ("simulate", "time", "t_end", math.nan),
+    ("simulate", "time", "t_end", math.inf),
+    ("verify", "time", "t_end", math.nan),
+    ("verify", "time", "t_end", math.inf),
+    ("simulate", "newton", "tol", math.nan),
+    ("simulate", "potential", "lambda", math.inf),
+    # an integer literal beyond the float range
+    pytest.param("simulate", "time", "tau", 10**400, id="simulate-time-tau-1e400_integer"),
+])
+def test_non_finite_config_number_exits_configuration_error(
+    tmp_path, capsys, command, group, key, value
+):
+    # json writes and reads math.nan and math.inf as the literals NaN and Infinity
+    cfg = _write(tmp_path, "cfg.json", {group: {key: value}, "output": {"dir": str(tmp_path)}})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"configuration error: {group}.{key} must be a finite number")
+
+
 def test_rates_without_inputs_is_missing_input(quick_cfg, tmp_path):
     assert main(["rates", "--config", quick_cfg, "--out", str(tmp_path / "empty")]) == 3
 
@@ -184,8 +208,9 @@ def test_equilibrium_respects_newton_max_iter(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("solver divergence: ")
 
 
-def test_lambda_below_split_exits_solver_divergence(tmp_path, capsys):
-    # lambda 0 leaves beta' = 3 u^2 - 1 < 0 near zero; at tau 10 the step matrix is indefinite
+def test_lambda_below_split_halves_tau_and_lets_the_certificate_decide(tmp_path, capsys):
+    # lambda 0 leaves beta' = 3 u^2 - 1 < 0 near zero; at tau 10 the step matrix is
+    # indefinite, at tau 5 it factors, and the certificate then fails at step 2
     cfg = _write(tmp_path, "cfg.json", {
         "domain": {"a": -4, "b": 4},
         "mesh": {"n_elems": 64},
@@ -193,11 +218,10 @@ def test_lambda_below_split_exits_solver_divergence(tmp_path, capsys):
         "time": {"tau": 10.0, "t_end": 50.0},
         "output": {"dir": str(tmp_path / "out")},
     })
-    assert main(["simulate", "--config", cfg]) == 4
+    assert main(["simulate", "--config", cfg]) == 5
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("solver divergence: step matrix not positive definite")
-    assert "potential.lambda below the tightest monotone split" in err[0]
+    assert err[0].startswith("certificate violation: energy certificate violated at step 2")
 
 
 def test_non_finite_residual_exits_solver_divergence(quick_cfg, nan_from_first_update, capsys):

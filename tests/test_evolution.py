@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fracch import evolution, potentials
-from fracch.energy import EnergyContext, add_tridiagonal, energy, weighted_mass
+from fracch.energy import EnergyContext, add_tridiagonal, energy, load_vector, weighted_mass
 from fracch.errors import (
     CertificateViolationError,
     ConfigurationError,
@@ -205,9 +205,30 @@ def test_spd_update_matches_block_solve(exps, yosida, tau, rng):
     B_dense = add_tridiagonal(np.zeros((dof, dof)), *Bp)
     jac = np.block([[ops.M / tau, ops.A_s], [-(ops.A_sigma + B_dense), ops.M]])
     ref = np.linalg.solve(jac, -np.concatenate([r1, r2]))
-    du, dw = _newton_delta(ops, tau, Bp, r1, r2)
+    # eliminating dw from the block system leaves S du = -(M A_s^{-1} r1 - r2)
+    du = _newton_delta(ops, tau, Bp, ops.M @ ops.solve_A_s(r1) - r2)
     assert np.linalg.norm(du - ref[:dof]) <= 1e-10 * np.linalg.norm(ref[:dof])
-    assert np.linalg.norm(dw - ref[dof:]) <= 1e-10 * np.linalg.norm(ref[dof:])
+
+
+@pytest.mark.parametrize("tau", [1e-3, 1.0])
+@pytest.mark.parametrize("exps", [(0.3, 0.7), (0.5, 0.5)])
+@pytest.mark.parametrize("yosida", [None, 1e-2])
+def test_step_solves_both_coupled_equations(exps, yosida, tau, rng):
+    ops = build_operator_set(build_uniform_mesh(-4, 4, 64), FracExponents(*exps))
+    ctx = EnergyContext(ops=ops, pot=double_well(4.0))
+    cfg = StepConfig(tau=tau, use_yosida=yosida)
+    u_prev = 0.25 * rng.standard_normal(ops.mesh.dof_count)
+    u, w, _ = step(ctx, cfg, u_prev)
+
+    def m_inv_norm(r):
+        return math.sqrt(r @ ops.solve_M(r))
+
+    b_q, _ = _beta_pair(ctx, cfg)(ctx.values_at_quad(u))
+    flux = ops.M @ (u - u_prev) / tau
+    first = flux + ops.A_s @ w
+    second = ops.M @ w - ops.A_sigma @ u - load_vector(ctx, b_q) + ctx.pot.lam * ops.M @ u_prev
+    assert m_inv_norm(first) <= 1e-12 * m_inv_norm(flux)
+    assert m_inv_norm(second) <= 10 * cfg.newton_tol
 
 
 def test_yosida_pair_is_yosida_apply_and_its_derivative():
@@ -261,9 +282,11 @@ def test_lambda_below_split_is_singular_step(ctx64_wide, rng):
     u0 = 0.25 * rng.standard_normal(ctx.ops.mesh.dof_count)
     with pytest.raises(JacobianSingularError, match="not positive definite.*lambda below"):
         step(ctx, StepConfig(tau=10.0), u0)
-    # not a stall: march does not halve tau for it
-    with pytest.raises(JacobianSingularError):
-        evolve(ctx, StepConfig(tau=10.0), u0, t_end=20.0)
+    # march halves tau for it, since P/tau grows; without halvings the error stands
+    with pytest.raises(JacobianSingularError, match="still stalled after 0 tau halvings"):
+        evolve(ctx, StepConfig(tau=10.0), u0, t_end=20.0, max_halvings=0)
+    first = next(march(ctx, StepConfig(tau=10.0), u0, t_end=20.0))
+    assert first[2].tau_used < 10.0
 
 
 def test_energy_chains_between_steps(ctx64, rng):
