@@ -26,6 +26,16 @@ with w_n and u_n - u_prev gives the per-step inequality
 
 up to solver tolerance; the defect of that inequality is recorded in a
 StepCertificate for every accepted step.
+
+``march`` starts each step's Newton iteration from the linear predictor
+2 u_n - u_{n-1} when the step tries the same tau as the step before it
+(Hairer & Wanner, Solving ODEs II, IV.8); the first step, a shortened last
+step and the step after a halving start from u_prev.  From a predicted start
+Newton takes at least one update before the residual test may stop it, so
+the returned state always comes out of a Newton update and not out of the
+predictor.  If Newton fails from the predicted start, the step is retried
+once from u_prev at the same tau before any halving, so the predictor never
+causes a halving.
 """
 
 from __future__ import annotations
@@ -89,11 +99,12 @@ class StepCertificate:
     tau_used: float
     u_xnorm_sigma: float  # |u_n| in the A_sigma energy norm
     u_linf: float  # max |nodal value| of u_n
-    dual_norm_ut: float  # dual s-norm of M (u_n - u_prev) / tau
+    dual_norm_ut: float  # dual s-norm of M (u_n - u_prev) / tau, which equals |w_n|_{A_s}
+    newton_iters: int  # Newton updates taken by the accepted attempt
 
 
 # one record column per certificate field; the annotations are the strings
-# "float" and "bool", which numpy reads as float64 and bool
+# "float", "bool" and "int", which numpy reads as float64, bool and int64
 _CERT_DTYPE = np.dtype([(f.name, f.type) for f in fields(StepCertificate)])
 _cert_row = operator.attrgetter(*_CERT_DTYPE.names)
 
@@ -146,11 +157,15 @@ def step(
     u_prev: np.ndarray,
     tau: float | None = None,
     e_before: float | None = None,
+    u_start: np.ndarray | None = None,
 ):
     """One convex-splitting step; returns (u_n, w_n, certificate).
 
     ``e_before`` is E(u_prev) when the caller already has it (``march``
     passes the previous step's ``e_after``); it is computed otherwise.
+    Newton starts from ``u_start`` if given, else from ``u_prev``; from a
+    given start it takes at least one update before the residual test can
+    accept an iterate.
     """
     ops = ctx.ops
     mesh = ops.mesh
@@ -163,7 +178,10 @@ def step(
     if e_before is None:
         e_before = energy(ctx, u_prev)
     Mu_prev = M @ u_prev
-    u = u_prev.copy()
+    if u_start is None:
+        u, min_updates = u_prev.copy(), 0
+    else:
+        u, min_updates = check_coeffs(mesh, u_start), 1
 
     for it in range(cfg.newton_max + 1):
         b_q, bp_q = beta_pair(ctx.values_at_quad(u))
@@ -173,7 +191,7 @@ def step(
             raise NewtonDivergenceError(
                 f"step Newton residual is not finite after {it} iterations (tau={tau})"
             )
-        if res < cfg.newton_tol:
+        if res < cfg.newton_tol and it >= min_updates:
             break
         if it == cfg.newton_max:
             raise NewtonDivergenceError(
@@ -196,9 +214,18 @@ def step(
         lambda_half_du=lambda_half_du, defect=defect,
         satisfied=defect <= tol, tau_used=tau,
         u_xnorm_sigma=xnorm(A_sig, u), u_linf=linf_norm(mesh, u),
-        dual_norm_ut=ops.dual_norm_s(flux),
+        # |M u_t|_{A_s^{-1}} = |w_n|_{A_s}, since A_s w_n = -M u_t
+        dual_norm_ut=math.sqrt(max(w_normsq, 0.0)), newton_iters=it,
     )
     return u, w, cert
+
+
+def _step_from_predictor(ctx, cfg, u, tau, e_before, u_back):
+    """``step`` from the linear predictor 2u - u_back; retried once from u if Newton fails there."""
+    try:
+        return step(ctx, cfg, u, tau=tau, e_before=e_before, u_start=2.0 * u - u_back)
+    except (NewtonDivergenceError, JacobianSingularError):
+        return step(ctx, cfg, u, tau=tau, e_before=e_before)
 
 
 def march(
@@ -211,11 +238,15 @@ def march(
 ):
     """Step the scheme to t_end, yielding ``(t, u_n, cert)`` for each accepted step.
 
-    Nothing is kept between steps; arguments are checked at the first step.
-    A last step that would pass t_end is shortened to end there.  On Newton
-    divergence or an indefinite step matrix (P/tau grows as tau shrinks) the
-    step retries with tau halved (this step only, up to ``max_halvings``);
-    the certificate records the tau actually used.
+    Only the last two states are kept between steps; arguments are checked
+    at the first step.  A last step that would pass t_end is shortened to
+    end there.  A step that tries the same tau as the step before it starts
+    Newton from the predictor 2 u_n - u_{n-1}; if Newton fails from there,
+    the step is retried once from u_n at that tau.  The other steps (the
+    first, a shortened last one, one after a halving) start from u_n.  On
+    Newton divergence or an indefinite step matrix from u_n (P/tau grows as
+    tau shrinks) the step retries with tau halved (this step only, up to
+    ``max_halvings``); the certificate records the tau actually used.
     """
     if t_end <= 0:
         raise ConfigurationError(f"t_end must be positive, got {t_end}")
@@ -223,6 +254,7 @@ def march(
         raise ConfigurationError(f"on_violation must be 'abort' or 'warn', got {on_violation}")
     u = check_coeffs(ctx.ops.mesh, u0)
     e_u = energy(ctx, u)  # also rejects initial data without finite energy
+    u_back = tau_back = None  # the state before the last accepted step, and its tau
 
     t = 0.0
     step_idx = 0
@@ -231,7 +263,10 @@ def march(
         tau_try = cfg.tau if t + cfg.tau <= t_end + slack else t_end - t
         for attempt in range(max_halvings + 1):
             try:
-                u_new, _, cert = step(ctx, cfg, u, tau=tau_try, e_before=e_u)
+                if tau_try == tau_back:
+                    u_new, _, cert = _step_from_predictor(ctx, cfg, u, tau_try, e_u, u_back)
+                else:
+                    u_new, _, cert = step(ctx, cfg, u, tau=tau_try, e_before=e_u)
                 break
             except (NewtonDivergenceError, JacobianSingularError) as exc:
                 if attempt == max_halvings:
@@ -250,7 +285,8 @@ def march(
         t += cert.tau_used
         step_idx += 1
         yield t, u_new, cert
-        u = u_new
+        u_back, u = u, u_new
+        tau_back = cert.tau_used
         e_u = cert.e_after
 
 

@@ -58,9 +58,14 @@ def test_certificates_from_random_data(ctx64, rng, tau):
 def test_flux_identity_along_run(ctx64, rng):
     u0 = 0.5 * rng.standard_normal(ctx64.ops.mesh.dof_count)
     traj = evolve(ctx64, StepConfig(tau=1e-2), u0, t_end=0.3)
+    ops = ctx64.ops
     w_xnorms = np.sqrt(traj.certificates.w_normsq)
-    rel = np.abs(traj.certificates.dual_norm_ut - w_xnorms) / w_xnorms
+    # |M u_t|_{A_s^{-1}} from the states, not from w
+    duals = np.array([ops.dual_norm_s(ops.M @ du / cert.tau_used)
+                      for du, cert in zip(np.diff(traj.states, axis=0), traj.certificates)])
+    rel = np.abs(duals - w_xnorms) / w_xnorms
     assert np.max(rel) < 1e-8
+    assert np.array_equal(traj.certificates.dual_norm_ut, w_xnorms)
 
 
 def test_zero_initial_data_trajectory(ctx64):
@@ -337,7 +342,8 @@ def test_march_is_lazy(ctx64, rng):
     # each yield carries the state after its step
     u1, _, cert1 = step(ctx64, cfg, u0)
     assert np.array_equal(steps[0][1], u1) and steps[0][2] == cert1
-    assert np.array_equal(steps[1][1], step(ctx64, cfg, u1)[0])
+    # the second step starts Newton from the predictor 2 u1 - u0
+    assert np.array_equal(steps[1][1], step(ctx64, cfg, u1, u_start=2 * u1 - u0)[0])
 
 
 def test_evolve_collects_march(ctx64, rng):
@@ -353,3 +359,76 @@ def test_evolve_collects_march(ctx64, rng):
     assert np.array_equal(traj.states[0], u0)
     for row, (_, u, _) in zip(traj.states[1:], steps):
         assert np.array_equal(row, u)
+
+
+def _step_chain(ctx, cfg, u0, n):
+    """n plain ``step`` calls, each starting Newton from the previous state."""
+    chain = []
+    u = u0
+    for _ in range(n):
+        u, _, cert = step(ctx, cfg, u)
+        chain.append((u, cert))
+    return chain
+
+
+@pytest.mark.parametrize("yosida", [None, 1e-2])
+def test_predicted_start_keeps_the_states_and_saves_updates(ctx64, yosida):
+    u0 = 0.1 * interpolate(ctx64.ops.mesh, lambda x: np.sin(np.pi * x))
+    cfg = StepConfig(tau=1e-3, use_yosida=yosida)
+    marched = list(itertools.islice(march(ctx64, cfg, u0, t_end=1e9), 50))
+    chain = _step_chain(ctx64, cfg, u0, 50)
+    for (_, u, _), (u_ref, _) in zip(marched, chain):
+        assert np.linalg.norm(u - u_ref) <= 1e-9 * np.linalg.norm(u_ref)
+    marched_iters = sum(cert.newton_iters for _, _, cert in marched)
+    assert marched_iters < sum(cert.newton_iters for _, cert in chain)
+
+
+def test_start_meeting_tolerance_still_takes_one_update(ctx64, rng):
+    u0 = 0.3 * rng.standard_normal(ctx64.ops.mesh.dof_count)
+    cfg = StepConfig(tau=1e-2)
+    u1, _, cert1 = step(ctx64, cfg, u0)
+    assert cert1.newton_iters >= 2
+    u, _, cert = step(ctx64, cfg, u0, u_start=u1)
+    assert cert.newton_iters == 1
+    assert np.linalg.norm(u - u1) <= 1e-9 * np.linalg.norm(u1)
+
+
+@pytest.mark.parametrize("error", [NewtonDivergenceError, JacobianSingularError])
+def test_failed_predicted_start_retries_from_u_before_halving(ctx64, rng, monkeypatch, error):
+    plain_step = evolution.step
+    starts = []
+
+    def fails_from_a_start(*args, u_start=None, **kwargs):
+        if u_start is not None:
+            starts.append(u_start)
+            raise error("no convergence from the predicted start")
+        return plain_step(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "step", fails_from_a_start)
+    u0 = 0.3 * rng.standard_normal(ctx64.ops.mesh.dof_count)
+    cfg = StepConfig(tau=1e-2)
+    marched = list(itertools.islice(march(ctx64, cfg, u0, t_end=1e9, max_halvings=0), 20))
+    assert len(starts) == 19  # every step after the first tried the predictor
+    assert [cert.tau_used for _, _, cert in marched] == [1e-2] * 20
+    monkeypatch.undo()
+    for (_, u, _), (u_ref, _) in zip(marched, _step_chain(ctx64, cfg, u0, 20)):
+        assert np.array_equal(u, u_ref)
+
+
+def test_predictor_only_across_equal_steps(ctx64, rng, monkeypatch):
+    plain_step = evolution.step
+    predicted = []
+
+    def spy(*args, u_start=None, **kwargs):
+        predicted.append(u_start is not None)
+        return plain_step(*args, u_start=u_start, **kwargs)
+
+    monkeypatch.setattr(evolution, "step", spy)
+    u0 = rng.standard_normal(ctx64.ops.mesh.dof_count)
+    list(march(ctx64, StepConfig(tau=0.1), 0.3 * u0, t_end=0.25))
+    assert predicted == [False, True, False]  # the first and the shortened last step
+    predicted.clear()
+    # the halvings of the first step, and the full step after them
+    traj = evolve(ctx64, StepConfig(tau=10.0, newton_max=4), u0, t_end=20.0)
+    assert traj.certificates.tau_used[0] < traj.certificates.tau_used[1] == 10.0
+    assert not any(predicted)
