@@ -165,7 +165,7 @@ def step(
     passes the previous step's ``e_after``); it is computed otherwise.
     Newton starts from ``u_start`` if given, else from ``u_prev``; from a
     given start it takes at least one update before the residual test can
-    accept an iterate.
+    accept an iterate, so the start's residual is only checked to be finite.
     """
     ops = ctx.ops
     mesh = ops.mesh
@@ -186,7 +186,12 @@ def step(
     for it in range(cfg.newton_max + 1):
         b_q, bp_q = beta_pair(ctx.values_at_quad(u))
         F = P @ (u - u_prev) / tau + A_sig @ u + load_vector(ctx, b_q) - lam * Mu_prev
-        res = math.sqrt(max(float(F @ ops.solve_M(F)), 0.0))
+        if it < min(min_updates, cfg.newton_max):
+            # the update is due whatever the residual (it < min_updates, so 0.0
+            # cannot pass the tolerance test below): only finiteness counts
+            res = 0.0 if np.isfinite(F).all() else math.nan
+        else:
+            res = math.sqrt(max(float(F @ ops.solve_M(F)), 0.0))
         if not math.isfinite(res):
             raise NewtonDivergenceError(
                 f"step Newton residual is not finite after {it} iterations (tau={tau})"

@@ -13,8 +13,12 @@ satisfies |A v|_dual = |v|_A, which downstream code relies on.
 
 On a uniform mesh the integral over an element pair depends only on the
 distance d between the two elements, so assembly computes one local block
-per distance and adds it, for all n - d pairs at once, into a matrix over
-all nodes whose boundary rows and columns are dropped at the end:
+per distance, all distances in one batch.  On interior nodes the identical
+and touching blocks and the cross entries of the separated ones (one node
+in each element) sum to one symmetric Toeplitz matrix.  The rest lives on
+the three central diagonals: the self entries of the separated blocks (both
+nodes in one element) as prefix sums over d, and the complement term of
+every element.  The local blocks are:
 
 * identical elements: the basis differences factor as slope * (x - y), and
   the radial integral of |x-y|^(1-2s) is elementary;
@@ -39,7 +43,8 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh, LinAlgError
+from scipy.linalg import cho_factor, cho_solve, eigh, toeplitz, LinAlgError
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.special import gamma as _gamma
 
 from .errors import AssemblyError, ConfigurationError
@@ -77,17 +82,17 @@ def normalization_constant(n_dim: int, s: float) -> float:
     )
 
 
-def _power_integral(lo: float, hi: float, p: float) -> float:
-    """Exact integral of t^p over [lo, hi], smooth through the p = -1 log case."""
+def _power_integral(lo, hi, p: float) -> np.ndarray:
+    """Exact integral of t^p over [lo, hi], elementwise; smooth through the p = -1 log case."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     q = p + 1.0
-    if lo == 0.0:
-        if q <= 0.0:
-            raise AssemblyError(f"divergent boundary integral: exponent {p} at lo=0")
-        return hi**q / q
-    r = math.log(hi / lo)
+    at_zero = lo == 0.0
+    if q <= 0.0 and np.any(at_zero):
+        raise AssemblyError(f"divergent boundary integral: exponent {p} at lo=0")
+    r = np.log(hi / np.where(at_zero, hi, lo))  # entries with lo = 0 take hi^q / q below
     if q == 0.0:
         return r
-    return lo**q * math.expm1(q * r) / q
+    return np.where(at_zero, hi**q / q, lo**q * np.expm1(q * r) / q)
 
 
 def _self_pair_integral(h: float, s: float) -> float:
@@ -131,52 +136,66 @@ def _touching_local(h: float, s: float) -> np.ndarray:
     return local
 
 
-def _separated_local(h: float, s: float, d: int, pts: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    """4x4 local matrix for elements at distance d >= 2, nodes (k, k+1, l, l+1).
+def _separated_blocks(h: float, s: float, d) -> np.ndarray:
+    """4x4 local matrices for elements at distances d >= 2, nodes (k, k+1, k+d, k+d+1).
 
-    With x = x_k + h u and y = x_{k+d} + h w the kernel is
-    (h (d + w - u))^(-1-2s); basis differences reduce to shape values on one
-    element each, so tensor Gauss-Legendre applies to a smooth integrand.
+    ``d`` is an integer or an array of them; the result has shape
+    ``d.shape + (4, 4)``.  With x = x_k + h u and y = x_{k+d} + h w the
+    kernel is (h (d + w - u))^(-1-2s); basis differences reduce to shape
+    values on one element each, so tensor Gauss-Legendre applies to a smooth
+    integrand.
     """
-    shapes = (1.0 - pts, pts)
-    kern = (h * (d + pts[None, :] - pts[:, None])) ** (-1.0 - 2.0 * s)
+    pts, wts = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    pts = 0.5 * (pts + 1.0)
+    wts = 0.5 * wts
+    shapes = np.stack([1.0 - pts, pts])
+    weighted = wts * shapes  # (2, points): weight times shape, per shape
+    pair = (weighted[:, None, :] * shapes[None, :, :]).reshape(4, -1)  # shape products, (i, j) flat
+    d = np.asarray(d, dtype=float)[..., None, None]
+    kern = (h * (d + pts[None, :] - pts[:, None])) ** (-1.0 - 2.0 * s)  # (..., u, w)
     scale = h * h
     row_mass = kern @ wts  # integral over w of the kernel, per u point
     col_mass = wts @ kern
-    local = np.empty((4, 4))
-    for i in range(2):
-        for j in range(2):
-            local[i, j] = scale * np.dot(wts * shapes[i] * shapes[j], row_mass)
-            local[2 + i, 2 + j] = scale * np.dot(wts * shapes[i] * shapes[j], col_mass)
-            # cross blocks carry the sign of -phi(y)
-            val = -scale * float((wts * shapes[i]) @ kern @ (wts * shapes[j]))
-            local[i, 2 + j] = val
-            local[2 + j, i] = val
+    local = np.empty(kern.shape[:-2] + (4, 4))
+    local[..., :2, :2] = scale * (row_mass @ pair.T).reshape(kern.shape[:-2] + (2, 2))
+    local[..., 2:, 2:] = scale * (col_mass @ pair.T).reshape(kern.shape[:-2] + (2, 2))
+    # cross blocks carry the sign of -phi(y)
+    cross = -scale * (weighted @ kern @ weighted.T)
+    local[..., :2, 2:] = cross
+    local[..., 2:, :2] = np.swapaxes(cross, -1, -2)
     return local
 
 
-def _left_exterior_local(h: float, s: float, k: int) -> np.ndarray:
-    """2x2 left-exterior block for element k, nodes (k, k+1).
+def _left_exterior_blocks(h: float, s: float, k) -> np.ndarray:
+    """2x2 left-exterior blocks for elements k (an integer or array), nodes (k, k+1).
 
-    Contributes 2 * int_elem phi_i phi_j (x) * (x-a)^(-2s)/(2s) dx, integrated
-    exactly in t = x - a over [kh, (k+1)h] (hat products are quadratic
-    polynomials).  The right exterior is the mirror image under x -> a+b-x.
+    Each contributes 2 * int_elem phi_i phi_j (x) * (x-a)^(-2s)/(2s) dx,
+    integrated exactly in t = x - a over [kh, (k+1)h] (hat products are
+    quadratic polynomials).  The right exterior is the mirror image under
+    x -> a+b-x.  Node 0 sits at a, where the weight is not integrable, so
+    element 0 keeps only its (1, 1) entry.
     """
+    k = np.asarray(k)
     lo, hi = k * h, (k + 1) * h
     # both nodal shapes as c0 + c1 t with exact coefficients: node k, node k+1
-    lin = ((hi / h, -1.0 / h), (-lo / h, 1.0 / h))
-    out = np.zeros((2, 2))
-    for i in range(2):
-        for j in range(2):
-            if k == 0 and 0 in (i, j):
-                continue  # node 0 sits at a, where the weight is not integrable
-            (c0i, c1i), (c0j, c1j) = lin[i], lin[j]
-            coeffs = (c0i * c0j, c0i * c1j + c1i * c0j, c1i * c1j)
-            # zero coefficients are skipped: at t = 0 the low moments diverge
-            out[i, j] = sum(
-                c * _power_integral(lo, hi, order - 2.0 * s)
-                for order, c in enumerate(coeffs) if c != 0.0
-            ) / s
+    c0 = np.stack([hi / h, -lo / h], axis=-1)
+    c1 = np.array([-1.0 / h, 1.0 / h])
+    coeffs = (
+        c0[..., :, None] * c0[..., None, :],
+        c0[..., :, None] * c1[None, :] + c1[:, None] * c0[..., None, :],
+        c1[:, None] * c1[None, :],
+    )
+    # t^0 is not integrable at t = 0 for s >= 1/2; on element 0 it meets only
+    # zero coefficients, so an empty interval stands in for it there
+    moments = (
+        _power_integral(np.where(k == 0, hi, lo), hi, -2.0 * s),
+        _power_integral(lo, hi, 1.0 - 2.0 * s),
+        _power_integral(lo, hi, 2.0 - 2.0 * s),
+    )
+    out = sum(c * m[..., None, None] for c, m in zip(coeffs, moments)) / s
+    node_k_inside = (k != 0)[..., None]
+    out[..., 0, :] = np.where(node_k_inside, out[..., 0, :], 0.0)
+    out[..., :, 0] = np.where(node_k_inside, out[..., :, 0], 0.0)
     return out
 
 
@@ -196,35 +215,57 @@ def assemble_gagliardo(mesh: FracMesh, s: float, C_s: float) -> np.ndarray:
     n = mesh.n_elems
     h = mesh.h
 
-    pts, wts = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-    pts = 0.5 * (pts + 1.0)
-    wts = 0.5 * wts
-
-    # one block per element distance d, with its node offsets; d >= 1 carries
-    # weight 2 for the pairs (k, k+d) and (k+d, k)
+    # one block per element distance d; d >= 1 carries weight 2 for the pairs
+    # (k, k+d) and (k+d, k)
     same = np.array([[1.0, -1.0], [-1.0, 1.0]]) * (_self_pair_integral(h, s) / (h * h))
-    blocks = [((0, 1), same), ((0, 1, 2), 2.0 * _touching_local(h, s))]
-    blocks += [((0, 1, d, d + 1), 2.0 * _separated_local(h, s, d, pts, wts)) for d in range(2, n)]
+    touch = 2.0 * _touching_local(h, s)
+    sep = 2.0 * _separated_blocks(h, s, np.arange(2, n))  # distance d at index d - 2
+    finite = np.concatenate([[np.isfinite(same).all(), np.isfinite(touch).all()],
+                             np.isfinite(sep).all(axis=(1, 2))])
+    if not finite.all():
+        d = np.flatnonzero(~finite)[0]
+        raise AssemblyError(f"non-finite quadrature for element pair (0, {d}) at s={s}")
+    left = _left_exterior_blocks(h, s, np.arange(n))
+    finite = np.isfinite(left).all(axis=(1, 2))
+    if not finite.all():
+        k = np.flatnonzero(~finite)[0]
+        raise AssemblyError(f"non-finite complement integral on element {k} at s={s}")
 
-    # all nodes, boundary nodes 0 and n included and dropped at the end
-    full = np.zeros((n + 1, n + 1))
-    for d, (offsets, block) in enumerate(blocks):
-        if not np.all(np.isfinite(block)):
-            raise AssemblyError(f"non-finite quadrature for element pair (0, {d}) at s={s}")
-        k = np.arange(n - d)
-        for p, op in enumerate(offsets):
-            for q, oq in enumerate(offsets):
-                full[k + op, k + oq] += block[p, q]
+    # Far field: the cross entries of the block at distance d land on the node
+    # pairs (k+i, k+d+j), k in [0, n-d), which on interior nodes are all the
+    # pairs at offset d+j-i; so they sum to one symmetric Toeplitz matrix.
+    row = np.zeros(n + 1)  # by node offset; interior nodes use offsets 0 .. n-2
+    for i in range(2):
+        for j in range(2):
+            row[2 + j - i:n + j - i] += sep[:, i, 2 + j]
+    row[0] += same[0, 0] + same[1, 1] + touch[1, 1]
+    row[1] += same[0, 1] + touch[0, 1] + touch[1, 2]
+    row[2] += touch[0, 2]
+    A = toeplitz(row[:n - 1])
 
+    # Near field, on interior nodes a = 1 .. n-1.  The self entries of the
+    # blocks form prefix sums over the distance: node a is the left element's
+    # node k+i for d <= n-1-a+i, and the right element's node k+d+i for d <= a-i.
+    prefix = np.zeros((n, 4, 4))  # prefix[D] sums the blocks at distances 2 .. D
+    np.cumsum(sep, axis=0, out=prefix[2:])
+    rev = prefix[::-1]  # rev[a] = prefix[n-1-a]
+    diag = rev[1:, 0, 0] + rev[:-1, 1, 1] + prefix[1:, 2, 2] + prefix[:-1, 3, 3]
+    off = rev[1:-1, 0, 1] + prefix[1:-1, 2, 3]
+    # the touching pair at nodes (k, k+1, k+2), k in [0, n-1), has node a
+    # first only for a <= n-2 and last only for a >= 2 (middle: in the row)
+    diag[:-1] += touch[0, 0]
+    diag[1:] += touch[2, 2]
     # x -> a+b-x maps element k onto element n-1-k with its node order reversed
-    for k in range(n):
-        left = _left_exterior_local(h, s, k)
-        if not np.all(np.isfinite(left)):
-            raise AssemblyError(f"non-finite complement integral on element {k} at s={s}")
-        full[k:k + 2, k:k + 2] += left
-        full[n - 1 - k:n + 1 - k, n - 1 - k:n + 1 - k] += left[::-1, ::-1]
+    ext = left[1:, 0, 0] + left[:-1, 1, 1]
+    diag += ext + ext[::-1]
+    ext = left[1:-1, 0, 1]
+    off += ext + ext[::-1]
 
-    A = 0.5 * C_s * full[1:-1, 1:-1]
+    dof = np.arange(n - 1)
+    A[dof, dof] += diag
+    A[dof[:-1], dof[1:]] += off
+    A[dof[1:], dof[:-1]] += off
+    A *= 0.5 * C_s
     return 0.5 * (A + A.T)  # guarantee bit-exact symmetry regardless of BLAS
 
 
@@ -260,7 +301,7 @@ def rayleigh_lambda1(A_sigma: np.ndarray, M: np.ndarray) -> float:
 class OperatorSet:
     """Assembled operators for one mesh and exponent pair.
 
-    Immutable after construction; Cholesky factors and the time stepper's
+    Immutable after construction; factorizations and the time stepper's
     block P = M A_s^{-1} M are created lazily on first use and then treated
     as read-only.
     """
@@ -289,7 +330,13 @@ class OperatorSet:
         return dual_norm(self.A_sigma, f, factor=self._factor("A_sigma", self.A_sigma))
 
     def solve_M(self, f: np.ndarray) -> np.ndarray:
-        return cho_solve(self._factor("M", self.M), f, check_finite=False)
+        """M^{-1} f in O(n): M is tridiagonal, factored once as L D L^T."""
+        if "M" not in self._factors:
+            d, e, info = dpttrf(np.diag(self.M), np.diag(self.M, 1))
+            if info != 0:
+                raise AssemblyError("matrix M is not positive definite")
+            self._factors["M"] = (d, e)
+        return dpttrs(*self._factors["M"], f)[0]
 
     def solve_A_s(self, f: np.ndarray) -> np.ndarray:
         return cho_solve(self._factor("A_s", self.A_s), f, check_finite=False)

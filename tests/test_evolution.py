@@ -15,7 +15,7 @@ from fracch.errors import (
 from fracch.evolution import StepConfig, _beta_pair, _newton_delta, evolve, march, step
 from fracch.equilibrium import default_equilibrium_seed, solve_stationary
 from fracch.mesh import build_uniform_mesh, interpolate
-from fracch.operators import FracExponents, build_operator_set, xnorm
+from fracch.operators import FracExponents, OperatorSet, build_operator_set, xnorm
 from fracch.potentials import YosidaParams, custom_potential, double_well, yosida_apply
 
 
@@ -391,6 +391,34 @@ def test_start_meeting_tolerance_still_takes_one_update(ctx64, rng):
     u, _, cert = step(ctx64, cfg, u0, u_start=u1)
     assert cert.newton_iters == 1
     assert np.linalg.norm(u - u1) <= 1e-9 * np.linalg.norm(u1)
+
+
+def test_given_start_skips_the_first_residual_solve(ctx64, rng, monkeypatch):
+    # the first update from a given start is due whatever the residual, so
+    # only the residuals after an update cost an M solve
+    u0 = 0.3 * rng.standard_normal(ctx64.ops.mesh.dof_count)
+    cfg = StepConfig(tau=1e-2)
+    u1, _, _ = step(ctx64, cfg, u0)
+    solves = []
+    solve_M = OperatorSet.solve_M
+    monkeypatch.setattr(OperatorSet, "solve_M", lambda ops, f: solves.append(f) or solve_M(ops, f))
+    _, _, cert = step(ctx64, cfg, u0)
+    assert len(solves) == cert.newton_iters + 1
+    solves.clear()
+    _, _, cert = step(ctx64, cfg, u0, u_start=2.0 * u1 - u0)
+    assert len(solves) == cert.newton_iters
+    # with no update allowed, the stall message still reports the residual
+    with pytest.raises(NewtonDivergenceError, match=r"stalled at residual \d.*after 0 iterations"):
+        step(ctx64, StepConfig(tau=1e-2, newton_max=0), u0, u_start=u1)
+
+
+def test_non_finite_residual_at_a_given_start_is_divergence(ctx64, rng, monkeypatch):
+    monkeypatch.setattr(
+        evolution, "_beta_pair", lambda ctx, cfg: lambda r: (np.full_like(r, np.nan), np.ones_like(r))
+    )
+    u0 = 0.3 * rng.standard_normal(ctx64.ops.mesh.dof_count)
+    with pytest.raises(NewtonDivergenceError, match="not finite after 0 iterations"):
+        step(ctx64, StepConfig(tau=1e-2), u0, u_start=u0)
 
 
 @pytest.mark.parametrize("error", [NewtonDivergenceError, JacobianSingularError])

@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gagliardo_oracle import oracle_entry
+from per_distance_assembly import _power_integral as scalar_power_integral
+from per_distance_assembly import per_distance_assembly
 
 from fracch.errors import AssemblyError, ConfigurationError
 from fracch.mesh import build_uniform_mesh, interpolate
 from fracch.operators import (
-    _GAUSS_ORDER,
     FracExponents,
     _power_integral,
     _self_pair_integral,
-    _separated_local,
+    _separated_blocks,
     _touching_local,
     assemble_gagliardo,
     build_operator_set,
@@ -106,8 +107,6 @@ def _two_sided_exterior(mesh, s, k):
 def _element_pair_reference(mesh, s, C_s):
     """Stiffness matrix by visiting every element pair (k, l), k <= l."""
     n, h = mesh.n_elems, mesh.h
-    pts, wts = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-    pts, wts = 0.5 * (pts + 1.0), 0.5 * wts
     raw = np.zeros((n - 1, n - 1))
 
     def scatter(nodes, block, weight):
@@ -122,20 +121,51 @@ def _element_pair_reference(mesh, s, C_s):
         if k + 1 < n:
             scatter((k, k + 1, k + 2), _touching_local(h, s), 2.0)
         for l in range(k + 2, n):
-            scatter((k, k + 1, l, l + 1), _separated_local(h, s, l - k, pts, wts), 2.0)
+            scatter((k, k + 1, l, l + 1), _separated_blocks(h, s, l - k), 2.0)
         scatter((k, k + 1), _two_sided_exterior(mesh, s, k), 1.0)
     A = 0.5 * C_s * raw
     return 0.5 * (A + A.T)
 
 
+_EXPONENTS = [0.01, 0.25, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.75, 0.99]
+
+
 @pytest.mark.parametrize("n", [2, 3, 8, 33])
-@pytest.mark.parametrize("s", [0.01, 0.25, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.75, 0.99])
+@pytest.mark.parametrize("s", _EXPONENTS)
 def test_assembly_matches_element_pair_reference(n, s):
     mesh = build_uniform_mesh(-1.0, 1.0, n)
     C = normalization_constant(1, s)
     A = assemble_gagliardo(mesh, s, C)
     ref = _element_pair_reference(mesh, s, C)
     assert np.linalg.norm(A - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("s", _EXPONENTS)
+def test_assembly_matches_per_distance_assembly(n, s):
+    mesh = build_uniform_mesh(-1.0, 1.0, n)
+    C = normalization_constant(1, s)
+    A = assemble_gagliardo(mesh, s, C)
+    ref = per_distance_assembly(mesh, s, C)
+    assert np.all(np.isfinite(A))
+    # The complement moments of element k cancel to about k^2 eps relative, so
+    # a one-ulp difference between numpy's array log and power and the scalar
+    # math ones moves the matrix by up to about n^(2-2s) eps normwise.
+    tol = max(1e-12, 4.0 * n ** (2.0 - 2.0 * s) * np.finfo(float).eps)
+    assert np.linalg.norm(A - ref, 2) <= tol * np.linalg.norm(ref, 2)
+
+
+@pytest.mark.parametrize("p", [-1.0, -0.98, -0.5, 0.0, 0.98, 1.5])
+def test_power_integral_is_elementwise(p):
+    # mixed lo = 0 and lo > 0 entries, and the log case p = -1
+    lo = np.array([0.0, 0.25, 1.0, 7.0, 1e3]) if p > -1.0 else np.array([0.25, 1.0, 7.0, 1e3])
+    hi = lo + 0.5
+    got = _power_integral(lo, hi, p)
+    ref = np.array([scalar_power_integral(a, b, p) for a, b in zip(lo, hi)])
+    assert got.shape == lo.shape
+    assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
+    with pytest.raises(AssemblyError):
+        _power_integral(np.array([0.0, 1.0]), 2.0, -1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -202,6 +232,14 @@ def test_dual_norm_zero_and_solve_oracle(ops8):
     x = np.linalg.solve(ops8.A_s, f)
     assert val > 0
     assert abs(val - math.sqrt(f @ x)) < 1e-12 * val
+
+
+def test_solve_M_matches_dense_solve(ops8, ops64, rng):
+    for ops in (ops8, ops64):
+        for _ in range(5):
+            f = rng.standard_normal(ops.mesh.dof_count)
+            ref = np.linalg.solve(ops.M, f)
+            assert np.linalg.norm(ops.solve_M(f) - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_dual_norm_rejects_indefinite():
