@@ -3,9 +3,12 @@
 A stationary state solves A_sigma phi + b_g(phi) = 0 in the dual space.  Its
 linearization L = A_sigma + B_g'(phi) is symmetric; the generalized pencil
 (L, M) yields the spectrum, a tolerance-based kernel, and the L2-orthogonal
-projection P onto it.  Finiteness of the condition number of L + M P is the
-discrete stand-in for the isomorphism property behind the gradient
-inequality, and the probe below samples that inequality's ratio directly.
+projection P onto it.  The spectrum comes from an eigenvalues-only solve, and
+eigenvectors are computed for the kernel alone, when it is non-empty.
+Finiteness of the condition number of L + M P, taken from the eigenvalues of
+that symmetric matrix, is the discrete stand-in for the isomorphism property
+behind the gradient inequality, and the probe below samples that
+inequality's ratio directly.
 """
 
 from __future__ import annotations
@@ -127,29 +130,40 @@ def kernel_and_projection(
 def _pencil_kernel(
     L: np.ndarray, M: np.ndarray, kernel_tol: float | None
 ) -> tuple[np.ndarray, list, np.ndarray]:
-    """Eigenvalues, near-kernel basis and projection from one solve of the pencil."""
-    mu, V = eigh(L, M)
+    """Pencil eigenvalues, near-kernel basis and projection.
+
+    Eigenvectors are computed for the kernel only, and only when it is
+    non-empty: the eigenvalues are sorted, so |mu| < kernel_tol is one
+    contiguous run of them, which one subset solve returns.
+    """
+    mu = pencil_eigenvalues(L, M)
     if kernel_tol is None:
         kernel_tol = 1e-8 * float(np.max(np.abs(mu)))
-    idx = np.nonzero(np.abs(mu) < kernel_tol)[0]
-    basis = [V[:, k].copy() for k in idx]
-    if basis:
-        Vk = np.column_stack(basis)
-        P = Vk @ Vk.T @ M
-    else:
-        P = np.zeros_like(M)
-    return mu, basis, P
+    run = np.flatnonzero(np.abs(mu) < kernel_tol)
+    if run.size == 0:
+        return mu, [], np.zeros_like(M)
+    _, V = eigh(L, M, subset_by_index=(run[0], run[-1]))
+    return mu, list(V.T), V @ V.T @ M
 
 
 def isomorphism_check(L: np.ndarray, M: np.ndarray, P_mat: np.ndarray) -> float:
-    """Condition estimate of L + M P; finite means discrete isomorphism."""
-    cond = float(np.linalg.cond(L + M @ P_mat))
-    return cond if math.isfinite(cond) else math.inf
+    """Condition number of L + M P; finite means discrete isomorphism.
+
+    L + M P is symmetric (M P = M V V^T M), so its singular values are the
+    absolute values of its eigenvalues.  An exactly singular matrix gives
+    inf, a non-finite one raises LinAlgError.
+    """
+    A = L + M @ P_mat if P_mat.any() else L
+    if not np.isfinite(A).all():
+        raise np.linalg.LinAlgError("non-finite entries in L + M P")
+    lam = np.abs(np.linalg.eigvalsh(A))
+    lo, hi = float(lam.min()), float(lam.max())
+    return hi / lo if lo > 0.0 else math.inf
 
 
 def pencil_eigenvalues(L: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Sorted generalized eigenvalues of the symmetric pencil (L, M)."""
-    return eigh(L, M, eigvals_only=True)
+    """Sorted generalized eigenvalues of the symmetric pencil (L, M), no eigenvectors."""
+    return eigh(L, M, eigvals_only=True, driver="gvx")
 
 
 def complete_report(
@@ -157,8 +171,9 @@ def complete_report(
 ) -> EquilibriumReport:
     """Attach spectrum, kernel, projection quality, and a theta hint.
 
-    One decomposition of the pencil (L, M) feeds the spectrum, the kernel and
-    the projection.
+    One eigenvalues-only solve of the pencil (L, M) gives the spectrum and
+    locates the kernel; the kernel's eigenvectors, the projection and the
+    product M P are computed only when the kernel is non-empty.
     """
     L = linearize(ctx, rep.phi)
     M = ctx.ops.M

@@ -46,7 +46,7 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .energy import EnergyContext, add_tridiagonal, energy, load_vector, weighted_mass
 from .errors import (
@@ -140,15 +140,14 @@ def _newton_delta(ops, tau: float, Bp, F: np.ndarray) -> np.ndarray:
     S = ops.step_block() / tau
     S += ops.A_sigma
     add_tridiagonal(S, *Bp)
-    try:
-        # S.T is S's Fortran-ordered view, so LAPACK factors it in place
-        factor = cho_factor(S.T, overwrite_a=True, check_finite=False)
-    except LinAlgError as exc:
+    # S.T is S's Fortran-ordered view, so LAPACK factors it in place
+    factor, info = dpotrf(S.T, overwrite_a=1, clean=0)
+    if info > 0:
         raise JacobianSingularError(
             f"step matrix not positive definite at tau={tau} because beta' < 0 somewhere "
             "(potential.lambda below the tightest monotone split)"
-        ) from exc
-    return cho_solve(factor, -F, check_finite=False)
+        )
+    return dpotrs(factor, -F)[0]
 
 
 def step(

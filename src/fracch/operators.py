@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, toeplitz, LinAlgError
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dpotrs, dpttrf, dpttrs
 from scipy.special import gamma as _gamma
 
 from .errors import AssemblyError, ConfigurationError
@@ -339,7 +339,9 @@ class OperatorSet:
         return dpttrs(*self._factors["M"], f)[0]
 
     def solve_A_s(self, f: np.ndarray) -> np.ndarray:
-        return cho_solve(self._factor("A_s", self.A_s), f, check_finite=False)
+        """A_s^{-1} f: LAPACK potrs on the cached Cholesky factor."""
+        c, lower = self._factor("A_s", self.A_s)
+        return dpotrs(c, f, lower=lower)[0]
 
     def step_block(self) -> np.ndarray:
         """P = M A_s^{-1} M, the tau-free part of the time stepper's step matrix."""

@@ -6,6 +6,7 @@ from scipy.linalg import eigh
 
 from surgery import plant_zero_mode
 
+from fracch import equilibrium
 from fracch.energy import EnergyContext, energy_gradient
 from fracch.equilibrium import (
     EquilibriumReport,
@@ -115,6 +116,80 @@ def test_isomorphism_check(ctx64, rng):
     X = rng.standard_normal((10, 10))
     spd = X @ X.T + 10 * np.eye(10)
     assert math.isfinite(isomorphism_check(spd, np.eye(10), np.zeros((10, 10))))
+
+
+def test_pencil_eigenvalues_match_full_solve(ctx64):
+    L = linearize(ctx64, np.zeros(ctx64.ops.mesh.dof_count))
+    full, _ = eigh(L, ctx64.ops.M)
+    mu = pencil_eigenvalues(L, ctx64.ops.M)
+    assert np.max(np.abs(mu - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_planted_two_dimensional_kernel_recovered(ctx64, monkeypatch, first):
+    # first = 1 shifts one pencil eigenvalue below zero, so the kernel is an
+    # interior run (1, 2) of the sorted spectrum rather than its start
+    M = ctx64.ops.M
+    L = linearize(ctx64, np.zeros(ctx64.ops.mesh.dof_count))
+    if first:
+        low = pencil_eigenvalues(L, M)[:2]
+        L = L - 0.5 * (low[0] + low[1]) * M
+    Lt, mode_a = plant_zero_mode(L, M, index=first)
+    Lt, mode_b = plant_zero_mode(Lt, M, index=first + 1)
+    monkeypatch.setattr(equilibrium, "linearize", lambda ctx, phi: Lt)
+    rep = complete_report(ctx64, solve_stationary(ctx64, np.zeros(ctx64.ops.mesh.dof_count)))
+    assert rep.kernel_dim == 2
+    assert rep.theta_hint is None
+    tol = 1e-8 * np.max(np.abs(rep.pencil_eigs))  # the default kernel tolerance
+    assert np.count_nonzero(rep.pencil_eigs <= -tol) == first
+    B = np.column_stack(rep.kernel_basis)
+    assert np.max(np.abs(B.T @ M @ B - np.eye(2))) < 1e-10  # M-orthonormal
+    for mode in (mode_a, mode_b):  # each planted mode lies in the recovered span
+        assert abs(np.linalg.norm(B.T @ M @ mode) - 1.0) < 1e-8
+    basis, P = kernel_and_projection(Lt, M)
+    assert len(basis) == 2
+    assert np.max(np.abs(P @ P - P)) < 1e-10
+    assert np.max(np.abs(M @ P - P.T @ M)) < 1e-10  # M-self-adjoint
+    assert math.isfinite(rep.iso_condition)
+
+
+def test_empty_kernel_solves_for_eigenvalues_only(ctx64, monkeypatch):
+    calls = []
+
+    def recording_eigh(*args, **kwargs):
+        calls.append(kwargs)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "eigh", recording_eigh)
+    rep = complete_report(ctx64, solve_stationary(ctx64, np.zeros(ctx64.ops.mesh.dof_count)))
+    assert rep.kernel_dim == 0
+    assert calls and all(kw.get("eigvals_only") for kw in calls)
+
+
+@pytest.mark.parametrize("kind", ["spd", "indefinite"])
+@pytest.mark.parametrize("seed", range(4))
+def test_isomorphism_check_equals_cond(kind, seed):
+    rng = np.random.default_rng(seed)
+    n = 8 + 9 * seed
+    X = rng.standard_normal((n, n))
+    A = X @ X.T + 0.1 * np.eye(n) if kind == "spd" else X + X.T
+    cond = isomorphism_check(A, np.eye(n), np.zeros((n, n)))
+    assert cond == pytest.approx(np.linalg.cond(A), rel=1e-12)
+
+
+@pytest.mark.parametrize("A", [np.diag([2.0, 0.0, 1.0]), np.zeros((3, 3))])
+def test_isomorphism_check_singular_is_inf(A):
+    # a RuntimeWarning here would be an error under the pytest settings
+    assert isomorphism_check(A, np.eye(3), np.zeros((3, 3))) == math.inf
+    assert np.linalg.cond(A) == math.inf
+
+
+@pytest.mark.parametrize("where", ["everywhere", "upper"])
+def test_isomorphism_check_nan_raises(where):
+    A = np.full((3, 3), np.nan) if where == "everywhere" else np.eye(3)
+    A[0, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        isomorphism_check(A, np.eye(3), np.zeros((3, 3)))
 
 
 def test_complete_report_fields(ctx64):
