@@ -83,15 +83,16 @@ def run_simulate(cfg: RunConfig, out: str | None) -> int:
         cw.writerow(CERTIFICATE_COLUMNS)
         steps = march(ctx, cfg.build_step_config(), u0, cfg.t_end)
         for step_idx, (t, _, cert) in enumerate(steps, 1):
+            # dual_norm_ut = |M u_t|_{A_s^-1} equals w_xnorm, since A_s w_n = -M u_t
+            w_xnorm = _fmt(math.sqrt(max(cert.w_normsq, 0.0)))
             tw.writerow([
-                step_idx, _fmt(t), _fmt(cert.tau_used), _fmt(cert.e_after),
-                _fmt(math.sqrt(max(cert.w_normsq, 0.0))), _fmt(cert.u_xnorm_sigma),
-                _fmt(cert.u_linf), _fmt(cert.dual_norm_ut), _fmt(cert.defect),
+                step_idx, _fmt(t), _fmt(cert.tau_used), _fmt(cert.e_after), w_xnorm,
+                _fmt(cert.u_xnorm_sigma), _fmt(cert.u_linf), w_xnorm, _fmt(cert.defect),
             ])
             cw.writerow([
                 step_idx, _fmt(t), _fmt(cert.tau_used), _fmt(cert.e_before),
                 _fmt(cert.e_after), _fmt(cert.w_normsq), _fmt(cert.du_msq),
-                _fmt(cert.lambda_half_du), _fmt(cert.defect), int(cert.satisfied),
+                _fmt(0.5 * ctx.pot.lam * cert.du_msq), _fmt(cert.defect), int(cert.satisfied),
             ])
             tfh.flush()
     print(f"wrote {traj_path} and {cert_path}")
@@ -222,7 +223,11 @@ def run_rates(cfg: RunConfig, out: str | None) -> int:
         with open(eq_path) as fh:
             eq = json.load(fh)  # JSONDecodeError is a ValueError
         phi = check_coeffs(ctx.ops.mesh, eq["phi"])  # also rejects a phi of another mesh
-        theta = eq.get("theta_hint") or 0.5
+        theta = eq.get("theta_hint")
+        if theta is None:
+            theta = 0.5
+        elif isinstance(theta, bool) or not isinstance(theta, (int, float)) or not 0 < theta < 1:
+            raise ValueError(f"theta_hint must be null or a number in (0, 1), got {theta!r}")
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise MissingInputError(f"{eq_path} is malformed: {exc!r}") from None
     phi_energy = energy(ctx, phi)

@@ -32,10 +32,14 @@ _DEFAULTS = {
     "output": {"dir": "fracch-out"},
 }
 
-# dense dof x dof float64 arrays a simulate run holds at once: A_s, A_sigma,
-# M, the Cholesky factors of M and A_s, the stepper's P = M A_s^{-1} M, and
-# either the Newton step matrix (factored in place) or, while P is first
-# built, the intermediate A_s^{-1} M
+# the most dense dof x dof float64 arrays a command holds at once (M itself is
+# factored in O(n)).  equilibrium and spectrum with s != sigma hold seven:
+# A_s, A_sigma, M, the Cholesky factor of A_sigma, the linearization L and
+# the pencil solve's copies of L and M.  simulate holds six (five at
+# s = sigma, where A_sigma is A_s): A_s, A_sigma, M, the factor of A_s,
+# P = M A_s^{-1} M and either A_s^{-1} M, while P is built, or the Newton
+# step matrix.  verify holds A_s, A_sigma, M and poincare_report's two
+# 1020 x dof sample blocks, at most seven from dof 510 on.
 _DENSE_ARRAYS = 7
 
 

@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fracch
 from fracch.cli import CERTIFICATE_COLUMNS, TRAJECTORY_COLUMNS, _initial_data, main
-from fracch.config import RunConfig, parse_config
+from fracch.config import _DENSE_ARRAYS, RunConfig, parse_config
 from fracch.errors import AssemblyError, ConfigurationError
 from fracch.evolution import evolve
 
@@ -82,23 +83,26 @@ def test_simulate_csvs_agree_with_each_other_and_evolve(quick_cfg, tmp_path):
     traj_rows = _read_rows(tmp_path / "out" / "trajectory.csv")
     cert_rows = _read_rows(tmp_path / "out" / "certificates.csv")
     assert len(traj_rows) == len(cert_rows) == 20
+    cfg = parse_config(quick_cfg)
+    ctx = cfg.build_context()
     for tr, cr in zip(traj_rows, cert_rows):
         assert (tr["step"], tr["t"], tr["tau_used"]) == (cr["step"], cr["t"], cr["tau_used"])
         assert tr["energy"] == cr["e_after"]
         assert tr["cert_defect"] == cr["defect"]
         assert float(tr["w_xnorm"]) == np.sqrt(float(cr["w_normsq"]))
+        # the two columns the step does not record, derived where the rows are written
+        assert tr["dual_norm_ut"] == tr["w_xnorm"]
+        assert float(cr["lambda_half_du"]) == 0.5 * ctx.pot.lam * float(cr["du_msq"])
 
-    cfg = parse_config(quick_cfg)
-    ctx = cfg.build_context()
     traj = evolve(ctx, cfg.build_step_config(), _initial_data(cfg, ctx.ops.mesh.dof_count),
                   cfg.t_end)
     certs = traj.certificates
     assert [float(r["t"]) for r in traj_rows] == list(traj.times)
     for name in CERTIFICATE_COLUMNS[2:]:
-        assert [float(r[name]) for r in cert_rows] == list(certs[name].astype(float)), name
+        if name != "lambda_half_du":
+            assert [float(r[name]) for r in cert_rows] == list(certs[name].astype(float)), name
     for col, field in (("energy", "e_after"), ("u_xnorm_sigma", "u_xnorm_sigma"),
-                       ("u_linf", "u_linf"), ("dual_norm_ut", "dual_norm_ut"),
-                       ("cert_defect", "defect")):
+                       ("u_linf", "u_linf"), ("cert_defect", "defect")):
         assert [float(r[col]) for r in traj_rows] == list(certs[field]), col
 
 
@@ -129,6 +133,29 @@ def test_config_error_exit_code(tmp_path, quick_cfg, capsys):
     assert len(err) == 7
     assert all(line.startswith("configuration error: ") for line in err)
     assert "mesh.n_elems" in err[-1] and "physical memory" in err[-1]
+
+
+def test_dense_array_count_bounds_the_peak_memory(tmp_path):
+    # the memory check counts _DENSE_ARRAYS dof x dof float64 arrays: equilibrium
+    # holds that many at its peak, simulate one fewer (config._DENSE_ARRAYS lists them)
+    dof = 512
+    cfg = _write(tmp_path, "cfg.json", {
+        "mesh": {"n_elems": dof + 1},
+        "frac": {"s": 0.3, "sigma": 0.7},
+        "time": {"tau": 1e-3, "t_end": 3e-3},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    unit = 8 * dof**2
+    peaks = {}
+    for command in ("equilibrium", "simulate"):
+        tracemalloc.start()
+        try:
+            assert main([command, "--config", cfg]) == 0
+            peaks[command] = tracemalloc.get_traced_memory()[1] / unit
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) <= _DENSE_ARRAYS + 0.5, peaks
+    assert peaks["equilibrium"] >= _DENSE_ARRAYS - 1, peaks
 
 
 @pytest.mark.parametrize("error", [
@@ -174,12 +201,26 @@ def test_rates_without_inputs_is_missing_input(quick_cfg, tmp_path):
     assert main(["rates", "--config", quick_cfg, "--out", str(tmp_path / "empty")]) == 3
 
 
+def _eq_with_theta(theta):
+    return json.dumps({"phi": [0.0] * 15, "theta_hint": theta})
+
+
 @pytest.mark.parametrize("name, content", [
     ("equilibrium.json", "{not json"),
     ("equilibrium.json", json.dumps({"theta_hint": 0.5})),
     ("equilibrium.json", json.dumps({"phi": [0.0] * 7})),  # the mesh has 15 unknowns
     ("trajectory.csv", "step,t,energy\n1,0.01,abc\n"),
-], ids=["not-json", "no-phi", "phi-of-another-mesh", "non-numeric-energy"])
+    # theta_hint is null (read as 0.5) or a number in (0, 1), as lsi_probe takes it
+    ("equilibrium.json", _eq_with_theta("x")),
+    ("equilibrium.json", _eq_with_theta({"a": 1})),
+    ("equilibrium.json", _eq_with_theta(math.nan)),
+    ("equilibrium.json", _eq_with_theta(0)),
+    ("equilibrium.json", _eq_with_theta(-1)),
+    ("equilibrium.json", _eq_with_theta(2.5)),
+    ("equilibrium.json", _eq_with_theta(True)),
+], ids=["not-json", "no-phi", "phi-of-another-mesh", "non-numeric-energy",
+        "theta-string", "theta-object", "theta-nan", "theta-zero", "theta-negative",
+        "theta-above-one", "theta-bool"])
 def test_rates_on_malformed_inputs_is_missing_input(tmp_path, capsys, name, content):
     out = tmp_path / "out"
     cfg = _write(tmp_path, "cfg.json", {
