@@ -4,7 +4,6 @@ from .config import RunConfig, parse_config
 from .diagnostics import (
     LojFit,
     PoincareReport,
-    decay_fit,
     fit_curve_points,
     fit_decay_series,
     omega_limit_distances,
@@ -57,7 +56,6 @@ from .operators import (
     OperatorSet,
     assemble_gagliardo,
     build_operator_set,
-    dual_norm,
     load_stiffness,
     normalization_constant,
     rayleigh_lambda1,

@@ -40,7 +40,7 @@ from .errors import (
 from .evolution import evolve, march
 from .mesh import check_coeffs
 from .operators import xnorm
-from .potentials import YosidaParams, yosida_apply, yosida_resolvent
+from .potentials import YosidaParams, yosida_resolvent
 
 TRAJECTORY_COLUMNS = (
     "step", "t", "tau_used", "energy", "w_xnorm", "u_xnorm_sigma",
@@ -99,7 +99,8 @@ def run_simulate(cfg: RunConfig, out: str | None) -> int:
     return 0
 
 
-def _equilibrium_payload(cfg: RunConfig):
+def run_equilibrium(cfg: RunConfig, out: str | None) -> int:
+    out = _out_dir(cfg, out)
     ctx = cfg.build_context()
     seed = default_equilibrium_seed(ctx)
     rep = solve_stationary(ctx, seed, tol=cfg.newton_tol, max_iter=cfg.newton_max)
@@ -109,17 +110,11 @@ def _equilibrium_payload(cfg: RunConfig):
         "residual_dual": rep.residual_dual,
         "linf": rep.linf,
         "pencil_eigs": [float(x) for x in rep.pencil_eigs],
-        "kernel_dim": rep.kernel_dim,
+        "kernel_dim": len(rep.kernel_basis),
         "kernel_basis": [[float(x) for x in v] for v in rep.kernel_basis],
         "iso_condition": rep.iso_condition if math.isfinite(rep.iso_condition) else None,
         "theta_hint": rep.theta_hint,
     }
-    return ctx, rep, payload
-
-
-def run_equilibrium(cfg: RunConfig, out: str | None) -> int:
-    out = _out_dir(cfg, out)
-    _, _, payload = _equilibrium_payload(cfg)
     path = os.path.join(out, "equilibrium.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
@@ -129,9 +124,11 @@ def run_equilibrium(cfg: RunConfig, out: str | None) -> int:
 
 def run_spectrum(cfg: RunConfig, out: str | None) -> int:
     out = _out_dir(cfg, out)
-    ctx, rep, _ = _equilibrium_payload(cfg)
+    ctx = cfg.build_context()
+    seed = default_equilibrium_seed(ctx)
+    rep = solve_stationary(ctx, seed, tol=cfg.newton_tol, max_iter=cfg.newton_max)
     op_eigs = pencil_eigenvalues(ctx.ops.A_sigma, ctx.ops.M)
-    lin_eigs = rep.pencil_eigs
+    lin_eigs = pencil_eigenvalues(linearize(ctx, rep.phi), ctx.ops.M)
     path = os.path.join(out, "spectrum.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -168,12 +165,12 @@ def run_verify(cfg: RunConfig, out: str | None) -> int:
     details = {}
     for eps in (1.0, 0.1, 0.01):
         yp = YosidaParams(epsilon=eps)
-        be = yosida_apply(pot, yp, r)
         j = yosida_resolvent(pot, yp, r)
+        be = (r - j) / eps  # beta_eps(r), as yosida_apply forms it
         bound_ok = bool(np.all(np.abs(be) <= np.abs(pot.beta(r)) + 1e-9))
         r2 = rng.uniform(-5.0, 5.0, size=1000)
         j2 = yosida_resolvent(pot, yp, r2)
-        be2 = yosida_apply(pot, yp, r2)
+        be2 = (r2 - j2) / eps
         lip_ok = bool(np.all(np.abs(be - be2) <= np.abs(r - r2) / eps + 1e-9))
         nonexp_ok = bool(np.all(np.abs(j - j2) <= np.abs(r - r2) + 1e-9))
         details[str(eps)] = {"bound": bound_ok, "lipschitz": lip_ok, "nonexpansive": nonexp_ok}
@@ -212,8 +209,11 @@ def run_rates(cfg: RunConfig, out: str | None) -> int:
     try:
         with open(traj_path, newline="") as fh:
             for row in csv.DictReader(fh):
-                times.append(float(row["t"]))
-                energies.append(float(row["energy"]))
+                t, e = float(row["t"]), float(row["energy"])
+                if not (math.isfinite(t) and math.isfinite(e)):
+                    raise ValueError(f"non-finite t or energy in step {row.get('step')}")
+                times.append(t)
+                energies.append(e)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise MissingInputError(f"{traj_path} is malformed: {exc!r}") from None
     if not times:

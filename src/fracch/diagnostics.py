@@ -107,11 +107,6 @@ def fit_decay_series(
     return fit
 
 
-def decay_fit(traj: Trajectory, phi_energy: float, theta: float) -> LojFit:
-    """Decay-rate fit of a recorded trajectory against a limit energy."""
-    return fit_decay_series(traj.times, traj.certificates.e_after, phi_energy, theta)
-
-
 def fit_curve_points(
     times: np.ndarray, energies: np.ndarray, fit: LojFit
 ) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Stationary states, their linearization, kernel handling, and the LSI probe.
 
-A stationary state solves A_sigma phi + b_g(phi) = 0 in the dual space.  Its
+A stationary state solves A_sigma phi + b_g(phi) = 0 in the dual space, by a
+damped Newton whose last residual is the reported one.  Its
 linearization L = A_sigma + B_g'(phi) is symmetric; the generalized pencil
 (L, M) yields the spectrum, a tolerance-based kernel, and the L2-orthogonal
 projection P onto it.  The spectrum comes from an eigenvalues-only solve, and
@@ -38,7 +39,6 @@ class EquilibriumReport:
     residual_dual: float
     linf: float
     pencil_eigs: np.ndarray | None = None
-    kernel_dim: int | None = None
     kernel_basis: list | None = None
     iso_condition: float | None = None
     theta_hint: float | None = None
@@ -52,11 +52,12 @@ def solve_semilinear(
     u_init: np.ndarray | None = None,
     tol: float = 1e-10,
     max_iter: int = 60,
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """Newton with backtracking for A_sigma u + b_fn(u) = rhs.
 
     The merit function is the dual norm of the residual; a step is accepted
     once it produces a sufficient decrease, halving the step length otherwise.
+    Returns the solution and the dual norm of its residual.
     """
     if tol <= 0:
         raise ConfigurationError(f"tolerance must be positive, got {tol}")
@@ -70,7 +71,7 @@ def solve_semilinear(
     res = ops.dual_norm_sigma(F)
     for _ in range(max_iter):
         if res < tol:
-            return u
+            return u, res
         B = weighted_mass(ctx, fn_prime(ctx.values_at_quad(u)))
         jac = add_tridiagonal(ops.A_sigma.copy(), *B)
         try:
@@ -93,18 +94,21 @@ def solve_semilinear(
                 f"stationary line search stalled at residual {res:.3e}"
             )
     if res < tol:
-        return u
+        return u, res
     raise NewtonDivergenceError(f"stationary Newton stopped at residual {res:.3e}")
 
 
 def solve_stationary(
     ctx: EnergyContext, u_init: np.ndarray, tol: float = 1e-10, max_iter: int = 60
 ) -> EquilibriumReport:
-    """Solve the stationary problem from u_init; fills phi/residual/linf only."""
+    """Solve the stationary problem from u_init; fills phi/residual/linf only.
+
+    The residual is the line search's last one: with rhs = 0 it is the
+    energy gradient A_sigma phi + b_g(phi) at phi, so it is not evaluated again.
+    """
     rhs = np.zeros(ctx.ops.mesh.dof_count)
-    phi = solve_semilinear(ctx, rhs, ctx.pot.g, ctx.pot.g_prime,
-                           u_init=u_init, tol=tol, max_iter=max_iter)
-    res = ctx.ops.dual_norm_sigma(energy_gradient(ctx, phi))
+    phi, res = solve_semilinear(ctx, rhs, ctx.pot.g, ctx.pot.g_prime,
+                                u_init=u_init, tol=tol, max_iter=max_iter)
     return EquilibriumReport(phi=phi, residual_dual=res, linf=linf_norm(ctx.ops.mesh, phi))
 
 
@@ -181,7 +185,6 @@ def complete_report(
     return replace(
         rep,
         pencil_eigs=mu,
-        kernel_dim=len(basis),
         kernel_basis=basis,
         iso_condition=isomorphism_check(L, M, P),
         theta_hint=0.5 if not basis else None,

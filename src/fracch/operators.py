@@ -43,8 +43,8 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh, toeplitz, LinAlgError
-from scipy.linalg.lapack import dpotrs, dpttrf, dpttrs
+from scipy.linalg import eigh, toeplitz
+from scipy.linalg.lapack import dpotrf, dpotrs, dpttrf, dpttrs
 from scipy.special import gamma as _gamma
 
 from .errors import AssemblyError, ConfigurationError
@@ -277,20 +277,6 @@ def xnorm(A: np.ndarray, v: np.ndarray) -> float:
     return math.sqrt(max(float(v @ A @ v), 0.0))
 
 
-def dual_norm(A: np.ndarray, f: np.ndarray, factor=None) -> float:
-    """Dual norm sqrt(f^T A^{-1} f); factor may carry a cached Cholesky."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (A.shape[0],):
-        raise ValueError(f"dimension mismatch: matrix {A.shape}, vector {f.shape}")
-    if factor is None:
-        try:
-            factor = cho_factor(A)
-        except LinAlgError as exc:
-            raise AssemblyError("stiffness matrix is not positive definite") from exc
-    x = cho_solve(factor, f)
-    return math.sqrt(max(float(f @ x), 0.0))
-
-
 def rayleigh_lambda1(A_sigma: np.ndarray, M: np.ndarray) -> float:
     """Smallest generalized eigenvalue of A_sigma v = lambda M v."""
     vals = eigh(A_sigma, M, eigvals_only=True, subset_by_index=(0, 0))
@@ -303,7 +289,9 @@ class OperatorSet:
 
     Immutable after construction; factorizations and the time stepper's
     block P = M A_s^{-1} M are created lazily on first use and then treated
-    as read-only.
+    as read-only.  A_s and A_sigma each keep one raw LAPACK potrf factor, and
+    every solve with them, the dual norms sqrt(f^T A^{-1} f) included, is one
+    potrs on it; only f is checked for finiteness, in O(n).
     """
 
     A_s: np.ndarray
@@ -315,19 +303,26 @@ class OperatorSet:
     exps: FracExponents
     _factors: dict = field(default_factory=dict, repr=False)
 
-    def _factor(self, key: str, matrix: np.ndarray):
+    def _cholesky(self, key: str) -> np.ndarray:
         if key not in self._factors:
-            try:
-                self._factors[key] = cho_factor(matrix)
-            except LinAlgError as exc:
-                raise AssemblyError(f"matrix {key} is not positive definite") from exc
+            c, info = dpotrf(getattr(self, key), clean=0)
+            if info > 0:
+                raise AssemblyError(f"matrix {key} is not positive definite")
+            self._factors[key] = c
         return self._factors[key]
 
+    def _dual_norm(self, key: str, f: np.ndarray) -> float:
+        f = np.asarray(f, dtype=float)
+        if not np.isfinite(f).all():
+            raise ValueError("dual norm of a vector with non-finite entries")
+        x = dpotrs(self._cholesky(key), f)[0]
+        return math.sqrt(max(float(f @ x), 0.0))
+
     def dual_norm_s(self, f: np.ndarray) -> float:
-        return dual_norm(self.A_s, f, factor=self._factor("A_s", self.A_s))
+        return self._dual_norm("A_s", f)
 
     def dual_norm_sigma(self, f: np.ndarray) -> float:
-        return dual_norm(self.A_sigma, f, factor=self._factor("A_sigma", self.A_sigma))
+        return self._dual_norm("A_sigma", f)
 
     def solve_M(self, f: np.ndarray) -> np.ndarray:
         """M^{-1} f in O(n): M is tridiagonal, factored once as L D L^T."""
@@ -340,8 +335,7 @@ class OperatorSet:
 
     def solve_A_s(self, f: np.ndarray) -> np.ndarray:
         """A_s^{-1} f: LAPACK potrs on the cached Cholesky factor."""
-        c, lower = self._factor("A_s", self.A_s)
-        return dpotrs(c, f, lower=lower)[0]
+        return dpotrs(self._cholesky("A_s"), f)[0]
 
     def step_block(self) -> np.ndarray:
         """P = M A_s^{-1} M, the tau-free part of the time stepper's step matrix."""

@@ -105,11 +105,13 @@ def _run_sampled_checks(pot: Potential) -> None:
         )
 
 
+_ROOT_TOL = 1e-12  # resolvent residual |y + eps beta(y) - r| accepted as a root
+_ROOT_MAX_ITER = 100
+
+
 @dataclass(frozen=True)
 class YosidaParams:
     epsilon: float
-    root_tol: float = 1e-12
-    max_iter: int = 100
 
     def __post_init__(self):
         if not np.isfinite(self.epsilon) or self.epsilon <= 0:
@@ -129,8 +131,8 @@ def yosida_resolvent(pot: Potential, yp: YosidaParams, r):
     hi = np.maximum(r_arr, 0.0)
     y = r_arr.copy()
     residual = y + eps * np.asarray(pot.beta(y), dtype=float) - r_arr
-    for _ in range(yp.max_iter):
-        if np.all(np.abs(residual) <= yp.root_tol):
+    for _ in range(_ROOT_MAX_ITER):
+        if np.all(np.abs(residual) <= _ROOT_TOL):
             break
         hi = np.where(residual > 0.0, np.minimum(hi, y), hi)
         lo = np.where(residual <= 0.0, np.maximum(lo, y), lo)
@@ -138,11 +140,11 @@ def yosida_resolvent(pot: Potential, yp: YosidaParams, r):
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = y - residual / slope
         bad = ~np.isfinite(newton) | (newton <= lo) | (newton >= hi)
-        y = np.where(bad & (np.abs(residual) > yp.root_tol),
+        y = np.where(bad & (np.abs(residual) > _ROOT_TOL),
                      0.5 * (lo + hi),
-                     np.where(np.abs(residual) > yp.root_tol, newton, y))
+                     np.where(np.abs(residual) > _ROOT_TOL, newton, y))
         residual = y + eps * np.asarray(pot.beta(y), dtype=float) - r_arr
-    if np.any(np.abs(residual) > yp.root_tol):
+    if np.any(np.abs(residual) > _ROOT_TOL):
         raise NewtonDivergenceError(
             "resolvent iteration cap exceeded; is the custom beta monotone?"
         )

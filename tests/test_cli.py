@@ -201,6 +201,14 @@ def test_rates_without_inputs_is_missing_input(quick_cfg, tmp_path):
     assert main(["rates", "--config", quick_cfg, "--out", str(tmp_path / "empty")]) == 3
 
 
+def _with_cell(column, value):
+    def edit(text):  # sets the cell of step 5
+        rows = list(csv.reader(text.splitlines()))
+        rows[5][rows[0].index(column)] = value
+        return "\n".join(",".join(row) for row in rows) + "\n"
+    return edit
+
+
 def _eq_with_theta(theta):
     return json.dumps({"phi": [0.0] * 15, "theta_hint": theta})
 
@@ -210,6 +218,11 @@ def _eq_with_theta(theta):
     ("equilibrium.json", json.dumps({"theta_hint": 0.5})),
     ("equilibrium.json", json.dumps({"phi": [0.0] * 7})),  # the mesh has 15 unknowns
     ("trajectory.csv", "step,t,energy\n1,0.01,abc\n"),
+    # one non-finite cell in a real trajectory: the fit would write NaN or drop it
+    ("trajectory.csv", _with_cell("energy", "inf")),
+    ("trajectory.csv", _with_cell("energy", "-inf")),
+    ("trajectory.csv", _with_cell("energy", "nan")),
+    ("trajectory.csv", _with_cell("t", "inf")),
     # theta_hint is null (read as 0.5) or a number in (0, 1), as lsi_probe takes it
     ("equilibrium.json", _eq_with_theta("x")),
     ("equilibrium.json", _eq_with_theta({"a": 1})),
@@ -219,6 +232,7 @@ def _eq_with_theta(theta):
     ("equilibrium.json", _eq_with_theta(2.5)),
     ("equilibrium.json", _eq_with_theta(True)),
 ], ids=["not-json", "no-phi", "phi-of-another-mesh", "non-numeric-energy",
+        "energy-inf", "energy-minus-inf", "energy-nan", "t-inf",
         "theta-string", "theta-object", "theta-nan", "theta-zero", "theta-negative",
         "theta-above-one", "theta-bool"])
 def test_rates_on_malformed_inputs_is_missing_input(tmp_path, capsys, name, content):
@@ -230,6 +244,8 @@ def test_rates_on_malformed_inputs_is_missing_input(tmp_path, capsys, name, cont
     })
     assert main(["simulate", "--config", cfg]) == 0
     assert main(["equilibrium", "--config", cfg]) == 0
+    if callable(content):
+        content = content((out / name).read_text())
     (out / name).write_text(content)
     capsys.readouterr()
     assert main(["rates", "--config", cfg]) == 3
@@ -273,7 +289,7 @@ def test_non_finite_residual_exits_solver_divergence(quick_cfg, nan_from_first_u
     assert "still stalled after 10 tau halvings" in err[0]
 
 
-def test_equilibrium_and_spectrum(quick_cfg, tmp_path):
+def test_equilibrium_and_spectrum(quick_cfg, tmp_path, monkeypatch):
     assert main(["equilibrium", "--config", quick_cfg]) == 0
     payload = json.loads((tmp_path / "out" / "equilibrium.json").read_text())
     assert set(payload) == {
@@ -284,6 +300,11 @@ def test_equilibrium_and_spectrum(quick_cfg, tmp_path):
     assert payload["theta_hint"] == 0.5
     assert len(payload["phi"]) == 31
 
+    def unused(*args, **kwargs):
+        raise AssertionError("spectrum writes no kernel and no condition number")
+
+    monkeypatch.setattr(fracch.cli, "complete_report", unused)
+    monkeypatch.setattr(fracch.equilibrium, "isomorphism_check", unused)
     assert main(["spectrum", "--config", quick_cfg]) == 0
     with open(tmp_path / "out" / "spectrum.csv", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -293,9 +314,20 @@ def test_equilibrium_and_spectrum(quick_cfg, tmp_path):
     assert float(rows[1][1]) - 1.0 == pytest.approx(float(rows[1][2]), abs=1e-9)
 
 
-def test_verify_passes_on_default_config(tmp_path):
+def test_verify_passes_on_default_config(tmp_path, monkeypatch):
+    resolvent = fracch.potentials.yosida_resolvent
+    epsilons = []
+
+    def counted(pot, yp, r):
+        epsilons.append(yp.epsilon)
+        return resolvent(pot, yp, r)
+
+    # both bindings: yosida_apply looks the resolvent up in fracch.potentials
+    monkeypatch.setattr(fracch.potentials, "yosida_resolvent", counted)
+    monkeypatch.setattr(fracch.cli, "yosida_resolvent", counted)
     cfg = _write(tmp_path, "cfg.json", {})  # every key defaulted
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert epsilons == [1.0, 1.0, 0.1, 0.1, 0.01, 0.01]  # one resolvent per sample array
     payload = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert payload["all_pass"]
     assert set(payload["checks"]) == {"poincare", "duality", "yosida", "energy_stability"}

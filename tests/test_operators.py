@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from fracch.operators import (
     _touching_local,
     assemble_gagliardo,
     build_operator_set,
-    dual_norm,
     load_stiffness,
     normalization_constant,
     rayleigh_lambda1,
@@ -223,15 +223,17 @@ def test_dual_norm_identity(ops64, rng):
         assert abs(ops64.dual_norm_s(A @ v) - nv) < 1e-10 * nv
 
 
-def test_dual_norm_zero_and_solve_oracle(ops8):
-    dof = ops8.mesh.dof_count
-    assert dual_norm(ops8.A_s, np.zeros(dof)) == 0.0
+def test_dual_norm_zero_and_solve_oracle():
+    ops = build_operator_set(build_uniform_mesh(-1, 1, 8), FracExponents(0.3, 0.7))
+    dof = ops.mesh.dof_count
     f = np.zeros(dof)
     f[0] = 1.0
-    val = dual_norm(ops8.A_s, f)
-    x = np.linalg.solve(ops8.A_s, f)
-    assert val > 0
-    assert abs(val - math.sqrt(f @ x)) < 1e-12 * val
+    for A, norm in ((ops.A_s, ops.dual_norm_s), (ops.A_sigma, ops.dual_norm_sigma)):
+        assert norm(np.zeros(dof)) == 0.0
+        val = norm(f)
+        x = np.linalg.solve(A, f)
+        assert val > 0
+        assert abs(val - math.sqrt(f @ x)) < 1e-12 * val
 
 
 def test_solve_M_matches_dense_solve(ops8, ops64, rng):
@@ -242,10 +244,22 @@ def test_solve_M_matches_dense_solve(ops8, ops64, rng):
             assert np.linalg.norm(ops.solve_M(f) - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
-def test_dual_norm_rejects_indefinite():
-    A = np.diag([1.0, -1.0])
-    with pytest.raises(AssemblyError):
-        dual_norm(A, np.ones(2))
+def test_dual_norm_rejects_indefinite(ops8):
+    ops = replace(ops8, A_s=-ops8.A_s, _factors={})
+    f = np.ones(ops.mesh.dof_count)
+    with pytest.raises(AssemblyError, match="matrix A_s is not positive definite"):
+        ops.dual_norm_s(f)
+    with pytest.raises(AssemblyError, match="matrix A_s is not positive definite"):
+        ops.solve_A_s(f)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dual_norm_rejects_non_finite(ops8, bad):
+    f = np.ones(ops8.mesh.dof_count)
+    f[2] = bad
+    for norm in (ops8.dual_norm_s, ops8.dual_norm_sigma):
+        with pytest.raises(ValueError):
+            norm(f)
 
 
 def test_rayleigh_lambda1_refinement():

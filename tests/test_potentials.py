@@ -138,7 +138,7 @@ def test_resolvent_cap_on_nonmonotone_beta():
         g_hat=lambda r: -1.5 * np.asarray(r) ** 2, lam=1.0, check=False,
     )  # beta(r) = -2r, decreasing
     with pytest.raises(NewtonDivergenceError):
-        yosida_resolvent(pot, YosidaParams(epsilon=1.0, max_iter=30), 1.0)
+        yosida_resolvent(pot, YosidaParams(epsilon=1.0), 1.0)
 
 
 def test_yosida_params_validation():
