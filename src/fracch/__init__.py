@@ -59,6 +59,7 @@ from .operators import (
     load_stiffness,
     normalization_constant,
     rayleigh_lambda1,
+    reduce_pencil,
     save_stiffness,
     xnorm,
 )

@@ -108,6 +108,7 @@ def run_equilibrium(cfg: RunConfig, out: str | None) -> int:
     payload = {
         "phi": [float(x) for x in rep.phi],
         "residual_dual": rep.residual_dual,
+        "newton_history": [[res, alpha] for res, alpha in rep.newton_history],
         "linf": rep.linf,
         "pencil_eigs": [float(x) for x in rep.pencil_eigs],
         "kernel_dim": len(rep.kernel_basis),

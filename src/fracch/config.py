@@ -33,14 +33,15 @@ _DEFAULTS = {
 }
 
 # the most dense dof x dof float64 arrays a command holds at once (M itself is
-# factored in O(n)).  equilibrium and spectrum with s != sigma hold seven:
-# A_s, A_sigma, M, the Cholesky factor of A_sigma, the linearization L and
-# the pencil solve's copies of L and M.  simulate holds six (five at
-# s = sigma, where A_sigma is A_s): A_s, A_sigma, M, the factor of A_s,
-# P = M A_s^{-1} M and either A_s^{-1} M, while P is built, or the Newton
-# step matrix.  verify holds A_s, A_sigma, M and poincare_report's two
-# 1020 x dof sample blocks, at most seven from dof 510 on.
-_DENSE_ARRAYS = 7
+# factored in O(n)).  simulate with s != sigma holds six (five at s = sigma,
+# where A_s is A_sigma): A_s, A_sigma, M, the factor of A_s, P = M A_s^{-1} M
+# and either A_s^{-1} M, while P is built, or the Newton step matrix; verify
+# holds the same in its short run (its Poincare samples are 100 x dof blocks).
+# equilibrium and spectrum never assemble A_s and hold five: A_sigma, M, the
+# factor of A_sigma, the linearization L and either its reduced pencil or
+# the eigensolver's copy of L (six, with the projection P, when the kernel is
+# not empty).  rates holds A_sigma and M.
+_DENSE_ARRAYS = 6
 
 
 @dataclass(frozen=True)

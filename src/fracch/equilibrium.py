@@ -4,8 +4,10 @@ A stationary state solves A_sigma phi + b_g(phi) = 0 in the dual space, by a
 damped Newton whose last residual is the reported one.  Its
 linearization L = A_sigma + B_g'(phi) is symmetric; the generalized pencil
 (L, M) yields the spectrum, a tolerance-based kernel, and the L2-orthogonal
-projection P onto it.  The spectrum comes from an eigenvalues-only solve, and
-eigenvectors are computed for the kernel alone, when it is non-empty.
+projection P onto it.  Every pencil goes through the O(n^2) reduction by the
+tridiagonal M's factor (operators.reduce_pencil) and one symmetric eigh.  The
+spectrum comes from an eigenvalues-only solve, and eigenvectors are computed
+for the kernel alone, when it is non-empty.
 Finiteness of the condition number of L + M P, taken from the eigenvalues of
 that symmetric matrix, is the discrete stand-in for the isomorphism property
 behind the gradient inequality, and the probe below samples that
@@ -19,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dgesv
 
 from .energy import (
     EnergyContext,
@@ -30,7 +33,7 @@ from .energy import (
 )
 from .errors import ConfigurationError, JacobianSingularError, NewtonDivergenceError
 from .mesh import linf_norm
-from .operators import xnorm
+from .operators import reduce_pencil, xnorm
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,6 +45,7 @@ class EquilibriumReport:
     kernel_basis: list | None = None
     iso_condition: float | None = None
     theta_hint: float | None = None
+    newton_history: tuple = ()  # (residual dual norm before the step, accepted alpha) per step
 
 
 def solve_semilinear(
@@ -52,12 +56,15 @@ def solve_semilinear(
     u_init: np.ndarray | None = None,
     tol: float = 1e-10,
     max_iter: int = 60,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, list]:
     """Newton with backtracking for A_sigma u + b_fn(u) = rhs.
 
     The merit function is the dual norm of the residual; a step is accepted
     once it produces a sufficient decrease, halving the step length otherwise.
-    Returns the solution and the dual norm of its residual.
+    Each symmetric Jacobian is LU-factored in place (LAPACK gesv on its
+    Fortran-ordered transpose, which is itself).  Returns the solution, the
+    dual norm of its residual and, per Newton step, the pair (dual norm of the
+    residual before the step, accepted step length).
     """
     if tol <= 0:
         raise ConfigurationError(f"tolerance must be positive, got {tol}")
@@ -69,23 +76,24 @@ def solve_semilinear(
 
     F = residual(u)
     res = ops.dual_norm_sigma(F)
+    history = []
     for _ in range(max_iter):
         if res < tol:
-            return u, res
+            return u, res, history
         B = weighted_mass(ctx, fn_prime(ctx.values_at_quad(u)))
         jac = add_tridiagonal(ops.A_sigma.copy(), *B)
-        try:
-            direction = np.linalg.solve(jac, -F)
-        except np.linalg.LinAlgError as exc:
+        direction, info = dgesv(jac.T, -F, overwrite_a=1)[2:]
+        if info > 0:
             raise JacobianSingularError(
                 "singular Jacobian in the stationary solve (degenerate critical point?)"
-            ) from exc
+            )
         alpha = 1.0
         for _ in range(40):
             trial = u + alpha * direction
             F_trial = residual(trial)
             res_trial = ops.dual_norm_sigma(F_trial)
             if res_trial <= (1.0 - 1e-4 * alpha) * res:
+                history.append((res, alpha))
                 u, F, res = trial, F_trial, res_trial
                 break
             alpha *= 0.5
@@ -94,22 +102,23 @@ def solve_semilinear(
                 f"stationary line search stalled at residual {res:.3e}"
             )
     if res < tol:
-        return u, res
+        return u, res, history
     raise NewtonDivergenceError(f"stationary Newton stopped at residual {res:.3e}")
 
 
 def solve_stationary(
     ctx: EnergyContext, u_init: np.ndarray, tol: float = 1e-10, max_iter: int = 60
 ) -> EquilibriumReport:
-    """Solve the stationary problem from u_init; fills phi/residual/linf only.
+    """Solve the stationary problem from u_init; fills phi/residual/linf/history only.
 
     The residual is the line search's last one: with rhs = 0 it is the
     energy gradient A_sigma phi + b_g(phi) at phi, so it is not evaluated again.
     """
     rhs = np.zeros(ctx.ops.mesh.dof_count)
-    phi, res = solve_semilinear(ctx, rhs, ctx.pot.g, ctx.pot.g_prime,
-                                u_init=u_init, tol=tol, max_iter=max_iter)
-    return EquilibriumReport(phi=phi, residual_dual=res, linf=linf_norm(ctx.ops.mesh, phi))
+    phi, res, history = solve_semilinear(ctx, rhs, ctx.pot.g, ctx.pot.g_prime,
+                                         u_init=u_init, tol=tol, max_iter=max_iter)
+    return EquilibriumReport(phi=phi, residual_dual=res, linf=linf_norm(ctx.ops.mesh, phi),
+                             newton_history=tuple(history))
 
 
 def linearize(ctx: EnergyContext, phi: np.ndarray) -> np.ndarray:
@@ -127,14 +136,19 @@ def kernel_and_projection(
     M-self-adjoint.  The default tolerance is 1e-8 times the largest pencil
     eigenvalue magnitude (scale-aware zero detection).
     """
-    _, basis, P = _pencil_kernel(L, M, kernel_tol)
-    return basis, P
+    _, V = _pencil_kernel(L, M, kernel_tol)
+    return list(V.T), _projection(V, M)
+
+
+def _projection(V: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """P = V V^T M, with no dof x dof intermediate; zero for an empty basis."""
+    return V @ (M @ V).T
 
 
 def _pencil_kernel(
     L: np.ndarray, M: np.ndarray, kernel_tol: float | None
-) -> tuple[np.ndarray, list, np.ndarray]:
-    """Pencil eigenvalues, near-kernel basis and projection.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pencil eigenvalues and the near-kernel basis as columns (none if empty).
 
     Eigenvectors are computed for the kernel only, and only when it is
     non-empty: the eigenvalues are sorted, so |mu| < kernel_tol is one
@@ -145,29 +159,47 @@ def _pencil_kernel(
         kernel_tol = 1e-8 * float(np.max(np.abs(mu)))
     run = np.flatnonzero(np.abs(mu) < kernel_tol)
     if run.size == 0:
-        return mu, [], np.zeros_like(M)
-    _, V = eigh(L, M, subset_by_index=(run[0], run[-1]))
-    return mu, list(V.T), V @ V.T @ M
+        return mu, np.empty((M.shape[0], 0))
+    return mu, _pencil_pairs(L, M, run[0], run[-1])[1]
 
 
-def isomorphism_check(L: np.ndarray, M: np.ndarray, P_mat: np.ndarray) -> float:
+def _pencil_pairs(X: np.ndarray, M: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pencil eigenvalues lo..hi (sorted) and their M-orthonormal eigenvectors."""
+    C, vectors = reduce_pencil(X, M)
+    mu, Y = eigh(C, subset_by_index=(lo, hi), driver="evr", overwrite_a=True)
+    return mu, vectors(Y)
+
+
+def isomorphism_check(L: np.ndarray, M: np.ndarray, P_mat: np.ndarray | None) -> float:
     """Condition number of L + M P; finite means discrete isomorphism.
 
     L + M P is symmetric (M P = M V V^T M), so its singular values are the
     absolute values of its eigenvalues.  An exactly singular matrix gives
-    inf, a non-finite one raises LinAlgError.
+    inf, a non-finite one raises LinAlgError.  P_mat None stands for an
+    empty kernel (P = 0).  L is not modified; a sum L + M P is formed once
+    and its eigenvalues are computed in place.
     """
-    A = L + M @ P_mat if P_mat.any() else L
+    if P_mat is not None and P_mat.any():
+        A = M @ P_mat
+        A += L
+    else:
+        A = L
     if not np.isfinite(A).all():
         raise np.linalg.LinAlgError("non-finite entries in L + M P")
-    lam = np.abs(np.linalg.eigvalsh(A))
+    # A.T is the Fortran-ordered view, which LAPACK overwrites without a copy
+    lam = np.abs(eigh(A.T, eigvals_only=True, driver="evr", check_finite=False,
+                      overwrite_a=A is not L))
     lo, hi = float(lam.min()), float(lam.max())
     return hi / lo if lo > 0.0 else math.inf
 
 
 def pencil_eigenvalues(L: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Sorted generalized eigenvalues of the symmetric pencil (L, M), no eigenvectors."""
-    return eigh(L, M, eigvals_only=True, driver="gvx")
+    """Sorted generalized eigenvalues of the symmetric pencil (L, M), no eigenvectors.
+
+    M must be tridiagonal SPD (see operators.reduce_pencil).
+    """
+    C, _ = reduce_pencil(L, M)
+    return eigh(C, eigvals_only=True, driver="evr", overwrite_a=True)
 
 
 def complete_report(
@@ -181,13 +213,13 @@ def complete_report(
     """
     L = linearize(ctx, rep.phi)
     M = ctx.ops.M
-    mu, basis, P = _pencil_kernel(L, M, kernel_tol)
+    mu, V = _pencil_kernel(L, M, kernel_tol)
     return replace(
         rep,
         pencil_eigs=mu,
-        kernel_basis=basis,
-        iso_condition=isomorphism_check(L, M, P),
-        theta_hint=0.5 if not basis else None,
+        kernel_basis=list(V.T),
+        iso_condition=isomorphism_check(L, M, _projection(V, M) if V.size else None),
+        theta_hint=None if V.size else 0.5,
     )
 
 
@@ -210,8 +242,7 @@ def default_equilibrium_seed(ctx: EnergyContext, amplitude: float = 0.9) -> np.n
     with a fixed sign convention for reproducibility.
     """
     zero = np.zeros(ctx.ops.mesh.dof_count)
-    L0 = linearize(ctx, zero)
-    mu, V = eigh(L0, ctx.ops.M, subset_by_index=(0, 0))
+    mu, V = _pencil_pairs(linearize(ctx, zero), ctx.ops.M, 0, 0)
     if mu[0] >= 0:
         return zero
     v = V[:, 0]

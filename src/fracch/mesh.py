@@ -54,9 +54,11 @@ def mass_matrix(mesh: FracMesh) -> np.ndarray:
     """P1 mass matrix on interior nodes: tridiagonal, diag 2h/3, off-diag h/6."""
     n = mesh.dof_count
     h = mesh.h
-    M = np.diag(np.full(n, 2.0 * h / 3.0))
-    off = np.full(n - 1, h / 6.0)
-    M += np.diag(off, 1) + np.diag(off, -1)
+    M = np.zeros((n, n))
+    # in the flat C-order layout each diagonal is a stride-(n+1) slice
+    M.flat[::n + 1] = 2.0 * h / 3.0
+    M.flat[1::n + 1] = h / 6.0
+    M.flat[n::n + 1] = h / 6.0
     return M
 
 

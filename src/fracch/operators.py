@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh, toeplitz
@@ -277,31 +278,101 @@ def xnorm(A: np.ndarray, v: np.ndarray) -> float:
     return math.sqrt(max(float(v @ A @ v), 0.0))
 
 
+def reduce_pencil(
+    X: np.ndarray, M: np.ndarray
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Standard form of the symmetric pencil X v = mu M v, for a tridiagonal M.
+
+    M must be symmetric positive definite and tridiagonal, as every mass
+    matrix here is; anything else raises ValueError (checked without a dense
+    temporary).  With M = L D L^T from LAPACK pttrf in O(n), L unit lower
+    bidiagonal, the pencil has the eigenvalues of the symmetric
+    C = D^(-1/2) L^(-1) X L^(-T) D^(-1/2), formed here by two O(n^2) row
+    recurrences (Golub & Van Loan, Matrix Computations, 4th ed., sec. 8.7).
+    Returns C, Fortran-ordered so that ``eigh(C, overwrite_a=True)`` works on
+    it in place, and the map from eigenvectors y of C (the columns of an
+    array) to the M-orthonormal pencil eigenvectors L^(-T) D^(-1/2) y, O(n)
+    each.  X is not modified.
+    """
+    n = M.shape[0]
+    if M.shape != (n, n) or X.shape != (n, n):
+        raise ValueError(f"pencil shapes differ: X {X.shape}, M {M.shape}")
+    diag, upper = np.diag(M), np.diag(M, 1)
+    band = np.count_nonzero(diag) + 2 * np.count_nonzero(upper)
+    if np.count_nonzero(M) != band or not np.array_equal(upper, np.diag(M, -1)):
+        raise ValueError("the pencil's M must be symmetric tridiagonal")
+    d, e, info = dpttrf(diag, upper)
+    if info != 0:
+        raise ValueError("the pencil's M must be positive definite")
+    C = np.empty((n, n), order="F")
+    rows = C.T  # C-ordered view: its rows are the columns of C
+    rows[0] = X[0]
+    for i in range(1, n):  # rows = L^(-1) X, so C = X L^(-T)
+        np.subtract(X[i], e[i - 1] * rows[i - 1], out=rows[i])
+    for i in range(1, n):  # C = L^(-1) X L^(-T)
+        C[i] -= e[i - 1] * C[i - 1]
+    scale = 1.0 / np.sqrt(d)
+    C *= scale[:, None]
+    C *= scale
+
+    def vectors(Y: np.ndarray) -> np.ndarray:
+        V = Y * scale[:, None]
+        for i in range(n - 2, -1, -1):
+            V[i] -= e[i] * V[i + 1]
+        return V
+
+    return C, vectors
+
+
 def rayleigh_lambda1(A_sigma: np.ndarray, M: np.ndarray) -> float:
     """Smallest generalized eigenvalue of A_sigma v = lambda M v."""
-    vals = eigh(A_sigma, M, eigvals_only=True, subset_by_index=(0, 0))
+    C, _ = reduce_pencil(A_sigma, M)
+    vals = eigh(C, eigvals_only=True, subset_by_index=(0, 0), driver="evr", overwrite_a=True)
     return float(vals[0])
+
+
+class _StiffnessOnFirstUse:
+    """``OperatorSet.A_s``: the matrix given, else assembled on first read and kept.
+
+    At s = sigma it is A_sigma itself.  Only the time stepper and the checks
+    that use the flux operator read it, so equilibrium work never assembles it.
+    """
+
+    def __get__(self, ops, owner=None):
+        if ops is None:
+            return None  # the dataclass default: not given
+        if ops.__dict__["A_s"] is None:
+            if ops.exps.s == ops.exps.sigma:
+                ops.__dict__["A_s"] = ops.A_sigma
+            else:
+                ops.__dict__["A_s"] = assemble_gagliardo(ops.mesh, ops.exps.s, ops.C_s)
+        return ops.__dict__["A_s"]
+
+    def __set__(self, ops, value):
+        ops.__dict__["A_s"] = value
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
     """Assembled operators for one mesh and exponent pair.
 
-    Immutable after construction; factorizations and the time stepper's
-    block P = M A_s^{-1} M are created lazily on first use and then treated
-    as read-only.  A_s and A_sigma each keep one raw LAPACK potrf factor, and
-    every solve with them, the dual norms sqrt(f^T A^{-1} f) included, is one
-    potrs on it; only f is checked for finiteness, in O(n).
+    Immutable after construction; A_s (unless given), factorizations and the
+    time stepper's block P = M A_s^{-1} M are created lazily on first use and
+    then treated as read-only.  Every copy, ``dataclasses.replace`` included,
+    starts with a cache of its own.  A_s and A_sigma each keep one raw LAPACK
+    potrf factor, and every solve with them, the dual norms
+    sqrt(f^T A^{-1} f) included, is one potrs on it; only f is checked for
+    finiteness, in O(n).
     """
 
-    A_s: np.ndarray
     A_sigma: np.ndarray
     M: np.ndarray
     C_s: float
     C_sigma: float
     mesh: FracMesh
     exps: FracExponents
-    _factors: dict = field(default_factory=dict, repr=False)
+    A_s: np.ndarray = _StiffnessOnFirstUse()
+    _factors: dict = field(init=False, default_factory=dict, repr=False)
 
     def _cholesky(self, key: str) -> np.ndarray:
         if key not in self._factors:
@@ -345,16 +416,11 @@ class OperatorSet:
 
 
 def build_operator_set(mesh: FracMesh, exps: FracExponents) -> OperatorSet:
-    """Assemble both stiffness matrices and the mass matrix for a mesh."""
+    """Assemble A_sigma and the mass matrix for a mesh; A_s follows on first use."""
     C_s = normalization_constant(1, exps.s)
     C_sigma = normalization_constant(1, exps.sigma)
-    A_s = assemble_gagliardo(mesh, exps.s, C_s)
-    if exps.sigma == exps.s:
-        A_sigma = A_s
-    else:
-        A_sigma = assemble_gagliardo(mesh, exps.sigma, C_sigma)
     return OperatorSet(
-        A_s=A_s, A_sigma=A_sigma, M=mass_matrix(mesh),
+        A_sigma=assemble_gagliardo(mesh, exps.sigma, C_sigma), M=mass_matrix(mesh),
         C_s=C_s, C_sigma=C_sigma, mesh=mesh, exps=exps,
     )
 

@@ -14,6 +14,7 @@ from fracch.cli import CERTIFICATE_COLUMNS, TRAJECTORY_COLUMNS, _initial_data, m
 from fracch.config import _DENSE_ARRAYS, RunConfig, parse_config
 from fracch.errors import AssemblyError, ConfigurationError
 from fracch.evolution import evolve
+from fracch.operators import assemble_gagliardo
 
 
 def _write(tmp_path, name, payload):
@@ -136,8 +137,8 @@ def test_config_error_exit_code(tmp_path, quick_cfg, capsys):
 
 
 def test_dense_array_count_bounds_the_peak_memory(tmp_path):
-    # the memory check counts _DENSE_ARRAYS dof x dof float64 arrays: equilibrium
-    # holds that many at its peak, simulate one fewer (config._DENSE_ARRAYS lists them)
+    # the memory check counts _DENSE_ARRAYS dof x dof float64 arrays: no command
+    # holds more, and simulate holds that many (config._DENSE_ARRAYS lists them)
     dof = 512
     cfg = _write(tmp_path, "cfg.json", {
         "mesh": {"n_elems": dof + 1},
@@ -147,7 +148,7 @@ def test_dense_array_count_bounds_the_peak_memory(tmp_path):
     })
     unit = 8 * dof**2
     peaks = {}
-    for command in ("equilibrium", "simulate"):
+    for command in ("equilibrium", "spectrum", "simulate", "verify"):
         tracemalloc.start()
         try:
             assert main([command, "--config", cfg]) == 0
@@ -155,7 +156,33 @@ def test_dense_array_count_bounds_the_peak_memory(tmp_path):
         finally:
             tracemalloc.stop()
     assert max(peaks.values()) <= _DENSE_ARRAYS + 0.5, peaks
-    assert peaks["equilibrium"] >= _DENSE_ARRAYS - 1, peaks
+    assert peaks["simulate"] >= _DENSE_ARRAYS - 0.5, peaks
+    assert peaks["equilibrium"] <= 5.5 and peaks["spectrum"] <= 5.5, peaks
+
+
+def test_only_the_flux_commands_assemble_a_s(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(mesh, s, C_s):
+        calls.append(s)
+        return assemble_gagliardo(mesh, s, C_s)
+
+    monkeypatch.setattr(fracch.operators, "assemble_gagliardo", counting)
+    cfg = _write(tmp_path, "cfg.json", {
+        "mesh": {"n_elems": 24},
+        "frac": {"s": 0.3, "sigma": 0.7},
+        "time": {"tau": 0.01, "t_end": 10.0},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    counts = {}
+    for command in ("simulate", "equilibrium", "rates", "spectrum", "verify"):
+        calls.clear()
+        assert main([command, "--config", cfg]) == 0
+        counts[command] = sorted(calls)
+    assert counts == {
+        "simulate": [0.3, 0.7], "equilibrium": [0.7], "rates": [0.7],
+        "spectrum": [0.7], "verify": [0.3, 0.7],
+    }
 
 
 @pytest.mark.parametrize("error", [
@@ -265,6 +292,22 @@ def test_equilibrium_respects_newton_max_iter(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("solver divergence: ")
 
 
+def test_equilibrium_records_newton_history(tmp_path):
+    cfg = _write(tmp_path, "cfg.json", {
+        "domain": {"a": -4, "b": 4},
+        "mesh": {"n_elems": 32},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["equilibrium", "--config", cfg]) == 0
+    payload = json.loads((tmp_path / "out" / "equilibrium.json").read_text())
+    history = payload["newton_history"]
+    assert 0 < len(history) <= 50  # newton.max_iter
+    assert all(len(step) == 2 and 0.0 < step[1] <= 1.0 for step in history)
+    residuals = [res for res, _ in history] + [payload["residual_dual"]]
+    assert all(after < before for before, after in zip(residuals, residuals[1:]))
+    assert residuals[-1] < 1e-10 <= residuals[-2]  # newton.tol stopped it
+
+
 def test_lambda_below_split_halves_tau_and_lets_the_certificate_decide(tmp_path, capsys):
     # lambda 0 leaves beta' = 3 u^2 - 1 < 0 near zero; at tau 10 the step matrix is
     # indefinite, at tau 5 it factors, and the certificate then fails at step 2
@@ -293,9 +336,10 @@ def test_equilibrium_and_spectrum(quick_cfg, tmp_path, monkeypatch):
     assert main(["equilibrium", "--config", quick_cfg]) == 0
     payload = json.loads((tmp_path / "out" / "equilibrium.json").read_text())
     assert set(payload) == {
-        "phi", "residual_dual", "linf", "pencil_eigs", "kernel_dim",
+        "phi", "residual_dual", "newton_history", "linf", "pencil_eigs", "kernel_dim",
         "kernel_basis", "iso_condition", "theta_hint",
     }
+    assert payload["newton_history"] == []  # the zero seed is already stationary
     assert payload["kernel_dim"] == 0
     assert payload["theta_hint"] == 0.5
     assert len(payload["phi"]) == 31

@@ -223,8 +223,11 @@ def test_beta_bound_at_elliptic_solves(ctx64, rng):
             mesh,
             lambda x: sum(c * np.sin((k + 1) * np.pi * x / 4) for k, c in enumerate(coeffs)),
         )
-        u, res = solve_semilinear(ctx64, ops.M @ f, pot.beta, pot.beta_prime, tol=1e-11)
+        u, res, history = solve_semilinear(ctx64, ops.M @ f, pot.beta, pot.beta_prime, tol=1e-11)
         assert res < 1e-11
+        assert history and all(0.0 < alpha <= 1.0 for _, alpha in history)
+        residuals = [r for r, _ in history] + [res]  # each accepted step decreased it
+        assert all(after < before for before, after in zip(residuals, residuals[1:]))
         beta_l2 = math.sqrt(float((pot.beta(ctx64.values_at_quad(u)) ** 2 @ w).sum()))
         f_l2 = math.sqrt(float(f @ ops.M @ f))
         assert beta_l2 <= f_l2 * (1.0 + 10.0 * mesh.h)
@@ -234,6 +237,32 @@ def test_default_seed_branches(ctx64, ctx64_wide):
     assert np.all(default_equilibrium_seed(ctx64) == 0.0)
     seed = default_equilibrium_seed(ctx64_wide)
     assert np.max(np.abs(seed)) == pytest.approx(0.9)
+
+
+@pytest.mark.parametrize("sigma", [0.01, 0.5, 0.99])
+def test_default_seed_matches_generalized_eigh(sigma):
+    ops = build_operator_set(build_uniform_mesh(-4.0, 4.0, 64), FracExponents(sigma, sigma))
+    ctx = EnergyContext(ops=ops, pot=double_well(4.0))
+    # the seed as the dense generalized solve gave it
+    mu, V = eigh(linearize(ctx, np.zeros(ops.mesh.dof_count)), ops.M, subset_by_index=(0, 0))
+    assert mu[0] < 0  # zero is unstable, so the seed is the scaled mode
+    v = V[:, 0]
+    v = v if v[np.argmax(np.abs(v))] > 0 else -v
+    ref = 0.9 * v / np.max(np.abs(v))
+    assert np.max(np.abs(default_equilibrium_seed(ctx) - ref)) <= 1e-10
+
+
+def test_pencil_functions_leave_their_arguments_alone(ctx64):
+    M = ctx64.ops.M
+    L, _ = plant_zero_mode(linearize(ctx64, np.zeros(ctx64.ops.mesh.dof_count)), M)
+    L_in, M_in = L.copy(), M.copy()
+    pencil_eigenvalues(L, M)
+    _, P = kernel_and_projection(L, M)
+    P_in = P.copy()
+    isomorphism_check(L, M, P)
+    isomorphism_check(L, M, np.zeros_like(P))
+    for arg, before in ((L, L_in), (M, M_in), (P, P_in)):
+        assert np.array_equal(arg, before)
 
 
 def test_lsi_probe_nondegenerate(ctx64, rng):

@@ -1,17 +1,20 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 from gagliardo_oracle import oracle_entry
 from per_distance_assembly import _power_integral as scalar_power_integral
 from per_distance_assembly import per_distance_assembly
 
+from fracch import operators
 from fracch.errors import AssemblyError, ConfigurationError
-from fracch.mesh import build_uniform_mesh, interpolate
+from fracch.mesh import build_uniform_mesh, interpolate, mass_matrix
 from fracch.operators import (
     FracExponents,
     _power_integral,
@@ -23,6 +26,7 @@ from fracch.operators import (
     load_stiffness,
     normalization_constant,
     rayleigh_lambda1,
+    reduce_pencil,
     save_stiffness,
     xnorm,
 )
@@ -245,8 +249,9 @@ def test_solve_M_matches_dense_solve(ops8, ops64, rng):
 
 
 def test_dual_norm_rejects_indefinite(ops8):
-    ops = replace(ops8, A_s=-ops8.A_s, _factors={})
-    f = np.ones(ops.mesh.dof_count)
+    f = np.ones(ops8.mesh.dof_count)
+    ops8.dual_norm_s(f)  # caches the factor of the positive definite A_s
+    ops = replace(ops8, A_s=-ops8.A_s)  # a copy must not solve with that factor
     with pytest.raises(AssemblyError, match="matrix A_s is not positive definite"):
         ops.dual_norm_s(f)
     with pytest.raises(AssemblyError, match="matrix A_s is not positive definite"):
@@ -260,6 +265,69 @@ def test_dual_norm_rejects_non_finite(ops8, bad):
     for norm in (ops8.dual_norm_s, ops8.dual_norm_sigma):
         with pytest.raises(ValueError):
             norm(f)
+
+
+def test_a_s_assembled_on_first_use_only(monkeypatch):
+    calls = []
+
+    def counting(mesh, s, C_s):
+        calls.append(s)
+        return assemble_gagliardo(mesh, s, C_s)
+
+    monkeypatch.setattr(operators, "assemble_gagliardo", counting)
+    mesh = build_uniform_mesh(-1.0, 1.0, 16)
+    ops = build_operator_set(mesh, FracExponents(0.3, 0.7))
+    assert calls == [0.7]
+    A_s = ops.A_s
+    assert calls == [0.7, 0.3] and ops.A_s is A_s  # assembled once, then kept
+    assert np.array_equal(A_s, assemble_gagliardo(mesh, 0.3, ops.C_s))
+    same = build_operator_set(mesh, FracExponents(0.4, 0.4))
+    assert same.A_s is same.A_sigma and calls == [0.7, 0.3, 0.4]
+    given = replace(ops, A_s=2.0 * A_s)
+    assert np.array_equal(given.A_s, 2.0 * A_s) and given._factors is not ops._factors
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 257])
+def test_reduce_pencil_matches_generalized_eigh(n):
+    rng = np.random.default_rng(n)
+    M = mass_matrix(build_uniform_mesh(-1.0, 1.0, n + 1))
+    X = rng.standard_normal((n, n))
+    X = X + X.T
+    X_in, M_in = X.copy(), M.copy()
+    C, vectors = reduce_pencil(X, M)
+    mu, Y = eigh(C)
+    ref = eigh(X, M, eigvals_only=True)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(mu - ref)) <= 1e-12 * scale
+    V = vectors(Y)
+    assert np.max(np.abs(V.T @ M @ V - np.eye(n))) <= 1e-12  # M-orthonormal
+    assert np.max(np.abs(X @ V - (M @ V) * mu)) <= 1e-12 * scale
+    assert np.array_equal(X, X_in) and np.array_equal(M, M_in)
+
+
+def test_reduce_pencil_rejects_other_mass_matrices():
+    n = 512
+    M = mass_matrix(build_uniform_mesh(-1.0, 1.0, n + 1))
+    X = np.eye(n)
+    for bad in ((0, 2), (n - 1, 0)):
+        wide = M.copy()
+        wide[bad] = 1e-3
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="tridiagonal"):
+                reduce_pencil(X, wide)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 8 * n * n  # the check makes no dense temporary
+    skew = M.copy()
+    skew[1, 0] *= 2.0
+    with pytest.raises(ValueError, match="tridiagonal"):
+        reduce_pencil(X, skew)
+    with pytest.raises(ValueError, match="positive definite"):
+        reduce_pencil(X, -M)
+    with pytest.raises(ValueError, match="shapes"):
+        reduce_pencil(X[1:, 1:], M)
 
 
 def test_rayleigh_lambda1_refinement():
