@@ -45,7 +45,7 @@ class EnergyContext:
         """P1 interpolant values on the (n_elems, quad_order) point grid."""
         _, n0, n1 = self.quad_data()
         full = np.concatenate(([0.0], np.asarray(v, dtype=float), [0.0]))
-        return np.outer(full[:-1], n0) + np.outer(full[1:], n1)
+        return np.multiply.outer(full[:-1], n0) + np.multiply.outer(full[1:], n1)
 
 
 def energy(ctx: EnergyContext, v: np.ndarray) -> float:
@@ -65,10 +65,9 @@ def load_vector(ctx: EnergyContext, fvals: np.ndarray) -> np.ndarray:
     w, n0, n1 = ctx.quad_data()
     left = (fvals * n0) @ w
     right = (fvals * n1) @ w
-    full = np.zeros(ctx.ops.mesh.n_elems + 1)
-    full[:-1] += left
-    full[1:] += right
-    return full[1:-1]
+    # interior node i gets left[i] + right[i - 1]; adding 0.0 first keeps the
+    # sum's signed zeros as the zero-initialised accumulation gave them
+    return (0.0 + left[1:]) + right[:-1]
 
 
 def weighted_mass(ctx: EnergyContext, fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

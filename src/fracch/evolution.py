@@ -99,6 +99,7 @@ class StepCertificate:
     u_xnorm_sigma: float  # |u_n| in the A_sigma energy norm
     u_linf: float  # max |nodal value| of u_n
     newton_iters: int  # Newton updates taken by the accepted attempt
+    newton_residual: float  # |F|_{M^{-1}} at the accepted iterate, below newton_tol
 
 
 # one record column per certificate field; the annotations are the strings
@@ -216,7 +217,7 @@ def step(
         e_before=e_before, e_after=e_after, w_normsq=w_normsq, du_msq=du_msq,
         defect=defect, satisfied=defect <= tol, tau_used=tau,
         u_xnorm_sigma=math.sqrt(max(float(u @ A_sig_u), 0.0)), u_linf=linf_norm(mesh, u),
-        newton_iters=it,
+        newton_iters=it, newton_residual=res,
     )
     return u, w, cert
 

@@ -123,7 +123,12 @@ def yosida_resolvent(pot: Potential, yp: YosidaParams, r):
 
     Safeguarded Newton with a bisection fallback on the bracket between 0
     and r (valid because beta is monotone with beta(0) = 0).  Works
-    elementwise on arrays.
+    elementwise on arrays.  An element counts as converged only when its
+    residual is finite and within the tolerance.  A NaN residual (beta NaN
+    there, or r infinite) moves neither end of the bracket, and a Newton
+    step that is not finite or leaves the bracket is replaced by bisection.
+    An element still not converged after the iteration cap raises
+    ``NewtonDivergenceError``.
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     eps = yp.epsilon
@@ -132,22 +137,25 @@ def yosida_resolvent(pot: Potential, yp: YosidaParams, r):
     y = r_arr.copy()
     residual = y + eps * np.asarray(pot.beta(y), dtype=float) - r_arr
     for _ in range(_ROOT_MAX_ITER):
-        if np.all(np.abs(residual) <= _ROOT_TOL):
+        open_ = ~(np.abs(residual) <= _ROOT_TOL)  # NaN counts as open
+        if not open_.any():
             break
-        hi = np.where(residual > 0.0, np.minimum(hi, y), hi)
-        lo = np.where(residual <= 0.0, np.maximum(lo, y), lo)
+        np.minimum(hi, y, out=hi, where=residual > 0.0)
+        np.maximum(lo, y, out=lo, where=residual <= 0.0)
         slope = 1.0 + eps * np.asarray(pot.beta_prime(y), dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = y - residual / slope
-        bad = ~np.isfinite(newton) | (newton <= lo) | (newton >= hi)
-        y = np.where(bad & (np.abs(residual) > _ROOT_TOL),
-                     0.5 * (lo + hi),
-                     np.where(np.abs(residual) > _ROOT_TOL, newton, y))
+        # a NaN step fails both tests and an infinite one fails one of them
+        # (the bracket is finite for finite r), so it falls back to bisection
+        inside = (newton > lo) & (newton < hi)
+        y = np.where(open_, np.where(inside, newton, 0.5 * (lo + hi)), y)
         residual = y + eps * np.asarray(pot.beta(y), dtype=float) - r_arr
-    if np.any(np.abs(residual) > _ROOT_TOL):
-        raise NewtonDivergenceError(
-            "resolvent iteration cap exceeded; is the custom beta monotone?"
-        )
+    else:
+        if not np.all(np.abs(residual) <= _ROOT_TOL):
+            raise NewtonDivergenceError(
+                "resolvent iteration cap exceeded; is the custom beta monotone "
+                "and finite on the bracket between 0 and r?"
+            )
     return y if np.ndim(r) else float(y[0])
 
 

@@ -78,6 +78,23 @@ def test_load_vector_constant_function(ctx64):
     assert np.allclose(b, ctx64.ops.mesh.h, rtol=1e-12)
 
 
+def test_quadrature_maps_match_their_accumulating_forms(ctx64, rng):
+    # bitwise, signed zeros included: the zero-initialised scatter of the load
+    # vector and np.outer for the interpolant, as both were first written
+    w, n0, n1 = ctx64.quad_data()
+    v = rng.standard_normal(ctx64.ops.mesh.dof_count)
+    full = np.concatenate(([0.0], v, [0.0]))
+    assert np.array_equal(ctx64.values_at_quad(v),
+                          np.outer(full[:-1], n0) + np.outer(full[1:], n1))
+    for fvals in (ctx64.values_at_quad(v) ** 3, np.full_like(ctx64.values_at_quad(v), -0.0)):
+        acc = np.zeros(ctx64.ops.mesh.n_elems + 1)
+        acc[:-1] += (fvals * n0) @ w
+        acc[1:] += (fvals * n1) @ w
+        b = load_vector(ctx64, fvals)
+        assert np.array_equal(b, acc[1:-1])
+        assert np.array_equal(np.signbit(b), np.signbit(acc[1:-1]))
+
+
 def test_weighted_mass_reduces_to_mass(ctx64):
     ones = np.ones_like(ctx64.values_at_quad(np.zeros(ctx64.ops.mesh.dof_count)))
     diag, off = weighted_mass(ctx64, ones)

@@ -53,6 +53,7 @@ def test_certificates_from_random_data(ctx64, rng, tau):
     assert all(c.satisfied for c in traj.certificates)
     tol = 1e-9 * np.maximum(1.0, np.abs([c.e_before for c in traj.certificates]))
     assert np.all(traj.certificates.defect <= tol)
+    assert np.all(traj.certificates.newton_residual < StepConfig(tau=tau).newton_tol)
 
 
 def test_flux_identity_along_run(ctx64, rng):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from reference_resolvent import reference_resolvent
 
 from fracch.errors import ConfigurationError, NewtonDivergenceError
 from fracch.potentials import (
@@ -139,6 +141,75 @@ def test_resolvent_cap_on_nonmonotone_beta():
     )  # beta(r) = -2r, decreasing
     with pytest.raises(NewtonDivergenceError):
         yosida_resolvent(pot, YosidaParams(epsilon=1.0), 1.0)
+
+
+def _steep_arctan():
+    """beta(y) = 50 arctan(20 y), lambda = 0: Newton from r overshoots the bracket."""
+    return custom_potential(
+        g=lambda y: 50.0 * np.arctan(20.0 * np.asarray(y)),
+        g_prime=lambda y: 1000.0 / (1.0 + 400.0 * np.asarray(y) ** 2),
+        g_hat=lambda y: 0.0 * np.asarray(y), lam=0.0, check=False,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=arrays(np.float64, st.integers(1, 50), elements=st.floats(-20, 20)),
+       eps=st.sampled_from([1.0, 0.1, 0.01]))
+def test_resolvent_matches_reference_bitwise(r, eps):
+    pot = double_well(4.0)
+    j = yosida_resolvent(pot, YosidaParams(epsilon=eps), r)
+    assert np.array_equal(j, reference_resolvent(pot.beta, pot.beta_prime, eps, r))
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.1, 0.01])
+def test_resolvent_matches_reference_bitwise_through_bisection(rng, eps):
+    pot = _steep_arctan()
+    r = rng.uniform(-30.0, 30.0, 2000)
+    # the first Newton step leaves the bracket [min(r, 0), max(r, 0)] somewhere
+    first = r - eps * pot.beta(r) / (1.0 + eps * pot.beta_prime(r))
+    assert np.any((first <= np.minimum(r, 0.0)) | (first >= np.maximum(r, 0.0)))
+    j = yosida_resolvent(pot, YosidaParams(epsilon=eps), r)
+    assert np.array_equal(j, reference_resolvent(pot.beta, pot.beta_prime, eps, r))
+    assert np.max(np.abs(j + eps * pot.beta(j) - r)) <= 1e-12
+
+
+def test_resolvent_scalar_matches_reference():
+    pot = _steep_arctan()
+    for r in (-7.5, 0.0, 0.3, 25.0):
+        j = yosida_resolvent(pot, YosidaParams(epsilon=0.1), r)
+        assert type(j) is float
+        assert j == reference_resolvent(pot.beta, pot.beta_prime, 0.1, r)
+
+
+def _quiet(f):
+    """f evaluated with numpy's floating-point warnings off, so NaN comes back silently."""
+    def wrapped(y):
+        with np.errstate(all="ignore"):
+            return f(np.asarray(y, dtype=float))
+    return wrapped
+
+
+def test_resolvent_rejects_beta_nan_at_the_start():
+    # beta(y) = log((1 + y) / (1 - y)) is NaN outside (-1, 1), where r = 1.5 and -3 start
+    pot = custom_potential(
+        g=_quiet(lambda y: np.log((1.0 + y) / (1.0 - y))),
+        g_prime=_quiet(lambda y: 2.0 / (1.0 - y * y)),
+        g_hat=lambda y: 0.0 * np.asarray(y), lam=0.0, check=False,
+    )
+    yp = YosidaParams(epsilon=0.1)
+    j = yosida_resolvent(pot, yp, 0.5)  # beta finite along the whole iteration
+    assert abs(j + 0.1 * pot.beta(j) - 0.5) <= 1e-12
+    with pytest.raises(NewtonDivergenceError):
+        yosida_resolvent(pot, yp, np.array([0.5, 1.5, -3.0]))
+
+
+def test_resolvent_rejects_all_nan_beta():
+    pot = custom_potential(
+        g=lambda y: np.full(np.shape(y), np.nan), g_prime=lambda y: np.full(np.shape(y), np.nan),
+        g_hat=lambda y: 0.0 * np.asarray(y), lam=0.0, check=False,
+    )
+    with pytest.raises(NewtonDivergenceError):
+        yosida_resolvent(pot, YosidaParams(epsilon=0.1), np.array([0.0, 1.0, -2.0]))
 
 
 def test_yosida_params_validation():
