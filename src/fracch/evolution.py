@@ -37,6 +37,21 @@ the returned state always comes out of a Newton update and not out of the
 predictor.  If Newton fails from the predicted start, the step is retried
 once from u_prev at the same tau before any halving, so the predictor never
 causes a halving.
+
+With the Yosida option, every iterate solves the resolvent j(r) of
+beta_eps(r) = (r - j(r)) / eps on the whole quadrature grid, and
+consecutive solves in a run see nearly the same r.  ``march`` therefore
+builds one (beta, beta') callable per run and passes it to every step,
+through the predictor retry and the tau halvings.  That callable remembers
+its last (r, j, 1 + eps beta'(j)) and starts the next resolvent solve at the
+tangent prediction j + (r - r_last) / (1 + eps beta'(j)), since
+dj/dr = 1 / (1 + eps beta'(j)) (Allgower & Georg, Introduction to Numerical
+Continuation Methods, ch. 2).  The resolvent replaces a non-finite start by
+r and clips the start into its bracket, and its tolerance is unchanged, so
+the start moves each root only within that tolerance; on the
+``simulate_yosida64`` benchmark config it halves the beta evaluations.  The
+memory lives in the run only: ``step`` called alone builds its own callable
+and starts its first solve cold.
 """
 
 from __future__ import annotations
@@ -44,7 +59,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -79,10 +94,17 @@ class StepConfig:
     def __post_init__(self):
         if not np.isfinite(self.tau) or self.tau <= 0:
             raise ConfigurationError(f"tau must be positive, got {self.tau}")
-        if self.newton_tol <= 0:
-            raise ConfigurationError(f"newton_tol must be positive, got {self.newton_tol}")
-        if self.newton_max < 0:
-            raise ConfigurationError(f"newton_max must be >= 0, got {self.newton_max}")
+        if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise ConfigurationError(
+                f"newton_tol must be positive and finite, got {self.newton_tol}")
+        if (isinstance(self.newton_max, bool) or not isinstance(self.newton_max, (int, np.integer))
+                or self.newton_max < 0):
+            raise ConfigurationError(f"newton_max must be an integer >= 0, got {self.newton_max!r}")
+        if self.use_yosida is not None:
+            YosidaParams(epsilon=self.use_yosida)  # rejects a non-positive or non-finite epsilon
+        if not (np.isfinite(self.cert_rel_tol) and self.cert_rel_tol >= 0):
+            raise ConfigurationError(
+                f"cert_rel_tol must be finite and >= 0, got {self.cert_rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -100,6 +122,7 @@ class StepCertificate:
     u_linf: float  # max |nodal value| of u_n
     newton_iters: int  # Newton updates taken by the accepted attempt
     newton_residual: float  # |F|_{M^{-1}} at the accepted iterate, below newton_tol
+    halvings: int  # tau halvings the accepted step took (set by march; step sets 0)
 
 
 # one record column per certificate field; the annotations are the strings
@@ -118,18 +141,32 @@ class Trajectory:
 
 
 def _beta_pair(ctx: EnergyContext, cfg: StepConfig):
-    """One callable r -> (beta(r), beta'(r)), with beta Yosida-regularized if configured."""
+    """One callable r -> (beta(r), beta'(r)), with beta Yosida-regularized if configured.
+
+    The Yosida callable starts each resolvent solve after its first at the
+    tangent prediction from its previous one, when the shapes match.
+    """
     pot = ctx.pot
     if cfg.use_yosida is None:
         return lambda r: (pot.beta(r), pot.beta_prime(r))
     yp = YosidaParams(epsilon=cfg.use_yosida)
+    last = None  # (r, j, 1 + eps beta'(j)) of the previous call
 
     def beta_eps_pair(r):
-        beta_eps = yosida_apply(pot, yp, r)
+        nonlocal last
+        start = None
+        if last is not None and last[0].shape == r.shape:
+            r_last, j_last, slope_last = last
+            # dj/dr = 1 / (1 + eps beta'(j)); the resolvent replaces a non-finite start by r
+            start = j_last + (r - r_last) / slope_last
+        beta_eps = yosida_apply(pot, yp, r, start=start)
         # chain rule through the resolvent j = r - eps beta_eps:
         # beta_eps' = beta'(j) / (1 + eps beta'(j))
-        bp = pot.beta_prime(r - yp.epsilon * beta_eps)
-        return beta_eps, bp / (1.0 + yp.epsilon * bp)
+        j = r - yp.epsilon * beta_eps
+        bp = pot.beta_prime(j)
+        slope = 1.0 + yp.epsilon * bp
+        last = (r, j, slope)
+        return beta_eps, bp / slope
 
     return beta_eps_pair
 
@@ -156,6 +193,7 @@ def step(
     tau: float | None = None,
     e_before: float | None = None,
     u_start: np.ndarray | None = None,
+    beta_pair=None,
 ):
     """One convex-splitting step; returns (u_n, w_n, certificate).
 
@@ -164,12 +202,15 @@ def step(
     Newton starts from ``u_start`` if given, else from ``u_prev``; from a
     given start it takes at least one update before the residual test can
     accept an iterate, so the start's residual is only checked to be finite.
+    ``beta_pair`` is the run's ``_beta_pair(ctx, cfg)`` (``march`` passes
+    one per run); without it the step builds its own.
     """
     ops = ctx.ops
     mesh = ops.mesh
     u_prev = check_coeffs(mesh, u_prev)
     tau = cfg.tau if tau is None else tau
-    beta_pair = _beta_pair(ctx, cfg)
+    if beta_pair is None:
+        beta_pair = _beta_pair(ctx, cfg)
     lam = ctx.pot.lam
     M, A_sig, P = ops.M, ops.A_sigma, ops.step_block()
 
@@ -217,17 +258,18 @@ def step(
         e_before=e_before, e_after=e_after, w_normsq=w_normsq, du_msq=du_msq,
         defect=defect, satisfied=defect <= tol, tau_used=tau,
         u_xnorm_sigma=math.sqrt(max(float(u @ A_sig_u), 0.0)), u_linf=linf_norm(mesh, u),
-        newton_iters=it, newton_residual=res,
+        newton_iters=it, newton_residual=res, halvings=0,
     )
     return u, w, cert
 
 
-def _step_from_predictor(ctx, cfg, u, tau, e_before, u_back):
+def _step_from_predictor(ctx, cfg, u, tau, e_before, u_back, beta_pair):
     """``step`` from the linear predictor 2u - u_back; retried once from u if Newton fails there."""
     try:
-        return step(ctx, cfg, u, tau=tau, e_before=e_before, u_start=2.0 * u - u_back)
+        return step(ctx, cfg, u, tau=tau, e_before=e_before, u_start=2.0 * u - u_back,
+                    beta_pair=beta_pair)
     except (NewtonDivergenceError, JacobianSingularError):
-        return step(ctx, cfg, u, tau=tau, e_before=e_before)
+        return step(ctx, cfg, u, tau=tau, e_before=e_before, beta_pair=beta_pair)
 
 
 def march(
@@ -248,7 +290,8 @@ def march(
     first, a shortened last one, one after a halving) start from u_n.  On
     Newton divergence or an indefinite step matrix from u_n (P/tau grows as
     tau shrinks) the step retries with tau halved (this step only, up to
-    ``max_halvings``); the certificate records the tau actually used.
+    ``max_halvings``); the certificate records the tau actually used and
+    the number of halvings.  One ``_beta_pair`` serves the whole run.
     """
     if t_end <= 0:
         raise ConfigurationError(f"t_end must be positive, got {t_end}")
@@ -257,6 +300,7 @@ def march(
     u = check_coeffs(ctx.ops.mesh, u0)
     e_u = energy(ctx, u)  # also rejects initial data without finite energy
     u_back = tau_back = None  # the state before the last accepted step, and its tau
+    beta_pair = _beta_pair(ctx, cfg)
 
     t = 0.0
     step_idx = 0
@@ -266,9 +310,11 @@ def march(
         for attempt in range(max_halvings + 1):
             try:
                 if tau_try == tau_back:
-                    u_new, _, cert = _step_from_predictor(ctx, cfg, u, tau_try, e_u, u_back)
+                    u_new, _, cert = _step_from_predictor(ctx, cfg, u, tau_try, e_u, u_back,
+                                                          beta_pair)
                 else:
-                    u_new, _, cert = step(ctx, cfg, u, tau=tau_try, e_before=e_u)
+                    u_new, _, cert = step(ctx, cfg, u, tau=tau_try, e_before=e_u,
+                                          beta_pair=beta_pair)
                 break
             except (NewtonDivergenceError, JacobianSingularError) as exc:
                 if attempt == max_halvings:
@@ -277,6 +323,8 @@ def march(
                         f"(final tau={tau_try:.6g})"
                     ) from exc
                 tau_try *= 0.5
+        if attempt:
+            cert = replace(cert, halvings=attempt)
         if not cert.satisfied:
             msg = (f"energy certificate violated at step {step_idx + 1} "
                    f"(t={t + cert.tau_used:.6g}): defect {cert.defect:.3e}")

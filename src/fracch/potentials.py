@@ -118,7 +118,7 @@ class YosidaParams:
             raise ConfigurationError(f"Yosida epsilon must be positive, got {self.epsilon}")
 
 
-def yosida_resolvent(pot: Potential, yp: YosidaParams, r):
+def yosida_resolvent(pot: Potential, yp: YosidaParams, r, start=None):
     """Resolvent j(r): the unique root of y + eps * beta(y) = r.
 
     Safeguarded Newton with a bisection fallback on the bracket between 0
@@ -129,12 +129,25 @@ def yosida_resolvent(pot: Potential, yp: YosidaParams, r):
     step that is not finite or leaves the bracket is replaced by bisection.
     An element still not converged after the iteration cap raises
     ``NewtonDivergenceError``.
+
+    The iteration starts from y = r, or from ``start``, an initial guess of
+    r's shape (a warm start, such as a tangent prediction from a nearby
+    solve): a non-finite element of ``start`` falls back to r, and every
+    element is clipped into the bracket [min(r, 0), max(r, 0)].  The
+    tolerance, the bracket and the safeguard are the same either way, so a
+    start changes the root only within the tolerance.
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     eps = yp.epsilon
     lo = np.minimum(r_arr, 0.0)
     hi = np.maximum(r_arr, 0.0)
-    y = r_arr.copy()
+    if start is None:
+        y = r_arr.copy()
+    else:
+        start = np.atleast_1d(np.asarray(start, dtype=float))
+        if start.shape != r_arr.shape:
+            raise ValueError(f"start has shape {start.shape}, r has shape {r_arr.shape}")
+        y = np.clip(np.where(np.isfinite(start), start, r_arr), lo, hi)
     residual = y + eps * np.asarray(pot.beta(y), dtype=float) - r_arr
     for _ in range(_ROOT_MAX_ITER):
         open_ = ~(np.abs(residual) <= _ROOT_TOL)  # NaN counts as open
@@ -159,9 +172,9 @@ def yosida_resolvent(pot: Potential, yp: YosidaParams, r):
     return y if np.ndim(r) else float(y[0])
 
 
-def yosida_apply(pot: Potential, yp: YosidaParams, r):
-    """Yosida approximation beta_eps(r) = (r - j(r)) / eps."""
-    j = yosida_resolvent(pot, yp, r)
+def yosida_apply(pot: Potential, yp: YosidaParams, r, start=None):
+    """Yosida approximation beta_eps(r) = (r - j(r)) / eps; ``start`` as in ``yosida_resolvent``."""
+    j = yosida_resolvent(pot, yp, r, start=start)
     return (np.asarray(r, dtype=float) - j) / yp.epsilon
 
 

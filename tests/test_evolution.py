@@ -16,7 +16,7 @@ from fracch.evolution import StepConfig, _beta_pair, _newton_delta, evolve, marc
 from fracch.equilibrium import default_equilibrium_seed, solve_stationary
 from fracch.mesh import build_uniform_mesh, interpolate
 from fracch.operators import FracExponents, OperatorSet, build_operator_set, xnorm
-from fracch.potentials import YosidaParams, custom_potential, double_well, yosida_apply
+from fracch.potentials import Potential, YosidaParams, custom_potential, double_well, yosida_apply
 
 
 def test_step_config_validation():
@@ -26,6 +26,33 @@ def test_step_config_validation():
         StepConfig(tau=1e-2, newton_tol=0.0)
     with pytest.raises(ConfigurationError, match="newton_max"):
         StepConfig(tau=1e-3, newton_max=-1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-10])
+def test_step_config_rejects_newton_tol(value):
+    with pytest.raises(ConfigurationError, match="newton_tol"):
+        StepConfig(tau=1e-3, newton_tol=value)
+
+
+@pytest.mark.parametrize("value", [-1e-9, math.nan, math.inf])
+def test_step_config_rejects_cert_rel_tol(value):
+    with pytest.raises(ConfigurationError, match="cert_rel_tol"):
+        StepConfig(tau=1e-3, cert_rel_tol=value)
+    assert StepConfig(tau=1e-3, cert_rel_tol=0.0).cert_rel_tol == 0.0
+
+
+@pytest.mark.parametrize("value", [0.0, -1e-2, math.nan, math.inf])
+def test_step_config_rejects_use_yosida(value):
+    # rejected when the config is built, not at the first step
+    with pytest.raises(ConfigurationError, match="epsilon"):
+        StepConfig(tau=1e-3, use_yosida=value)
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3", None])
+def test_step_config_rejects_newton_max(value):
+    with pytest.raises(ConfigurationError, match="newton_max"):
+        StepConfig(tau=1e-3, newton_max=value)
+    assert StepConfig(tau=1e-3, newton_max=np.int64(3)).newton_max == 3
 
 
 def test_zero_is_exact_fixed_point(ctx64):
@@ -145,14 +172,22 @@ def test_divergence_fallback_halves_tau(ctx64, rng):
     taus = [c.tau_used for c in traj.certificates]
     assert taus[0] < 10.0  # first step needed halving
     assert taus[1] == 10.0  # later steps succeed at the nominal tau
+    halvings = traj.certificates.halvings
+    assert halvings.dtype == np.int64
+    assert taus[0] == 10.0 / 2 ** halvings[0]
+    assert not halvings[1:].any()
     assert traj.times[-1] == pytest.approx(20.0)  # the last step is clamped to t_end
     assert all(c.satisfied for c in traj.certificates)
 
 
-def test_certificate_violation_paths(ctx64):
+def test_certificate_violation_paths(ctx64, monkeypatch):
     mesh = ctx64.ops.mesh
     u0 = 1e-3 * interpolate(mesh, lambda x: np.sin(np.pi * x))
-    cfg = StepConfig(tau=1e-3, cert_rel_tol=-1.0)  # unsatisfiable tolerance
+    cfg = StepConfig(tau=1e-3)
+    # each energy evaluation reads one unit higher than the one before it, so
+    # every step's e_after exceeds its e_before by about 1 and no certificate holds
+    offset = itertools.count()
+    monkeypatch.setattr(evolution, "energy", lambda ctx, u: energy(ctx, u) + next(offset))
     with pytest.raises(CertificateViolationError):
         evolve(ctx64, cfg, u0, t_end=0.01)
     with pytest.warns(UserWarning):
@@ -298,7 +333,8 @@ def test_lambda_below_split_is_singular_step(ctx64_wide, rng):
     with pytest.raises(JacobianSingularError, match="still stalled after 0 tau halvings"):
         evolve(ctx, StepConfig(tau=10.0), u0, t_end=20.0, max_halvings=0)
     first = next(march(ctx, StepConfig(tau=10.0), u0, t_end=20.0))
-    assert first[2].tau_used < 10.0
+    assert first[2].tau_used == 5.0 and first[2].halvings == 1
+    assert step(ctx, StepConfig(tau=5.0), u0)[2].halvings == 0
 
 
 def test_energy_chains_between_steps(ctx64, rng):
@@ -467,3 +503,75 @@ def test_predictor_only_across_equal_steps(ctx64, rng, monkeypatch):
     traj = evolve(ctx64, StepConfig(tau=10.0, newton_max=4), u0, t_end=20.0)
     assert traj.certificates.tau_used[0] < traj.certificates.tau_used[1] == 10.0
     assert not any(predicted)
+
+
+def _count_beta_calls(monkeypatch):
+    calls = []
+    beta = Potential.beta
+    monkeypatch.setattr(Potential, "beta", lambda self, r: calls.append(r) or beta(self, r))
+    return calls
+
+
+def test_warm_resolvent_halves_the_beta_evaluations(ctx64, rng, monkeypatch):
+    u0 = rng.standard_normal(ctx64.ops.mesh.dof_count)
+    cfg = StepConfig(tau=1e-3, use_yosida=1e-2)
+    calls = _count_beta_calls(monkeypatch)
+    warm = list(itertools.islice(march(ctx64, cfg, u0, t_end=1e9), 200))
+    n_warm = len(calls)
+    # the same steps with every resolvent solve started cold, at y = r
+    monkeypatch.setattr(evolution, "yosida_apply",
+                        lambda pot, yp, r, start=None: yosida_apply(pot, yp, r))
+    calls.clear()
+    cold = list(itertools.islice(march(ctx64, cfg, u0, t_end=1e9), 200))
+    assert n_warm <= 0.6 * len(calls)
+    assert sum(c.newton_iters for _, _, c in warm) <= sum(c.newton_iters for _, _, c in cold)
+    for (_, u, _), (_, u_cold, _) in zip(warm, cold):
+        assert np.linalg.norm(u - u_cold) <= 1e-9 * np.linalg.norm(u_cold)
+
+
+def test_marches_keep_no_state_between_runs(ctx64, ctx64_wide, rng):
+    u0 = 0.5 * rng.standard_normal(ctx64.ops.mesh.dof_count)
+    cfg = StepConfig(tau=1e-3, use_yosida=1e-2)
+    alone = [u for _, u, _ in itertools.islice(march(ctx64, cfg, u0, t_end=1e9), 30)]
+    runs = [march(ctx64, cfg, u0, t_end=1e9), march(ctx64_wide, cfg, 2.0 * u0, t_end=1e9),
+            march(ctx64, cfg, u0, t_end=1e9)]
+    interleaved = [[next(run)[1] for run in runs] for _ in range(30)]
+    for u, (first, _, second) in zip(alone, interleaved):
+        assert u.tobytes() == first.tobytes() == second.tobytes()
+
+
+def test_warm_resolvent_through_retry_and_halving(ctx64, rng, monkeypatch):
+    # two NaN beta evaluations make the predicted start of step 6 and its
+    # retry from u fail, so march halves tau for that step; the run's
+    # resolvent memory goes through all of it
+    beta_pair = evolution._beta_pair
+    poison = {"left": 0}
+
+    def patched(ctx, cfg):
+        pair = beta_pair(ctx, cfg)
+
+        def maybe_nan_pair(r):
+            b, bp = pair(r)
+            if poison["left"]:
+                poison["left"] -= 1
+                b = np.full_like(b, np.nan)
+            return b, bp
+
+        return maybe_nan_pair
+
+    monkeypatch.setattr(evolution, "_beta_pair", patched)
+    u0 = 0.3 * rng.standard_normal(ctx64.ops.mesh.dof_count)
+    cfg = StepConfig(tau=1e-2, use_yosida=1e-2)
+    run = march(ctx64, cfg, u0, t_end=1e9)
+    marched = [next(run) for _ in range(5)]
+    poison["left"] = 2
+    marched += [next(run) for _ in range(10)]
+    assert poison["left"] == 0
+    certs = [cert for _, _, cert in marched]
+    assert [c.halvings for c in certs] == [0] * 5 + [1] + [0] * 9
+    assert [c.tau_used for c in certs] == [1e-2] * 5 + [5e-3] + [1e-2] * 9
+    monkeypatch.undo()
+    u = u0
+    for (_, u_marched, cert) in marched:
+        u = step(ctx64, cfg, u, tau=cert.tau_used)[0]  # cold: own pair, from u_prev
+        assert np.linalg.norm(u_marched - u) <= 1e-9 * np.linalg.norm(u)

@@ -7,6 +7,8 @@ from reference_resolvent import reference_resolvent
 
 from fracch.errors import ConfigurationError, NewtonDivergenceError
 from fracch.potentials import (
+    _ROOT_TOL,
+    Potential,
     PotentialCheckWarning,
     YosidaParams,
     check_dissipativity,
@@ -179,6 +181,52 @@ def test_resolvent_scalar_matches_reference():
         j = yosida_resolvent(pot, YosidaParams(epsilon=0.1), r)
         assert type(j) is float
         assert j == reference_resolvent(pot.beta, pot.beta_prime, 0.1, r)
+
+
+@pytest.mark.parametrize("pot", [double_well(4.0), _steep_arctan()], ids=["cubic", "arctan"])
+@pytest.mark.parametrize("kind", ["nan", "inf", "-inf", "out_of_bracket", "far_off", "near"])
+def test_resolvent_from_any_start_finds_the_cold_root(rng, pot, kind):
+    eps = 0.01
+    yp = YosidaParams(epsilon=eps)
+    r = rng.uniform(-20.0, 20.0, 500)
+    cold = yosida_resolvent(pot, yp, r)
+    start = {
+        "nan": np.full_like(r, np.nan),
+        "inf": np.full_like(r, np.inf),
+        "-inf": np.full_like(r, -np.inf),
+        "out_of_bracket": -2.0 * r,  # every element on the wrong side of 0
+        "far_off": np.where(rng.random(r.size) < 0.5, 1e6, -1e6),
+        "near": cold + 1e-3 * rng.standard_normal(r.size),
+    }[kind]
+    j = yosida_resolvent(pot, yp, r, start=start)
+    assert np.max(np.abs(j - cold)) <= _ROOT_TOL
+    assert np.max(np.abs(j + eps * pot.beta(j) - r)) <= _ROOT_TOL
+
+
+def test_resolvent_start_at_the_root_costs_one_beta(monkeypatch, rng):
+    pot = double_well(4.0)
+    yp = YosidaParams(epsilon=0.01)
+    r = rng.uniform(-5.0, 5.0, 300)
+    cold = yosida_resolvent(pot, yp, r)
+    calls = []
+    beta = Potential.beta
+    monkeypatch.setattr(Potential, "beta", lambda self, y: calls.append(y) or beta(self, y))
+    assert np.array_equal(yosida_resolvent(pot, yp, r, start=cold), cold)
+    assert len(calls) == 1
+    calls.clear()
+    yosida_resolvent(pot, yp, r)
+    assert len(calls) >= 3  # from y = r: the start and at least two Newton updates
+
+
+def test_resolvent_start_must_have_the_shape_of_r():
+    pot = double_well(4.0)
+    yp = YosidaParams(epsilon=0.1)
+    with pytest.raises(ValueError, match="shape"):
+        yosida_resolvent(pot, yp, np.ones(4), start=np.ones(3))
+    # a scalar r takes a scalar start, and apply passes it on
+    assert yosida_resolvent(pot, yp, 2.0, start=1.0) == pytest.approx(
+        yosida_resolvent(pot, yp, 2.0), abs=_ROOT_TOL)
+    assert yosida_apply(pot, yp, 2.0, start=np.nan) == yosida_apply(pot, yp, 2.0)
 
 
 def _quiet(f):
