@@ -7,7 +7,10 @@ linearization L = A_sigma + B_g'(phi) is symmetric; the generalized pencil
 projection P onto it.  Every pencil goes through the O(n^2) reduction by the
 tridiagonal M's factor (operators.reduce_pencil) and one symmetric eigh.  The
 spectrum comes from an eigenvalues-only solve, and eigenvectors are computed
-for the kernel alone, when it is non-empty.
+for the kernel alone, when it is non-empty.  The seed of the stationary solve
+needs one mode only, the lowest of (A_sigma, M), and takes it from a
+shift-invert Lanczos on the cached A_sigma factor (OperatorSet.lowest_mode)
+instead of a dense eigensolve.
 Finiteness of the condition number of L + M P, taken from the eigenvalues of
 that symmetric matrix, is the discrete stand-in for the isomorphism property
 behind the gradient inequality, and the probe below samples that
@@ -237,15 +240,17 @@ def max_principle_check(
 def default_equilibrium_seed(ctx: EnergyContext, amplitude: float = 0.9) -> np.ndarray:
     """Deterministic seed: the lowest pencil mode of the linearization at zero.
 
-    Returns zero when that mode is stable (zero is then the local minimizer);
-    otherwise the unstable direction scaled to the given sup-norm amplitude,
-    with a fixed sign convention for reproducibility.
+    At zero the linearization is A_sigma + g'(0) M, so its lowest mode is the
+    lowest pair (lambda_1, v_1) of (A_sigma, M), shifted by g'(0); it comes
+    from ``OperatorSet.lowest_mode``, a shift-invert Lanczos on the A_sigma
+    factor that the stationary solve's dual norms use anyway.  Returns zero
+    when lambda_1 + g'(0) >= 0 (zero is then the local minimizer); otherwise
+    v_1 scaled to the given sup-norm amplitude, with its largest-|v| entry
+    positive for reproducibility.
     """
-    zero = np.zeros(ctx.ops.mesh.dof_count)
-    mu, V = _pencil_pairs(linearize(ctx, zero), ctx.ops.M, 0, 0)
-    if mu[0] >= 0:
-        return zero
-    v = V[:, 0]
+    lam1, v = ctx.ops.lowest_mode()
+    if lam1 + float(ctx.pot.g_prime(0.0)) >= 0:
+        return np.zeros(ctx.ops.mesh.dof_count)
     anchor = int(np.argmax(np.abs(v)))
     if v[anchor] < 0:
         v = -v

@@ -92,6 +92,13 @@ class StepConfig:
     cert_rel_tol: float = 1e-9
 
     def __post_init__(self):
+        reals = {"tau": self.tau, "newton_tol": self.newton_tol, "cert_rel_tol": self.cert_rel_tol}
+        if self.use_yosida is not None:
+            reals["use_yosida"] = self.use_yosida
+        for name, value in reals.items():
+            # a bool is an int to Python, and True would pass as 1
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ConfigurationError(f"{name} must be a real number, got {value!r}")
         if not np.isfinite(self.tau) or self.tau <= 0:
             raise ConfigurationError(f"tau must be positive, got {self.tau}")
         if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):

@@ -34,17 +34,24 @@ every element.  The local blocks are:
 
 Everything is deterministic: fixed accumulation order, no randomness, so
 repeated assemblies are bit-identical.
+
+Beside assembly the module holds the OperatorSet (stiffness matrices
+factored once, on first use, for every solve and dual norm), the O(n^2)
+standard form of a pencil (X, M) by the tridiagonal M's factor, for whole
+spectra, and the lowest pair of (A_sigma, M) by a shift-invert Lanczos on the
+A_sigma factor, for the one mode the equilibrium seed needs.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh, toeplitz
+from scipy.linalg import eigh_tridiagonal, toeplitz
 from scipy.linalg.lapack import dpotrf, dpotrs, dpttrf, dpttrs
 from scipy.special import gamma as _gamma
 
@@ -53,6 +60,7 @@ from .mesh import FracMesh, mass_matrix
 
 _STIFFNESS_MAGIC = b"FRACSTF1"
 _GAUSS_ORDER = 5  # Gauss-Legendre points per direction for separated element pairs
+_LOG_NORMAL = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -200,6 +208,24 @@ def _left_exterior_blocks(h: float, s: float, k) -> np.ndarray:
     return out
 
 
+def _check_lengths(mesh: FracMesh, s: float) -> None:
+    """ConfigurationError unless every power of a length that assembly forms is a normal float.
+
+    Assembly raises the mesh width h, the domain length b - a and the lengths
+    in between to powers from -1-2s to max(2, 3-2s) (h*h included).  The log
+    of such a power is linear in the exponent and in the log of the length,
+    so the four corners bound all of them.
+    """
+    lo, hi = _LOG_NORMAL
+    for length in (mesh.h, mesh.b - mesh.a):
+        for p in (-1.0 - 2.0 * s, max(2.0, 3.0 - 2.0 * s)):
+            if not (length > 0.0 and lo < p * math.log(length) < hi):
+                raise ConfigurationError(
+                    f"mesh width {mesh.h:.3g} is out of range at s={s}: "
+                    f"the power {length:.3g}**{p:g} over- or underflows"
+                )
+
+
 def assemble_gagliardo(mesh: FracMesh, s: float, C_s: float) -> np.ndarray:
     """Dense symmetric Gagliardo stiffness matrix on interior hat functions.
 
@@ -213,6 +239,7 @@ def assemble_gagliardo(mesh: FracMesh, s: float, C_s: float) -> np.ndarray:
         raise ConfigurationError(f"exponent s must lie in (0,1), got {s}")
     if not (math.isfinite(C_s) and C_s > 0.0):
         raise ConfigurationError(f"normalization constant must be finite positive, got {C_s}")
+    _check_lengths(mesh, s)
     n = mesh.n_elems
     h = mesh.h
 
@@ -278,6 +305,21 @@ def xnorm(A: np.ndarray, v: np.ndarray) -> float:
     return math.sqrt(max(float(v @ A @ v), 0.0))
 
 
+def _tridiagonal(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and superdiagonal of a symmetric tridiagonal M, checked without a dense temporary."""
+    diag, upper = np.diag(M), np.diag(M, 1)
+    band = np.count_nonzero(diag) + 2 * np.count_nonzero(upper)
+    if np.count_nonzero(M) != band or not np.array_equal(upper, np.diag(M, -1)):
+        raise ValueError("the pencil's M must be symmetric tridiagonal")
+    return diag, upper
+
+
+def _pttrf(diag: np.ndarray, upper: np.ndarray):
+    """LAPACK pttrf, M = L D L^T; its wrapper refuses the empty superdiagonal of
+    a 1 x 1 matrix, which therefore gets a (never read) zero."""
+    return dpttrf(diag, upper if upper.size else np.zeros(1))
+
+
 def reduce_pencil(
     X: np.ndarray, M: np.ndarray
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
@@ -297,11 +339,7 @@ def reduce_pencil(
     n = M.shape[0]
     if M.shape != (n, n) or X.shape != (n, n):
         raise ValueError(f"pencil shapes differ: X {X.shape}, M {M.shape}")
-    diag, upper = np.diag(M), np.diag(M, 1)
-    band = np.count_nonzero(diag) + 2 * np.count_nonzero(upper)
-    if np.count_nonzero(M) != band or not np.array_equal(upper, np.diag(M, -1)):
-        raise ValueError("the pencil's M must be symmetric tridiagonal")
-    d, e, info = dpttrf(diag, upper)
+    d, e, info = _pttrf(*_tridiagonal(M))
     if info != 0:
         raise ValueError("the pencil's M must be positive definite")
     C = np.empty((n, n), order="F")
@@ -324,11 +362,72 @@ def reduce_pencil(
     return C, vectors
 
 
+def _potrf(X: np.ndarray, name: str) -> np.ndarray:
+    """Raw LAPACK potrf factor of X (upper, not cleaned); AssemblyError unless X is positive definite."""
+    c, info = dpotrf(X, clean=0)
+    if info > 0:
+        raise AssemblyError(f"matrix {name} is not positive definite")
+    return c
+
+
+_RITZ_TOL = 1e-14  # Ritz residual |beta_k y_k|, relative to theta, at which Lanczos stops
+
+
+def _lowest_pair(factor: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest pair of A v = lambda M v, from A's potrf factor and M's two diagonals.
+
+    Shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1980): T = A^{-1} M
+    is self-adjoint in the M inner product, and its largest eigenvalue
+    theta = 1/lambda_1 is the first to converge.  Each step is one potrs and
+    one O(n) product with M; the basis, some 10 to 25 vectors, is kept
+    M-orthonormal by full reorthogonalization, and the Ritz pair comes from
+    the tridiagonal T_k.  The start vector is all ones, so the result is
+    deterministic.  Lanczos stops when the Ritz residual |beta_k y_k| falls
+    below ``_RITZ_TOL`` theta, which includes a breakdown (beta_k = 0: the
+    basis spans an invariant subspace), or at k = n, which a 1 x 1 pencil
+    reaches after one step.  Returns lambda_1 and its M-normalized vector.
+    """
+    n = diag.size
+
+    def mass(x):
+        y = diag * x
+        y[:-1] += upper * x[1:]
+        y[1:] += upper * x[:-1]
+        return y
+
+    Q = MQ = np.empty((0, n))  # the basis q_1 .. q_k as rows, and M q_1 .. M q_k
+    alpha, beta = [], []
+    w = np.ones(n)
+    Mw = mass(w)
+    b = math.sqrt(w @ Mw)
+    for k in range(1, n + 1):
+        Q, MQ = np.vstack((Q, w / b)), np.vstack((MQ, Mw / b))
+        w = dpotrs(factor, MQ[-1])[0]
+        alpha.append(float(MQ[-1] @ w))
+        # classical Gram-Schmidt, twice, against the whole basis; it also
+        # removes the alpha_k q_k and beta_{k-1} q_{k-1} of the three-term recurrence
+        for _ in range(2):
+            w -= (MQ @ w) @ Q
+        Mw = mass(w)
+        b = math.sqrt(max(float(w @ Mw), 0.0))
+        theta, y = eigh_tridiagonal(alpha, beta, select="i", select_range=(k - 1, k - 1))
+        if k == n or b * abs(y[-1, 0]) <= _RITZ_TOL * theta[0]:
+            return 1.0 / float(theta[0]), y[:, 0] @ Q
+        beta.append(b)
+
+
 def rayleigh_lambda1(A_sigma: np.ndarray, M: np.ndarray) -> float:
-    """Smallest generalized eigenvalue of A_sigma v = lambda M v."""
-    C, _ = reduce_pencil(A_sigma, M)
-    vals = eigh(C, eigvals_only=True, subset_by_index=(0, 0), driver="evr", overwrite_a=True)
-    return float(vals[0])
+    """Smallest generalized eigenvalue of A_sigma v = lambda M v, for a tridiagonal M.
+
+    The same Lanczos as ``OperatorSet.lowest_mode``, on a Cholesky factor of
+    its own; A_sigma must be positive definite (else AssemblyError), and M
+    as in ``reduce_pencil`` (else ValueError).
+    """
+    n = M.shape[0]
+    if M.shape != (n, n) or A_sigma.shape != (n, n):
+        raise ValueError(f"pencil shapes differ: A_sigma {A_sigma.shape}, M {M.shape}")
+    diag, upper = _tridiagonal(M)
+    return _lowest_pair(_potrf(A_sigma, "A_sigma"), diag, upper)[0]
 
 
 class _StiffnessOnFirstUse:
@@ -376,10 +475,7 @@ class OperatorSet:
 
     def _cholesky(self, key: str) -> np.ndarray:
         if key not in self._factors:
-            c, info = dpotrf(getattr(self, key), clean=0)
-            if info > 0:
-                raise AssemblyError(f"matrix {key} is not positive definite")
-            self._factors[key] = c
+            self._factors[key] = _potrf(getattr(self, key), key)
         return self._factors[key]
 
     def _dual_norm(self, key: str, f: np.ndarray) -> float:
@@ -398,11 +494,20 @@ class OperatorSet:
     def solve_M(self, f: np.ndarray) -> np.ndarray:
         """M^{-1} f in O(n): M is tridiagonal, factored once as L D L^T."""
         if "M" not in self._factors:
-            d, e, info = dpttrf(np.diag(self.M), np.diag(self.M, 1))
+            d, e, info = _pttrf(np.diag(self.M), np.diag(self.M, 1))
             if info != 0:
                 raise AssemblyError("matrix M is not positive definite")
             self._factors["M"] = (d, e)
         return dpttrs(*self._factors["M"], f)[0]
+
+    def lowest_mode(self) -> tuple[float, np.ndarray]:
+        """Lowest pair (lambda_1, v_1) of the pencil (A_sigma, M), v_1 M-normalized.
+
+        Shift-invert Lanczos whose every step is one potrs on the cached
+        A_sigma factor (the one the dual norms use) and one O(n) product with
+        M's diagonals; see ``_lowest_pair``.
+        """
+        return _lowest_pair(self._cholesky("A_sigma"), np.diag(self.M), np.diag(self.M, 1))
 
     def solve_A_s(self, f: np.ndarray) -> np.ndarray:
         """A_s^{-1} f: LAPACK potrs on the cached Cholesky factor."""

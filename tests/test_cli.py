@@ -358,6 +358,85 @@ def test_equilibrium_and_spectrum(quick_cfg, tmp_path, monkeypatch):
     assert float(rows[1][1]) - 1.0 == pytest.approx(float(rows[1][2]), abs=1e-9)
 
 
+def test_one_unknown_runs_through_every_command(tmp_path):
+    # n_elems = 2 leaves one interior node: every pencil, factor and step is scalar
+    cfg = _write(tmp_path, "cfg.json", {
+        "domain": {"a": -4.0, "b": 4.0},
+        "mesh": {"n_elems": 2},
+        "time": {"tau": 0.01, "t_end": 0.1},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    for command in ("simulate", "equilibrium", "spectrum", "verify"):
+        assert main([command, "--config", cfg]) == 0, command
+    out = tmp_path / "out"
+    assert len(_read_rows(out / "trajectory.csv")) == 10
+    payload = json.loads((out / "equilibrium.json").read_text())
+    assert len(payload["phi"]) == 1 and abs(payload["phi"][0]) > 0.5  # zero is unstable here
+    assert payload["residual_dual"] < 1e-10 and len(payload["pencil_eigs"]) == 1
+    assert len(_read_rows(out / "spectrum.csv")) == 1
+    assert json.loads((out / "verify.json").read_text())["all_pass"]
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1e-300), (-1e300, 1e300)])
+def test_mesh_width_out_of_float_range_is_a_configuration_error(tmp_path, capsys, a, b):
+    cfg = _write(tmp_path, "cfg.json", {
+        "domain": {"a": a, "b": b}, "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("configuration error: mesh width") and "over- or underflows" in err[0]
+
+
+def test_equilibrium_solves_two_dense_pencils_and_factors_a_sigma_once(tmp_path, monkeypatch):
+    # the seed's mode comes from Lanczos on the A_sigma factor the dual norms use:
+    # the dense eigensolves left are the spectrum and the isomorphism check
+    eigh_calls, potrf_calls = [], []
+
+    def counted(record, fn):
+        def wrapper(*args, **kwargs):
+            record.append(args[0].shape)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fracch.equilibrium, "eigh", counted(eigh_calls, fracch.equilibrium.eigh))
+    monkeypatch.setattr(fracch.operators, "dpotrf", counted(potrf_calls, fracch.operators.dpotrf))
+    cfg = _write(tmp_path, "cfg.json", {
+        "domain": {"a": -4.0, "b": 4.0},
+        "mesh": {"n_elems": 48},
+        "frac": {"s": 0.3, "sigma": 0.7},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["equilibrium", "--config", cfg]) == 0
+    payload = json.loads((tmp_path / "out" / "equilibrium.json").read_text())
+    assert payload["kernel_dim"] == 0 and payload["newton_history"]  # seeded off zero
+    assert eigh_calls == [(47, 47), (47, 47)]
+    assert potrf_calls == [(47, 47)]
+
+
+def test_cli_runs_import_no_sparse_scipy(tmp_path):
+    # scipy.sparse adds several MB of peak memory and tens of ms of import time
+    cfg = _write(tmp_path, "cfg.json", {
+        "domain": {"a": -4.0, "b": 4.0},
+        "mesh": {"n_elems": 16},
+        "time": {"tau": 0.01, "t_end": 0.05},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    src = os.path.dirname(os.path.dirname(fracch.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from fracch.cli import main\n"
+        "for command in ('equilibrium', 'simulate'):\n"
+        f"    assert main([command, '--config', {cfg!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_verify_passes_on_default_config(tmp_path, monkeypatch):
     resolvent = fracch.potentials.yosida_resolvent
     epsilons = []

@@ -25,7 +25,7 @@ from fracch.errors import ConfigurationError
 from fracch.evolution import StepConfig, evolve
 from fracch.mesh import build_uniform_mesh, interpolate
 from fracch.operators import FracExponents, build_operator_set, rayleigh_lambda1, xnorm
-from fracch.potentials import double_well
+from fracch.potentials import custom_potential, double_well
 
 
 def test_zero_initial_guess_returns_zero(ctx64):
@@ -239,17 +239,37 @@ def test_default_seed_branches(ctx64, ctx64_wide):
     assert np.max(np.abs(seed)) == pytest.approx(0.9)
 
 
-@pytest.mark.parametrize("sigma", [0.01, 0.5, 0.99])
+@pytest.mark.parametrize("sigma", [0.01, 0.1, 0.5, 0.7, 0.99])
 def test_default_seed_matches_generalized_eigh(sigma):
-    ops = build_operator_set(build_uniform_mesh(-4.0, 4.0, 64), FracExponents(sigma, sigma))
-    ctx = EnergyContext(ops=ops, pot=double_well(4.0))
-    # the seed as the dense generalized solve gave it
-    mu, V = eigh(linearize(ctx, np.zeros(ops.mesh.dof_count)), ops.M, subset_by_index=(0, 0))
-    assert mu[0] < 0  # zero is unstable, so the seed is the scaled mode
-    v = V[:, 0]
-    v = v if v[np.argmax(np.abs(v))] > 0 else -v
-    ref = 0.9 * v / np.max(np.abs(v))
-    assert np.max(np.abs(default_equilibrium_seed(ctx) - ref)) <= 1e-10
+    for n_elems in (2, 3, 8, 64, 257):  # dof 1 included: the scalar pencil
+        ops = build_operator_set(build_uniform_mesh(-4.0, 4.0, n_elems), FracExponents(sigma, sigma))
+        ctx = EnergyContext(ops=ops, pot=double_well(4.0))
+        # the seed as the dense generalized solve gave it
+        mu, V = eigh(linearize(ctx, np.zeros(ops.mesh.dof_count)), ops.M, subset_by_index=(0, 0))
+        assert mu[0] < 0  # zero is unstable, so the seed is the scaled mode
+        v = V[:, 0]
+        v = v if v[np.argmax(np.abs(v))] > 0 else -v
+        ref = 0.9 * v / np.max(np.abs(v))
+        assert np.max(np.abs(default_equilibrium_seed(ctx) - ref)) <= 1e-10, n_elems
+
+
+@pytest.mark.parametrize("n_elems", [2, 64])
+def test_default_seed_stable_branch_at_the_threshold(n_elems):
+    # g = c r makes the linearization at zero A_sigma + c M, stable iff lambda_1 + c >= 0
+    ops = build_operator_set(build_uniform_mesh(-4.0, 4.0, n_elems), FracExponents(0.5, 0.5))
+    lam1 = ops.lowest_mode()[0]
+
+    def seed(c):
+        pot = custom_potential(lambda r: c * np.asarray(r, dtype=float),
+                               lambda r: np.full(np.shape(r), c),
+                               lambda r: 0.5 * c * np.asarray(r, dtype=float) ** 2,
+                               lam=-c, check=False)
+        return default_equilibrium_seed(EnergyContext(ops=ops, pot=pot))
+
+    assert np.all(seed(-lam1) == 0.0)  # lambda_1 + g'(0) = 0: zero is stable
+    below = seed(np.nextafter(-lam1, -np.inf))  # lambda_1 + g'(0) = -1 ulp
+    assert np.max(np.abs(below)) == pytest.approx(0.9)
+    assert below[np.argmax(np.abs(below))] > 0
 
 
 def test_pencil_functions_leave_their_arguments_alone(ctx64):

@@ -55,6 +55,14 @@ def test_step_config_rejects_newton_max(value):
     assert StepConfig(tau=1e-3, newton_max=np.int64(3)).newton_max == 3
 
 
+@pytest.mark.parametrize("value", [True, False, np.True_])
+@pytest.mark.parametrize("name", ["tau", "newton_tol", "cert_rel_tol", "use_yosida"])
+def test_step_config_rejects_bools_for_real_fields(name, value):
+    # True would otherwise pass as 1: StepConfig(tau=True) stepped with tau = 1
+    with pytest.raises(ConfigurationError, match=name):
+        StepConfig(**{"tau": 1e-3, name: value})
+
+
 def test_zero_is_exact_fixed_point(ctx64):
     u0 = np.zeros(ctx64.ops.mesh.dof_count)
     u1, w1, cert = step(ctx64, StepConfig(tau=1e-2), u0)

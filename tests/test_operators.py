@@ -287,7 +287,7 @@ def test_a_s_assembled_on_first_use_only(monkeypatch):
     assert np.array_equal(given.A_s, 2.0 * A_s) and given._factors is not ops._factors
 
 
-@pytest.mark.parametrize("n", [2, 3, 64, 257])
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
 def test_reduce_pencil_matches_generalized_eigh(n):
     rng = np.random.default_rng(n)
     M = mass_matrix(build_uniform_mesh(-1.0, 1.0, n + 1))
@@ -328,6 +328,34 @@ def test_reduce_pencil_rejects_other_mass_matrices():
         reduce_pencil(X, -M)
     with pytest.raises(ValueError, match="shapes"):
         reduce_pencil(X[1:, 1:], M)
+
+
+@pytest.mark.parametrize("sigma", [0.01, 0.5, 0.99])
+@pytest.mark.parametrize("n_elems", [2, 3, 8, 64])
+def test_lowest_pencil_pair_matches_the_full_solve(n_elems, sigma):
+    ops = build_operator_set(build_uniform_mesh(-1.0, 1.0, n_elems), FracExponents(sigma, sigma))
+    A, M = ops.A_sigma, ops.M
+    A_in, M_in = A.copy(), M.copy()
+    full = eigh(A, M, eigvals_only=True)
+    lam1 = rayleigh_lambda1(A, M)
+    assert abs(lam1 - full[0]) <= 1e-12 * full[0]
+    lam, v = ops.lowest_mode()
+    assert lam == lam1  # one Lanczos, on the same factor
+    assert abs(v @ M @ v - 1.0) <= 1e-12  # M-normalized
+    assert np.max(np.abs(A @ v - lam * (M @ v))) <= 1e-10 * full[-1] * np.max(np.abs(M @ v))
+    assert np.array_equal(A, A_in) and np.array_equal(M, M_in)
+
+
+def test_rayleigh_lambda1_rejects_what_it_cannot_factor():
+    M = mass_matrix(build_uniform_mesh(-1.0, 1.0, 9))
+    with pytest.raises(AssemblyError, match="positive definite"):
+        rayleigh_lambda1(-np.eye(8), M)
+    wide = M.copy()
+    wide[0, 2] = wide[2, 0] = 1e-3
+    with pytest.raises(ValueError, match="tridiagonal"):
+        rayleigh_lambda1(np.eye(8), wide)
+    with pytest.raises(ValueError, match="shapes"):
+        rayleigh_lambda1(np.eye(7), M)
 
 
 def test_rayleigh_lambda1_refinement():
