@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,7 +70,7 @@ class RunConfig:
         pot = double_well(self.m)
         if self.lam is not None and self.lam != pot.lam:
             # explicit override of the split constant
-            pot = Potential(pot.g, pot.g_prime, pot.g_hat, lam=self.lam, kind=pot.kind)
+            pot = replace(pot, lam=self.lam)
         return pot
 
     def build_operator_set(self) -> OperatorSet:

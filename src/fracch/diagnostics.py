@@ -169,7 +169,10 @@ def poincare_report(ops: OperatorSet, trials: int, rng=None) -> PoincareReport:
     mesh = ops.mesh
     s = ops.exps.s
     R = max(abs(mesh.a), abs(mesh.b))
-    bound = 2.0 / (2.0 * R + 1.0) ** (1.0 + 2.0 * s)
+    try:
+        bound = 2.0 / float(2.0 * R + 1.0) ** (1.0 + 2.0 * s)
+    except OverflowError:  # the power is past the float range on a huge domain
+        bound = 0.0
     rng = np.random.default_rng(0) if rng is None else rng
     dof = mesh.dof_count
     scale = 2.0 / ops.C_s

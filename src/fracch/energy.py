@@ -5,6 +5,10 @@ element-wise Gauss quadrature of the P1 interpolant.  The same quadrature
 rule feeds the nonlinear load vectors and weighted mass matrices used by the
 time stepper and the stationary solver, which is what makes the per-step
 energy certificates hold to solver precision rather than quadrature error.
+Each of those maps is one product of f's grid values with a cached table of
+weighted shape-function products.  ``energy_from_parts`` evaluates E from a
+quadratic form and grid values that the caller has formed already, as the
+time stepper has at its accepted iterate.
 """
 
 from __future__ import annotations
@@ -32,29 +36,48 @@ class EnergyContext:
 
     def quad_data(self):
         """(weights, shape0, shape1) of the per-element Gauss rule."""
+        q = self._quad_tables()
+        return q["w"], q["n0"], q["n1"]
+
+    def _quad_tables(self) -> dict:
+        """The rule, and the weighted shape products that the quadrature maps contract with."""
         if not self._quad:
             ref, w = np.polynomial.legendre.leggauss(self.quad_order)
             ref = 0.5 * (ref + 1.0)
-            self._quad["w"] = 0.5 * w * self.ops.mesh.h
-            self._quad["n0"] = 1.0 - ref
-            self._quad["n1"] = ref
-        q = self._quad
-        return q["w"], q["n0"], q["n1"]
+            w = 0.5 * w * self.ops.mesh.h
+            n0, n1 = 1.0 - ref, ref
+            self._quad.update(
+                w=w, n0=n0, n1=n1,
+                load=np.column_stack((w * n0, w * n1)),
+                mass=np.column_stack((w * n0 * n0, w * n0 * n1, w * n1 * n1)),
+            )
+        return self._quad
 
     def values_at_quad(self, v: np.ndarray) -> np.ndarray:
         """P1 interpolant values on the (n_elems, quad_order) point grid."""
         _, n0, n1 = self.quad_data()
         full = np.concatenate(([0.0], np.asarray(v, dtype=float), [0.0]))
-        return np.multiply.outer(full[:-1], n0) + np.multiply.outer(full[1:], n1)
+        return full[:-1, None] * n0 + full[1:, None] * n1
 
 
 def energy(ctx: EnergyContext, v: np.ndarray) -> float:
-    """E(v) = (1/2) v^T A_sigma v + quadrature of the potential primitive."""
+    """E(v) = (1/2) v^T A_sigma v + quadrature of the potential primitive.
+
+    An energy that overflows raises OverflowError, without numpy warnings.
+    """
     v = np.asarray(v, dtype=float)
-    quadratic = 0.5 * float(v @ ctx.ops.A_sigma @ v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return energy_from_parts(ctx, float(v @ (ctx.ops.A_sigma @ v)), ctx.values_at_quad(v))
+
+
+def energy_from_parts(ctx: EnergyContext, quad_form: float, vals: np.ndarray) -> float:
+    """E(v) from quad_form = v^T A_sigma v and vals = ``ctx.values_at_quad(v)``.
+
+    For callers that have formed both already, such as the time stepper at
+    its accepted Newton iterate.  A non-finite energy raises OverflowError.
+    """
     w, _, _ = ctx.quad_data()
-    nonlinear = float((ctx.pot.g_hat(ctx.values_at_quad(v)) @ w).sum())
-    total = quadratic + nonlinear
+    total = 0.5 * quad_form + float((ctx.pot.g_hat(vals) @ w).sum())
     if not math.isfinite(total):
         raise OverflowError("potential overflow while evaluating the energy")
     return total
@@ -62,12 +85,10 @@ def energy(ctx: EnergyContext, v: np.ndarray) -> float:
 
 def load_vector(ctx: EnergyContext, fvals: np.ndarray) -> np.ndarray:
     """Weak-form load b_i = integral of f phi_i, from f's values on the quadrature grid."""
-    w, n0, n1 = ctx.quad_data()
-    left = (fvals * n0) @ w
-    right = (fvals * n1) @ w
+    parts = fvals @ ctx._quad_tables()["load"]  # per element: (f n0 w, f n1 w) summed
     # interior node i gets left[i] + right[i - 1]; adding 0.0 first keeps the
-    # sum's signed zeros as the zero-initialised accumulation gave them
-    return (0.0 + left[1:]) + right[:-1]
+    # sum's signed zeros as a zero-initialised accumulation gives them
+    return (0.0 + parts[1:, 0]) + parts[:-1, 1]
 
 
 def weighted_mass(ctx: EnergyContext, fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,11 +97,8 @@ def weighted_mass(ctx: EnergyContext, fvals: np.ndarray) -> tuple[np.ndarray, np
     ``fvals`` are f's values on the quadrature grid; ``off`` is both the
     super- and the subdiagonal.
     """
-    w, n0, n1 = ctx.quad_data()
-    m00 = (fvals * n0 * n0) @ w
-    m01 = (fvals * n0 * n1) @ w
-    m11 = (fvals * n1 * n1) @ w
-    return m11[:-1] + m00[1:], m01[1:-1]
+    m = fvals @ ctx._quad_tables()["mass"]  # per element: the f n0 n0, f n0 n1, f n1 n1 integrals
+    return m[:-1, 2] + m[1:, 0], m[1:-1, 1]
 
 
 def add_tridiagonal(A: np.ndarray, diag: np.ndarray, off: np.ndarray) -> np.ndarray:

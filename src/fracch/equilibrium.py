@@ -93,8 +93,11 @@ def solve_semilinear(
         alpha = 1.0
         for _ in range(40):
             trial = u + alpha * direction
-            F_trial = residual(trial)
-            res_trial = ops.dual_norm_sigma(F_trial)
+            # a trial whose residual overflows reads inf or NaN, which the
+            # sufficient-decrease test rejects: the step is shortened instead
+            with np.errstate(over="ignore", invalid="ignore"):
+                F_trial = residual(trial)
+                res_trial = ops.dual_norm_sigma(F_trial)
             if res_trial <= (1.0 - 1e-4 * alpha) * res:
                 history.append((res, alpha))
                 u, F, res = trial, F_trial, res_trial

@@ -18,7 +18,12 @@ symmetric positive definite and one in-place Cholesky factorization per
 iterate solves it.  (With potential.lambda below the tightest monotone
 split, beta' < 0 can make S indefinite; the factorization then fails with
 JacobianSingularError.)  The pair (beta, beta') is evaluated once per
-iterate on the quadrature grid.  The monotone part of the nonlinearity is
+iterate on the quadrature grid, and E(u_n) comes from the accepted
+iterate's grid values and A_sigma u_n, which the last residual formed.
+numpy's overflow and invalid-value warnings are off inside a step: an
+overflow shows up as a non-finite residual (NewtonDivergenceError, which
+``march`` answers with a tau halving) or as a non-finite energy
+(OverflowError).  The monotone part of the nonlinearity is
 implicit, the expansive lambda-term is lagged, so testing the two equations
 with w_n and u_n - u_prev gives the per-step inequality
 
@@ -42,8 +47,10 @@ With the Yosida option, every iterate solves the resolvent j(r) of
 beta_eps(r) = (r - j(r)) / eps on the whole quadrature grid, and
 consecutive solves in a run see nearly the same r.  ``march`` therefore
 builds one (beta, beta') callable per run and passes it to every step,
-through the predictor retry and the tau halvings.  That callable remembers
-its last (r, j, 1 + eps beta'(j)) and starts the next resolvent solve at the
+through the predictor retry and the tau halvings.  That callable takes
+beta_eps(r), j and beta'(j) from one resolvent solve (``yosida_apply`` with
+``with_resolvent=True``), remembers its last
+(r, j, 1 + eps beta'(j)) and starts the next resolvent solve at the
 tangent prediction j + (r - r_last) / (1 + eps beta'(j)), since
 dj/dr = 1 / (1 + eps beta'(j)) (Allgower & Georg, Introduction to Numerical
 Continuation Methods, ch. 2).  The resolvent replaces a non-finite start by
@@ -58,13 +65,19 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .energy import EnergyContext, add_tridiagonal, energy, load_vector, weighted_mass
+from .energy import (
+    EnergyContext,
+    add_tridiagonal,
+    energy,
+    energy_from_parts,
+    load_vector,
+    weighted_mass,
+)
 from .errors import (
     CertificateViolationError,
     ConfigurationError,
@@ -150,13 +163,15 @@ class Trajectory:
 def _beta_pair(ctx: EnergyContext, cfg: StepConfig):
     """One callable r -> (beta(r), beta'(r)), with beta Yosida-regularized if configured.
 
-    The Yosida callable starts each resolvent solve after its first at the
-    tangent prediction from its previous one, when the shapes match.
+    The Yosida callable takes beta_eps, j and beta'(j) from one resolvent
+    solve and starts each solve after its first at the tangent prediction
+    from the previous one, when the shapes match.
     """
     pot = ctx.pot
     if cfg.use_yosida is None:
-        return lambda r: (pot.beta(r), pot.beta_prime(r))
+        return pot.beta_pair
     yp = YosidaParams(epsilon=cfg.use_yosida)
+    eps = yp.epsilon
     last = None  # (r, j, 1 + eps beta'(j)) of the previous call
 
     def beta_eps_pair(r):
@@ -166,12 +181,9 @@ def _beta_pair(ctx: EnergyContext, cfg: StepConfig):
             r_last, j_last, slope_last = last
             # dj/dr = 1 / (1 + eps beta'(j)); the resolvent replaces a non-finite start by r
             start = j_last + (r - r_last) / slope_last
-        beta_eps = yosida_apply(pot, yp, r, start=start)
-        # chain rule through the resolvent j = r - eps beta_eps:
-        # beta_eps' = beta'(j) / (1 + eps beta'(j))
-        j = r - yp.epsilon * beta_eps
-        bp = pot.beta_prime(j)
-        slope = 1.0 + yp.epsilon * bp
+        beta_eps, j, bp = yosida_apply(pot, yp, r, start=start, with_resolvent=True)
+        # chain rule through the resolvent: beta_eps' = beta'(j) / (1 + eps beta'(j))
+        slope = 1.0 + eps * bp
         last = (r, j, slope)
         return beta_eps, bp / slope
 
@@ -223,48 +235,55 @@ def step(
 
     if e_before is None:
         e_before = energy(ctx, u_prev)
-    Mu_prev = M @ u_prev
+    lam_Mu_prev = lam * (M @ u_prev)  # the lagged term, fixed over the iterates
     if u_start is None:
         u, min_updates = u_prev.copy(), 0
     else:
         u, min_updates = check_coeffs(mesh, u_start), 1
 
-    for it in range(cfg.newton_max + 1):
-        b_q, bp_q = beta_pair(ctx.values_at_quad(u))
-        A_sig_u = A_sig @ u  # kept: at the accepted u it gives u_xnorm_sigma
-        F = P @ (u - u_prev) / tau + A_sig_u + load_vector(ctx, b_q) - lam * Mu_prev
-        if it < min(min_updates, cfg.newton_max):
-            # the update is due whatever the residual (it < min_updates, so 0.0
-            # cannot pass the tolerance test below): only finiteness counts
-            res = 0.0 if np.isfinite(F).all() else math.nan
-        else:
-            res = math.sqrt(max(float(F @ ops.solve_M(F)), 0.0))
-        if not math.isfinite(res):
-            raise NewtonDivergenceError(
-                f"step Newton residual is not finite after {it} iterations (tau={tau})"
-            )
-        if res < cfg.newton_tol and it >= min_updates:
-            break
-        if it == cfg.newton_max:
-            raise NewtonDivergenceError(
-                f"step Newton stalled at residual {res:.3e} after {cfg.newton_max} iterations "
-                f"(tau={tau})"
-            )
-        u = u + _newton_delta(ops, tau, weighted_mass(ctx, bp_q), F)
+    # overflow inside an iterate (a huge beta, say) surfaces as a non-finite
+    # residual, which is NewtonDivergenceError and so a tau halving in march;
+    # at the accepted iterate, as the OverflowError of a non-finite energy
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(cfg.newton_max + 1):
+            u_q = ctx.values_at_quad(u)  # kept: at the accepted u it gives e_after
+            b_q, bp_q = beta_pair(u_q)
+            A_sig_u = A_sig @ u  # kept: at the accepted u it gives e_after and u_xnorm_sigma
+            F = P @ (u - u_prev) / tau + A_sig_u + load_vector(ctx, b_q) - lam_Mu_prev
+            if it < min(min_updates, cfg.newton_max):
+                # the update is due whatever the residual (it < min_updates, so 0.0
+                # cannot pass the tolerance test below): only finiteness counts
+                res = 0.0 if np.isfinite(F).all() else math.nan
+            else:
+                res = math.sqrt(max(float(F @ ops.solve_M(F)), 0.0))
+            if not math.isfinite(res):
+                raise NewtonDivergenceError(
+                    f"step Newton residual is not finite after {it} iterations (tau={tau})"
+                )
+            if res < cfg.newton_tol and it >= min_updates:
+                break
+            if it == cfg.newton_max:
+                raise NewtonDivergenceError(
+                    f"step Newton stalled at residual {res:.3e} after {cfg.newton_max} "
+                    f"iterations (tau={tau})"
+                )
+            u = u + _newton_delta(ops, tau, weighted_mass(ctx, bp_q), F)
 
-    du = u - u_prev
-    M_du = M @ du
-    w = -ops.solve_A_s(M_du / tau)
-    e_after = energy(ctx, u)
-    # w^T A_s w = -w^T M du / tau; (-w) @ M_du, not -(w @ M_du), gives a zero step +0.0
-    w_normsq = float(-w @ M_du) / tau
-    du_msq = float(du @ M_du)
-    defect = e_after + tau * w_normsq + 0.5 * lam * du_msq - e_before
+        du = u - u_prev
+        M_du = M @ du
+        w = -ops.solve_A_s(M_du / tau)
+        u_A_u = float(u @ A_sig_u)
+        e_after = energy_from_parts(ctx, u_A_u, u_q)
+        # w^T A_s w = -w^T M du / tau; (-w) @ M_du, not -(w @ M_du), gives a zero step +0.0
+        w_normsq = float(-w @ M_du) / tau
+        du_msq = float(du @ M_du)
+        defect = e_after + tau * w_normsq + 0.5 * lam * du_msq - e_before
+
     tol = cfg.cert_rel_tol * max(1.0, abs(e_before))
     cert = StepCertificate(
         e_before=e_before, e_after=e_after, w_normsq=w_normsq, du_msq=du_msq,
         defect=defect, satisfied=defect <= tol, tau_used=tau,
-        u_xnorm_sigma=math.sqrt(max(float(u @ A_sig_u), 0.0)), u_linf=linf_norm(mesh, u),
+        u_xnorm_sigma=math.sqrt(max(u_A_u, 0.0)), u_linf=linf_norm(mesh, u),
         newton_iters=it, newton_residual=res, halvings=0,
     )
     return u, w, cert
@@ -298,12 +317,14 @@ def march(
     Newton divergence or an indefinite step matrix from u_n (P/tau grows as
     tau shrinks) the step retries with tau halved (this step only, up to
     ``max_halvings``); the certificate records the tau actually used and
-    the number of halvings.  One ``_beta_pair`` serves the whole run.
+    the number of halvings.  One ``_beta_pair`` serves the whole run.  A
+    violated certificate raises CertificateViolationError ("abort") or is
+    only recorded in the certificate's ``satisfied`` ("ignore").
     """
     if t_end <= 0:
         raise ConfigurationError(f"t_end must be positive, got {t_end}")
-    if on_violation not in ("abort", "warn"):
-        raise ConfigurationError(f"on_violation must be 'abort' or 'warn', got {on_violation}")
+    if on_violation not in ("abort", "ignore"):
+        raise ConfigurationError(f"on_violation must be 'abort' or 'ignore', got {on_violation}")
     u = check_coeffs(ctx.ops.mesh, u0)
     e_u = energy(ctx, u)  # also rejects initial data without finite energy
     u_back = tau_back = None  # the state before the last accepted step, and its tau
@@ -332,12 +353,10 @@ def march(
                 tau_try *= 0.5
         if attempt:
             cert = replace(cert, halvings=attempt)
-        if not cert.satisfied:
-            msg = (f"energy certificate violated at step {step_idx + 1} "
-                   f"(t={t + cert.tau_used:.6g}): defect {cert.defect:.3e}")
-            if on_violation == "abort":
-                raise CertificateViolationError(msg)
-            warnings.warn(msg)
+        if not cert.satisfied and on_violation == "abort":
+            raise CertificateViolationError(
+                f"energy certificate violated at step {step_idx + 1} "
+                f"(t={t + cert.tau_used:.6g}): defect {cert.defect:.3e}")
 
         t += cert.tau_used
         step_idx += 1

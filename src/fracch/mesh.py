@@ -84,6 +84,6 @@ def check_coeffs(mesh: FracMesh, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (mesh.dof_count,):
         raise ValueError(f"expected {mesh.dof_count} coefficients, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("coefficient vector contains non-finite entries")
     return v

@@ -23,7 +23,11 @@ class PotentialCheckWarning(UserWarning):
 
 @dataclass(frozen=True, eq=False)
 class Potential:
-    """Nonlinearity bundle; callables must accept numpy arrays elementwise."""
+    """Nonlinearity bundle; callables must accept numpy arrays elementwise.
+
+    ``g_pair``, when given, returns (g(r), g'(r)) from one pass over r and
+    must agree bit for bit with the two separate callables.
+    """
 
     g: Callable
     g_prime: Callable
@@ -31,12 +35,21 @@ class Potential:
     lam: float
     kind: str
     analyticity: str | None = None  # user-declared class, never inferred
+    g_pair: Callable | None = None
 
     def beta(self, r):
         return self.g(r) + self.lam * np.asarray(r, dtype=float)
 
     def beta_prime(self, r):
         return self.g_prime(r) + self.lam
+
+    def beta_pair(self, r):
+        """(beta(r), beta'(r)), bit for bit the two separate calls."""
+        if self.g_pair is None:
+            return self.beta(r), self.beta_prime(r)
+        r = np.asarray(r, dtype=float)
+        g, g_prime = self.g_pair(r)
+        return g + self.lam * r, g_prime + self.lam
 
     def beta_hat(self, r):
         r = np.asarray(r, dtype=float)
@@ -63,7 +76,12 @@ def double_well(m: float = 4.0) -> Potential:
         r = np.asarray(r, dtype=float)
         return np.abs(r) ** m / m - 0.5 * r * r
 
-    return Potential(g, g_prime, g_hat, lam=1.0, kind=f"double_well({m:g})")
+    def g_pair(r):
+        # |r|^(m-2) once, then the same operations as g and g_prime
+        power = np.abs(r) ** (m - 2.0)
+        return power * r - r, (m - 1.0) * power - 1.0
+
+    return Potential(g, g_prime, g_hat, lam=1.0, kind=f"double_well({m:g})", g_pair=g_pair)
 
 
 def custom_potential(
@@ -118,7 +136,7 @@ class YosidaParams:
             raise ConfigurationError(f"Yosida epsilon must be positive, got {self.epsilon}")
 
 
-def yosida_resolvent(pot: Potential, yp: YosidaParams, r, start=None):
+def yosida_resolvent(pot: Potential, yp: YosidaParams, r, start=None, with_beta_prime=False):
     """Resolvent j(r): the unique root of y + eps * beta(y) = r.
 
     Safeguarded Newton with a bisection fallback on the bracket between 0
@@ -136,6 +154,10 @@ def yosida_resolvent(pot: Potential, yp: YosidaParams, r, start=None):
     element is clipped into the bracket [min(r, 0), max(r, 0)].  The
     tolerance, the bracket and the safeguard are the same either way, so a
     start changes the root only within the tolerance.
+
+    Each point the iteration visits costs one ``pot.beta_pair`` call, so
+    beta'(j) at the root is already at hand: ``with_beta_prime=True``
+    returns ``(j, beta'(j))`` instead of j.
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     eps = yp.epsilon
@@ -147,35 +169,46 @@ def yosida_resolvent(pot: Potential, yp: YosidaParams, r, start=None):
         start = np.atleast_1d(np.asarray(start, dtype=float))
         if start.shape != r_arr.shape:
             raise ValueError(f"start has shape {start.shape}, r has shape {r_arr.shape}")
-        y = np.clip(np.where(np.isfinite(start), start, r_arr), lo, hi)
-    residual = y + eps * np.asarray(pot.beta(y), dtype=float) - r_arr
+        # np.clip's bits, without its Python-level dispatch
+        y = np.minimum(np.maximum(np.where(np.isfinite(start), start, r_arr), lo), hi)
+    b, bp = pot.beta_pair(y)
+    residual = y + eps * np.asarray(b, dtype=float) - r_arr
     for _ in range(_ROOT_MAX_ITER):
         open_ = ~(np.abs(residual) <= _ROOT_TOL)  # NaN counts as open
         if not open_.any():
             break
         np.minimum(hi, y, out=hi, where=residual > 0.0)
         np.maximum(lo, y, out=lo, where=residual <= 0.0)
-        slope = 1.0 + eps * np.asarray(pot.beta_prime(y), dtype=float)
+        slope = 1.0 + eps * np.asarray(bp, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = y - residual / slope
         # a NaN step fails both tests and an infinite one fails one of them
         # (the bracket is finite for finite r), so it falls back to bisection
         inside = (newton > lo) & (newton < hi)
         y = np.where(open_, np.where(inside, newton, 0.5 * (lo + hi)), y)
-        residual = y + eps * np.asarray(pot.beta(y), dtype=float) - r_arr
+        b, bp = pot.beta_pair(y)
+        residual = y + eps * np.asarray(b, dtype=float) - r_arr
     else:
         if not np.all(np.abs(residual) <= _ROOT_TOL):
             raise NewtonDivergenceError(
                 "resolvent iteration cap exceeded; is the custom beta monotone "
                 "and finite on the bracket between 0 and r?"
             )
-    return y if np.ndim(r) else float(y[0])
+    if not with_beta_prime:
+        return y if np.ndim(r) else float(y[0])
+    bp = np.asarray(bp, dtype=float)
+    return (y, bp) if np.ndim(r) else (float(y[0]), float(bp.flat[0]))
 
 
-def yosida_apply(pot: Potential, yp: YosidaParams, r, start=None):
-    """Yosida approximation beta_eps(r) = (r - j(r)) / eps; ``start`` as in ``yosida_resolvent``."""
-    j = yosida_resolvent(pot, yp, r, start=start)
-    return (np.asarray(r, dtype=float) - j) / yp.epsilon
+def yosida_apply(pot: Potential, yp: YosidaParams, r, start=None, with_resolvent=False):
+    """Yosida approximation beta_eps(r) = (r - j(r)) / eps; ``start`` as in ``yosida_resolvent``.
+
+    ``with_resolvent=True`` returns ``(beta_eps(r), j(r), beta'(j(r)))``,
+    all three from the one resolvent solve.
+    """
+    j, bp = yosida_resolvent(pot, yp, r, start=start, with_beta_prime=True)
+    beta_eps = (np.asarray(r, dtype=float) - j) / yp.epsilon
+    return (beta_eps, j, bp) if with_resolvent else beta_eps
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fracch import evolution
 from fracch.energy import EnergyContext
 from fracch.mesh import build_uniform_mesh
 from fracch.operators import FracExponents, build_operator_set
 from fracch.potentials import double_well
+
+# pytest --hypothesis-profile=ci: every property draws the same examples on
+# every run, a failing one prints the @reproduce_failure blob that replays it,
+# and no example is timed out
+settings.register_profile("ci", derandomize=True, print_blob=True, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracch
 from fracch.cli import CERTIFICATE_COLUMNS, TRAJECTORY_COLUMNS, _initial_data, main
@@ -332,6 +338,41 @@ def test_non_finite_residual_exits_solver_divergence(quick_cfg, nan_from_first_u
     assert "still stalled after 10 tau halvings" in err[0]
 
 
+def test_overflow_inside_a_step_is_one_line_of_solver_divergence(tmp_path, capsys):
+    # eps = 1e-300 overflows the Yosida beta and then the residual at every tau;
+    # numpy's overflow warnings stay off, and march's halvings end in exit 4
+    cfg = _write(tmp_path, "cfg.json", {
+        "yosida": {"enabled": True, "epsilon": 1e-300},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["simulate", "--config", cfg]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("solver divergence:")
+
+
+def test_overflowing_line_search_trials_are_rejected_silently(tmp_path, capsys):
+    # on this huge domain the first full Newton steps of the stationary solve
+    # overflow the residual; the line search shortens them without a warning
+    cfg = _write(tmp_path, "cfg.json", {
+        "domain": {"a": -5e149, "b": 5e149},
+        "mesh": {"n_elems": 10},
+        "potential": {"m": 12.0},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["equilibrium", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_csv_cells_are_shortest_reprs():
+    # the writers pass floats and ints to csv as they are: a float, numpy's
+    # float64 included, is written as its shortest repr and an int by str
+    buf = io.StringIO()
+    csv.writer(buf).writerow([np.float64(0.1), 0.1 + 0.2, 7, np.float64(-0.0),
+                              np.float64(1e-300), 2.5e16, int(np.True_)])
+    assert buf.getvalue() == "0.1,0.30000000000000004,7,-0.0,1e-300,2.5e+16,1\r\n"
+
+
 def test_equilibrium_and_spectrum(quick_cfg, tmp_path, monkeypatch):
     assert main(["equilibrium", "--config", quick_cfg]) == 0
     payload = json.loads((tmp_path / "out" / "equilibrium.json").read_text())
@@ -491,3 +532,65 @@ def test_console_entry_point(quick_cfg, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sub" / "trajectory.csv").exists()
+
+
+def _near(*edges):
+    """A float in [lo, hi] for one of the (lo, hi) pairs; half the draws are lo or hi."""
+    return st.one_of(*(st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi)) for lo, hi in edges))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+_EXPONENT = _near((1e-9, 1e-3), (0.5 - 1e-6, 0.5 + 1e-6), (0.999, 1.0 - 1e-9), (1e-3, 0.999))
+
+
+@st.composite
+def _run_configs(draw):
+    """A JSON config drawn from every key's valid range and its edges, on a small mesh."""
+    width = draw(st.one_of(st.sampled_from([1e-300, 1e-150, 2.0, 8.0, 1e150, 1e300]),
+                           _log_uniform(1e-12, 1e12)))
+    a = draw(st.sampled_from([-0.5 * width, 0.0, -1.0]))
+    tau = draw(_log_uniform(1e-9, 10.0))
+    lam = draw(st.one_of(st.none(), st.sampled_from([0.0, 1.0, 1e6]), st.floats(0.0, 5.0)))
+    return {
+        "domain": {"a": a, "b": a + width},
+        "mesh": {"n_elems": draw(st.integers(2, 12))},
+        "frac": {"s": draw(_EXPONENT), "sigma": draw(_EXPONENT)},
+        "potential": {"m": draw(_near((2.0, 2.0 + 1e-9), (2.0, 8.0), (8.0, 40.0))),
+                      "lambda": lam},
+        # at most a few steps, sometimes a single shortened one
+        "time": {"tau": tau, "t_end": tau * draw(st.sampled_from([0.3, 1.0, 2.5, 4.0]))},
+        "newton": {"tol": draw(_log_uniform(1e-16, 1e3)),
+                   "max_iter": draw(st.integers(1, 50))},
+        "yosida": {"enabled": draw(st.booleans()),
+                   "epsilon": draw(st.one_of(st.sampled_from([1e-300, 1e300]),
+                                             _log_uniform(1e-12, 1e3)))},
+        "seeds": {"rng_seed": draw(st.integers(0, 2**32))},
+    }
+
+
+# derandomized: the same 300 examples on every run, so a rare defect cannot
+# fail an unrelated change at random; drop derandomize locally to explore
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["simulate", "equilibrium", "spectrum", "verify"]),
+       cfg=_run_configs())
+def test_every_config_leaves_through_a_documented_exit_code(command, cfg):
+    # exit 1 means a verify check failed, so only verify may return it; any
+    # other failure is one line on stderr, never a traceback or a warning (a
+    # RuntimeWarning raises here, as pytest's filter makes it everywhere)
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump({**cfg, "output": {"dir": out}}, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([command, "--config", path])
+    allowed = {0, 1, 2, 3, 4, 5, 6} if command == "verify" else {0, 2, 3, 4, 5, 6}
+    assert code in allowed, (code, err.getvalue())
+    assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
+    assert not caught, [str(w.message) for w in caught]

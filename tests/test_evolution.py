@@ -1,11 +1,19 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fracch import evolution, potentials
-from fracch.energy import EnergyContext, add_tridiagonal, energy, load_vector, weighted_mass
+from fracch.energy import (
+    EnergyContext,
+    add_tridiagonal,
+    energy,
+    energy_from_parts,
+    load_vector,
+    weighted_mass,
+)
 from fracch.errors import (
     CertificateViolationError,
     ConfigurationError,
@@ -192,21 +200,28 @@ def test_certificate_violation_paths(ctx64, monkeypatch):
     mesh = ctx64.ops.mesh
     u0 = 1e-3 * interpolate(mesh, lambda x: np.sin(np.pi * x))
     cfg = StepConfig(tau=1e-3)
-    # each energy evaluation reads one unit higher than the one before it, so
-    # every step's e_after exceeds its e_before by about 1 and no certificate holds
-    offset = itertools.count()
-    monkeypatch.setattr(evolution, "energy", lambda ctx, u: energy(ctx, u) + next(offset))
+    # each step's e_after reads one unit higher than the one before it (the
+    # first one unit high), so every step's e_after exceeds its e_before by
+    # about 1 and no certificate holds
+    offset = itertools.count(1)
+    monkeypatch.setattr(evolution, "energy_from_parts",
+                        lambda ctx, quad_form, vals: energy_from_parts(ctx, quad_form, vals)
+                        + next(offset))
     with pytest.raises(CertificateViolationError):
         evolve(ctx64, cfg, u0, t_end=0.01)
-    with pytest.warns(UserWarning):
-        traj = evolve(ctx64, cfg, u0, t_end=0.01, on_violation="warn")
-    assert len(traj.certificates) == 10
+    # "ignore" records each violation in the certificate, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = evolve(ctx64, cfg, u0, t_end=0.01, on_violation="ignore")
+    assert len(traj.certificates) == 10 and not traj.certificates.satisfied.any()
+    with pytest.raises(ConfigurationError, match="on_violation"):
+        evolve(ctx64, cfg, u0, t_end=0.01, on_violation="warn")
 
 
 def test_yosida_stepping_runs(ctx64, rng):
     u0 = 0.1 * rng.standard_normal(ctx64.ops.mesh.dof_count)
     cfg = StepConfig(tau=1e-2, use_yosida=1e-3)
-    traj = evolve(ctx64, cfg, u0, t_end=0.1, on_violation="warn")
+    traj = evolve(ctx64, cfg, u0, t_end=0.1, on_violation="ignore")
     assert np.all(np.isfinite(traj.certificates.e_after))
     # regularization error is O(epsilon); defects must stay comparably small
     assert np.max(traj.certificates.defect) < 1e-3
@@ -316,6 +331,50 @@ def test_yosida_step_solves_one_resolvent_per_iterate(ctx64, rng, monkeypatch):
     step(ctx64, StepConfig(tau=1e-2, use_yosida=1e-2), u0, e_before=0.0)
     assert calls["updates"] >= 2
     assert calls["resolvent"] == calls["updates"] + 1
+
+
+@pytest.mark.parametrize("yosida", [None, 1e-2])
+def test_step_reuses_the_accepted_iterate_for_its_energy(ctx64_wide, rng, monkeypatch, yosida):
+    calls = {"quad": 0, "energy": 0, "updates": 0}
+    values_at_quad = EnergyContext.values_at_quad
+
+    def quad(self, v):
+        calls["quad"] += 1
+        return values_at_quad(self, v)
+
+    def counted_energy(ctx, v):
+        calls["energy"] += 1
+        return energy(ctx, v)
+
+    def counted_mass(ctx, fvals):
+        calls["updates"] += 1
+        return weighted_mass(ctx, fvals)
+
+    monkeypatch.setattr(EnergyContext, "values_at_quad", quad)
+    monkeypatch.setattr(evolution, "energy", counted_energy)
+    monkeypatch.setattr(evolution, "weighted_mass", counted_mass)
+    u_prev = 0.5 * rng.standard_normal(ctx64_wide.ops.mesh.dof_count)
+    e_before = energy(ctx64_wide, u_prev)
+    calls["quad"] = 0
+    u, _, cert = step(ctx64_wide, StepConfig(tau=1e-2, use_yosida=yosida), u_prev,
+                      e_before=e_before)
+    # one grid evaluation per iterate, the accepted one included, and no energy() call
+    assert calls["updates"] == cert.newton_iters >= 2
+    assert calls["quad"] == cert.newton_iters + 1
+    assert calls["energy"] == 0
+    monkeypatch.undo()
+    assert cert.e_after == pytest.approx(energy(ctx64_wide, u), rel=1e-14, abs=0.0)
+    assert cert.u_xnorm_sigma == pytest.approx(xnorm(ctx64_wide.ops.A_sigma, u), rel=1e-14)
+
+
+def test_energy_overflow_at_the_accepted_iterate_is_silent(ctx64, monkeypatch):
+    # a primitive that overflows only where the step ends: numpy's warnings are
+    # off inside the step, and the energy check reports it as OverflowError
+    monkeypatch.setattr(evolution, "energy_from_parts",
+                        lambda ctx, quad_form, vals: energy_from_parts(ctx, quad_form, vals * 1e300))
+    u0 = 1e-3 * interpolate(ctx64.ops.mesh, lambda x: np.sin(np.pi * x))
+    with pytest.raises(OverflowError, match="potential overflow"):
+        step(ctx64, StepConfig(tau=1e-3), u0)
 
 
 def test_non_finite_residual_is_divergence(ctx64, rng, nan_from_first_update):
@@ -515,8 +574,9 @@ def test_predictor_only_across_equal_steps(ctx64, rng, monkeypatch):
 
 def _count_beta_calls(monkeypatch):
     calls = []
-    beta = Potential.beta
-    monkeypatch.setattr(Potential, "beta", lambda self, r: calls.append(r) or beta(self, r))
+    beta_pair = Potential.beta_pair  # the resolvent's one (beta, beta') evaluation per point
+    monkeypatch.setattr(Potential, "beta_pair",
+                        lambda self, r: calls.append(r) or beta_pair(self, r))
     return calls
 
 
@@ -528,7 +588,7 @@ def test_warm_resolvent_halves_the_beta_evaluations(ctx64, rng, monkeypatch):
     n_warm = len(calls)
     # the same steps with every resolvent solve started cold, at y = r
     monkeypatch.setattr(evolution, "yosida_apply",
-                        lambda pot, yp, r, start=None: yosida_apply(pot, yp, r))
+                        lambda pot, yp, r, start=None, **kw: yosida_apply(pot, yp, r, **kw))
     calls.clear()
     cold = list(itertools.islice(march(ctx64, cfg, u0, t_end=1e9), 200))
     assert n_warm <= 0.6 * len(calls)

@@ -203,14 +203,57 @@ def test_resolvent_from_any_start_finds_the_cold_root(rng, pot, kind):
     assert np.max(np.abs(j + eps * pot.beta(j) - r)) <= _ROOT_TOL
 
 
+@settings(max_examples=40, deadline=None)
+@given(r=arrays(np.float64, st.integers(0, 40),
+                elements=st.one_of(st.floats(-20, 20), st.floats(allow_nan=True,
+                                                                 allow_infinity=True))),
+       m=st.sampled_from([2.0, 3.0, 4.0, 6.5]))
+def test_double_well_beta_pair_is_beta_and_beta_prime_bitwise(r, m):
+    pot = double_well(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b, bp = pot.beta_pair(r)
+        want_b, want_bp = pot.beta(r), pot.beta_prime(r)
+    # equal_nan: NaN payloads aside, every element is the same double
+    assert np.array_equal(b, want_b, equal_nan=True)
+    assert np.array_equal(bp, want_bp, equal_nan=True)
+    assert np.array_equal(np.signbit(b), np.signbit(want_b))
+    assert np.array_equal(np.signbit(bp), np.signbit(want_bp))
+
+
+def test_custom_beta_pair_is_the_two_calls():
+    pot = _steep_arctan()
+    r = np.linspace(-3.0, 3.0, 101)
+    b, bp = pot.beta_pair(r)
+    assert np.array_equal(b, pot.beta(r)) and np.array_equal(bp, pot.beta_prime(r))
+
+
+@pytest.mark.parametrize("pot", [double_well(4.0), double_well(6.5), _steep_arctan()],
+                         ids=["cubic", "m6.5", "arctan"])
+def test_resolvent_hands_back_beta_prime_at_the_root(rng, pot):
+    yp = YosidaParams(epsilon=0.01)
+    r = rng.uniform(-20.0, 20.0, 400)
+    for start in (None, r + rng.standard_normal(r.size)):
+        j, bp = yosida_resolvent(pot, yp, r, start=start, with_beta_prime=True)
+        assert np.array_equal(j, yosida_resolvent(pot, yp, r, start=start))
+        assert np.array_equal(bp, pot.beta_prime(j))
+        # yosida_apply hands the same solve on, with beta_eps(r) in front
+        be, j_apply, bp_apply = yosida_apply(pot, yp, r, start=start, with_resolvent=True)
+        assert np.array_equal(be, yosida_apply(pot, yp, r, start=start))
+        assert np.array_equal(j_apply, j) and np.array_equal(bp_apply, bp)
+    j, bp = yosida_resolvent(pot, yp, 2.5, with_beta_prime=True)
+    assert type(j) is float and type(bp) is float
+    assert bp == float(pot.beta_prime(j))
+
+
 def test_resolvent_start_at_the_root_costs_one_beta(monkeypatch, rng):
     pot = double_well(4.0)
     yp = YosidaParams(epsilon=0.01)
     r = rng.uniform(-5.0, 5.0, 300)
     cold = yosida_resolvent(pot, yp, r)
     calls = []
-    beta = Potential.beta
-    monkeypatch.setattr(Potential, "beta", lambda self, y: calls.append(y) or beta(self, y))
+    beta_pair = Potential.beta_pair  # one (beta, beta') evaluation per point visited
+    monkeypatch.setattr(Potential, "beta_pair",
+                        lambda self, y: calls.append(y) or beta_pair(self, y))
     assert np.array_equal(yosida_resolvent(pot, yp, r, start=cold), cold)
     assert len(calls) == 1
     calls.clear()
