@@ -35,8 +35,10 @@ _DEFAULTS = {
 # the most dense dof x dof float64 arrays a command holds at once (M itself is
 # factored in O(n)).  simulate with s != sigma holds six (five at s = sigma,
 # where A_s is A_sigma): A_s, A_sigma, M, the factor of A_s, P = M A_s^{-1} M
-# and either A_s^{-1} M, while P is built, or the Newton step matrix; verify
-# holds the same in its short run (its Poincare samples are 100 x dof blocks).
+# and either A_s^{-1} M, while P is built, or the Newton step matrix, which
+# is factored and inverted in its own buffer and kept in that slot as the
+# PCG preconditioner (dropped before the next one is formed); verify holds
+# the same in its short run (its Poincare samples are 100 x dof blocks).
 # equilibrium and spectrum never assemble A_s and hold five: A_sigma, M, the
 # factor of A_sigma, the linearization L and either its reduced pencil or
 # the eigensolver's copy of L (six, with the projection P, when the kernel is

@@ -102,11 +102,14 @@ def weighted_mass(ctx: EnergyContext, fvals: np.ndarray) -> tuple[np.ndarray, np
 
 
 def add_tridiagonal(A: np.ndarray, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Add the symmetric tridiagonal (diag, off) to the square matrix A in place; returns A."""
+    """Add the symmetric tridiagonal (diag, off) to the C-contiguous square A in place; returns A."""
+    if not A.flags.c_contiguous:
+        raise ValueError("add_tridiagonal needs a C-contiguous matrix")
     n = A.shape[0]
-    A.flat[::n + 1] += diag
-    A.flat[1::n + 1] += off
-    A.flat[n::n + 1] += off
+    flat = A.reshape(-1)  # a view, so the strided slices below write into A
+    flat[::n + 1] += diag
+    flat[1::n + 1] += off
+    flat[n::n + 1] += off
     return A
 
 

@@ -14,16 +14,27 @@ with P = M A_s^{-1} M.  Newton solves it until |F(u)|_{M^{-1}} < newton_tol;
 w_n is then recovered once, by one A_s solve.  The Jacobian of F is
 S = P/tau + A_sigma + B'(u), where P is fixed per operator set and cached
 there and B', the weighted mass of beta' >= 0, is tridiagonal.  So S is
-symmetric positive definite and one in-place Cholesky factorization per
-iterate solves it.  (With potential.lambda below the tightest monotone
-split, beta' < 0 can make S indefinite; the factorization then fails with
-JacobianSingularError.)  The pair (beta, beta') is evaluated once per
+symmetric positive definite, and only B' changes between iterates at one
+tau.  ``march`` therefore keeps one ``_StepSolver`` per run (Kelley,
+Iterative Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 5-6):
+the first update at a tau factors S in place (Cholesky), solves with the
+factor and, above a crossover dof, turns the factor into S^{-1} in the same
+buffer.  Every later update at that tau runs PCG on the true S,
+preconditioned by one symmetric matvec with that inverse, to a relative
+preconditioned residual of 1e-10; PCG that meets p^T S p <= 0 or needs more
+than 8 iterations, and any change of tau (a halving, a shortened last
+step), factor afresh.  Below the crossover (dof 128) a factorization costs
+less than the PCG loop's Python overhead, and every update factors.  (With
+potential.lambda below the tightest monotone split, beta' < 0 can make S
+indefinite; the factorization then fails with JacobianSingularError.)
+Each certificate counts the factorizations and PCG iterations of its
+step.  The pair (beta, beta') is evaluated once per
 iterate on the quadrature grid, and E(u_n) comes from the accepted
 iterate's grid values and A_sigma u_n, which the last residual formed.
 numpy's overflow and invalid-value warnings are off inside a step: an
-overflow shows up as a non-finite residual (NewtonDivergenceError, which
-``march`` answers with a tau halving) or as a non-finite energy
-(OverflowError).  The monotone part of the nonlinearity is
+overflow shows up as a non-finite residual (NewtonDivergenceError) or as a
+non-finite energy at the accepted iterate (OverflowError), and ``march``
+answers either with a tau halving.  The monotone part of the nonlinearity is
 implicit, the expansive lambda-term is lagged, so testing the two equations
 with w_n and u_n - u_prev gives the per-step inequality
 
@@ -58,7 +69,7 @@ r and clips the start into its bracket, and its tolerance is unchanged, so
 the start moves each root only within that tolerance; on the
 ``simulate_yosida64`` benchmark config it halves the beta evaluations.  The
 memory lives in the run only: ``step`` called alone builds its own callable
-and starts its first solve cold.
+and starts its first solve cold, as it builds its own ``_StepSolver``.
 """
 
 from __future__ import annotations
@@ -68,7 +79,8 @@ import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.blas import dsymv
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .energy import (
     EnergyContext,
@@ -143,6 +155,8 @@ class StepCertificate:
     newton_iters: int  # Newton updates taken by the accepted attempt
     newton_residual: float  # |F|_{M^{-1}} at the accepted iterate, below newton_tol
     halvings: int  # tau halvings the accepted step took (set by march; step sets 0)
+    factorizations: int  # step-matrix factorizations made by the accepted attempt
+    pcg_iters: int  # PCG iterations summed over the accepted attempt's updates
 
 
 # one record column per certificate field; the annotations are the strings
@@ -190,19 +204,94 @@ def _beta_pair(ctx: EnergyContext, cfg: StepConfig):
     return beta_eps_pair
 
 
-def _newton_delta(ops, tau: float, Bp, F: np.ndarray) -> np.ndarray:
-    """Newton update du = -S^{-1} F, S = P/tau + A_sigma + B'; Bp is B' as (diag, off)."""
-    S = ops.step_block() / tau
-    S += ops.A_sigma
-    add_tridiagonal(S, *Bp)
-    # S.T is S's Fortran-ordered view, so LAPACK factors it in place
-    factor, info = dpotrf(S.T, overwrite_a=1, clean=0)
-    if info > 0:
-        raise JacobianSingularError(
-            f"step matrix not positive definite at tau={tau} because beta' < 0 somewhere "
-            "(potential.lambda below the tightest monotone split)"
-        )
-    return dpotrs(factor, -F)[0]
+# Below this dof every Newton update factors its step matrix: one dpotrf
+# (about 25 us at dof 63) costs less there than the Python overhead of the
+# PCG iterations that would replace it.  Timing march alone (300 steps, one
+# thread), PCG was 30-50% slower at dof 63, about even at dof 127 and
+# 30-40% faster at dof 255
+_PCG_MIN_DOF = 128
+_PCG_MAX_ITERS = 8  # past this, refactoring costs less than iterating on
+_PCG_RTOL = 1e-10  # relative preconditioned residual at which PCG stops
+
+
+class _StepSolver:
+    """Newton updates du = -S^{-1} F of one run, S = P/tau + A_sigma + B'(u).
+
+    The first update at a tau forms S, factors it in place and solves with
+    the factor; above ``_PCG_MIN_DOF`` it then turns the factor into the
+    upper triangle of S^{-1} in the same buffer and keeps it.  Later updates
+    at that tau run PCG on the true S (B' from its diagonals), preconditioned
+    by one symmetric matvec with the kept inverse.  PCG that meets
+    p^T S p <= 0 or has not converged within ``_PCG_MAX_ITERS`` iterations,
+    and any change of tau, drop the inverse and factor again.  Below
+    ``_PCG_MIN_DOF`` the PCG budget is zero and every update factors.
+    ``factorizations`` and ``pcg_iters`` count the run's work.
+    """
+
+    def __init__(self, ops):
+        self.ops = ops
+        self.budget = _PCG_MAX_ITERS if ops.mesh.dof_count >= _PCG_MIN_DOF else 0
+        self.tau = None  # the tau of the kept inverse, None while none is kept
+        self.inv = None
+        self.factorizations = 0
+        self.pcg_iters = 0
+
+    def delta(self, tau: float, Bp, F: np.ndarray) -> np.ndarray:
+        """The Newton update -S^{-1} F at this tau; Bp is B' as (diag, off)."""
+        if tau == self.tau:
+            du = self._pcg(tau, Bp, -F)
+            if du is not None:
+                return du
+        # drop the old inverse first: one dof x dof step-matrix buffer at a time
+        self.tau = self.inv = None
+        S = self.ops.step_block() / tau
+        S += self.ops.A_sigma
+        add_tridiagonal(S, *Bp)
+        # S.T is S's Fortran-ordered view, so LAPACK factors it in place
+        factor, info = dpotrf(S.T, overwrite_a=1, clean=0)
+        self.factorizations += 1
+        if info > 0:
+            raise JacobianSingularError(
+                f"step matrix not positive definite at tau={tau} because beta' < 0 somewhere "
+                "(potential.lambda below the tightest monotone split)"
+            )
+        du = dpotrs(factor, -F)[0]
+        if self.budget:
+            self.inv = dpotri(factor, overwrite_c=1)[0]
+            self.tau = tau
+        return du
+
+    def _pcg(self, tau: float, Bp, r: np.ndarray):
+        """PCG for S x = r from x = 0, overwriting r; None when S must be factored instead."""
+        P, A_sig, inv = self.ops.step_block(), self.ops.A_sigma, self.inv
+        diag, off = Bp
+        x = np.zeros_like(r)
+        p = z = dsymv(1.0, inv, r)  # dsymv reads the upper triangle only
+        rz = r @ z
+        if rz == 0.0:  # r = 0, as at an exact fixed point
+            return x
+        stop = _PCG_RTOL**2 * rz
+        for _ in range(self.budget):
+            q = P @ p
+            q /= tau
+            q += A_sig @ p
+            q += diag * p
+            q[:-1] += off * p[1:]
+            q[1:] += off * p[:-1]
+            pq = p @ q
+            self.pcg_iters += 1
+            if not pq > 0.0:  # S is not positive definite along p (or NaN)
+                return None
+            alpha = rz / pq
+            x += alpha * p
+            r -= alpha * q
+            z = dsymv(1.0, inv, r)
+            rz_next = r @ z
+            if rz_next <= stop:
+                return x
+            p = z + (rz_next / rz) * p
+            rz = rz_next
+        return None
 
 
 def step(
@@ -213,6 +302,7 @@ def step(
     e_before: float | None = None,
     u_start: np.ndarray | None = None,
     beta_pair=None,
+    solver: _StepSolver | None = None,
 ):
     """One convex-splitting step; returns (u_n, w_n, certificate).
 
@@ -221,8 +311,9 @@ def step(
     Newton starts from ``u_start`` if given, else from ``u_prev``; from a
     given start it takes at least one update before the residual test can
     accept an iterate, so the start's residual is only checked to be finite.
-    ``beta_pair`` is the run's ``_beta_pair(ctx, cfg)`` (``march`` passes
-    one per run); without it the step builds its own.
+    ``beta_pair`` is the run's ``_beta_pair(ctx, cfg)`` and ``solver`` its
+    ``_StepSolver`` (``march`` passes one of each per run); without them the
+    step builds its own.
     """
     ops = ctx.ops
     mesh = ops.mesh
@@ -230,6 +321,9 @@ def step(
     tau = cfg.tau if tau is None else tau
     if beta_pair is None:
         beta_pair = _beta_pair(ctx, cfg)
+    if solver is None:
+        solver = _StepSolver(ops)
+    factorizations, pcg_iters = solver.factorizations, solver.pcg_iters
     lam = ctx.pot.lam
     M, A_sig, P = ops.M, ops.A_sigma, ops.step_block()
 
@@ -267,7 +361,7 @@ def step(
                     f"step Newton stalled at residual {res:.3e} after {cfg.newton_max} "
                     f"iterations (tau={tau})"
                 )
-            u = u + _newton_delta(ops, tau, weighted_mass(ctx, bp_q), F)
+            u = u + solver.delta(tau, weighted_mass(ctx, bp_q), F)
 
         du = u - u_prev
         M_du = M @ du
@@ -285,17 +379,26 @@ def step(
         defect=defect, satisfied=defect <= tol, tau_used=tau,
         u_xnorm_sigma=math.sqrt(max(u_A_u, 0.0)), u_linf=linf_norm(mesh, u),
         newton_iters=it, newton_residual=res, halvings=0,
+        factorizations=solver.factorizations - factorizations,
+        pcg_iters=solver.pcg_iters - pcg_iters,
     )
     return u, w, cert
 
 
-def _step_from_predictor(ctx, cfg, u, tau, e_before, u_back, beta_pair):
-    """``step`` from the linear predictor 2u - u_back; retried once from u if Newton fails there."""
+# the ways a step can fail that a smaller tau may cure: a stalled or
+# non-finite Newton iteration, an indefinite step matrix, and an accepted
+# iterate whose energy overflows
+_STEP_FAILURES = (NewtonDivergenceError, JacobianSingularError, OverflowError)
+
+
+def _step_from_predictor(ctx, cfg, u, tau, e_before, u_back, beta_pair, solver):
+    """``step`` from the linear predictor 2u - u_back; retried once from u if it fails there."""
     try:
         return step(ctx, cfg, u, tau=tau, e_before=e_before, u_start=2.0 * u - u_back,
-                    beta_pair=beta_pair)
-    except (NewtonDivergenceError, JacobianSingularError):
-        return step(ctx, cfg, u, tau=tau, e_before=e_before, beta_pair=beta_pair)
+                    beta_pair=beta_pair, solver=solver)
+    except _STEP_FAILURES:
+        return step(ctx, cfg, u, tau=tau, e_before=e_before, beta_pair=beta_pair,
+                    solver=solver)
 
 
 def march(
@@ -314,10 +417,12 @@ def march(
     Newton from the predictor 2 u_n - u_{n-1}; if Newton fails from there,
     the step is retried once from u_n at that tau.  The other steps (the
     first, a shortened last one, one after a halving) start from u_n.  On
-    Newton divergence or an indefinite step matrix from u_n (P/tau grows as
-    tau shrinks) the step retries with tau halved (this step only, up to
-    ``max_halvings``); the certificate records the tau actually used and
-    the number of halvings.  One ``_beta_pair`` serves the whole run.  A
+    Newton divergence, an indefinite step matrix (P/tau grows as tau
+    shrinks) or an accepted iterate whose energy overflows, from u_n, the
+    step retries with tau halved (this step only, up to ``max_halvings``);
+    the certificate records the tau actually used and the number of
+    halvings.  One ``_beta_pair`` and one ``_StepSolver`` serve the whole
+    run.  A
     violated certificate raises CertificateViolationError ("abort") or is
     only recorded in the certificate's ``satisfied`` ("ignore").
     """
@@ -329,6 +434,7 @@ def march(
     e_u = energy(ctx, u)  # also rejects initial data without finite energy
     u_back = tau_back = None  # the state before the last accepted step, and its tau
     beta_pair = _beta_pair(ctx, cfg)
+    solver = _StepSolver(ctx.ops)
 
     t = 0.0
     step_idx = 0
@@ -339,12 +445,12 @@ def march(
             try:
                 if tau_try == tau_back:
                     u_new, _, cert = _step_from_predictor(ctx, cfg, u, tau_try, e_u, u_back,
-                                                          beta_pair)
+                                                          beta_pair, solver)
                 else:
                     u_new, _, cert = step(ctx, cfg, u, tau=tau_try, e_before=e_u,
-                                          beta_pair=beta_pair)
+                                          beta_pair=beta_pair, solver=solver)
                 break
-            except (NewtonDivergenceError, JacobianSingularError) as exc:
+            except _STEP_FAILURES as exc:
                 if attempt == max_halvings:
                     raise type(exc)(
                         f"{exc}; still stalled after {max_halvings} tau halvings "

@@ -40,6 +40,14 @@ def ctx64_wide():
     return EnergyContext(ops=ops, pot=double_well(4.0))
 
 
+@pytest.fixture(scope="session")
+def ctx256_wide():
+    """The simulate_wide256 benchmark operators (dof 255, above the stepper's PCG crossover)."""
+    ops = build_operator_set(build_uniform_mesh(-4.0, 4.0, 256), FracExponents(0.5, 0.5))
+    ops.step_block()  # P = M A_s^{-1} M, cached for every test that steps on it
+    return EnergyContext(ops=ops, pot=double_well(4.0))
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
@@ -64,3 +72,25 @@ def nan_from_first_update(monkeypatch):
         return nan_pair
 
     monkeypatch.setattr(evolution, "_beta_pair", patched)
+
+
+@pytest.fixture()
+def nan_beta_poison(monkeypatch):
+    """A dict whose "left" counts the next beta evaluations, in any step, to come out NaN."""
+    beta_pair = evolution._beta_pair
+    poison = {"left": 0}
+
+    def patched(ctx, cfg):
+        pair = beta_pair(ctx, cfg)
+
+        def maybe_nan_pair(r):
+            b, bp = pair(r)
+            if poison["left"]:
+                poison["left"] -= 1
+                b = np.full_like(b, np.nan)
+            return b, bp
+
+        return maybe_nan_pair
+
+    monkeypatch.setattr(evolution, "_beta_pair", patched)
+    return poison

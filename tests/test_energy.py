@@ -118,6 +118,26 @@ def test_weighted_mass_reduces_to_mass(ctx64):
     assert np.array_equal(B, B.T)
 
 
+@pytest.mark.parametrize("n", [1, 2, 63, 255])
+def test_add_tridiagonal_matches_the_flat_form(n, rng):
+    A = rng.standard_normal((n, n))
+    diag, off = rng.standard_normal(n), rng.standard_normal(n - 1)
+    ref = A.copy()  # the former form, through the flat iterator
+    ref.flat[::n + 1] += diag
+    ref.flat[1::n + 1] += off
+    ref.flat[n::n + 1] += off
+    out = A.copy()
+    assert add_tridiagonal(out, diag, off) is out
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_add_tridiagonal_refuses_a_strided_matrix():
+    # reshape(-1) would copy such a matrix, and the sum would not reach it
+    for A in (np.asfortranarray(np.ones((3, 3))), np.ones((3, 6))[:, ::2]):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            add_tridiagonal(A, np.ones(3), np.ones(2))
+
+
 def test_energy_overflow_raises(ctx64):
     huge = np.full(ctx64.ops.mesh.dof_count, 1e160)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError):

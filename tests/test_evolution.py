@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracch import evolution, potentials
 from fracch.energy import (
@@ -20,7 +22,7 @@ from fracch.errors import (
     JacobianSingularError,
     NewtonDivergenceError,
 )
-from fracch.evolution import StepConfig, _beta_pair, _newton_delta, evolve, march, step
+from fracch.evolution import StepConfig, _beta_pair, _StepSolver, evolve, march, step
 from fracch.equilibrium import default_equilibrium_seed, solve_stationary
 from fracch.mesh import build_uniform_mesh, interpolate
 from fracch.operators import FracExponents, OperatorSet, build_operator_set, xnorm
@@ -276,7 +278,7 @@ def test_spd_update_matches_block_solve(exps, yosida, tau, rng):
     jac = np.block([[ops.M / tau, ops.A_s], [-(ops.A_sigma + B_dense), ops.M]])
     ref = np.linalg.solve(jac, -np.concatenate([r1, r2]))
     # eliminating dw from the block system leaves S du = -(M A_s^{-1} r1 - r2)
-    du = _newton_delta(ops, tau, Bp, ops.M @ ops.solve_A_s(r1) - r2)
+    du = _StepSolver(ops).delta(tau, Bp, ops.M @ ops.solve_A_s(r1) - r2)
     assert np.linalg.norm(du - ref[:dof]) <= 1e-10 * np.linalg.norm(ref[:dof])
 
 
@@ -608,26 +610,11 @@ def test_marches_keep_no_state_between_runs(ctx64, ctx64_wide, rng):
         assert u.tobytes() == first.tobytes() == second.tobytes()
 
 
-def test_warm_resolvent_through_retry_and_halving(ctx64, rng, monkeypatch):
+def test_warm_resolvent_through_retry_and_halving(ctx64, rng, monkeypatch, nan_beta_poison):
     # two NaN beta evaluations make the predicted start of step 6 and its
     # retry from u fail, so march halves tau for that step; the run's
     # resolvent memory goes through all of it
-    beta_pair = evolution._beta_pair
-    poison = {"left": 0}
-
-    def patched(ctx, cfg):
-        pair = beta_pair(ctx, cfg)
-
-        def maybe_nan_pair(r):
-            b, bp = pair(r)
-            if poison["left"]:
-                poison["left"] -= 1
-                b = np.full_like(b, np.nan)
-            return b, bp
-
-        return maybe_nan_pair
-
-    monkeypatch.setattr(evolution, "_beta_pair", patched)
+    poison = nan_beta_poison
     u0 = 0.3 * rng.standard_normal(ctx64.ops.mesh.dof_count)
     cfg = StepConfig(tau=1e-2, use_yosida=1e-2)
     run = march(ctx64, cfg, u0, t_end=1e9)
@@ -643,3 +630,142 @@ def test_warm_resolvent_through_retry_and_halving(ctx64, rng, monkeypatch):
     for (_, u_marched, cert) in marched:
         u = step(ctx64, cfg, u, tau=cert.tau_used)[0]  # cold: own pair, from u_prev
         assert np.linalg.norm(u_marched - u) <= 1e-9 * np.linalg.norm(u)
+
+
+def test_energy_overflow_clears_after_one_halving(ctx64, monkeypatch):
+    # the accepted iterate's energy overflows at the first tau only: march
+    # halves tau for it as for a stall, where step alone raises
+    calls = []
+
+    def overflow_once(ctx, quad_form, vals):
+        calls.append(quad_form)
+        return energy_from_parts(ctx, quad_form, vals * (1e300 if len(calls) == 1 else 1.0))
+
+    monkeypatch.setattr(evolution, "energy_from_parts", overflow_once)
+    u0 = 1e-3 * interpolate(ctx64.ops.mesh, lambda x: np.sin(np.pi * x))
+    certs = [cert for _, _, cert in itertools.islice(march(ctx64, StepConfig(tau=1e-3), u0, 1.0), 3)]
+    assert [c.halvings for c in certs] == [1, 0, 0]
+    assert [c.tau_used for c in certs] == [5e-4, 1e-3, 1e-3]
+    assert all(c.satisfied for c in certs)
+
+
+def test_energy_overflow_after_the_last_halving_is_overflow(ctx64, monkeypatch):
+    monkeypatch.setattr(evolution, "energy_from_parts",
+                        lambda ctx, quad_form, vals: energy_from_parts(ctx, quad_form, vals * 1e300))
+    u0 = 1e-3 * interpolate(ctx64.ops.mesh, lambda x: np.sin(np.pi * x))
+    with pytest.raises(OverflowError, match="potential overflow.*still stalled after 2 tau halvings"):
+        evolve(ctx64, StepConfig(tau=1e-3), u0, t_end=1.0, max_halvings=2)
+
+
+def test_one_factorization_per_tau_above_the_crossover(ctx256_wide, ctx64, rng):
+    u0 = 0.25 * rng.standard_normal(ctx256_wide.ops.mesh.dof_count)
+    certs = evolve(ctx256_wide, StepConfig(tau=1e-3), u0, t_end=0.03).certificates
+    assert len(certs) == 30
+    assert certs.factorizations.dtype == certs.pcg_iters.dtype == np.int64
+    assert certs.factorizations.sum() == 1 and certs.factorizations[0] == 1
+    # every later update runs PCG, a few iterations each
+    assert (certs.pcg_iters[1:] >= certs.newton_iters[1:]).all()
+    assert certs.pcg_iters.sum() <= 8 * (certs.newton_iters.sum() - 1)
+    # at an exact fixed point the predicted steps' zero residual needs no PCG
+    zero = evolve(ctx256_wide, StepConfig(tau=1e-3), np.zeros_like(u0), t_end=0.005)
+    assert not zero.states.any()
+    assert zero.certificates.factorizations.sum() == 1
+    assert zero.certificates.pcg_iters.sum() == 0
+    # below it, every update factors and none iterates
+    certs = evolve(ctx64, StepConfig(tau=1e-3), 0.25 * u0[:63], t_end=0.03).certificates
+    assert (certs.pcg_iters == 0).all()
+    assert (certs.factorizations == certs.newton_iters).all()
+
+
+def test_pcg_path_matches_factoring_every_update(ctx256_wide, rng, monkeypatch):
+    u0 = 0.25 * rng.standard_normal(ctx256_wide.ops.mesh.dof_count)
+    cfg = StepConfig(tau=1e-3)
+    pcg = evolve(ctx256_wide, cfg, u0, t_end=0.03)
+    monkeypatch.setattr(evolution, "_PCG_MIN_DOF", math.inf)
+    factored = evolve(ctx256_wide, cfg, u0, t_end=0.03)
+    assert factored.certificates.pcg_iters.sum() == 0
+    assert list(pcg.certificates.newton_iters) == list(factored.certificates.newton_iters)
+    for u, ref in zip(pcg.states, factored.states):
+        assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_failed_pcg_falls_back_to_a_factorization(ctx256_wide, rng):
+    ops = ctx256_wide.ops
+    dof = ops.mesh.dof_count
+    solver = _StepSolver(ops)
+    F = rng.standard_normal(dof)
+    solver.delta(1e-3, (np.zeros(dof), np.zeros(dof - 1)), F)
+    assert solver.factorizations == 1 and solver.inv is not None
+    # a B' this negative makes S indefinite, or negative definite, where CG
+    # would converge: PCG gives up at p^T S p <= 0 and the refactor fails
+    eigs = np.linalg.eigvalsh(ops.step_block() / 1e-3 + ops.A_sigma)
+    for shift in (2.0 * eigs[0], 2.0 * eigs[-1]):
+        solver.delta(1e-3, (np.zeros(dof), np.zeros(dof - 1)), F)
+        factorizations, pcg_iters = solver.factorizations, solver.pcg_iters
+        with pytest.raises(JacobianSingularError,
+                           match=r"not positive definite at tau=0.001 because beta' < 0 somewhere "
+                                 r"\(potential.lambda below the tightest monotone split\)"):
+            solver.delta(1e-3, (np.full(dof, -shift), np.zeros(dof - 1)), F)
+        assert solver.factorizations == factorizations + 1
+        assert 1 <= solver.pcg_iters - pcg_iters <= 8
+        assert solver.inv is None
+    assert solver.pcg_iters - pcg_iters == 1  # S negative definite: stopped at once
+    # a B' far from the kept one leaves S positive definite but PCG slow:
+    # after its 8 iterations the update comes from a fresh factorization
+    solver.delta(1e-3, (np.zeros(dof), np.zeros(dof - 1)), F)
+    factorizations, pcg_iters = solver.factorizations, solver.pcg_iters
+    Bp = (np.linspace(0.0, 10.0 * eigs[-1], dof), np.zeros(dof - 1))
+    du = solver.delta(1e-3, Bp, F)
+    assert solver.factorizations == factorizations + 1
+    assert solver.pcg_iters - pcg_iters == 8
+    S = add_tridiagonal(ops.step_block() / 1e-3 + ops.A_sigma, *Bp)
+    assert np.linalg.norm(S @ du + F) <= 1e-10 * np.linalg.norm(F)
+
+
+def test_tau_halving_and_shortened_last_step_refactor(ctx256_wide, rng, nan_beta_poison):
+    # NaN beta values on the predicted start of step 4 and on its retry make
+    # march halve tau for that step; t_end leaves a shortened last step
+    poison = nan_beta_poison
+    u0 = 0.25 * rng.standard_normal(ctx256_wide.ops.mesh.dof_count)
+    run = march(ctx256_wide, StepConfig(tau=1e-3), u0, t_end=0.008)
+    certs = [next(run)[2] for _ in range(3)]
+    poison["left"] = 2
+    certs += [cert for _, _, cert in run]
+    assert [c.halvings for c in certs] == [0, 0, 0, 1, 0, 0, 0, 0, 0]
+    assert [c.tau_used for c in certs][3:5] == [5e-4, 1e-3]
+    assert certs[-1].tau_used == pytest.approx(5e-4)
+    # a factorization at the first tau, at the halved one, back at the full
+    # one, and at the shortened last step
+    assert [c.factorizations for c in certs] == [1, 0, 0, 1, 1, 0, 0, 0, 1]
+    # a new tau factors at once, without PCG on the previous tau's inverse
+    dof = ctx256_wide.ops.mesh.dof_count
+    solver = _StepSolver(ctx256_wide.ops)
+    for tau in (1e-3, 5e-4):
+        solver.delta(tau, (np.zeros(dof), np.zeros(dof - 1)), np.ones(dof))
+    assert solver.factorizations == 2 and solver.pcg_iters == 0
+
+
+_EDGE_EXPONENTS = (1e-3, 0.5 - 1e-9, 0.5 + 1e-9, 0.999)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=st.sampled_from(_EDGE_EXPONENTS), sigma=st.sampled_from(_EDGE_EXPONENTS),
+       n_elems=st.integers(2, 24), log_tau=st.floats(-4.0, 0.0), seed=st.integers(0, 2**32 - 1))
+def test_certificates_hold_at_edge_exponents(s, sigma, n_elems, log_tau, seed):
+    ops = build_operator_set(build_uniform_mesh(-4.0, 4.0, n_elems), FracExponents(s, sigma))
+    ctx = EnergyContext(ops=ops, pot=double_well(4.0))
+    u0 = 0.25 * np.random.default_rng(seed).standard_normal(ops.mesh.dof_count)
+    tau = 10.0**log_tau
+    # march raises CertificateViolationError at the first violated step
+    certs = [cert for _, _, cert in march(ctx, StepConfig(tau=tau), u0, t_end=5 * tau)]
+    assert all(c.satisfied for c in certs)
+
+
+@pytest.mark.parametrize("s, sigma", [(1e-3, 0.999), (0.999, 0.5 + 1e-9)])
+def test_certificates_hold_at_edge_exponents_on_the_pcg_path(s, sigma, rng):
+    ops = build_operator_set(build_uniform_mesh(-4.0, 4.0, 160), FracExponents(s, sigma))
+    ctx = EnergyContext(ops=ops, pot=double_well(4.0))
+    u0 = 0.25 * rng.standard_normal(ops.mesh.dof_count)
+    certs = evolve(ctx, StepConfig(tau=1e-3), u0, t_end=0.01).certificates
+    assert certs.satisfied.all()
+    assert certs.pcg_iters.sum() > 0 and certs.factorizations.sum() == 1
