@@ -32,18 +32,17 @@ _DEFAULTS = {
     "output": {"dir": "fracch-out"},
 }
 
-# the most dense dof x dof float64 arrays a command holds at once (M itself is
-# factored in O(n)).  simulate with s != sigma holds six (five at s = sigma,
-# where A_s is A_sigma): A_s, A_sigma, M, the factor of A_s, P = M A_s^{-1} M
-# and either A_s^{-1} M, while P is built, or the Newton step matrix, which
-# is factored and inverted in its own buffer and kept in that slot as the
-# PCG preconditioner (dropped before the next one is formed); verify holds
-# the same in its short run (its Poincare samples are 100 x dof blocks).
-# equilibrium and spectrum never assemble A_s and hold five: A_sigma, M, the
-# factor of A_sigma, the linearization L and either its reduced pencil or
-# the eigensolver's copy of L (six, with the projection P, when the kernel is
-# not empty).  rates holds A_sigma and M.
-_DENSE_ARRAYS = 6
+# the most dense dof x dof float64 arrays a command holds at once; M is kept
+# as its two diagonals.  simulate with s != sigma holds five (four at
+# s = sigma, where A_s is A_sigma): A_s, A_sigma, the factor U of A_s, P and
+# either G = M U^{-1} while P = G G^T is built, or the Newton step matrix,
+# factored and inverted in its own buffer and kept as the PCG preconditioner;
+# verify holds the same in its short run (its Poincare samples are 100 x dof
+# blocks).  equilibrium and spectrum never assemble A_s and hold four:
+# A_sigma, its factor, the linearization L and its reduced pencil or the
+# eigensolver's copy of L (five with the projection P of a non-empty kernel).
+# rates holds A_sigma.
+_DENSE_ARRAYS = 5
 
 
 @dataclass(frozen=True)

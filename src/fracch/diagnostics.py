@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import Trajectory
+from .mesh import tridiagonal_product
 from .operators import OperatorSet, xnorm
 
 
@@ -178,11 +179,11 @@ def poincare_report(ops: OperatorSet, trials: int, rng=None) -> PoincareReport:
     scale = 2.0 / ops.C_s
     k = np.arange(min(10, dof))
     hats = np.concatenate([k, dof - 1 - k])
-    min_ratio = float(np.min(scale * np.diag(ops.A_s)[hats] / np.diag(ops.M)[hats]))
+    min_ratio = float(np.min(scale * np.diag(ops.A_s)[hats] / ops.M[0][hats]))
     for start in range(0, trials, _POINCARE_BLOCK):
         V = rng.standard_normal((min(_POINCARE_BLOCK, trials - start), dof))
         num = scale * np.einsum("ij,ij->i", V, V @ ops.A_s)
-        den = np.einsum("ij,ij->i", V, V @ ops.M)
+        den = np.einsum("ij,ji->i", V, tridiagonal_product(*ops.M, V.T))
         min_ratio = min(min_ratio, float(np.min(num / den)))
     return PoincareReport(min_ratio=min_ratio, bound=bound, holds=min_ratio >= bound)
 

@@ -4,8 +4,10 @@ A stationary state solves A_sigma phi + b_g(phi) = 0 in the dual space, by a
 damped Newton whose last residual is the reported one.  Its
 linearization L = A_sigma + B_g'(phi) is symmetric; the generalized pencil
 (L, M) yields the spectrum, a tolerance-based kernel, and the L2-orthogonal
-projection P onto it.  Every pencil goes through the O(n^2) reduction by the
-tridiagonal M's factor (operators.reduce_pencil) and one symmetric eigh.  The
+projection P onto it.  M is the mass matrix as its diagonals (diag, off), as
+``mesh.mass_matrix`` returns it, and every product with it is
+``mesh.tridiagonal_product``.  Every pencil goes through the O(n^2) reduction
+by M's factor (operators.reduce_pencil) and one symmetric eigh.  The
 spectrum comes from an eigenvalues-only solve, and eigenvectors are computed
 for the kernel alone, when it is non-empty.  The seed of the stationary solve
 needs one mode only, the lowest of (A_sigma, M), and takes it from a
@@ -35,7 +37,7 @@ from .energy import (
     weighted_mass,
 )
 from .errors import ConfigurationError, JacobianSingularError, NewtonDivergenceError
-from .mesh import linf_norm
+from .mesh import linf_norm, tridiagonal_product
 from .operators import reduce_pencil, xnorm
 
 
@@ -134,25 +136,26 @@ def linearize(ctx: EnergyContext, phi: np.ndarray) -> np.ndarray:
 
 
 def kernel_and_projection(
-    L: np.ndarray, M: np.ndarray, kernel_tol: float | None = None
+    L: np.ndarray, M, kernel_tol: float | None = None
 ) -> tuple[list, np.ndarray]:
     """Near-kernel of the pencil L v = mu M v and its L2 projection matrix.
 
-    Eigenvectors come out M-orthonormal, so P = V V^T M is idempotent and
-    M-self-adjoint.  The default tolerance is 1e-8 times the largest pencil
-    eigenvalue magnitude (scale-aware zero detection).
+    M is the pair (diag, off).  Eigenvectors come out M-orthonormal, so
+    P = V V^T M is idempotent and M-self-adjoint.  The default tolerance is
+    1e-8 times the largest pencil eigenvalue magnitude (scale-aware zero
+    detection).
     """
     _, V = _pencil_kernel(L, M, kernel_tol)
     return list(V.T), _projection(V, M)
 
 
-def _projection(V: np.ndarray, M: np.ndarray) -> np.ndarray:
+def _projection(V: np.ndarray, M) -> np.ndarray:
     """P = V V^T M, with no dof x dof intermediate; zero for an empty basis."""
-    return V @ (M @ V).T
+    return V @ tridiagonal_product(*M, V).T
 
 
 def _pencil_kernel(
-    L: np.ndarray, M: np.ndarray, kernel_tol: float | None
+    L: np.ndarray, M, kernel_tol: float | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pencil eigenvalues and the near-kernel basis as columns (none if empty).
 
@@ -165,19 +168,19 @@ def _pencil_kernel(
         kernel_tol = 1e-8 * float(np.max(np.abs(mu)))
     run = np.flatnonzero(np.abs(mu) < kernel_tol)
     if run.size == 0:
-        return mu, np.empty((M.shape[0], 0))
+        return mu, np.empty((L.shape[0], 0))
     return mu, _pencil_pairs(L, M, run[0], run[-1])[1]
 
 
-def _pencil_pairs(X: np.ndarray, M: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+def _pencil_pairs(X: np.ndarray, M, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Pencil eigenvalues lo..hi (sorted) and their M-orthonormal eigenvectors."""
     C, vectors = reduce_pencil(X, M)
     mu, Y = eigh(C, subset_by_index=(lo, hi), driver="evr", overwrite_a=True)
     return mu, vectors(Y)
 
 
-def isomorphism_check(L: np.ndarray, M: np.ndarray, P_mat: np.ndarray | None) -> float:
-    """Condition number of L + M P; finite means discrete isomorphism.
+def isomorphism_check(L: np.ndarray, M, P_mat: np.ndarray | None) -> float:
+    """Condition number of L + M P, for M = (diag, off); finite means discrete isomorphism.
 
     L + M P is symmetric (M P = M V V^T M), so its singular values are the
     absolute values of its eigenvalues.  An exactly singular matrix gives
@@ -186,7 +189,7 @@ def isomorphism_check(L: np.ndarray, M: np.ndarray, P_mat: np.ndarray | None) ->
     and its eigenvalues are computed in place.
     """
     if P_mat is not None and P_mat.any():
-        A = M @ P_mat
+        A = tridiagonal_product(*M, P_mat)
         A += L
     else:
         A = L
@@ -199,10 +202,10 @@ def isomorphism_check(L: np.ndarray, M: np.ndarray, P_mat: np.ndarray | None) ->
     return hi / lo if lo > 0.0 else math.inf
 
 
-def pencil_eigenvalues(L: np.ndarray, M: np.ndarray) -> np.ndarray:
+def pencil_eigenvalues(L: np.ndarray, M) -> np.ndarray:
     """Sorted generalized eigenvalues of the symmetric pencil (L, M), no eigenvectors.
 
-    M must be tridiagonal SPD (see operators.reduce_pencil).
+    M is a positive definite (diag, off) pair (see operators.reduce_pencil).
     """
     C, _ = reduce_pencil(L, M)
     return eigh(C, eigvals_only=True, driver="evr", overwrite_a=True)

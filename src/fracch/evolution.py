@@ -96,8 +96,22 @@ from .errors import (
     JacobianSingularError,
     NewtonDivergenceError,
 )
-from .mesh import check_coeffs, linf_norm
+from .mesh import check_coeffs, linf_norm, tridiagonal_product
 from .potentials import YosidaParams, yosida_apply
+
+
+def _checked_tau(tau):
+    """tau, if it is a finite positive real number (True would pass as 1); else ConfigurationError."""
+    if (isinstance(tau, bool) or not isinstance(tau, (int, float, np.integer, np.floating))
+            or not np.isfinite(tau) or tau <= 0):
+        raise ConfigurationError(f"tau must be a positive real number, got {tau!r}")
+    return tau
+
+
+def _check_count(name: str, value) -> None:
+    """ConfigurationError unless value is an integer >= 0 (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ConfigurationError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -117,21 +131,18 @@ class StepConfig:
     cert_rel_tol: float = 1e-9
 
     def __post_init__(self):
-        reals = {"tau": self.tau, "newton_tol": self.newton_tol, "cert_rel_tol": self.cert_rel_tol}
+        _checked_tau(self.tau)
+        reals = {"newton_tol": self.newton_tol, "cert_rel_tol": self.cert_rel_tol}
         if self.use_yosida is not None:
             reals["use_yosida"] = self.use_yosida
         for name, value in reals.items():
             # a bool is an int to Python, and True would pass as 1
             if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
                 raise ConfigurationError(f"{name} must be a real number, got {value!r}")
-        if not np.isfinite(self.tau) or self.tau <= 0:
-            raise ConfigurationError(f"tau must be positive, got {self.tau}")
         if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
             raise ConfigurationError(
                 f"newton_tol must be positive and finite, got {self.newton_tol}")
-        if (isinstance(self.newton_max, bool) or not isinstance(self.newton_max, (int, np.integer))
-                or self.newton_max < 0):
-            raise ConfigurationError(f"newton_max must be an integer >= 0, got {self.newton_max!r}")
+        _check_count("newton_max", self.newton_max)
         if self.use_yosida is not None:
             YosidaParams(epsilon=self.use_yosida)  # rejects a non-positive or non-finite epsilon
         if not (np.isfinite(self.cert_rel_tol) and self.cert_rel_tol >= 0):
@@ -264,7 +275,6 @@ class _StepSolver:
     def _pcg(self, tau: float, Bp, r: np.ndarray):
         """PCG for S x = r from x = 0, overwriting r; None when S must be factored instead."""
         P, A_sig, inv = self.ops.step_block(), self.ops.A_sigma, self.inv
-        diag, off = Bp
         x = np.zeros_like(r)
         p = z = dsymv(1.0, inv, r)  # dsymv reads the upper triangle only
         rz = r @ z
@@ -275,9 +285,7 @@ class _StepSolver:
             q = P @ p
             q /= tau
             q += A_sig @ p
-            q += diag * p
-            q[:-1] += off * p[1:]
-            q[1:] += off * p[:-1]
+            q += tridiagonal_product(*Bp, p)
             pq = p @ q
             self.pcg_iters += 1
             if not pq > 0.0:  # S is not positive definite along p (or NaN)
@@ -313,12 +321,13 @@ def step(
     accept an iterate, so the start's residual is only checked to be finite.
     ``beta_pair`` is the run's ``_beta_pair(ctx, cfg)`` and ``solver`` its
     ``_StepSolver`` (``march`` passes one of each per run); without them the
-    step builds its own.
+    step builds its own.  An explicit ``tau`` is checked as ``StepConfig.tau``
+    is: ConfigurationError unless it is a finite positive real number.
     """
     ops = ctx.ops
     mesh = ops.mesh
     u_prev = check_coeffs(mesh, u_prev)
-    tau = cfg.tau if tau is None else tau
+    tau = cfg.tau if tau is None else _checked_tau(tau)
     if beta_pair is None:
         beta_pair = _beta_pair(ctx, cfg)
     if solver is None:
@@ -329,7 +338,7 @@ def step(
 
     if e_before is None:
         e_before = energy(ctx, u_prev)
-    lam_Mu_prev = lam * (M @ u_prev)  # the lagged term, fixed over the iterates
+    lam_Mu_prev = lam * tridiagonal_product(*M, u_prev)  # the lagged term, fixed over the iterates
     if u_start is None:
         u, min_updates = u_prev.copy(), 0
     else:
@@ -364,7 +373,7 @@ def step(
             u = u + solver.delta(tau, weighted_mass(ctx, bp_q), F)
 
         du = u - u_prev
-        M_du = M @ du
+        M_du = tridiagonal_product(*M, du)
         w = -ops.solve_A_s(M_du / tau)
         u_A_u = float(u @ A_sig_u)
         e_after = energy_from_parts(ctx, u_A_u, u_q)
@@ -430,6 +439,7 @@ def march(
         raise ConfigurationError(f"t_end must be positive, got {t_end}")
     if on_violation not in ("abort", "ignore"):
         raise ConfigurationError(f"on_violation must be 'abort' or 'ignore', got {on_violation}")
+    _check_count("max_halvings", max_halvings)
     u = check_coeffs(ctx.ops.mesh, u0)
     e_u = energy(ctx, u)  # also rejects initial data without finite energy
     u_back = tau_back = None  # the state before the last accepted step, and its tau

@@ -50,16 +50,36 @@ def build_uniform_mesh(a: float, b: float, n_elems: int) -> FracMesh:
     return FracMesh(a, b, n_elems)
 
 
-def mass_matrix(mesh: FracMesh) -> np.ndarray:
-    """P1 mass matrix on interior nodes: tridiagonal, diag 2h/3, off-diag h/6."""
+def mass_matrix(mesh: FracMesh) -> tuple[np.ndarray, np.ndarray]:
+    """P1 mass matrix (h/6) tridiag(1, 4, 1) on interior nodes, as its diagonal and off-diagonal.
+
+    The pair (diag, off) is the one ``energy.weighted_mass`` returns for B';
+    ``tridiagonal_product`` applies it.
+    """
     n = mesh.dof_count
-    h = mesh.h
-    M = np.zeros((n, n))
-    # in the flat C-order layout each diagonal is a stride-(n+1) slice
-    M.flat[::n + 1] = 2.0 * h / 3.0
-    M.flat[1::n + 1] = h / 6.0
-    M.flat[n::n + 1] = h / 6.0
-    return M
+    return np.full(n, 2.0 * mesh.h / 3.0), np.full(n - 1, mesh.h / 6.0)
+
+
+_PANEL = 64  # columns per pass of a block product in tridiagonal_product
+
+
+def tridiagonal_product(diag: np.ndarray, off: np.ndarray, x: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """y = T x for the symmetric tridiagonal T = (diag, off), x a vector or an (n, k) block.
+
+    ``out`` receives y and may be x itself.  A block goes ``_PANEL`` columns at
+    a time, so the temporaries stay two n x _PANEL panels whatever k is.
+    """
+    X = x.reshape(x.shape[0], -1)  # a vector as one column
+    Y = np.empty(X.shape) if out is None else out.reshape(X.shape)
+    diag, off = diag[:, None], off[:, None]
+    for j in range(0, X.shape[1], _PANEL):
+        panel = X[:, j:j + _PANEL]
+        y = diag * panel
+        y[:-1] += off * panel[1:]
+        y[1:] += off * panel[:-1]
+        Y[:, j:j + _PANEL] = y  # only now, so that out may be x
+    return Y.reshape(x.shape)
 
 
 def interpolate(mesh: FracMesh, f: Callable[[float], float]) -> np.ndarray:

@@ -39,7 +39,9 @@ Beside assembly the module holds the OperatorSet (stiffness matrices
 factored once, on first use, for every solve and dual norm), the O(n^2)
 standard form of a pencil (X, M) by the tridiagonal M's factor, for whole
 spectra, and the lowest pair of (A_sigma, M) by a shift-invert Lanczos on the
-A_sigma factor, for the one mode the equilibrium seed needs.
+A_sigma factor, for the one mode the equilibrium seed needs.  The mass matrix
+M is held as its two diagonals (diag, off), as ``mesh.mass_matrix`` returns
+it, and applied by ``mesh.tridiagonal_product``; no dense M is formed.
 """
 
 from __future__ import annotations
@@ -52,11 +54,11 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, toeplitz
-from scipy.linalg.lapack import dpotrf, dpotrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dpttrf, dpttrs, dtrtri
 from scipy.special import gamma as _gamma
 
 from .errors import AssemblyError, ConfigurationError
-from .mesh import FracMesh, mass_matrix
+from .mesh import FracMesh, mass_matrix, tridiagonal_product
 
 _STIFFNESS_MAGIC = b"FRACSTF1"
 _GAUSS_ORDER = 5  # Gauss-Legendre points per direction for separated element pairs
@@ -305,29 +307,31 @@ def xnorm(A: np.ndarray, v: np.ndarray) -> float:
     return math.sqrt(max(float(v @ A @ v), 0.0))
 
 
-def _tridiagonal(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and superdiagonal of a symmetric tridiagonal M, checked without a dense temporary."""
-    diag, upper = np.diag(M), np.diag(M, 1)
-    band = np.count_nonzero(diag) + 2 * np.count_nonzero(upper)
-    if np.count_nonzero(M) != band or not np.array_equal(upper, np.diag(M, -1)):
-        raise ValueError("the pencil's M must be symmetric tridiagonal")
-    return diag, upper
-
-
 def _pttrf(diag: np.ndarray, upper: np.ndarray):
     """LAPACK pttrf, M = L D L^T; its wrapper refuses the empty superdiagonal of
     a 1 x 1 matrix, which therefore gets a (never read) zero."""
     return dpttrf(diag, upper if upper.size else np.zeros(1))
 
 
+def _pencil_mass(X: np.ndarray, M, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """pttrf factor (d, e) of the pencil's M = (diag, off); ValueError unless it fits X and is SPD."""
+    n = len(X)
+    if X.shape != (n, n) or M[0].shape != (n,) or M[1].shape != (max(n - 1, 0),):
+        raise ValueError(f"pencil shapes differ: {name} {X.shape}, M {M[0].shape} and {M[1].shape}")
+    d, e, info = _pttrf(*M)
+    if info != 0:
+        raise ValueError("the pencil's M must be positive definite")
+    return d, e
+
+
 def reduce_pencil(
-    X: np.ndarray, M: np.ndarray
+    X: np.ndarray, M
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Standard form of the symmetric pencil X v = mu M v, for a tridiagonal M.
 
-    M must be symmetric positive definite and tridiagonal, as every mass
-    matrix here is; anything else raises ValueError (checked without a dense
-    temporary).  With M = L D L^T from LAPACK pttrf in O(n), L unit lower
+    M is the pair (diag, off) of ``mesh.mass_matrix``; one whose shapes do
+    not fit X, or that is not positive definite, raises ValueError.  With
+    M = L D L^T from LAPACK pttrf in O(n), L unit lower
     bidiagonal, the pencil has the eigenvalues of the symmetric
     C = D^(-1/2) L^(-1) X L^(-T) D^(-1/2), formed here by two O(n^2) row
     recurrences (Golub & Van Loan, Matrix Computations, 4th ed., sec. 8.7).
@@ -336,12 +340,8 @@ def reduce_pencil(
     array) to the M-orthonormal pencil eigenvectors L^(-T) D^(-1/2) y, O(n)
     each.  X is not modified.
     """
-    n = M.shape[0]
-    if M.shape != (n, n) or X.shape != (n, n):
-        raise ValueError(f"pencil shapes differ: X {X.shape}, M {M.shape}")
-    d, e, info = _pttrf(*_tridiagonal(M))
-    if info != 0:
-        raise ValueError("the pencil's M must be positive definite")
+    n = X.shape[0]
+    d, e = _pencil_mass(X, M, "X")
     C = np.empty((n, n), order="F")
     rows = C.T  # C-ordered view: its rows are the columns of C
     rows[0] = X[0]
@@ -363,8 +363,8 @@ def reduce_pencil(
 
 
 def _potrf(X: np.ndarray, name: str) -> np.ndarray:
-    """Raw LAPACK potrf factor of X (upper, not cleaned); AssemblyError unless X is positive definite."""
-    c, info = dpotrf(X, clean=0)
+    """LAPACK potrf factor U of X = U^T U (upper, zero below); AssemblyError unless X is SPD."""
+    c, info = dpotrf(X)
     if info > 0:
         raise AssemblyError(f"matrix {name} is not positive definite")
     return c
@@ -373,8 +373,8 @@ def _potrf(X: np.ndarray, name: str) -> np.ndarray:
 _RITZ_TOL = 1e-14  # Ritz residual |beta_k y_k|, relative to theta, at which Lanczos stops
 
 
-def _lowest_pair(factor: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tuple[float, np.ndarray]:
-    """Lowest pair of A v = lambda M v, from A's potrf factor and M's two diagonals.
+def _lowest_pair(factor: np.ndarray, M) -> tuple[float, np.ndarray]:
+    """Lowest pair of A v = lambda M v, from A's potrf factor and M = (diag, off).
 
     Shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1980): T = A^{-1} M
     is self-adjoint in the M inner product, and its largest eigenvalue
@@ -387,18 +387,11 @@ def _lowest_pair(factor: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tup
     basis spans an invariant subspace), or at k = n, which a 1 x 1 pencil
     reaches after one step.  Returns lambda_1 and its M-normalized vector.
     """
-    n = diag.size
-
-    def mass(x):
-        y = diag * x
-        y[:-1] += upper * x[1:]
-        y[1:] += upper * x[:-1]
-        return y
-
+    n = M[0].size
     Q = MQ = np.empty((0, n))  # the basis q_1 .. q_k as rows, and M q_1 .. M q_k
     alpha, beta = [], []
     w = np.ones(n)
-    Mw = mass(w)
+    Mw = tridiagonal_product(*M, w)
     b = math.sqrt(w @ Mw)
     for k in range(1, n + 1):
         Q, MQ = np.vstack((Q, w / b)), np.vstack((MQ, Mw / b))
@@ -408,7 +401,7 @@ def _lowest_pair(factor: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tup
         # removes the alpha_k q_k and beta_{k-1} q_{k-1} of the three-term recurrence
         for _ in range(2):
             w -= (MQ @ w) @ Q
-        Mw = mass(w)
+        Mw = tridiagonal_product(*M, w)
         b = math.sqrt(max(float(w @ Mw), 0.0))
         theta, y = eigh_tridiagonal(alpha, beta, select="i", select_range=(k - 1, k - 1))
         if k == n or b * abs(y[-1, 0]) <= _RITZ_TOL * theta[0]:
@@ -416,18 +409,15 @@ def _lowest_pair(factor: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tup
         beta.append(b)
 
 
-def rayleigh_lambda1(A_sigma: np.ndarray, M: np.ndarray) -> float:
-    """Smallest generalized eigenvalue of A_sigma v = lambda M v, for a tridiagonal M.
+def rayleigh_lambda1(A_sigma: np.ndarray, M) -> float:
+    """Smallest generalized eigenvalue of A_sigma v = lambda M v, for M = (diag, off).
 
     The same Lanczos as ``OperatorSet.lowest_mode``, on a Cholesky factor of
     its own; A_sigma must be positive definite (else AssemblyError), and M
     as in ``reduce_pencil`` (else ValueError).
     """
-    n = M.shape[0]
-    if M.shape != (n, n) or A_sigma.shape != (n, n):
-        raise ValueError(f"pencil shapes differ: A_sigma {A_sigma.shape}, M {M.shape}")
-    diag, upper = _tridiagonal(M)
-    return _lowest_pair(_potrf(A_sigma, "A_sigma"), diag, upper)[0]
+    _pencil_mass(A_sigma, M, "A_sigma")
+    return _lowest_pair(_potrf(A_sigma, "A_sigma"), M)[0]
 
 
 class _StiffnessOnFirstUse:
@@ -455,17 +445,18 @@ class _StiffnessOnFirstUse:
 class OperatorSet:
     """Assembled operators for one mesh and exponent pair.
 
-    Immutable after construction; A_s (unless given), factorizations and the
+    M is the mass matrix as its diagonals (diag, off).  Immutable after
+    construction; A_s (unless given), factorizations and the
     time stepper's block P = M A_s^{-1} M are created lazily on first use and
     then treated as read-only.  Every copy, ``dataclasses.replace`` included,
-    starts with a cache of its own.  A_s and A_sigma each keep one raw LAPACK
+    starts with a cache of its own.  A_s and A_sigma each keep one LAPACK
     potrf factor, and every solve with them, the dual norms
     sqrt(f^T A^{-1} f) included, is one potrs on it; only f is checked for
     finiteness, in O(n).
     """
 
     A_sigma: np.ndarray
-    M: np.ndarray
+    M: tuple
     C_s: float
     C_sigma: float
     mesh: FracMesh
@@ -494,7 +485,7 @@ class OperatorSet:
     def solve_M(self, f: np.ndarray) -> np.ndarray:
         """M^{-1} f in O(n): M is tridiagonal, factored once as L D L^T."""
         if "M" not in self._factors:
-            d, e, info = _pttrf(np.diag(self.M), np.diag(self.M, 1))
+            d, e, info = _pttrf(*self.M)
             if info != 0:
                 raise AssemblyError("matrix M is not positive definite")
             self._factors["M"] = (d, e)
@@ -507,16 +498,21 @@ class OperatorSet:
         A_sigma factor (the one the dual norms use) and one O(n) product with
         M's diagonals; see ``_lowest_pair``.
         """
-        return _lowest_pair(self._cholesky("A_sigma"), np.diag(self.M), np.diag(self.M, 1))
+        return _lowest_pair(self._cholesky("A_sigma"), self.M)
 
     def solve_A_s(self, f: np.ndarray) -> np.ndarray:
         """A_s^{-1} f: LAPACK potrs on the cached Cholesky factor."""
         return dpotrs(self._cholesky("A_s"), f)[0]
 
     def step_block(self) -> np.ndarray:
-        """P = M A_s^{-1} M, the tau-free part of the time stepper's step matrix."""
+        """P = M A_s^{-1} M, the tau-free part of the time stepper's step matrix.
+
+        P = G G^T for G = M U^{-1}, A_s = U^T U: a trtri, M applied in place, one syrk.
+        """
         if "P" not in self._factors:
-            self._factors["P"] = self.M @ self.solve_A_s(self.M)
+            G = dtrtri(self._cholesky("A_s"))[0]
+            tridiagonal_product(*self.M, G, out=G)
+            self._factors["P"] = G @ G.T  # numpy runs this as syrk: P is exactly symmetric
         return self._factors["P"]
 
 

@@ -14,7 +14,7 @@ from gagliardo_oracle import oracle_entry
 from surgery import plant_zero_mode
 
 from fracch.diagnostics import fit_decay_series, poincare_report
-from fracch.energy import EnergyContext
+from fracch.energy import EnergyContext, add_tridiagonal
 from fracch.equilibrium import (
     complete_report,
     default_equilibrium_seed,
@@ -135,7 +135,7 @@ def test_criterion_06_convergence_to_equilibrium(ctx128, settle_run):
 
 def test_criterion_07_spectral_shift_identity(ctx128):
     A, M = ctx128.ops.A_sigma, ctx128.ops.M
-    shifted = pencil_eigenvalues(A - M, M)
+    shifted = pencil_eigenvalues(A - add_tridiagonal(np.zeros_like(A), *M), M)
     base = pencil_eigenvalues(A, M)
     err = float(np.max(np.abs(shifted - (base - 1.0))))
     assert err < 1e-10
@@ -169,7 +169,7 @@ def test_criterion_09_lsi_probe_boundedness(ctx128):
     # negative control: plant a zero mode, probe its quadratic model with a
     # theta whose complementary exponent 1 - theta falls below 1/2
     L = linearize(ctx128, rep.phi)
-    Lt, _ = plant_zero_mode(L, ctx128.ops.M, index=0)
+    Lt, _ = plant_zero_mode(L, add_tridiagonal(np.zeros_like(L), *ctx128.ops.M), index=0)
     ctrl = lsi_probe(
         ctx128, rep, theta=0.75, delta=0.01, samples=500,
         rng=np.random.default_rng(5),

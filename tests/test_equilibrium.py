@@ -7,7 +7,7 @@ from scipy.linalg import eigh
 from surgery import plant_zero_mode
 
 from fracch import equilibrium
-from fracch.energy import EnergyContext, energy_gradient
+from fracch.energy import EnergyContext, add_tridiagonal, energy_gradient
 from fracch.equilibrium import (
     EquilibriumReport,
     complete_report,
@@ -67,13 +67,14 @@ def test_max_principle_check_paths(ctx64_wide):
 
 def test_linearize_at_zero(ctx64):
     L = linearize(ctx64, np.zeros(ctx64.ops.mesh.dof_count))
-    assert np.allclose(L, ctx64.ops.A_sigma - ctx64.ops.M, atol=1e-13)
+    Md = add_tridiagonal(np.zeros_like(L), *ctx64.ops.M)
+    assert np.allclose(L, ctx64.ops.A_sigma - Md, atol=1e-13)
     assert np.array_equal(L, L.T)
 
 
 def test_spectral_shift_identity(ctx64):
     A, M = ctx64.ops.A_sigma, ctx64.ops.M
-    shifted = pencil_eigenvalues(A - M, M)
+    shifted = pencil_eigenvalues(A - add_tridiagonal(np.zeros_like(A), *M), M)
     base = pencil_eigenvalues(A, M)
     assert np.max(np.abs(shifted - (base - 1.0))) < 1e-10
     lam1 = rayleigh_lambda1(A, M)
@@ -91,13 +92,14 @@ def test_kernel_empty_for_nondegenerate(ctx64):
 def test_planted_kernel_recovered(ctx64):
     M = ctx64.ops.M
     L = linearize(ctx64, np.zeros(ctx64.ops.mesh.dof_count))
-    Lt, mode = plant_zero_mode(L, M, index=0)
+    Md = add_tridiagonal(np.zeros_like(L), *M)
+    Lt, mode = plant_zero_mode(L, Md, index=0)
     basis, P = kernel_and_projection(Lt, M)
     assert len(basis) == 1
-    overlap = abs(basis[0] @ M @ mode)  # both M-normalized
+    overlap = abs(basis[0] @ Md @ mode)  # both M-normalized
     assert abs(overlap - 1.0) < 1e-8
     assert np.max(np.abs(P @ P - P)) < 1e-10
-    assert np.max(np.abs(M @ P - P.T @ M)) < 1e-10  # M-self-adjoint
+    assert np.max(np.abs(Md @ P - P.T @ Md)) < 1e-10  # M-self-adjoint
 
 
 def test_isomorphism_check(ctx64, rng):
@@ -108,19 +110,19 @@ def test_isomorphism_check(ctx64, rng):
     assert math.isfinite(cond_plain)
     assert cond_plain == pytest.approx(np.linalg.cond(L), rel=1e-12)
 
-    Lt, _ = plant_zero_mode(L, M, index=0)
+    Lt, _ = plant_zero_mode(L, add_tridiagonal(np.zeros_like(L), *M), index=0)
     _, Pt = kernel_and_projection(Lt, M)
     assert np.linalg.cond(Lt) > 1e12  # singular without the projection
     assert isomorphism_check(Lt, M, Pt) < 1e6
 
     X = rng.standard_normal((10, 10))
     spd = X @ X.T + 10 * np.eye(10)
-    assert math.isfinite(isomorphism_check(spd, np.eye(10), np.zeros((10, 10))))
+    assert math.isfinite(isomorphism_check(spd, (np.ones(10), np.zeros(9)), np.zeros((10, 10))))
 
 
 def test_pencil_eigenvalues_match_full_solve(ctx64):
     L = linearize(ctx64, np.zeros(ctx64.ops.mesh.dof_count))
-    full, _ = eigh(L, ctx64.ops.M)
+    full, _ = eigh(L, add_tridiagonal(np.zeros_like(L), *ctx64.ops.M))
     mu = pencil_eigenvalues(L, ctx64.ops.M)
     assert np.max(np.abs(mu - full)) <= 1e-12 * np.max(np.abs(full))
 
@@ -131,11 +133,12 @@ def test_planted_two_dimensional_kernel_recovered(ctx64, monkeypatch, first):
     # interior run (1, 2) of the sorted spectrum rather than its start
     M = ctx64.ops.M
     L = linearize(ctx64, np.zeros(ctx64.ops.mesh.dof_count))
+    Md = add_tridiagonal(np.zeros_like(L), *M)
     if first:
         low = pencil_eigenvalues(L, M)[:2]
-        L = L - 0.5 * (low[0] + low[1]) * M
-    Lt, mode_a = plant_zero_mode(L, M, index=first)
-    Lt, mode_b = plant_zero_mode(Lt, M, index=first + 1)
+        L = L - 0.5 * (low[0] + low[1]) * Md
+    Lt, mode_a = plant_zero_mode(L, Md, index=first)
+    Lt, mode_b = plant_zero_mode(Lt, Md, index=first + 1)
     monkeypatch.setattr(equilibrium, "linearize", lambda ctx, phi: Lt)
     rep = complete_report(ctx64, solve_stationary(ctx64, np.zeros(ctx64.ops.mesh.dof_count)))
     assert len(rep.kernel_basis) == 2
@@ -143,13 +146,13 @@ def test_planted_two_dimensional_kernel_recovered(ctx64, monkeypatch, first):
     tol = 1e-8 * np.max(np.abs(rep.pencil_eigs))  # the default kernel tolerance
     assert np.count_nonzero(rep.pencil_eigs <= -tol) == first
     B = np.column_stack(rep.kernel_basis)
-    assert np.max(np.abs(B.T @ M @ B - np.eye(2))) < 1e-10  # M-orthonormal
+    assert np.max(np.abs(B.T @ Md @ B - np.eye(2))) < 1e-10  # M-orthonormal
     for mode in (mode_a, mode_b):  # each planted mode lies in the recovered span
-        assert abs(np.linalg.norm(B.T @ M @ mode) - 1.0) < 1e-8
+        assert abs(np.linalg.norm(B.T @ Md @ mode) - 1.0) < 1e-8
     basis, P = kernel_and_projection(Lt, M)
     assert len(basis) == 2
     assert np.max(np.abs(P @ P - P)) < 1e-10
-    assert np.max(np.abs(M @ P - P.T @ M)) < 1e-10  # M-self-adjoint
+    assert np.max(np.abs(Md @ P - P.T @ Md)) < 1e-10  # M-self-adjoint
     assert math.isfinite(rep.iso_condition)
 
 
@@ -173,14 +176,14 @@ def test_isomorphism_check_equals_cond(kind, seed):
     n = 8 + 9 * seed
     X = rng.standard_normal((n, n))
     A = X @ X.T + 0.1 * np.eye(n) if kind == "spd" else X + X.T
-    cond = isomorphism_check(A, np.eye(n), np.zeros((n, n)))
+    cond = isomorphism_check(A, (np.ones(n), np.zeros(n - 1)), np.zeros((n, n)))
     assert cond == pytest.approx(np.linalg.cond(A), rel=1e-12)
 
 
 @pytest.mark.parametrize("A", [np.diag([2.0, 0.0, 1.0]), np.zeros((3, 3))])
 def test_isomorphism_check_singular_is_inf(A):
     # a RuntimeWarning here would be an error under the pytest settings
-    assert isomorphism_check(A, np.eye(3), np.zeros((3, 3))) == math.inf
+    assert isomorphism_check(A, (np.ones(3), np.zeros(2)), np.zeros((3, 3))) == math.inf
     assert np.linalg.cond(A) == math.inf
 
 
@@ -189,7 +192,7 @@ def test_isomorphism_check_nan_raises(where):
     A = np.full((3, 3), np.nan) if where == "everywhere" else np.eye(3)
     A[0, 2] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
-        isomorphism_check(A, np.eye(3), np.zeros((3, 3)))
+        isomorphism_check(A, (np.ones(3), np.zeros(2)), np.zeros((3, 3)))
 
 
 def test_complete_report_fields(ctx64):
@@ -205,7 +208,7 @@ def test_evolving_from_equilibrium_stays(ctx64_wide):
     tol = 1e-12
     rep = solve_stationary(ctx64_wide, default_equilibrium_seed(ctx64_wide), tol=tol)
     traj = evolve(ctx64_wide, StepConfig(tau=1e-4), rep.phi, t_end=100 * 1e-4)
-    M = ctx64_wide.ops.M
+    M = add_tridiagonal(np.zeros_like(ctx64_wide.ops.A_sigma), *ctx64_wide.ops.M)
     for u in traj.states:
         drift = math.sqrt((np.asarray(u) - rep.phi) @ M @ (np.asarray(u) - rep.phi))
         assert drift <= 10 * 1e-10
@@ -217,19 +220,20 @@ def test_beta_bound_at_elliptic_solves(ctx64, rng):
     mesh = ops.mesh
     pot = ctx64.pot
     w, _, _ = ctx64.quad_data()
+    Md = add_tridiagonal(np.zeros_like(ops.A_sigma), *ops.M)
     for _ in range(5):
         coeffs = rng.standard_normal(4)
         f = interpolate(
             mesh,
             lambda x: sum(c * np.sin((k + 1) * np.pi * x / 4) for k, c in enumerate(coeffs)),
         )
-        u, res, history = solve_semilinear(ctx64, ops.M @ f, pot.beta, pot.beta_prime, tol=1e-11)
+        u, res, history = solve_semilinear(ctx64, Md @ f, pot.beta, pot.beta_prime, tol=1e-11)
         assert res < 1e-11
         assert history and all(0.0 < alpha <= 1.0 for _, alpha in history)
         residuals = [r for r, _ in history] + [res]  # each accepted step decreased it
         assert all(after < before for before, after in zip(residuals, residuals[1:]))
         beta_l2 = math.sqrt(float((pot.beta(ctx64.values_at_quad(u)) ** 2 @ w).sum()))
-        f_l2 = math.sqrt(float(f @ ops.M @ f))
+        f_l2 = math.sqrt(float(f @ Md @ f))
         assert beta_l2 <= f_l2 * (1.0 + 10.0 * mesh.h)
 
 
@@ -245,7 +249,8 @@ def test_default_seed_matches_generalized_eigh(sigma):
         ops = build_operator_set(build_uniform_mesh(-4.0, 4.0, n_elems), FracExponents(sigma, sigma))
         ctx = EnergyContext(ops=ops, pot=double_well(4.0))
         # the seed as the dense generalized solve gave it
-        mu, V = eigh(linearize(ctx, np.zeros(ops.mesh.dof_count)), ops.M, subset_by_index=(0, 0))
+        Md = add_tridiagonal(np.zeros_like(ops.A_sigma), *ops.M)
+        mu, V = eigh(linearize(ctx, np.zeros(ops.mesh.dof_count)), Md, subset_by_index=(0, 0))
         assert mu[0] < 0  # zero is unstable, so the seed is the scaled mode
         v = V[:, 0]
         v = v if v[np.argmax(np.abs(v))] > 0 else -v
@@ -274,14 +279,15 @@ def test_default_seed_stable_branch_at_the_threshold(n_elems):
 
 def test_pencil_functions_leave_their_arguments_alone(ctx64):
     M = ctx64.ops.M
-    L, _ = plant_zero_mode(linearize(ctx64, np.zeros(ctx64.ops.mesh.dof_count)), M)
-    L_in, M_in = L.copy(), M.copy()
+    L = linearize(ctx64, np.zeros(ctx64.ops.mesh.dof_count))
+    L, _ = plant_zero_mode(L, add_tridiagonal(np.zeros_like(L), *M))
+    L_in, M_in = L.copy(), [m.copy() for m in M]
     pencil_eigenvalues(L, M)
     _, P = kernel_and_projection(L, M)
     P_in = P.copy()
     isomorphism_check(L, M, P)
     isomorphism_check(L, M, np.zeros_like(P))
-    for arg, before in ((L, L_in), (M, M_in), (P, P_in)):
+    for arg, before in zip((L, *M, P), (L_in, *M_in, P_in)):
         assert np.array_equal(arg, before)
 
 

@@ -73,6 +73,29 @@ def test_step_config_rejects_bools_for_real_fields(name, value):
         StepConfig(**{"tau": 1e-3, name: value})
 
 
+@pytest.mark.parametrize("tau", [0.0, math.nan, -1e-3, True])
+def test_step_rejects_an_explicit_tau_as_step_config_does(ctx64, tau):
+    # unchecked, 0 and NaN read as a non-finite residual, -1e-3 as beta' < 0
+    # and True as tau = 1
+    u0 = np.zeros(ctx64.ops.mesh.dof_count)
+    with pytest.raises(ConfigurationError, match="tau"):
+        step(ctx64, StepConfig(tau=1e-2), u0, tau=tau)
+    with pytest.raises(ConfigurationError, match="tau"):
+        StepConfig(tau=tau)
+
+
+@pytest.mark.parametrize("value", [-1, 2.5, True, "3", None])
+def test_march_rejects_max_halvings_before_the_first_step(ctx64, monkeypatch, value):
+    # -1 used to reach the halving loop and fail there with an unbound name
+    monkeypatch.setattr(evolution, "step", None)  # no step may be taken
+    u0 = np.zeros(ctx64.ops.mesh.dof_count)
+    with pytest.raises(ConfigurationError, match="max_halvings"):
+        next(march(ctx64, StepConfig(tau=1e-2), u0, t_end=0.1, max_halvings=value))
+    monkeypatch.undo()
+    traj = evolve(ctx64, StepConfig(tau=1e-2), u0, t_end=0.02, max_halvings=np.int64(0))
+    assert len(traj.times) == 2
+
+
 def test_zero_is_exact_fixed_point(ctx64):
     u0 = np.zeros(ctx64.ops.mesh.dof_count)
     u1, w1, cert = step(ctx64, StepConfig(tau=1e-2), u0)
@@ -85,7 +108,7 @@ def test_stationary_state_is_preserved(ctx64_wide):
     rep = solve_stationary(ctx64_wide, default_equilibrium_seed(ctx64_wide), tol=1e-12)
     cfg = StepConfig(tau=1e-4)
     u, w, cert = step(ctx64_wide, cfg, rep.phi)
-    M = ctx64_wide.ops.M
+    M = add_tridiagonal(np.zeros_like(ctx64_wide.ops.A_sigma), *ctx64_wide.ops.M)
     drift = math.sqrt((u - rep.phi) @ M @ (u - rep.phi))
     assert drift <= 10 * cfg.newton_tol
     assert xnorm(ctx64_wide.ops.A_s, w) <= 10 * cfg.newton_tol
@@ -105,17 +128,18 @@ def test_flux_identity_along_run(ctx64, rng):
     u0 = 0.5 * rng.standard_normal(ctx64.ops.mesh.dof_count)
     traj = evolve(ctx64, StepConfig(tau=1e-2), u0, t_end=0.3)
     ops = ctx64.ops
+    M = add_tridiagonal(np.zeros_like(ops.A_sigma), *ops.M)
     certs = traj.certificates
     w_xnorms = np.sqrt(certs.w_normsq)
     # |M u_t|_{A_s^{-1}} from the states, not from w
-    duals = np.array([ops.dual_norm_s(ops.M @ du / cert.tau_used)
+    duals = np.array([ops.dual_norm_s(M @ du / cert.tau_used)
                       for du, cert in zip(np.diff(traj.states, axis=0), certs)])
     rel = np.abs(duals - w_xnorms) / w_xnorms
     assert np.max(rel) < 1e-8
     # each recorded monitor against its dense quadratic form of the states
     for u, du, cert in zip(traj.states[1:], np.diff(traj.states, axis=0), certs):
-        w = -np.linalg.solve(ops.A_s, ops.M @ du / cert.tau_used)
-        assert cert.du_msq == pytest.approx(du @ ops.M @ du, rel=1e-12, abs=0)
+        w = -np.linalg.solve(ops.A_s, M @ du / cert.tau_used)
+        assert cert.du_msq == pytest.approx(du @ M @ du, rel=1e-12, abs=0)
         assert cert.w_normsq == pytest.approx(w @ ops.A_s @ w, rel=1e-12, abs=0)
         assert cert.u_xnorm_sigma == pytest.approx(xnorm(ops.A_sigma, u), rel=1e-12, abs=0)
 
@@ -148,8 +172,9 @@ def test_mass_not_conserved(ctx64):
     u0 = interpolate(mesh, lambda x: 0.3 * np.sin(np.pi * x) + 0.2 * np.exp(-8 * (x - 0.3) ** 2))
     traj = evolve(ctx64, StepConfig(tau=1e-2), u0, t_end=0.5)
     ones = np.ones(mesh.dof_count)
-    m0 = ones @ ctx64.ops.M @ np.asarray(traj.states[0])
-    m1 = ones @ ctx64.ops.M @ np.asarray(traj.states[-1])
+    M = add_tridiagonal(np.zeros_like(ctx64.ops.A_sigma), *ctx64.ops.M)
+    m0 = ones @ M @ np.asarray(traj.states[0])
+    m1 = ones @ M @ np.asarray(traj.states[-1])
     assert abs(m1 - m0) > 1e-3 * abs(m0)
 
 
@@ -275,10 +300,11 @@ def test_spd_update_matches_block_solve(exps, yosida, tau, rng):
     Bp = weighted_mass(ctx, bp_q)
     # reference: the exact Jacobian of the coupled system, solved as one 2n x 2n block
     B_dense = add_tridiagonal(np.zeros((dof, dof)), *Bp)
-    jac = np.block([[ops.M / tau, ops.A_s], [-(ops.A_sigma + B_dense), ops.M]])
+    M = add_tridiagonal(np.zeros((dof, dof)), *ops.M)
+    jac = np.block([[M / tau, ops.A_s], [-(ops.A_sigma + B_dense), M]])
     ref = np.linalg.solve(jac, -np.concatenate([r1, r2]))
     # eliminating dw from the block system leaves S du = -(M A_s^{-1} r1 - r2)
-    du = _StepSolver(ops).delta(tau, Bp, ops.M @ ops.solve_A_s(r1) - r2)
+    du = _StepSolver(ops).delta(tau, Bp, M @ ops.solve_A_s(r1) - r2)
     assert np.linalg.norm(du - ref[:dof]) <= 1e-10 * np.linalg.norm(ref[:dof])
 
 
@@ -296,9 +322,10 @@ def test_step_solves_both_coupled_equations(exps, yosida, tau, rng):
         return math.sqrt(r @ ops.solve_M(r))
 
     b_q, _ = _beta_pair(ctx, cfg)(ctx.values_at_quad(u))
-    flux = ops.M @ (u - u_prev) / tau
+    M = add_tridiagonal(np.zeros_like(ops.A_sigma), *ops.M)
+    flux = M @ (u - u_prev) / tau
     first = flux + ops.A_s @ w
-    second = ops.M @ w - ops.A_sigma @ u - load_vector(ctx, b_q) + ctx.pot.lam * ops.M @ u_prev
+    second = M @ w - ops.A_sigma @ u - load_vector(ctx, b_q) + ctx.pot.lam * M @ u_prev
     assert m_inv_norm(first) <= 1e-12 * m_inv_norm(flux)
     assert m_inv_norm(second) <= 10 * cfg.newton_tol
 

@@ -3,8 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracch.energy import add_tridiagonal
 from fracch.errors import ConfigurationError
-from fracch.mesh import build_uniform_mesh, interpolate, linf_norm, mass_matrix
+from fracch.mesh import (
+    build_uniform_mesh,
+    interpolate,
+    linf_norm,
+    mass_matrix,
+    tridiagonal_product,
+)
 
 
 def test_build_examples():
@@ -40,7 +47,9 @@ def test_uniform_spacing_property(a, width, n):
 
 def test_mass_matrix_entries():
     mesh = build_uniform_mesh(0.0, 1.0, 4)
-    M = mass_matrix(mesh)
+    diag, off = mass_matrix(mesh)
+    assert diag.shape == (3,) and off.shape == (2,)
+    M = add_tridiagonal(np.zeros((3, 3)), diag, off)
     assert np.allclose(np.diag(M), 2 * 0.25 / 3)
     assert np.allclose(np.diag(M, 1), 0.25 / 6)
     assert np.array_equal(M, M.T)
@@ -48,14 +57,14 @@ def test_mass_matrix_entries():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 64, 256])
 def test_mass_matrix_positive_definite(n):
-    M = mass_matrix(build_uniform_mesh(0.0, 1.0, n))
+    M = add_tridiagonal(np.zeros((n - 1, n - 1)), *mass_matrix(build_uniform_mesh(0.0, 1.0, n)))
     assert np.linalg.eigvalsh(M).min() > 0
 
 
 def test_mass_matrix_against_quadrature_oracle():
     # independent 3-point Gauss quadrature of the interpolant squared
     mesh = build_uniform_mesh(0.0, 1.0, 4)
-    M = mass_matrix(mesh)
+    M = add_tridiagonal(np.zeros((3, 3)), *mass_matrix(mesh))
     v = np.array([1.0, 1.0, 1.0])
     full = np.concatenate(([0.0], v, [0.0]))
     gp, gw = np.polynomial.legendre.leggauss(3)
@@ -96,3 +105,20 @@ def test_linf_never_exceeds_analytic_sup():
     mesh = build_uniform_mesh(-1.0, 1.0, 37)
     f = lambda x: np.cos(3 * x) * np.exp(-x * x)  # noqa: E731
     assert linf_norm(mesh, interpolate(mesh, f)) <= 1.0
+
+
+@pytest.mark.parametrize("dof", [1, 2, 63, 255])
+def test_tridiagonal_product_matches_the_dense_product(dof, rng):
+    # dof 1 has an empty off-diagonal; blocks are wider than one product panel
+    M = mass_matrix(build_uniform_mesh(-1.0, 1.0, dof + 1))
+    for diag, off in (M, (rng.standard_normal(dof), rng.standard_normal(dof - 1))):
+        T = add_tridiagonal(np.zeros((dof, dof)), diag, off)
+        for x in (rng.standard_normal(dof), rng.standard_normal((dof, dof))):
+            x_in = x.copy()
+            y = tridiagonal_product(diag, off, x)
+            assert y.shape == x.shape and np.array_equal(x, x_in)
+            bound = 4 * np.finfo(float).eps * (np.abs(T) @ np.abs(x))
+            assert np.all(np.abs(y - T @ x) <= bound)
+            out = x.copy()
+            res = tridiagonal_product(diag, off, out, out=out)
+            assert np.shares_memory(res, out) and np.array_equal(out, y)  # in place, same numbers
