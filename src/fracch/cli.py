@@ -40,7 +40,7 @@ from .errors import (
 from .evolution import evolve, march
 from .mesh import check_coeffs
 from .operators import xnorm
-from .potentials import YosidaParams, yosida_resolvent
+from .potentials import YosidaParams, yosida_apply
 
 TRAJECTORY_COLUMNS = (
     "step", "t", "tau_used", "energy", "w_xnorm", "u_xnorm_sigma",
@@ -162,12 +162,10 @@ def run_verify(cfg: RunConfig, out: str | None) -> int:
     details = {}
     for eps in (1.0, 0.1, 0.01):
         yp = YosidaParams(epsilon=eps)
-        j = yosida_resolvent(pot, yp, r)
-        be = (r - j) / eps  # beta_eps(r), as yosida_apply forms it
+        be, j, _ = yosida_apply(pot, yp, r, with_resolvent=True)
         bound_ok = bool(np.all(np.abs(be) <= np.abs(pot.beta(r)) + 1e-9))
         r2 = rng.uniform(-5.0, 5.0, size=1000)
-        j2 = yosida_resolvent(pot, yp, r2)
-        be2 = (r2 - j2) / eps
+        be2, j2, _ = yosida_apply(pot, yp, r2, with_resolvent=True)
         lip_ok = bool(np.all(np.abs(be - be2) <= np.abs(r - r2) / eps + 1e-9))
         nonexp_ok = bool(np.all(np.abs(j - j2) <= np.abs(r - r2) + 1e-9))
         details[str(eps)] = {"bound": bound_ok, "lipschitz": lip_ok, "nonexpansive": nonexp_ok}

@@ -52,7 +52,6 @@ class RunConfig:
     n_elems: int
     s: float
     sigma: float
-    potential_kind: str
     m: float
     lam: float | None
     tau: float
@@ -157,6 +156,7 @@ def parse_config(path) -> RunConfig:
     for name, val in (("frac.s", s), ("frac.sigma", sigma)):
         if not (0.0 < val < 1.0):
             raise ConfigurationError(f"{name} must lie in (0,1), got {val}")
+    # checked but not kept: the double well is the one kind the command line offers
     kind = merged["potential"]["kind"]
     if kind != "double_well":
         raise ConfigurationError(
@@ -201,7 +201,7 @@ def parse_config(path) -> RunConfig:
 
     return RunConfig(
         a=a, b=b, n_elems=n_elems, s=s, sigma=sigma,
-        potential_kind=kind, m=m, lam=lam,
+        m=m, lam=lam,
         tau=tau, t_end=t_end,
         newton_tol=tol, newton_max=max_iter,
         yosida_enabled=enabled, yosida_epsilon=epsilon,

@@ -14,7 +14,8 @@ time stepper has at its accepted iterate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,37 +26,42 @@ from .potentials import Potential
 
 @dataclass(frozen=True, eq=False)
 class EnergyContext:
+    """Operators, potential and the per-element Gauss rule of ``quad_order`` points.
+
+    The rule and the tables of weighted shape products that the quadrature
+    maps contract with are cached properties, built on first read.
+    """
+
     ops: OperatorSet
     pot: Potential
     quad_order: int = 5
-    _quad: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        if isinstance(self.quad_order, bool) or not isinstance(self.quad_order, (int, np.integer)):
+            raise ConfigurationError(f"quad_order must be an integer, got {self.quad_order!r}")
         if self.quad_order < 2:
             raise ConfigurationError(f"quad_order must be >= 2, got {self.quad_order}")
 
-    def quad_data(self):
+    @cached_property
+    def quad_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(weights, shape0, shape1) of the per-element Gauss rule."""
-        q = self._quad_tables()
-        return q["w"], q["n0"], q["n1"]
+        ref, w = np.polynomial.legendre.leggauss(self.quad_order)
+        ref = 0.5 * (ref + 1.0)
+        return 0.5 * w * self.ops.mesh.h, 1.0 - ref, ref
 
-    def _quad_tables(self) -> dict:
-        """The rule, and the weighted shape products that the quadrature maps contract with."""
-        if not self._quad:
-            ref, w = np.polynomial.legendre.leggauss(self.quad_order)
-            ref = 0.5 * (ref + 1.0)
-            w = 0.5 * w * self.ops.mesh.h
-            n0, n1 = 1.0 - ref, ref
-            self._quad.update(
-                w=w, n0=n0, n1=n1,
-                load=np.column_stack((w * n0, w * n1)),
-                mass=np.column_stack((w * n0 * n0, w * n0 * n1, w * n1 * n1)),
-            )
-        return self._quad
+    @cached_property
+    def _load_table(self) -> np.ndarray:
+        w, n0, n1 = self.quad_data
+        return np.column_stack((w * n0, w * n1))
+
+    @cached_property
+    def _mass_table(self) -> np.ndarray:
+        w, n0, n1 = self.quad_data
+        return np.column_stack((w * n0 * n0, w * n0 * n1, w * n1 * n1))
 
     def values_at_quad(self, v: np.ndarray) -> np.ndarray:
         """P1 interpolant values on the (n_elems, quad_order) point grid."""
-        _, n0, n1 = self.quad_data()
+        _, n0, n1 = self.quad_data
         full = np.concatenate(([0.0], np.asarray(v, dtype=float), [0.0]))
         return full[:-1, None] * n0 + full[1:, None] * n1
 
@@ -76,7 +82,7 @@ def energy_from_parts(ctx: EnergyContext, quad_form: float, vals: np.ndarray) ->
     For callers that have formed both already, such as the time stepper at
     its accepted Newton iterate.  A non-finite energy raises OverflowError.
     """
-    w, _, _ = ctx.quad_data()
+    w, _, _ = ctx.quad_data
     total = 0.5 * quad_form + float((ctx.pot.g_hat(vals) @ w).sum())
     if not math.isfinite(total):
         raise OverflowError("potential overflow while evaluating the energy")
@@ -85,7 +91,7 @@ def energy_from_parts(ctx: EnergyContext, quad_form: float, vals: np.ndarray) ->
 
 def load_vector(ctx: EnergyContext, fvals: np.ndarray) -> np.ndarray:
     """Weak-form load b_i = integral of f phi_i, from f's values on the quadrature grid."""
-    parts = fvals @ ctx._quad_tables()["load"]  # per element: (f n0 w, f n1 w) summed
+    parts = fvals @ ctx._load_table  # per element: (f n0 w, f n1 w) summed
     # interior node i gets left[i] + right[i - 1]; adding 0.0 first keeps the
     # sum's signed zeros as a zero-initialised accumulation gives them
     return (0.0 + parts[1:, 0]) + parts[:-1, 1]
@@ -97,7 +103,7 @@ def weighted_mass(ctx: EnergyContext, fvals: np.ndarray) -> tuple[np.ndarray, np
     ``fvals`` are f's values on the quadrature grid; ``off`` is both the
     super- and the subdiagonal.
     """
-    m = fvals @ ctx._quad_tables()["mass"]  # per element: the f n0 n0, f n0 n1, f n1 n1 integrals
+    m = fvals @ ctx._mass_table  # per element: the f n0 n0, f n0 n1, f n1 n1 integrals
     return m[:-1, 2] + m[1:, 0], m[1:-1, 1]
 
 

@@ -135,17 +135,15 @@ def linearize(ctx: EnergyContext, phi: np.ndarray) -> np.ndarray:
     return add_tridiagonal(ctx.ops.A_sigma.copy(), *B)
 
 
-def kernel_and_projection(
-    L: np.ndarray, M, kernel_tol: float | None = None
-) -> tuple[list, np.ndarray]:
+def kernel_and_projection(L: np.ndarray, M) -> tuple[list, np.ndarray]:
     """Near-kernel of the pencil L v = mu M v and its L2 projection matrix.
 
     M is the pair (diag, off).  Eigenvectors come out M-orthonormal, so
-    P = V V^T M is idempotent and M-self-adjoint.  The default tolerance is
-    1e-8 times the largest pencil eigenvalue magnitude (scale-aware zero
-    detection).
+    P = V V^T M is idempotent and M-self-adjoint.  The kernel is the
+    eigenvalues below 1e-8 times the largest pencil eigenvalue magnitude
+    (scale-aware zero detection).
     """
-    _, V = _pencil_kernel(L, M, kernel_tol)
+    _, V = _pencil_kernel(L, M)
     return list(V.T), _projection(V, M)
 
 
@@ -154,19 +152,15 @@ def _projection(V: np.ndarray, M) -> np.ndarray:
     return V @ tridiagonal_product(*M, V).T
 
 
-def _pencil_kernel(
-    L: np.ndarray, M, kernel_tol: float | None
-) -> tuple[np.ndarray, np.ndarray]:
+def _pencil_kernel(L: np.ndarray, M) -> tuple[np.ndarray, np.ndarray]:
     """Pencil eigenvalues and the near-kernel basis as columns (none if empty).
 
-    Eigenvectors are computed for the kernel only, and only when it is
-    non-empty: the eigenvalues are sorted, so |mu| < kernel_tol is one
-    contiguous run of them, which one subset solve returns.
+    The kernel is |mu| < 1e-8 max|mu|.  Eigenvectors are computed for it
+    only, and only when it is non-empty: the eigenvalues are sorted, so the
+    kernel is one contiguous run of them, which one subset solve returns.
     """
     mu = pencil_eigenvalues(L, M)
-    if kernel_tol is None:
-        kernel_tol = 1e-8 * float(np.max(np.abs(mu)))
-    run = np.flatnonzero(np.abs(mu) < kernel_tol)
+    run = np.flatnonzero(np.abs(mu) < 1e-8 * float(np.max(np.abs(mu))))
     if run.size == 0:
         return mu, np.empty((L.shape[0], 0))
     return mu, _pencil_pairs(L, M, run[0], run[-1])[1]
@@ -211,9 +205,7 @@ def pencil_eigenvalues(L: np.ndarray, M) -> np.ndarray:
     return eigh(C, eigvals_only=True, driver="evr", overwrite_a=True)
 
 
-def complete_report(
-    ctx: EnergyContext, rep: EquilibriumReport, kernel_tol: float | None = None
-) -> EquilibriumReport:
+def complete_report(ctx: EnergyContext, rep: EquilibriumReport) -> EquilibriumReport:
     """Attach spectrum, kernel, projection quality, and a theta hint.
 
     One eigenvalues-only solve of the pencil (L, M) gives the spectrum and
@@ -222,7 +214,7 @@ def complete_report(
     """
     L = linearize(ctx, rep.phi)
     M = ctx.ops.M
-    mu, V = _pencil_kernel(L, M, kernel_tol)
+    mu, V = _pencil_kernel(L, M)
     return replace(
         rep,
         pencil_eigs=mu,
@@ -243,7 +235,7 @@ def max_principle_check(
     return rep.linf <= gamma + slack
 
 
-def default_equilibrium_seed(ctx: EnergyContext, amplitude: float = 0.9) -> np.ndarray:
+def default_equilibrium_seed(ctx: EnergyContext) -> np.ndarray:
     """Deterministic seed: the lowest pencil mode of the linearization at zero.
 
     At zero the linearization is A_sigma + g'(0) M, so its lowest mode is the
@@ -251,8 +243,8 @@ def default_equilibrium_seed(ctx: EnergyContext, amplitude: float = 0.9) -> np.n
     from ``OperatorSet.lowest_mode``, a shift-invert Lanczos on the A_sigma
     factor that the stationary solve's dual norms use anyway.  Returns zero
     when lambda_1 + g'(0) >= 0 (zero is then the local minimizer); otherwise
-    v_1 scaled to the given sup-norm amplitude, with its largest-|v| entry
-    positive for reproducibility.
+    v_1 scaled to sup-norm 0.9, with its largest-|v| entry positive for
+    reproducibility.
     """
     lam1, v = ctx.ops.lowest_mode()
     if lam1 + float(ctx.pot.g_prime(0.0)) >= 0:
@@ -260,7 +252,7 @@ def default_equilibrium_seed(ctx: EnergyContext, amplitude: float = 0.9) -> np.n
     anchor = int(np.argmax(np.abs(v)))
     if v[anchor] < 0:
         v = -v
-    return amplitude * v / np.max(np.abs(v))
+    return 0.9 * v / np.max(np.abs(v))
 
 
 @dataclass(frozen=True)

@@ -100,18 +100,21 @@ from .mesh import check_coeffs, linf_norm, tridiagonal_product
 from .potentials import YosidaParams, yosida_apply
 
 
-def _checked_tau(tau):
-    """tau, if it is a finite positive real number (True would pass as 1); else ConfigurationError."""
-    if (isinstance(tau, bool) or not isinstance(tau, (int, float, np.integer, np.floating))
-            or not np.isfinite(tau) or tau <= 0):
-        raise ConfigurationError(f"tau must be a positive real number, got {tau!r}")
-    return tau
+def _checked_positive(name: str, value):
+    """value, if it is a finite positive real number (True would pass as 1); else ConfigurationError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not np.isfinite(value) or value <= 0):
+        raise ConfigurationError(f"{name} must be a positive real number, got {value!r}")
+    return value
 
 
 def _check_count(name: str, value) -> None:
     """ConfigurationError unless value is an integer >= 0 (a bool is not one)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
         raise ConfigurationError(f"{name} must be an integer >= 0, got {value!r}")
+
+
+_CERT_REL_TOL = 1e-9  # a certificate holds when its defect is at most this times max(1, |e_before|)
 
 
 @dataclass(frozen=True)
@@ -128,26 +131,13 @@ class StepConfig:
     newton_tol: float = 1e-10
     newton_max: int = 50
     use_yosida: float | None = None
-    cert_rel_tol: float = 1e-9
 
     def __post_init__(self):
-        _checked_tau(self.tau)
-        reals = {"newton_tol": self.newton_tol, "cert_rel_tol": self.cert_rel_tol}
-        if self.use_yosida is not None:
-            reals["use_yosida"] = self.use_yosida
-        for name, value in reals.items():
-            # a bool is an int to Python, and True would pass as 1
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-                raise ConfigurationError(f"{name} must be a real number, got {value!r}")
-        if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
-            raise ConfigurationError(
-                f"newton_tol must be positive and finite, got {self.newton_tol}")
+        _checked_positive("tau", self.tau)
+        _checked_positive("newton_tol", self.newton_tol)
         _check_count("newton_max", self.newton_max)
         if self.use_yosida is not None:
-            YosidaParams(epsilon=self.use_yosida)  # rejects a non-positive or non-finite epsilon
-        if not (np.isfinite(self.cert_rel_tol) and self.cert_rel_tol >= 0):
-            raise ConfigurationError(
-                f"cert_rel_tol must be finite and >= 0, got {self.cert_rel_tol}")
+            _checked_positive("use_yosida epsilon", self.use_yosida)
 
 
 @dataclass(frozen=True)
@@ -255,7 +245,7 @@ class _StepSolver:
                 return du
         # drop the old inverse first: one dof x dof step-matrix buffer at a time
         self.tau = self.inv = None
-        S = self.ops.step_block() / tau
+        S = self.ops.P / tau
         S += self.ops.A_sigma
         add_tridiagonal(S, *Bp)
         # S.T is S's Fortran-ordered view, so LAPACK factors it in place
@@ -274,7 +264,7 @@ class _StepSolver:
 
     def _pcg(self, tau: float, Bp, r: np.ndarray):
         """PCG for S x = r from x = 0, overwriting r; None when S must be factored instead."""
-        P, A_sig, inv = self.ops.step_block(), self.ops.A_sigma, self.inv
+        P, A_sig, inv = self.ops.P, self.ops.A_sigma, self.inv
         x = np.zeros_like(r)
         p = z = dsymv(1.0, inv, r)  # dsymv reads the upper triangle only
         rz = r @ z
@@ -327,14 +317,14 @@ def step(
     ops = ctx.ops
     mesh = ops.mesh
     u_prev = check_coeffs(mesh, u_prev)
-    tau = cfg.tau if tau is None else _checked_tau(tau)
+    tau = cfg.tau if tau is None else _checked_positive("tau", tau)
     if beta_pair is None:
         beta_pair = _beta_pair(ctx, cfg)
     if solver is None:
         solver = _StepSolver(ops)
     factorizations, pcg_iters = solver.factorizations, solver.pcg_iters
     lam = ctx.pot.lam
-    M, A_sig, P = ops.M, ops.A_sigma, ops.step_block()
+    M, A_sig, P = ops.M, ops.A_sigma, ops.P
 
     if e_before is None:
         e_before = energy(ctx, u_prev)
@@ -382,7 +372,7 @@ def step(
         du_msq = float(du @ M_du)
         defect = e_after + tau * w_normsq + 0.5 * lam * du_msq - e_before
 
-    tol = cfg.cert_rel_tol * max(1.0, abs(e_before))
+    tol = _CERT_REL_TOL * max(1.0, abs(e_before))
     cert = StepCertificate(
         e_before=e_before, e_after=e_after, w_normsq=w_normsq, du_msq=du_msq,
         defect=defect, satisfied=defect <= tol, tau_used=tau,
@@ -421,8 +411,9 @@ def march(
     """Step the scheme to t_end, yielding ``(t, u_n, cert)`` for each accepted step.
 
     Only the last two states are kept between steps; arguments are checked
-    at the first step.  A last step that would pass t_end is shortened to
-    end there.  A step that tries the same tau as the step before it starts
+    before the first step (a t_end that is not a finite positive real
+    number is a ConfigurationError).  A last step that would pass t_end is
+    shortened to end there.  A step that tries the same tau as the step before it starts
     Newton from the predictor 2 u_n - u_{n-1}; if Newton fails from there,
     the step is retried once from u_n at that tau.  The other steps (the
     first, a shortened last one, one after a halving) start from u_n.  On
@@ -435,8 +426,7 @@ def march(
     violated certificate raises CertificateViolationError ("abort") or is
     only recorded in the certificate's ``satisfied`` ("ignore").
     """
-    if t_end <= 0:
-        raise ConfigurationError(f"t_end must be positive, got {t_end}")
+    _checked_positive("t_end", t_end)
     if on_violation not in ("abort", "ignore"):
         raise ConfigurationError(f"on_violation must be 'abort' or 'ignore', got {on_violation}")
     _check_count("max_halvings", max_halvings)

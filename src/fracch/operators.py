@@ -49,7 +49,8 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -420,25 +421,13 @@ def rayleigh_lambda1(A_sigma: np.ndarray, M) -> float:
     return _lowest_pair(_potrf(A_sigma, "A_sigma"), M)[0]
 
 
-class _StiffnessOnFirstUse:
-    """``OperatorSet.A_s``: the matrix given, else assembled on first read and kept.
-
-    At s = sigma it is A_sigma itself.  Only the time stepper and the checks
-    that use the flux operator read it, so equilibrium work never assembles it.
-    """
-
-    def __get__(self, ops, owner=None):
-        if ops is None:
-            return None  # the dataclass default: not given
-        if ops.__dict__["A_s"] is None:
-            if ops.exps.s == ops.exps.sigma:
-                ops.__dict__["A_s"] = ops.A_sigma
-            else:
-                ops.__dict__["A_s"] = assemble_gagliardo(ops.mesh, ops.exps.s, ops.C_s)
-        return ops.__dict__["A_s"]
-
-    def __set__(self, ops, value):
-        ops.__dict__["A_s"] = value
+def _dual_norm(factor: np.ndarray, f: np.ndarray) -> float:
+    """sqrt(f^T A^{-1} f) from A's potrf factor; ValueError unless f is finite."""
+    f = np.asarray(f, dtype=float)
+    if not np.isfinite(f).all():
+        raise ValueError("dual norm of a vector with non-finite entries")
+    x = dpotrs(factor, f)[0]
+    return math.sqrt(max(float(f @ x), 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,11 +435,11 @@ class OperatorSet:
     """Assembled operators for one mesh and exponent pair.
 
     M is the mass matrix as its diagonals (diag, off).  Immutable after
-    construction; A_s (unless given), factorizations and the
-    time stepper's block P = M A_s^{-1} M are created lazily on first use and
-    then treated as read-only.  Every copy, ``dataclasses.replace`` included,
-    starts with a cache of its own.  A_s and A_sigma each keep one LAPACK
-    potrf factor, and every solve with them, the dual norms
+    construction; A_s, the factorizations and the time stepper's block
+    P = M A_s^{-1} M are cached properties, built on first read and then
+    treated as read-only.  A copy, ``dataclasses.replace`` included, holds
+    none of them until it reads them itself.  A_s and A_sigma each keep one
+    LAPACK potrf factor, and every solve with them, the dual norms
     sqrt(f^T A^{-1} f) included, is one potrs on it; only f is checked for
     finiteness, in O(n).
     """
@@ -461,35 +450,53 @@ class OperatorSet:
     C_sigma: float
     mesh: FracMesh
     exps: FracExponents
-    A_s: np.ndarray = _StiffnessOnFirstUse()
-    _factors: dict = field(init=False, default_factory=dict, repr=False)
 
-    def _cholesky(self, key: str) -> np.ndarray:
-        if key not in self._factors:
-            self._factors[key] = _potrf(getattr(self, key), key)
-        return self._factors[key]
+    @cached_property
+    def A_s(self) -> np.ndarray:
+        """The flux stiffness: A_sigma itself at s = sigma, else assembled on first read.
 
-    def _dual_norm(self, key: str, f: np.ndarray) -> float:
-        f = np.asarray(f, dtype=float)
-        if not np.isfinite(f).all():
-            raise ValueError("dual norm of a vector with non-finite entries")
-        x = dpotrs(self._cholesky(key), f)[0]
-        return math.sqrt(max(float(f @ x), 0.0))
+        Only the time stepper and the checks that use the flux operator read
+        it, so equilibrium work never assembles it.
+        """
+        if self.exps.s == self.exps.sigma:
+            return self.A_sigma
+        return assemble_gagliardo(self.mesh, self.exps.s, self.C_s)
+
+    @cached_property
+    def _chol_A_s(self) -> np.ndarray:
+        return _potrf(self.A_s, "A_s")
+
+    @cached_property
+    def _chol_A_sigma(self) -> np.ndarray:
+        return _potrf(self.A_sigma, "A_sigma")
+
+    @cached_property
+    def _ldl_M(self) -> tuple[np.ndarray, np.ndarray]:
+        """M = L D L^T by pttrf, as the pair (d, e) that pttrs takes."""
+        d, e, info = _pttrf(*self.M)
+        if info != 0:
+            raise AssemblyError("matrix M is not positive definite")
+        return d, e
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """P = M A_s^{-1} M, the tau-free part of the time stepper's step matrix.
+
+        P = G G^T for G = M U^{-1}, A_s = U^T U: a trtri, M applied in place, one syrk.
+        """
+        G = dtrtri(self._chol_A_s)[0]
+        tridiagonal_product(*self.M, G, out=G)
+        return G @ G.T  # numpy runs this as syrk: P is exactly symmetric
 
     def dual_norm_s(self, f: np.ndarray) -> float:
-        return self._dual_norm("A_s", f)
+        return _dual_norm(self._chol_A_s, f)
 
     def dual_norm_sigma(self, f: np.ndarray) -> float:
-        return self._dual_norm("A_sigma", f)
+        return _dual_norm(self._chol_A_sigma, f)
 
     def solve_M(self, f: np.ndarray) -> np.ndarray:
         """M^{-1} f in O(n): M is tridiagonal, factored once as L D L^T."""
-        if "M" not in self._factors:
-            d, e, info = _pttrf(*self.M)
-            if info != 0:
-                raise AssemblyError("matrix M is not positive definite")
-            self._factors["M"] = (d, e)
-        return dpttrs(*self._factors["M"], f)[0]
+        return dpttrs(*self._ldl_M, f)[0]
 
     def lowest_mode(self) -> tuple[float, np.ndarray]:
         """Lowest pair (lambda_1, v_1) of the pencil (A_sigma, M), v_1 M-normalized.
@@ -498,22 +505,11 @@ class OperatorSet:
         A_sigma factor (the one the dual norms use) and one O(n) product with
         M's diagonals; see ``_lowest_pair``.
         """
-        return _lowest_pair(self._cholesky("A_sigma"), self.M)
+        return _lowest_pair(self._chol_A_sigma, self.M)
 
     def solve_A_s(self, f: np.ndarray) -> np.ndarray:
         """A_s^{-1} f: LAPACK potrs on the cached Cholesky factor."""
-        return dpotrs(self._cholesky("A_s"), f)[0]
-
-    def step_block(self) -> np.ndarray:
-        """P = M A_s^{-1} M, the tau-free part of the time stepper's step matrix.
-
-        P = G G^T for G = M U^{-1}, A_s = U^T U: a trtri, M applied in place, one syrk.
-        """
-        if "P" not in self._factors:
-            G = dtrtri(self._cholesky("A_s"))[0]
-            tridiagonal_product(*self.M, G, out=G)
-            self._factors["P"] = G @ G.T  # numpy runs this as syrk: P is exactly symmetric
-        return self._factors["P"]
+        return dpotrs(self._chol_A_s, f)[0]
 
 
 def build_operator_set(mesh: FracMesh, exps: FracExponents) -> OperatorSet:

@@ -33,8 +33,6 @@ class Potential:
     g_prime: Callable
     g_hat: Callable
     lam: float
-    kind: str
-    analyticity: str | None = None  # user-declared class, never inferred
     g_pair: Callable | None = None
 
     def beta(self, r):
@@ -81,7 +79,7 @@ def double_well(m: float = 4.0) -> Potential:
         power = np.abs(r) ** (m - 2.0)
         return power * r - r, (m - 1.0) * power - 1.0
 
-    return Potential(g, g_prime, g_hat, lam=1.0, kind=f"double_well({m:g})", g_pair=g_pair)
+    return Potential(g, g_prime, g_hat, lam=1.0, g_pair=g_pair)
 
 
 def custom_potential(
@@ -89,14 +87,12 @@ def custom_potential(
     g_prime: Callable,
     g_hat: Callable,
     lam: float,
-    analyticity: str | None = None,
     check: bool = True,
 ) -> Potential:
     """Wrap user callables; sampled consistency checks warn on failure."""
     if not np.isfinite(lam) or lam < 0:
         raise ConfigurationError(f"lambda must be a finite nonnegative real, got {lam}")
-    pot = Potential(g, g_prime, g_hat, lam=float(lam), kind="custom",
-                    analyticity=analyticity)
+    pot = Potential(g, g_prime, g_hat, lam=float(lam))
     if check:
         _run_sampled_checks(pot)
     return pot

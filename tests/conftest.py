@@ -44,7 +44,7 @@ def ctx64_wide():
 def ctx256_wide():
     """The simulate_wide256 benchmark operators (dof 255, above the stepper's PCG crossover)."""
     ops = build_operator_set(build_uniform_mesh(-4.0, 4.0, 256), FracExponents(0.5, 0.5))
-    ops.step_block()  # P = M A_s^{-1} M, cached for every test that steps on it
+    ops.P  # P = M A_s^{-1} M, cached for every test that steps on it
     return EnergyContext(ops=ops, pot=double_well(4.0))
 
 

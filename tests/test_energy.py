@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -35,8 +37,19 @@ def test_quadratic_part_identity(ops64, rng):
 
 
 def test_quad_order_validation(ops64):
-    with pytest.raises(ConfigurationError):
-        EnergyContext(ops=ops64, pot=double_well(4.0), quad_order=1)
+    # refused when the context is built, not at its first quadrature
+    for order in (1, 0, 2.5, 5.0, True, "5", None):
+        with pytest.raises(ConfigurationError, match="quad_order"):
+            EnergyContext(ops=ops64, pot=double_well(4.0), quad_order=order)
+    ctx = EnergyContext(ops=ops64, pot=double_well(4.0), quad_order=np.int64(3))
+    assert len(ctx.quad_data[0]) == 3
+
+
+def test_quad_data_is_cached_per_context(ctx64):
+    assert ctx64.quad_data is ctx64.quad_data
+    copy = replace(ctx64)
+    assert copy.quad_data is not ctx64.quad_data
+    assert all(np.array_equal(a, b) for a, b in zip(copy.quad_data, ctx64.quad_data))
 
 
 def test_nonlinear_part_quadrature_refinement(ops8):
@@ -84,7 +97,7 @@ def test_quadrature_maps_match_their_accumulating_forms(ctx64, rng):
     # so they round differently from the per-product sums: within 4 eps of the
     # absolute sums per entry (about 2.2 eps measured), signed zeros kept
     eps = np.finfo(float).eps
-    w, n0, n1 = ctx64.quad_data()
+    w, n0, n1 = ctx64.quad_data
     v = rng.standard_normal(ctx64.ops.mesh.dof_count)
     full = np.concatenate(([0.0], v, [0.0]))
     assert np.array_equal(ctx64.values_at_quad(v),

@@ -219,7 +219,7 @@ def test_beta_bound_at_elliptic_solves(ctx64, rng):
     ops = ctx64.ops
     mesh = ops.mesh
     pot = ctx64.pot
-    w, _, _ = ctx64.quad_data()
+    w, _, _ = ctx64.quad_data
     Md = add_tridiagonal(np.zeros_like(ops.A_sigma), *ops.M)
     for _ in range(5):
         coeffs = rng.standard_normal(4)

@@ -1,11 +1,12 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dtrtri
 
 from gagliardo_oracle import oracle_entry
 from per_distance_assembly import _power_integral as scalar_power_integral
@@ -251,7 +252,8 @@ def test_solve_M_matches_dense_solve(ops8, ops64, rng):
 def test_dual_norm_rejects_indefinite(ops8):
     f = np.ones(ops8.mesh.dof_count)
     ops8.dual_norm_s(f)  # caches the factor of the positive definite A_s
-    ops = replace(ops8, A_s=-ops8.A_s)  # a copy must not solve with that factor
+    # a copy must not solve with that factor; at s = sigma, A_s is A_sigma
+    ops = replace(ops8, A_sigma=-ops8.A_sigma)
     with pytest.raises(AssemblyError, match="matrix A_s is not positive definite"):
         ops.dual_norm_s(f)
     with pytest.raises(AssemblyError, match="matrix A_s is not positive definite"):
@@ -283,8 +285,27 @@ def test_a_s_assembled_on_first_use_only(monkeypatch):
     assert np.array_equal(A_s, assemble_gagliardo(mesh, 0.3, ops.C_s))
     same = build_operator_set(mesh, FracExponents(0.4, 0.4))
     assert same.A_s is same.A_sigma and calls == [0.7, 0.3, 0.4]
-    given = replace(ops, A_s=2.0 * A_s)
-    assert np.array_equal(given.A_s, 2.0 * A_s) and given._factors is not ops._factors
+
+
+def test_lazy_values_are_cached_per_copy(monkeypatch):
+    trtri = []
+
+    def counting(c):
+        trtri.append(c.shape)
+        return dtrtri(c)
+
+    monkeypatch.setattr(operators, "dtrtri", counting)
+    ops = build_operator_set(build_uniform_mesh(-1.0, 1.0, 16), FracExponents(0.3, 0.7))
+    field_names = {f.name for f in fields(ops)}
+    f = np.ones(ops.mesh.dof_count)
+    for solve in (ops.dual_norm_s, ops.dual_norm_sigma, ops.solve_M):
+        solve(f)
+    P = ops.P
+    assert ops.P is P and len(trtri) == 1  # one triangular inverse, then the kept P
+    assert len(vars(ops).keys() - field_names) == 5  # A_s, its factor, A_sigma's, M's, P
+    copy = replace(ops)
+    assert vars(copy).keys() == field_names  # none of the original's cached values
+    assert copy.P is not P and np.array_equal(copy.P, P) and len(trtri) == 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 257])

@@ -78,7 +78,6 @@ def test_custom_potential_clean_passes():
             g_prime=lambda r: 3 * np.asarray(r) ** 2,
             g_hat=lambda r: np.asarray(r) ** 4 / 4,
             lam=0.0,
-            analyticity="entire",
         )
 
 
