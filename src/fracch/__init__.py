@@ -6,15 +6,12 @@ from .diagnostics import (
     PoincareReport,
     fit_curve_points,
     fit_decay_series,
-    omega_limit_distances,
     poincare_report,
     smoothing_report,
 )
 from .energy import (
-    CoercivityReport,
     EnergyContext,
     add_tridiagonal,
-    coercivity_probe,
     energy,
     energy_gradient,
     load_vector,
@@ -29,7 +26,6 @@ from .equilibrium import (
     kernel_and_projection,
     linearize,
     lsi_probe,
-    max_principle_check,
     pencil_eigenvalues,
     solve_semilinear,
     solve_stationary,
@@ -58,16 +54,13 @@ from .operators import (
     build_operator_set,
     load_stiffness,
     normalization_constant,
-    rayleigh_lambda1,
     reduce_pencil,
     save_stiffness,
     xnorm,
 )
 from .potentials import (
-    DissipativityReport,
     Potential,
     YosidaParams,
-    check_dissipativity,
     custom_potential,
     double_well,
     yosida_apply,

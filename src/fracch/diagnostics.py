@@ -1,4 +1,4 @@
-"""Long-time diagnostics: distance decay, rate fits, Poincare and smoothing.
+"""Long-time diagnostics: rate fits, Poincare and smoothing.
 
 The decay fit works on H(t) = (E(u(t)) - E(phi))^theta.  Exponential decay
 of H signals the theta = 1/2 regime of the gradient inequality; algebraic
@@ -16,7 +16,7 @@ import numpy as np
 
 from .evolution import Trajectory
 from .mesh import tridiagonal_product
-from .operators import OperatorSet, xnorm
+from .operators import OperatorSet
 
 
 @dataclass(frozen=True)
@@ -132,18 +132,6 @@ def fit_curve_points(
     intercept = float(np.mean(log_h) - slope * np.mean(x))
     H_fit = np.exp(intercept + slope * x)
     return np.column_stack([tw, Hw, H_fit])
-
-
-def omega_limit_distances(traj: Trajectory, phi: np.ndarray, ops: OperatorSet) -> np.ndarray:
-    """(t, |u(t) - phi| in the sigma energy norm) over every state of the run, t=0 first."""
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (ops.mesh.dof_count,):
-        raise ValueError(f"phi has shape {phi.shape}, expected ({ops.mesh.dof_count},)")
-    rows = [
-        (t, xnorm(ops.A_sigma, u - phi))
-        for t, u in zip(np.concatenate(([0.0], traj.times)), traj.states)
-    ]
-    return np.asarray(rows)
 
 
 _POINCARE_BLOCK = 100  # normal draws per block in poincare_report

@@ -1,4 +1,4 @@
-"""Discrete free energy, its gradient, and the coercivity probe.
+"""Discrete free energy, its gradient, and the quadrature maps behind them.
 
 The quadratic part is the assembled fractional form; the potential part is
 element-wise Gauss quadrature of the P1 interpolant.  The same quadrature
@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .operators import OperatorSet, xnorm
+from .operators import OperatorSet
 from .potentials import Potential
 
 
@@ -126,36 +126,3 @@ def energy_gradient(ctx: EnergyContext, v: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(grad)):
         raise OverflowError("potential overflow while evaluating the gradient")
     return grad
-
-
-@dataclass(frozen=True)
-class CoercivityReport:
-    lambda1: float
-    kappa: float
-    kappa0: float
-    C: float
-    verified_on: int
-
-
-def coercivity_probe(
-    ctx: EnergyContext, lambda1: float, kappa: float, samples: int, rng=None
-) -> CoercivityReport:
-    """Smallest additive constant making E(v) >= kappa0 |v|^2 - C on a sample.
-
-    Sampled evidence only, never a proof; draws span four decades of
-    magnitude around unit energy norm.
-    """
-    if not (0.0 < kappa < lambda1):
-        raise ConfigurationError(f"need 0 < kappa < lambda1, got kappa={kappa}, lambda1={lambda1}")
-    rng = np.random.default_rng(0) if rng is None else rng
-    kappa0 = kappa / (2.0 * lambda1)
-    dof = ctx.ops.mesh.dof_count
-    worst = 0.0
-    for _ in range(samples):
-        d = rng.standard_normal(dof)
-        d /= max(xnorm(ctx.ops.A_sigma, d), 1e-300)
-        v = d * 10.0 ** rng.uniform(-2.0, 2.0)
-        gap = kappa0 * xnorm(ctx.ops.A_sigma, v) ** 2 - energy(ctx, v)
-        worst = max(worst, gap)
-    return CoercivityReport(lambda1=lambda1, kappa=kappa, kappa0=kappa0,
-                            C=worst, verified_on=samples)

@@ -314,17 +314,6 @@ def _pttrf(diag: np.ndarray, upper: np.ndarray):
     return dpttrf(diag, upper if upper.size else np.zeros(1))
 
 
-def _pencil_mass(X: np.ndarray, M, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """pttrf factor (d, e) of the pencil's M = (diag, off); ValueError unless it fits X and is SPD."""
-    n = len(X)
-    if X.shape != (n, n) or M[0].shape != (n,) or M[1].shape != (max(n - 1, 0),):
-        raise ValueError(f"pencil shapes differ: {name} {X.shape}, M {M[0].shape} and {M[1].shape}")
-    d, e, info = _pttrf(*M)
-    if info != 0:
-        raise ValueError("the pencil's M must be positive definite")
-    return d, e
-
-
 def reduce_pencil(
     X: np.ndarray, M
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
@@ -341,8 +330,12 @@ def reduce_pencil(
     array) to the M-orthonormal pencil eigenvectors L^(-T) D^(-1/2) y, O(n)
     each.  X is not modified.
     """
-    n = X.shape[0]
-    d, e = _pencil_mass(X, M, "X")
+    n = len(X)
+    if X.shape != (n, n) or M[0].shape != (n,) or M[1].shape != (max(n - 1, 0),):
+        raise ValueError(f"pencil shapes differ: X {X.shape}, M {M[0].shape} and {M[1].shape}")
+    d, e, info = _pttrf(*M)
+    if info != 0:
+        raise ValueError("the pencil's M must be positive definite")
     C = np.empty((n, n), order="F")
     rows = C.T  # C-ordered view: its rows are the columns of C
     rows[0] = X[0]
@@ -372,53 +365,6 @@ def _potrf(X: np.ndarray, name: str) -> np.ndarray:
 
 
 _RITZ_TOL = 1e-14  # Ritz residual |beta_k y_k|, relative to theta, at which Lanczos stops
-
-
-def _lowest_pair(factor: np.ndarray, M) -> tuple[float, np.ndarray]:
-    """Lowest pair of A v = lambda M v, from A's potrf factor and M = (diag, off).
-
-    Shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1980): T = A^{-1} M
-    is self-adjoint in the M inner product, and its largest eigenvalue
-    theta = 1/lambda_1 is the first to converge.  Each step is one potrs and
-    one O(n) product with M; the basis, some 10 to 25 vectors, is kept
-    M-orthonormal by full reorthogonalization, and the Ritz pair comes from
-    the tridiagonal T_k.  The start vector is all ones, so the result is
-    deterministic.  Lanczos stops when the Ritz residual |beta_k y_k| falls
-    below ``_RITZ_TOL`` theta, which includes a breakdown (beta_k = 0: the
-    basis spans an invariant subspace), or at k = n, which a 1 x 1 pencil
-    reaches after one step.  Returns lambda_1 and its M-normalized vector.
-    """
-    n = M[0].size
-    Q = MQ = np.empty((0, n))  # the basis q_1 .. q_k as rows, and M q_1 .. M q_k
-    alpha, beta = [], []
-    w = np.ones(n)
-    Mw = tridiagonal_product(*M, w)
-    b = math.sqrt(w @ Mw)
-    for k in range(1, n + 1):
-        Q, MQ = np.vstack((Q, w / b)), np.vstack((MQ, Mw / b))
-        w = dpotrs(factor, MQ[-1])[0]
-        alpha.append(float(MQ[-1] @ w))
-        # classical Gram-Schmidt, twice, against the whole basis; it also
-        # removes the alpha_k q_k and beta_{k-1} q_{k-1} of the three-term recurrence
-        for _ in range(2):
-            w -= (MQ @ w) @ Q
-        Mw = tridiagonal_product(*M, w)
-        b = math.sqrt(max(float(w @ Mw), 0.0))
-        theta, y = eigh_tridiagonal(alpha, beta, select="i", select_range=(k - 1, k - 1))
-        if k == n or b * abs(y[-1, 0]) <= _RITZ_TOL * theta[0]:
-            return 1.0 / float(theta[0]), y[:, 0] @ Q
-        beta.append(b)
-
-
-def rayleigh_lambda1(A_sigma: np.ndarray, M) -> float:
-    """Smallest generalized eigenvalue of A_sigma v = lambda M v, for M = (diag, off).
-
-    The same Lanczos as ``OperatorSet.lowest_mode``, on a Cholesky factor of
-    its own; A_sigma must be positive definite (else AssemblyError), and M
-    as in ``reduce_pencil`` (else ValueError).
-    """
-    _pencil_mass(A_sigma, M, "A_sigma")
-    return _lowest_pair(_potrf(A_sigma, "A_sigma"), M)[0]
 
 
 def _dual_norm(factor: np.ndarray, f: np.ndarray) -> float:
@@ -501,11 +447,39 @@ class OperatorSet:
     def lowest_mode(self) -> tuple[float, np.ndarray]:
         """Lowest pair (lambda_1, v_1) of the pencil (A_sigma, M), v_1 M-normalized.
 
-        Shift-invert Lanczos whose every step is one potrs on the cached
-        A_sigma factor (the one the dual norms use) and one O(n) product with
-        M's diagonals; see ``_lowest_pair``.
+        Shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1980): T =
+        A_sigma^{-1} M is self-adjoint in the M inner product, and its largest
+        eigenvalue theta = 1/lambda_1 is the first to converge.  Each step is
+        one potrs on the cached A_sigma factor (the one the dual norms use)
+        and one O(n) product with M's diagonals; the basis, some 10 to 25
+        vectors, is kept M-orthonormal by full reorthogonalization, and the
+        Ritz pair comes from the tridiagonal T_k.  The start vector is all
+        ones, so the result is deterministic.  Lanczos stops when the Ritz
+        residual |beta_k y_k| falls below ``_RITZ_TOL`` theta, which includes
+        a breakdown (beta_k = 0: the basis spans an invariant subspace), or at
+        k = n, which a 1 x 1 pencil reaches after one step.
         """
-        return _lowest_pair(self._chol_A_sigma, self.M)
+        M, factor = self.M, self._chol_A_sigma
+        n = M[0].size
+        Q = MQ = np.empty((0, n))  # the basis q_1 .. q_k as rows, and M q_1 .. M q_k
+        alpha, beta = [], []
+        w = np.ones(n)
+        Mw = tridiagonal_product(*M, w)
+        b = math.sqrt(w @ Mw)
+        for k in range(1, n + 1):
+            Q, MQ = np.vstack((Q, w / b)), np.vstack((MQ, Mw / b))
+            w = dpotrs(factor, MQ[-1])[0]
+            alpha.append(float(MQ[-1] @ w))
+            # classical Gram-Schmidt, twice, against the whole basis; it also
+            # removes the alpha_k q_k and beta_{k-1} q_{k-1} of the three-term recurrence
+            for _ in range(2):
+                w -= (MQ @ w) @ Q
+            Mw = tridiagonal_product(*M, w)
+            b = math.sqrt(max(float(w @ Mw), 0.0))
+            theta, y = eigh_tridiagonal(alpha, beta, select="i", select_range=(k - 1, k - 1))
+            if k == n or b * abs(y[-1, 0]) <= _RITZ_TOL * theta[0]:
+                return 1.0 / float(theta[0]), y[:, 0] @ Q
+            beta.append(b)
 
     def solve_A_s(self, f: np.ndarray) -> np.ndarray:
         """A_s^{-1} f: LAPACK potrs on the cached Cholesky factor."""

@@ -187,8 +187,9 @@ def yosida_resolvent(pot: Potential, yp: YosidaParams, r, start=None, with_beta_
     else:
         if not np.all(np.abs(residual) <= _ROOT_TOL):
             raise NewtonDivergenceError(
-                "resolvent iteration cap exceeded; is the custom beta monotone "
-                "and finite on the bracket between 0 and r?"
+                "resolvent iteration cap exceeded; is potential.lambda below the split "
+                "constant (1 for the double well), or is a custom beta non-monotone or "
+                "not finite on the bracket between 0 and r?"
             )
     if not with_beta_prime:
         return y if np.ndim(r) else float(y[0])
@@ -205,22 +206,3 @@ def yosida_apply(pot: Potential, yp: YosidaParams, r, start=None, with_resolvent
     j, bp = yosida_resolvent(pot, yp, r, start=start, with_beta_prime=True)
     beta_eps = (np.asarray(r, dtype=float) - j) / yp.epsilon
     return (beta_eps, j, bp) if with_resolvent else beta_eps
-
-
-@dataclass(frozen=True)
-class DissipativityReport:
-    holds: bool
-    min_margin: float
-
-
-def check_dissipativity(
-    pot: Potential, lambda1: float, kappa: float, scan_radius: float
-) -> DissipativityReport:
-    """Scan g(r) r + (lambda1 - kappa) r^2 on |r| in [R/2, R] for positivity."""
-    if kappa <= 0:
-        raise ConfigurationError(f"kappa must be positive, got {kappa}")
-    half = np.linspace(0.5 * scan_radius, scan_radius, 2001)
-    r = np.concatenate([-half, half])
-    margin = pot.g(r) * r + (lambda1 - kappa) * r * r
-    m = float(np.min(margin))
-    return DissipativityReport(holds=m > 0.0, min_margin=m)

@@ -329,6 +329,23 @@ def test_lambda_below_split_halves_tau_and_lets_the_certificate_decide(tmp_path,
     assert err[0].startswith("certificate violation: energy certificate violated at step 2")
 
 
+def test_lambda_below_split_with_yosida_names_lambda_when_the_resolvent_stalls(tmp_path, capsys):
+    # lambda 0.5 leaves the built-in double well's beta non-monotone, so the
+    # resolvent stalls at every tau; the message names the config key, not a custom beta
+    cfg = _write(tmp_path, "cfg.json", {
+        "mesh": {"n_elems": 32},
+        "potential": {"lambda": 0.5},
+        "yosida": {"enabled": True},
+        "time": {"tau": 0.01, "t_end": 0.1},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["simulate", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("solver divergence: resolvent iteration cap exceeded")
+    assert "potential.lambda" in err
+
+
 def test_non_finite_residual_exits_solver_divergence(quick_cfg, nan_from_first_update, capsys):
     assert main(["simulate", "--config", quick_cfg]) == 4
     err = capsys.readouterr().err.splitlines()

@@ -4,7 +4,6 @@ import pytest
 from fracch.diagnostics import (
     fit_curve_points,
     fit_decay_series,
-    omega_limit_distances,
     poincare_report,
     smoothing_report,
 )
@@ -83,35 +82,31 @@ def test_decay_fit_on_settled_run(ctx64, settled_run):
     assert fit.r_squared >= 0.99
 
 
+def _distances(traj, phi, ops):
+    """|u(t) - phi| in the sigma energy norm over every state of the run, t = 0 first."""
+    return np.array([xnorm(ops.A_sigma, u - phi) for u in traj.states])
+
+
 def test_omega_distances_constant_trajectory(ctx64_wide):
     rep = solve_stationary(ctx64_wide, default_equilibrium_seed(ctx64_wide), tol=1e-12)
     traj = evolve(ctx64_wide, StepConfig(tau=1e-3), rep.phi, t_end=0.05)
-    rows = omega_limit_distances(traj, rep.phi, ctx64_wide.ops)
-    assert np.all(rows[:, 1] < 1e-9)
+    assert np.all(_distances(traj, rep.phi, ctx64_wide.ops) < 1e-9)
 
 
 def test_omega_distances_settled_and_negative_control(ctx64, settled_run):
     phi = np.zeros(ctx64.ops.mesh.dof_count)
-    rows = omega_limit_distances(settled_run, phi, ctx64.ops)
-    assert rows[-1, 1] < 1e-6
+    assert _distances(settled_run, phi, ctx64.ops)[-1] < 1e-6
     # planted wrong equilibrium: distances plateau at its norm
     wrong = phi.copy()
     wrong[5] = 0.3
-    rows_wrong = omega_limit_distances(settled_run, wrong, ctx64.ops)
     plateau = xnorm(ctx64.ops.A_sigma, wrong)
-    assert abs(rows_wrong[-1, 1] - plateau) < 1e-6 * plateau
+    assert abs(_distances(settled_run, wrong, ctx64.ops)[-1] - plateau) < 1e-6 * plateau
 
 
 def test_omega_distances_tail_monotone(ctx64, settled_run):
-    rows = omega_limit_distances(settled_run, np.zeros(ctx64.ops.mesh.dof_count), ctx64.ops)
-    d = rows[:, 1]
+    d = _distances(settled_run, np.zeros(ctx64.ops.mesh.dof_count), ctx64.ops)
     last_max = int(np.argmax(d))
     assert np.all(np.diff(d[last_max:]) <= 1e-8)
-
-
-def test_omega_distances_dimension_mismatch(ctx64, settled_run):
-    with pytest.raises(ValueError):
-        omega_limit_distances(settled_run, np.zeros(3), ctx64.ops)
 
 
 def test_energy_monotone_along_runs(settled_run):

@@ -6,7 +6,6 @@ import pytest
 from fracch.energy import (
     EnergyContext,
     add_tridiagonal,
-    coercivity_probe,
     energy,
     energy_gradient,
     load_vector,
@@ -14,7 +13,7 @@ from fracch.energy import (
 )
 from fracch.errors import ConfigurationError
 from fracch.mesh import build_uniform_mesh
-from fracch.operators import FracExponents, build_operator_set, rayleigh_lambda1, xnorm
+from fracch.operators import FracExponents, build_operator_set, xnorm
 from fracch.potentials import custom_potential, double_well
 
 
@@ -158,21 +157,8 @@ def test_energy_overflow_raises(ctx64):
         energy(ctx64, huge)
 
 
-def test_coercivity_probe(ctx64, rng):
-    lam1 = rayleigh_lambda1(ctx64.ops.A_sigma, ctx64.ops.M)
-    rep = coercivity_probe(ctx64, lam1, kappa=0.5 * lam1, samples=200, rng=rng)
-    assert rep.kappa0 == pytest.approx(0.5 * lam1 / (2 * lam1))
-    assert np.isfinite(rep.C) and rep.C >= 0.0
-    assert rep.verified_on == 200
-
-
-def test_coercivity_probe_rejects_bad_kappa(ctx64):
-    with pytest.raises(ConfigurationError):
-        coercivity_probe(ctx64, 1.0, kappa=2.0, samples=10)
-
-
 def test_coercivity_margin_grows_on_scaled_family(ctx64, rng):
-    lam1 = rayleigh_lambda1(ctx64.ops.A_sigma, ctx64.ops.M)
+    lam1 = ctx64.ops.lowest_mode()[0]
     kappa0 = 0.5 * lam1 / (2 * lam1)
     v0 = rng.standard_normal(ctx64.ops.mesh.dof_count)
     v0 /= xnorm(ctx64.ops.A_sigma, v0)

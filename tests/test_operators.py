@@ -26,7 +26,6 @@ from fracch.operators import (
     build_operator_set,
     load_stiffness,
     normalization_constant,
-    rayleigh_lambda1,
     reduce_pencil,
     save_stiffness,
     xnorm,
@@ -345,30 +344,18 @@ def test_lowest_pencil_pair_matches_the_full_solve(n_elems, sigma):
     Md = add_tridiagonal(np.zeros_like(A), *M)
     A_in, M_in = A.copy(), [m.copy() for m in M]
     full = eigh(A, Md, eigvals_only=True)
-    lam1 = rayleigh_lambda1(A, M)
-    assert abs(lam1 - full[0]) <= 1e-12 * full[0]
     lam, v = ops.lowest_mode()
-    assert lam == lam1  # one Lanczos, on the same factor
+    assert abs(lam - full[0]) <= 1e-12 * full[0]
     assert abs(v @ Md @ v - 1.0) <= 1e-12  # M-normalized
     assert np.max(np.abs(A @ v - lam * (Md @ v))) <= 1e-10 * full[-1] * np.max(np.abs(Md @ v))
     assert np.array_equal(A, A_in) and all(map(np.array_equal, M, M_in))
-
-
-def test_rayleigh_lambda1_rejects_what_it_cannot_factor():
-    M = mass_matrix(build_uniform_mesh(-1.0, 1.0, 9))
-    with pytest.raises(AssemblyError, match="positive definite"):
-        rayleigh_lambda1(-np.eye(8), M)
-    with pytest.raises(ValueError, match="positive definite"):
-        rayleigh_lambda1(np.eye(8), (-M[0], -M[1]))
-    with pytest.raises(ValueError, match="shapes"):
-        rayleigh_lambda1(np.eye(7), M)
 
 
 def test_rayleigh_lambda1_refinement():
     vals = []
     for n in (32, 64, 128, 256):
         ops = build_operator_set(build_uniform_mesh(-1, 1, n), FracExponents(0.5, 0.5))
-        vals.append(rayleigh_lambda1(ops.A_sigma, ops.M))
+        vals.append(ops.lowest_mode()[0])
     assert all(v > 0 for v in vals)
     assert vals[0] > vals[1] > vals[2] > vals[3]
     # stabilized to three significant digits between n=128 and n=256
@@ -377,10 +364,10 @@ def test_rayleigh_lambda1_refinement():
 
 def test_rayleigh_domain_scaling():
     base = build_operator_set(build_uniform_mesh(-1, 1, 128), FracExponents(0.5, 0.5))
-    lam1 = rayleigh_lambda1(base.A_sigma, base.M)
+    lam1 = base.lowest_mode()[0]
     for L in (2.0, 4.0):
         ops = build_operator_set(build_uniform_mesh(-L, L, 128), FracExponents(0.5, 0.5))
-        lamL = rayleigh_lambda1(ops.A_sigma, ops.M)
+        lamL = ops.lowest_mode()[0]
         assert abs(lamL - lam1 / L) < 0.02 * lam1 / L  # 2 sigma = 1 here
 
 

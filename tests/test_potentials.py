@@ -11,7 +11,6 @@ from fracch.potentials import (
     Potential,
     PotentialCheckWarning,
     YosidaParams,
-    check_dissipativity,
     custom_potential,
     double_well,
     yosida_apply,
@@ -305,32 +304,3 @@ def test_resolvent_rejects_all_nan_beta():
 def test_yosida_params_validation():
     with pytest.raises(ConfigurationError):
         YosidaParams(epsilon=0.0)
-
-
-def test_dissipativity_double_well():
-    rep = check_dissipativity(double_well(4.0), lambda1=1.16, kappa=0.1, scan_radius=100.0)
-    assert rep.holds
-    assert rep.min_margin > 0
-
-
-def test_dissipativity_fails_for_strong_negative_linear():
-    pot = custom_potential(
-        g=lambda r: -2.0 * np.asarray(r), g_prime=lambda r: -2.0 + 0.0 * np.asarray(r),
-        g_hat=lambda r: -np.asarray(r) ** 2, lam=2.0, check=False,
-    )
-    rep = check_dissipativity(pot, lambda1=1.0, kappa=0.5, scan_radius=50.0)
-    assert not rep.holds  # margin is (lambda1 - kappa - 2) r^2 < 0
-
-
-def test_dissipativity_trivial_potential():
-    pot = custom_potential(
-        g=lambda r: 0.0 * np.asarray(r), g_prime=lambda r: 0.0 * np.asarray(r),
-        g_hat=lambda r: 0.0 * np.asarray(r), lam=0.0, check=False,
-    )
-    rep = check_dissipativity(pot, lambda1=1.0, kappa=0.5, scan_radius=10.0)
-    assert rep.holds
-
-
-def test_dissipativity_requires_positive_kappa():
-    with pytest.raises(ConfigurationError):
-        check_dissipativity(double_well(4.0), lambda1=1.0, kappa=0.0, scan_radius=10.0)
