@@ -162,10 +162,10 @@ def run_verify(cfg: RunConfig, out: str | None) -> int:
     details = {}
     for eps in (1.0, 0.1, 0.01):
         yp = YosidaParams(epsilon=eps)
-        be, j, _ = yosida_apply(pot, yp, r, with_resolvent=True)
+        be, j, _ = yosida_apply(pot, yp, r)
         bound_ok = bool(np.all(np.abs(be) <= np.abs(pot.beta(r)) + 1e-9))
         r2 = rng.uniform(-5.0, 5.0, size=1000)
-        be2, j2, _ = yosida_apply(pot, yp, r2, with_resolvent=True)
+        be2, j2, _ = yosida_apply(pot, yp, r2)
         lip_ok = bool(np.all(np.abs(be - be2) <= np.abs(r - r2) / eps + 1e-9))
         nonexp_ok = bool(np.all(np.abs(j - j2) <= np.abs(r - r2) + 1e-9))
         details[str(eps)] = {"bound": bound_ok, "lipschitz": lip_ok, "nonexpansive": nonexp_ok}

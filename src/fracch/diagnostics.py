@@ -16,7 +16,7 @@ import numpy as np
 
 from .evolution import Trajectory
 from .mesh import tridiagonal_product
-from .operators import OperatorSet
+from .operators import OperatorSet, normalization_constant
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def poincare_report(ops: OperatorSet, trials: int, rng=None) -> PoincareReport:
         bound = 0.0
     rng = np.random.default_rng(0) if rng is None else rng
     dof = mesh.dof_count
-    scale = 2.0 / ops.C_s
+    scale = 2.0 / normalization_constant(s)
     k = np.arange(min(10, dof))
     hats = np.concatenate([k, dof - 1 - k])
     min_ratio = float(np.min(scale * np.diag(ops.A_s)[hats] / ops.M[0][hats]))

@@ -1,10 +1,11 @@
 """Discrete free energy, its gradient, and the quadrature maps behind them.
 
 The quadratic part is the assembled fractional form; the potential part is
-element-wise Gauss quadrature of the P1 interpolant.  The same quadrature
-rule feeds the nonlinear load vectors and weighted mass matrices used by the
-time stepper and the stationary solver, which is what makes the per-step
-energy certificates hold to solver precision rather than quadrature error.
+element-wise Gauss quadrature of the P1 interpolant, ``_QUAD_ORDER`` points
+per element.  The same quadrature rule feeds the nonlinear load vectors and
+weighted mass matrices used by the time stepper and the stationary solver,
+which is what makes the per-step energy certificates hold to solver
+precision rather than quadrature error.
 Each of those maps is one product of f's grid values with a cached table of
 weighted shape-function products.  ``energy_from_parts`` evaluates E from a
 quadratic form and grid values that the caller has formed already, as the
@@ -19,14 +20,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError
 from .operators import OperatorSet
 from .potentials import Potential
 
 
+_QUAD_ORDER = 5  # Gauss-Legendre points per element for the potential terms
+
+
 @dataclass(frozen=True, eq=False)
 class EnergyContext:
-    """Operators, potential and the per-element Gauss rule of ``quad_order`` points.
+    """Operators, potential and the per-element Gauss rule of ``_QUAD_ORDER`` points.
 
     The rule and the tables of weighted shape products that the quadrature
     maps contract with are cached properties, built on first read.
@@ -34,18 +37,11 @@ class EnergyContext:
 
     ops: OperatorSet
     pot: Potential
-    quad_order: int = 5
-
-    def __post_init__(self):
-        if isinstance(self.quad_order, bool) or not isinstance(self.quad_order, (int, np.integer)):
-            raise ConfigurationError(f"quad_order must be an integer, got {self.quad_order!r}")
-        if self.quad_order < 2:
-            raise ConfigurationError(f"quad_order must be >= 2, got {self.quad_order}")
 
     @cached_property
     def quad_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(weights, shape0, shape1) of the per-element Gauss rule."""
-        ref, w = np.polynomial.legendre.leggauss(self.quad_order)
+        ref, w = np.polynomial.legendre.leggauss(_QUAD_ORDER)
         ref = 0.5 * (ref + 1.0)
         return 0.5 * w * self.ops.mesh.h, 1.0 - ref, ref
 
@@ -60,7 +56,7 @@ class EnergyContext:
         return np.column_stack((w * n0 * n0, w * n0 * n1, w * n1 * n1))
 
     def values_at_quad(self, v: np.ndarray) -> np.ndarray:
-        """P1 interpolant values on the (n_elems, quad_order) point grid."""
+        """P1 interpolant values on the (n_elems, _QUAD_ORDER) point grid."""
         _, n0, n1 = self.quad_data
         full = np.concatenate(([0.0], np.asarray(v, dtype=float), [0.0]))
         return full[:-1, None] * n0 + full[1:, None] * n1

@@ -59,10 +59,10 @@ beta_eps(r) = (r - j(r)) / eps on the whole quadrature grid, and
 consecutive solves in a run see nearly the same r.  ``march`` therefore
 builds one (beta, beta') callable per run and passes it to every step,
 through the predictor retry and the tau halvings.  That callable takes
-beta_eps(r), j and beta'(j) from one resolvent solve (``yosida_apply`` with
-``with_resolvent=True``), remembers its last
-(r, j, 1 + eps beta'(j)) and starts the next resolvent solve at the
-tangent prediction j + (r - r_last) / (1 + eps beta'(j)), since
+beta_eps(r), j and beta'(j) from one resolvent solve (``yosida_apply``
+returns all three), remembers its last (r, j, 1 + eps beta'(j)) and starts
+the next resolvent solve at the tangent prediction
+j + (r - r_last) / (1 + eps beta'(j)), since
 dj/dr = 1 / (1 + eps beta'(j)) (Allgower & Georg, Introduction to Numerical
 Continuation Methods, ch. 2).  The resolvent replaces a non-finite start by
 r and clips the start into its bracket, and its tolerance is unchanged, so
@@ -196,7 +196,7 @@ def _beta_pair(ctx: EnergyContext, cfg: StepConfig):
             r_last, j_last, slope_last = last
             # dj/dr = 1 / (1 + eps beta'(j)); the resolvent replaces a non-finite start by r
             start = j_last + (r - r_last) / slope_last
-        beta_eps, j, bp = yosida_apply(pot, yp, r, start=start, with_resolvent=True)
+        beta_eps, j, bp = yosida_apply(pot, yp, r, start=start)
         # chain rule through the resolvent: beta_eps' = beta'(j) / (1 + eps beta'(j))
         slope = 1.0 + eps * bp
         last = (r, j, slope)

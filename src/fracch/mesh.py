@@ -30,6 +30,8 @@ class FracMesh:
             raise ConfigurationError(
                 f"domain endpoints must satisfy a < b, got a={self.a}, b={self.b}"
             )
+        if not np.isfinite(float(self.b) - float(self.a)):  # Python floats: no numpy warning
+            raise ConfigurationError(f"domain length b - a overflows, got a={self.a}, b={self.b}")
         if int(self.n_elems) != self.n_elems or self.n_elems < 2:
             raise ConfigurationError(f"n_elems must be an integer >= 2, got {self.n_elems}")
         object.__setattr__(self, "n_elems", int(self.n_elems))

@@ -79,19 +79,15 @@ class FracExponents:
                 raise ConfigurationError(f"fractional exponent {name} must lie in (0,1), got {val}")
 
 
-def normalization_constant(n_dim: int, s: float) -> float:
-    """C(N, s) = s 4^s Gamma(s + N/2) / (pi^(N/2) Gamma(1 - s)).
+def normalization_constant(s: float) -> float:
+    """C_s = s 4^s Gamma(s + 1/2) / (pi^(1/2) Gamma(1 - s)), the constant C(N, s) at N = 1.
 
     Vanishes like 1/Gamma(1-s) as s -> 1 (compensating the blowup of the raw
     seminorm near the classical limit) and linearly as s -> 0.
     """
-    if n_dim < 1:
-        raise ConfigurationError(f"dimension must be >= 1, got {n_dim}")
     if not (0.0 < s < 1.0):
         raise ConfigurationError(f"exponent s must lie in (0,1), got {s}")
-    return float(
-        s * 4.0**s * _gamma(s + 0.5 * n_dim) / (math.pi ** (0.5 * n_dim) * _gamma(1.0 - s))
-    )
+    return float(s * 4.0**s * _gamma(s + 0.5) / (math.pi ** 0.5 * _gamma(1.0 - s)))
 
 
 def _power_integral(lo, hi, p: float) -> np.ndarray:
@@ -229,19 +225,16 @@ def _check_lengths(mesh: FracMesh, s: float) -> None:
                 )
 
 
-def assemble_gagliardo(mesh: FracMesh, s: float, C_s: float) -> np.ndarray:
+def assemble_gagliardo(mesh: FracMesh, s: float) -> np.ndarray:
     """Dense symmetric Gagliardo stiffness matrix on interior hat functions.
 
     Entry (i, j) approximates (C_s/2) times the full-plane double integral of
     the hat-function differences against |x-y|^(-1-2s), including the
-    exterior-complement contribution of the zero extension.  Local blocks are
-    exact except for separated pairs, which use ``_GAUSS_ORDER`` Gauss points
-    per direction.
+    exterior-complement contribution of the zero extension, with C_s =
+    ``normalization_constant(s)``.  Local blocks are exact except for
+    separated pairs, which use ``_GAUSS_ORDER`` Gauss points per direction.
     """
-    if not (0.0 < s < 1.0):
-        raise ConfigurationError(f"exponent s must lie in (0,1), got {s}")
-    if not (math.isfinite(C_s) and C_s > 0.0):
-        raise ConfigurationError(f"normalization constant must be finite positive, got {C_s}")
+    C_s = normalization_constant(s)
     _check_lengths(mesh, s)
     n = mesh.n_elems
     h = mesh.h
@@ -392,8 +385,6 @@ class OperatorSet:
 
     A_sigma: np.ndarray
     M: tuple
-    C_s: float
-    C_sigma: float
     mesh: FracMesh
     exps: FracExponents
 
@@ -406,7 +397,7 @@ class OperatorSet:
         """
         if self.exps.s == self.exps.sigma:
             return self.A_sigma
-        return assemble_gagliardo(self.mesh, self.exps.s, self.C_s)
+        return assemble_gagliardo(self.mesh, self.exps.s)
 
     @cached_property
     def _chol_A_s(self) -> np.ndarray:
@@ -488,22 +479,19 @@ class OperatorSet:
 
 def build_operator_set(mesh: FracMesh, exps: FracExponents) -> OperatorSet:
     """Assemble A_sigma and the mass matrix for a mesh; A_s follows on first use."""
-    C_s = normalization_constant(1, exps.s)
-    C_sigma = normalization_constant(1, exps.sigma)
-    return OperatorSet(
-        A_sigma=assemble_gagliardo(mesh, exps.sigma, C_sigma), M=mass_matrix(mesh),
-        C_s=C_s, C_sigma=C_sigma, mesh=mesh, exps=exps,
-    )
+    return OperatorSet(A_sigma=assemble_gagliardo(mesh, exps.sigma), M=mass_matrix(mesh),
+                       mesh=mesh, exps=exps)
 
 
-def save_stiffness(path, A: np.ndarray, s: float, C_s: float) -> None:
+def save_stiffness(path, A: np.ndarray, s: float) -> None:
     """Binary dump: 32-byte header (magic, dof_count, s, C_s) + row-major f64.
 
     Layout: 8-byte magic ``FRACSTF1``, little-endian uint64 dof_count,
-    float64 s, float64 C_s, then dof_count^2 float64 entries in C order.
+    float64 s, float64 C_s = ``normalization_constant(s)``, then
+    dof_count^2 float64 entries in C order.
     """
     A = np.ascontiguousarray(A, dtype="<f8")
-    header = _STIFFNESS_MAGIC + struct.pack("<Qdd", A.shape[0], s, C_s)
+    header = _STIFFNESS_MAGIC + struct.pack("<Qdd", A.shape[0], s, normalization_constant(s))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(A.tobytes(order="C"))

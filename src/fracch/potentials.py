@@ -1,9 +1,13 @@
 """Potential bundle: g, its primitive, the monotone split, and Yosida smoothing.
 
 The split writes beta(r) = g(r) + lambda r with beta monotone nondecreasing;
-the primitive of beta is recovered analytically from the primitive of g.
+``beta_pair`` gives (beta, beta') from one ``g_pair`` call.  The energy
+integrates the primitive g_hat of g, so no primitive of beta is formed.
 Hypothesis checks on user potentials are sampling-based and warn instead of
 aborting, so the tool stays usable outside the theory's assumptions.
+
+``yosida_resolvent`` returns (j(r), beta'(j(r))) and ``yosida_apply``
+(beta_eps(r), j(r), beta'(j(r))), each from one resolvent solve.
 """
 
 from __future__ import annotations
@@ -25,15 +29,15 @@ class PotentialCheckWarning(UserWarning):
 class Potential:
     """Nonlinearity bundle; callables must accept numpy arrays elementwise.
 
-    ``g_pair``, when given, returns (g(r), g'(r)) from one pass over r and
-    must agree bit for bit with the two separate callables.
+    ``g_pair`` returns (g(r), g'(r)) and must agree bit for bit with the two
+    separate callables; ``double_well`` forms both from one pass over r.
     """
 
     g: Callable
     g_prime: Callable
     g_hat: Callable
     lam: float
-    g_pair: Callable | None = None
+    g_pair: Callable
 
     def beta(self, r):
         return self.g(r) + self.lam * np.asarray(r, dtype=float)
@@ -43,15 +47,9 @@ class Potential:
 
     def beta_pair(self, r):
         """(beta(r), beta'(r)), bit for bit the two separate calls."""
-        if self.g_pair is None:
-            return self.beta(r), self.beta_prime(r)
         r = np.asarray(r, dtype=float)
         g, g_prime = self.g_pair(r)
         return g + self.lam * r, g_prime + self.lam
-
-    def beta_hat(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.g_hat(r) + 0.5 * self.lam * r * r
 
 
 def double_well(m: float = 4.0) -> Potential:
@@ -92,7 +90,7 @@ def custom_potential(
     """Wrap user callables; sampled consistency checks warn on failure."""
     if not np.isfinite(lam) or lam < 0:
         raise ConfigurationError(f"lambda must be a finite nonnegative real, got {lam}")
-    pot = Potential(g, g_prime, g_hat, lam=float(lam))
+    pot = Potential(g, g_prime, g_hat, lam=float(lam), g_pair=lambda r: (g(r), g_prime(r)))
     if check:
         _run_sampled_checks(pot)
     return pot
@@ -132,8 +130,8 @@ class YosidaParams:
             raise ConfigurationError(f"Yosida epsilon must be positive, got {self.epsilon}")
 
 
-def yosida_resolvent(pot: Potential, yp: YosidaParams, r, start=None, with_beta_prime=False):
-    """Resolvent j(r): the unique root of y + eps * beta(y) = r.
+def yosida_resolvent(pot: Potential, yp: YosidaParams, r, start=None):
+    """Resolvent (j(r), beta'(j(r))), j(r) the unique root of y + eps * beta(y) = r.
 
     Safeguarded Newton with a bisection fallback on the bracket between 0
     and r (valid because beta is monotone with beta(0) = 0).  Works
@@ -152,8 +150,8 @@ def yosida_resolvent(pot: Potential, yp: YosidaParams, r, start=None, with_beta_
     start changes the root only within the tolerance.
 
     Each point the iteration visits costs one ``pot.beta_pair`` call, so
-    beta'(j) at the root is already at hand: ``with_beta_prime=True``
-    returns ``(j, beta'(j))`` instead of j.
+    beta'(j) at the root comes with j at no extra cost.  Both are arrays of
+    r's shape, or floats for a scalar r.
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     eps = yp.epsilon
@@ -191,18 +189,14 @@ def yosida_resolvent(pot: Potential, yp: YosidaParams, r, start=None, with_beta_
                 "constant (1 for the double well), or is a custom beta non-monotone or "
                 "not finite on the bracket between 0 and r?"
             )
-    if not with_beta_prime:
-        return y if np.ndim(r) else float(y[0])
     bp = np.asarray(bp, dtype=float)
     return (y, bp) if np.ndim(r) else (float(y[0]), float(bp.flat[0]))
 
 
-def yosida_apply(pot: Potential, yp: YosidaParams, r, start=None, with_resolvent=False):
-    """Yosida approximation beta_eps(r) = (r - j(r)) / eps; ``start`` as in ``yosida_resolvent``.
+def yosida_apply(pot: Potential, yp: YosidaParams, r, start=None):
+    """(beta_eps(r), j(r), beta'(j(r))) from one ``yosida_resolvent`` solve, started at ``start``.
 
-    ``with_resolvent=True`` returns ``(beta_eps(r), j(r), beta'(j(r)))``,
-    all three from the one resolvent solve.
+    beta_eps(r) = (r - j(r)) / eps is the Yosida approximation of beta.
     """
-    j, bp = yosida_resolvent(pot, yp, r, start=start, with_beta_prime=True)
-    beta_eps = (np.asarray(r, dtype=float) - j) / yp.epsilon
-    return (beta_eps, j, bp) if with_resolvent else beta_eps
+    j, bp = yosida_resolvent(pot, yp, r, start=start)
+    return (np.asarray(r, dtype=float) - j) / yp.epsilon, j, bp

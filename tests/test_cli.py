@@ -168,9 +168,9 @@ def test_dense_array_count_bounds_the_peak_memory(tmp_path):
 def test_only_the_flux_commands_assemble_a_s(tmp_path, monkeypatch):
     calls = []
 
-    def counting(mesh, s, C_s):
+    def counting(mesh, s):
         calls.append(s)
-        return assemble_gagliardo(mesh, s, C_s)
+        return assemble_gagliardo(mesh, s)
 
     monkeypatch.setattr(fracch.operators, "assemble_gagliardo", counting)
     cfg = _write(tmp_path, "cfg.json", {
@@ -443,6 +443,21 @@ def test_mesh_width_out_of_float_range_is_a_configuration_error(tmp_path, capsys
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("configuration error: mesh width") and "over- or underflows" in err[0]
+
+
+@pytest.mark.parametrize("command", ["simulate", "equilibrium", "verify", "spectrum"])
+def test_overflowing_domain_length_is_one_line_without_a_warning(tmp_path, capsys, command):
+    # both ends finite, but b - a is past the float range
+    cfg = _write(tmp_path, "cfg.json", {
+        "domain": {"a": -1e308, "b": 1e308}, "mesh": {"n_elems": 8},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", cfg]) == 2
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "b - a overflows" in err[0], err
 
 
 def test_equilibrium_solves_two_dense_pencils_and_factors_a_sigma_once(tmp_path, monkeypatch):

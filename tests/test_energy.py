@@ -11,7 +11,6 @@ from fracch.energy import (
     load_vector,
     weighted_mass,
 )
-from fracch.errors import ConfigurationError
 from fracch.mesh import build_uniform_mesh
 from fracch.operators import FracExponents, build_operator_set, xnorm
 from fracch.potentials import custom_potential, double_well
@@ -35,15 +34,6 @@ def test_quadratic_part_identity(ops64, rng):
     assert energy(ctx, 2 * v) == pytest.approx(4 * energy(ctx, v), rel=1e-14)
 
 
-def test_quad_order_validation(ops64):
-    # refused when the context is built, not at its first quadrature
-    for order in (1, 0, 2.5, 5.0, True, "5", None):
-        with pytest.raises(ConfigurationError, match="quad_order"):
-            EnergyContext(ops=ops64, pot=double_well(4.0), quad_order=order)
-    ctx = EnergyContext(ops=ops64, pot=double_well(4.0), quad_order=np.int64(3))
-    assert len(ctx.quad_data[0]) == 3
-
-
 def test_quad_data_is_cached_per_context(ctx64):
     assert ctx64.quad_data is ctx64.quad_data
     copy = replace(ctx64)
@@ -52,15 +42,19 @@ def test_quad_data_is_cached_per_context(ctx64):
 
 
 def test_nonlinear_part_quadrature_refinement(ops8):
-    # non-polynomial potential; the default rule must match a 10x finer one
+    # non-polynomial potential; the context's rule must match a 10x finer one,
+    # the 50-point Gauss rule on each element, built here
     pot = custom_potential(
         g=lambda r: np.sinh(r), g_prime=lambda r: np.cosh(r),
         g_hat=lambda r: np.cosh(r) - 1.0, lam=1.0, check=False,
     )
-    coarse = EnergyContext(ops=ops8, pot=pot, quad_order=5)
-    fine = EnergyContext(ops=ops8, pot=pot, quad_order=50)
     v = np.ones(ops8.mesh.dof_count)
-    e_c, e_f = energy(coarse, v), energy(fine, v)
+    ref, w = np.polynomial.legendre.leggauss(50)
+    ref = 0.5 * (ref + 1.0)
+    full = np.concatenate(([0.0], v, [0.0]))
+    vals = full[:-1, None] * (1.0 - ref) + full[1:, None] * ref
+    e_f = 0.5 * v @ ops8.A_sigma @ v + float((pot.g_hat(vals) @ (0.5 * w * ops8.mesh.h)).sum())
+    e_c = energy(EnergyContext(ops=ops8, pot=pot), v)
     assert abs(e_c - e_f) < 1e-8 * abs(e_f)
 
 

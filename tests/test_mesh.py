@@ -30,6 +30,9 @@ def test_build_rejects_bad_input():
         build_uniform_mesh(1.0, 0.0, 4)
     with pytest.raises(ConfigurationError):
         build_uniform_mesh(0.0, 1.0, 1)
+    # both ends finite, b - a past the float range: refused before any numpy arithmetic
+    with pytest.raises(ConfigurationError, match="b - a overflows"):
+        build_uniform_mesh(-1e308, 1e308, 8)
 
 
 @settings(max_examples=50, deadline=None)

@@ -36,50 +36,56 @@ def test_normalization_constant_half():
     # high-precision special-function oracle for the Gamma formula
     import mpmath
 
-    assert abs(normalization_constant(1, 0.5) - 1.0 / math.pi) < 1e-14
+    assert abs(normalization_constant(0.5) - 1.0 / math.pi) < 1e-14
     for s in (0.1, 0.25, 0.75, 0.9):
         ref = float(
             mpmath.mpf(s) * mpmath.mpf(4) ** s * mpmath.gamma(s + 0.5)
             / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(1 - s))
         )
-        assert abs(normalization_constant(1, s) - ref) < 1e-13 * ref
+        assert abs(normalization_constant(s) - ref) < 1e-13 * ref
 
 
 def test_normalization_constant_tracks_reciprocal_gamma():
     # the constant scales as 1/Gamma(1-s): it vanishes monotonically toward
     # s = 1 (compensating the blowup of the raw seminorm near the classical
-    # limit), with C(1,s) * Gamma(1-s) -> 2
+    # limit), with C_s * Gamma(1-s) -> 2
     from scipy.special import gamma
 
-    vals = [normalization_constant(1, s) for s in (0.9, 0.95, 0.99)]
+    vals = [normalization_constant(s) for s in (0.9, 0.95, 0.99)]
     assert vals[0] > vals[1] > vals[2] > 0
     tracked = [v * gamma(1.0 - s) for v, s in zip(vals, (0.9, 0.95, 0.99))]
     assert abs(tracked[2] - 2.0) < abs(tracked[0] - 2.0)
     assert abs(tracked[2] - 2.0) < 0.05
-    assert normalization_constant(1, 0.25) > 0
-    assert normalization_constant(1, 0.75) > 0
+    assert normalization_constant(0.25) > 0
+    assert normalization_constant(0.75) > 0
     with pytest.raises(ConfigurationError):
-        normalization_constant(1, 1.0)
+        normalization_constant(1.0)
     with pytest.raises(ConfigurationError):
-        normalization_constant(1, 0.0)
+        normalization_constant(0.0)
 
 
 def test_assembly_symmetric_exactly(mesh8):
     for s in (0.25, 0.5, 0.75):
-        A = assemble_gagliardo(mesh8, s, normalization_constant(1, s))
+        A = assemble_gagliardo(mesh8, s)
         assert np.array_equal(A, A.T)
 
 
+def test_assembly_refuses_an_exponent_outside_the_unit_interval(mesh8):
+    # the range check is normalization_constant's, with its message
+    for s in (0.0, 1.0):
+        with pytest.raises(ConfigurationError, match=r"exponent s must lie in \(0,1\)"):
+            assemble_gagliardo(mesh8, s)
+
+
 def test_assembly_deterministic(mesh8):
-    C = normalization_constant(1, 0.5)
-    A1 = assemble_gagliardo(mesh8, 0.5, C)
-    A2 = assemble_gagliardo(mesh8, 0.5, C)
+    A1 = assemble_gagliardo(mesh8, 0.5)
+    A2 = assemble_gagliardo(mesh8, 0.5)
     assert np.array_equal(A1, A2)
 
 
 def test_assembly_matches_oracle_s_half(mesh8):
-    C = normalization_constant(1, 0.5)
-    A = assemble_gagliardo(mesh8, 0.5, C)
+    C = normalization_constant(0.5)
+    A = assemble_gagliardo(mesh8, 0.5)
     for i in range(mesh8.dof_count):
         for j in range(i, mesh8.dof_count):
             ref = oracle_entry(mesh8, 0.5, C, i, j)
@@ -138,8 +144,8 @@ _EXPONENTS = [0.01, 0.25, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.75, 0.99]
 @pytest.mark.parametrize("s", _EXPONENTS)
 def test_assembly_matches_element_pair_reference(n, s):
     mesh = build_uniform_mesh(-1.0, 1.0, n)
-    C = normalization_constant(1, s)
-    A = assemble_gagliardo(mesh, s, C)
+    C = normalization_constant(s)
+    A = assemble_gagliardo(mesh, s)
     ref = _element_pair_reference(mesh, s, C)
     assert np.linalg.norm(A - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
 
@@ -148,8 +154,8 @@ def test_assembly_matches_element_pair_reference(n, s):
 @pytest.mark.parametrize("s", _EXPONENTS)
 def test_assembly_matches_per_distance_assembly(n, s):
     mesh = build_uniform_mesh(-1.0, 1.0, n)
-    C = normalization_constant(1, s)
-    A = assemble_gagliardo(mesh, s, C)
+    C = normalization_constant(s)
+    A = assemble_gagliardo(mesh, s)
     ref = per_distance_assembly(mesh, s, C)
     assert np.all(np.isfinite(A))
     # The complement moments of element k cancel to about k^2 eps relative, so
@@ -181,15 +187,10 @@ def test_power_integral_is_elementwise(p):
 )
 def test_assembly_symmetric_definite_persymmetric(a, width, n, s):
     # x -> a+b-x maps the uniform mesh onto itself and reverses the node order
-    A = assemble_gagliardo(build_uniform_mesh(a, a + width, n), s, normalization_constant(1, s))
+    A = assemble_gagliardo(build_uniform_mesh(a, a + width, n), s)
     assert np.array_equal(A, A.T)
     np.linalg.cholesky(A)  # raises unless positive definite
     assert np.max(np.abs(A - A[::-1, ::-1])) <= 1e-14 * np.max(np.abs(A))
-
-
-def test_assembly_rejects_nonfinite_constant(mesh8):
-    with pytest.raises(ConfigurationError):
-        assemble_gagliardo(mesh8, 0.5, float("inf"))
 
 
 def test_refinement_toward_torsion_seminorm():
@@ -197,11 +198,10 @@ def test_refinement_toward_torsion_seminorm():
     # so its continuum seminorm is exactly integral of the profile = pi/2;
     # interpolant energies cross that limit near n=32, then the error decays
     profile = lambda x: max(0.0, 1.0 - x * x) ** 0.5  # noqa: E731
-    C = normalization_constant(1, 0.5)
     errors = []
     for n in (64, 128, 256):
         mesh = build_uniform_mesh(-1.0, 1.0, n)
-        A = assemble_gagliardo(mesh, 0.5, C)
+        A = assemble_gagliardo(mesh, 0.5)
         v = interpolate(mesh, profile)
         errors.append(abs(xnorm(A, v) ** 2 - math.pi / 2))
     assert errors[1] < 0.75 * errors[0]
@@ -271,9 +271,9 @@ def test_dual_norm_rejects_non_finite(ops8, bad):
 def test_a_s_assembled_on_first_use_only(monkeypatch):
     calls = []
 
-    def counting(mesh, s, C_s):
+    def counting(mesh, s):
         calls.append(s)
-        return assemble_gagliardo(mesh, s, C_s)
+        return assemble_gagliardo(mesh, s)
 
     monkeypatch.setattr(operators, "assemble_gagliardo", counting)
     mesh = build_uniform_mesh(-1.0, 1.0, 16)
@@ -281,7 +281,7 @@ def test_a_s_assembled_on_first_use_only(monkeypatch):
     assert calls == [0.7]
     A_s = ops.A_s
     assert calls == [0.7, 0.3] and ops.A_s is A_s  # assembled once, then kept
-    assert np.array_equal(A_s, assemble_gagliardo(mesh, 0.3, ops.C_s))
+    assert np.array_equal(A_s, assemble_gagliardo(mesh, 0.3))
     same = build_operator_set(mesh, FracExponents(0.4, 0.4))
     assert same.A_s is same.A_sigma and calls == [0.7, 0.3, 0.4]
 
@@ -376,8 +376,8 @@ def test_poincare_invariant_random_vectors(s, rng):
     from fracch.mesh import mass_matrix
 
     mesh = build_uniform_mesh(-1.0, 1.0, 32)
-    C = normalization_constant(1, s)
-    A = assemble_gagliardo(mesh, s, C)
+    C = normalization_constant(s)
+    A = assemble_gagliardo(mesh, s)
     M = add_tridiagonal(np.zeros_like(A), *mass_matrix(mesh))
     bound = 2.0 / 3.0 ** (1.0 + 2.0 * s)
     V = rng.standard_normal((1000, mesh.dof_count))
@@ -393,11 +393,11 @@ def test_positive_definiteness(ops8, ops64):
 
 def test_stiffness_dump_roundtrip(tmp_path, ops8):
     path = tmp_path / "a.stf"
-    save_stiffness(path, ops8.A_s, ops8.exps.s, ops8.C_s)
+    save_stiffness(path, ops8.A_s, ops8.exps.s)
     assert path.stat().st_size == 32 + 8 * ops8.mesh.dof_count**2
     A, s, C = load_stiffness(path)
     assert np.array_equal(A, ops8.A_s)
-    assert s == ops8.exps.s and C == ops8.C_s
+    assert s == ops8.exps.s and C == normalization_constant(ops8.exps.s)
 
 
 def test_stiffness_dump_rejects_garbage(tmp_path):

@@ -37,10 +37,9 @@ def test_bundle_consistency():
     pot = double_well(4.0)
     r = np.linspace(-5, 5, 401)
     assert np.allclose(pot.beta(r), pot.g(r) + pot.lam * r, atol=1e-14)
-    assert np.allclose(pot.g_hat(r), pot.beta_hat(r) - 0.5 * pot.lam * r * r, atol=1e-12)
     d = 1e-6
-    fd = (pot.beta_hat(r + d) - pot.beta_hat(r - d)) / (2 * d)
-    assert np.max(np.abs(fd - pot.beta(r)) / (1 + np.abs(pot.beta(r)))) < 1e-6
+    fd = (pot.g_hat(r + d) - pot.g_hat(r - d)) / (2 * d)
+    assert np.max(np.abs(fd - pot.g(r)) / (1 + np.abs(pot.g(r)))) < 1e-6
 
 
 def test_double_well_sign_condition():
@@ -83,10 +82,10 @@ def test_custom_potential_clean_passes():
 def test_yosida_resolvent_cubic():
     pot = double_well(4.0)  # beta(r) = r^3
     yp = YosidaParams(epsilon=1.0)
-    assert yosida_resolvent(pot, yp, 2.0) == pytest.approx(1.0, abs=1e-11)
-    assert yosida_resolvent(pot, yp, 0.0) == 0.0
-    assert yosida_apply(pot, yp, 2.0) == pytest.approx(1.0, abs=1e-11)
-    assert yosida_apply(pot, yp, 0.0) == 0.0
+    assert yosida_resolvent(pot, yp, 2.0)[0] == pytest.approx(1.0, abs=1e-11)
+    assert yosida_resolvent(pot, yp, 0.0)[0] == 0.0
+    assert yosida_apply(pot, yp, 2.0)[0] == pytest.approx(1.0, abs=1e-11)
+    assert yosida_apply(pot, yp, 0.0)[0] == 0.0
 
 
 def test_yosida_resolvent_linear_closed_form():
@@ -94,7 +93,7 @@ def test_yosida_resolvent_linear_closed_form():
         g=lambda r: 0.0 * np.asarray(r), g_prime=lambda r: 0.0 * np.asarray(r),
         g_hat=lambda r: 0.0 * np.asarray(r), lam=1.0, check=False,
     )  # beta(r) = r
-    j = yosida_resolvent(pot, YosidaParams(epsilon=0.5), 3.0)
+    j = yosida_resolvent(pot, YosidaParams(epsilon=0.5), 3.0)[0]
     assert j == pytest.approx(2.0, abs=1e-11)
 
 
@@ -104,7 +103,7 @@ def test_yosida_bound_and_convergence(rng):
     beta = pot.beta(r)
     prev_err = None
     for eps in (1e-1, 1e-2, 1e-3):
-        be = yosida_apply(pot, YosidaParams(epsilon=eps), r)
+        be = yosida_apply(pot, YosidaParams(epsilon=eps), r)[0]
         assert np.all(np.abs(be) <= np.abs(beta) + 1e-9)
         err = np.max(np.abs(be - beta))
         if prev_err is not None:
@@ -118,8 +117,8 @@ def test_yosida_monotone_and_lipschitz(rng):
         yp = YosidaParams(epsilon=eps)
         r1 = rng.uniform(-5, 5, 500)
         r2 = rng.uniform(-5, 5, 500)
-        b1 = yosida_apply(pot, yp, r1)
-        b2 = yosida_apply(pot, yp, r2)
+        b1 = yosida_apply(pot, yp, r1)[0]
+        b2 = yosida_apply(pot, yp, r2)[0]
         assert np.all((b1 - b2) * (r1 - r2) >= -1e-12)
         assert np.all(np.abs(b1 - b2) <= np.abs(r1 - r2) / eps + 1e-9)
 
@@ -129,8 +128,8 @@ def test_yosida_monotone_and_lipschitz(rng):
 def test_resolvent_nonexpansive(r1, r2, eps):
     pot = double_well(4.0)
     yp = YosidaParams(epsilon=eps)
-    j1 = yosida_resolvent(pot, yp, r1)
-    j2 = yosida_resolvent(pot, yp, r2)
+    j1 = yosida_resolvent(pot, yp, r1)[0]
+    j2 = yosida_resolvent(pot, yp, r2)[0]
     assert abs(j1 - j2) <= abs(r1 - r2) + 1e-9
 
 
@@ -157,7 +156,7 @@ def _steep_arctan():
        eps=st.sampled_from([1.0, 0.1, 0.01]))
 def test_resolvent_matches_reference_bitwise(r, eps):
     pot = double_well(4.0)
-    j = yosida_resolvent(pot, YosidaParams(epsilon=eps), r)
+    j = yosida_resolvent(pot, YosidaParams(epsilon=eps), r)[0]
     assert np.array_equal(j, reference_resolvent(pot.beta, pot.beta_prime, eps, r))
 
 
@@ -168,7 +167,7 @@ def test_resolvent_matches_reference_bitwise_through_bisection(rng, eps):
     # the first Newton step leaves the bracket [min(r, 0), max(r, 0)] somewhere
     first = r - eps * pot.beta(r) / (1.0 + eps * pot.beta_prime(r))
     assert np.any((first <= np.minimum(r, 0.0)) | (first >= np.maximum(r, 0.0)))
-    j = yosida_resolvent(pot, YosidaParams(epsilon=eps), r)
+    j = yosida_resolvent(pot, YosidaParams(epsilon=eps), r)[0]
     assert np.array_equal(j, reference_resolvent(pot.beta, pot.beta_prime, eps, r))
     assert np.max(np.abs(j + eps * pot.beta(j) - r)) <= 1e-12
 
@@ -176,7 +175,7 @@ def test_resolvent_matches_reference_bitwise_through_bisection(rng, eps):
 def test_resolvent_scalar_matches_reference():
     pot = _steep_arctan()
     for r in (-7.5, 0.0, 0.3, 25.0):
-        j = yosida_resolvent(pot, YosidaParams(epsilon=0.1), r)
+        j = yosida_resolvent(pot, YosidaParams(epsilon=0.1), r)[0]
         assert type(j) is float
         assert j == reference_resolvent(pot.beta, pot.beta_prime, 0.1, r)
 
@@ -187,7 +186,7 @@ def test_resolvent_from_any_start_finds_the_cold_root(rng, pot, kind):
     eps = 0.01
     yp = YosidaParams(epsilon=eps)
     r = rng.uniform(-20.0, 20.0, 500)
-    cold = yosida_resolvent(pot, yp, r)
+    cold = yosida_resolvent(pot, yp, r)[0]
     start = {
         "nan": np.full_like(r, np.nan),
         "inf": np.full_like(r, np.inf),
@@ -196,7 +195,7 @@ def test_resolvent_from_any_start_finds_the_cold_root(rng, pot, kind):
         "far_off": np.where(rng.random(r.size) < 0.5, 1e6, -1e6),
         "near": cold + 1e-3 * rng.standard_normal(r.size),
     }[kind]
-    j = yosida_resolvent(pot, yp, r, start=start)
+    j = yosida_resolvent(pot, yp, r, start=start)[0]
     assert np.max(np.abs(j - cold)) <= _ROOT_TOL
     assert np.max(np.abs(j + eps * pot.beta(j) - r)) <= _ROOT_TOL
 
@@ -231,14 +230,13 @@ def test_resolvent_hands_back_beta_prime_at_the_root(rng, pot):
     yp = YosidaParams(epsilon=0.01)
     r = rng.uniform(-20.0, 20.0, 400)
     for start in (None, r + rng.standard_normal(r.size)):
-        j, bp = yosida_resolvent(pot, yp, r, start=start, with_beta_prime=True)
-        assert np.array_equal(j, yosida_resolvent(pot, yp, r, start=start))
+        j, bp = yosida_resolvent(pot, yp, r, start=start)
         assert np.array_equal(bp, pot.beta_prime(j))
         # yosida_apply hands the same solve on, with beta_eps(r) in front
-        be, j_apply, bp_apply = yosida_apply(pot, yp, r, start=start, with_resolvent=True)
-        assert np.array_equal(be, yosida_apply(pot, yp, r, start=start))
+        be, j_apply, bp_apply = yosida_apply(pot, yp, r, start=start)
+        assert np.array_equal(be, (r - j) / yp.epsilon)
         assert np.array_equal(j_apply, j) and np.array_equal(bp_apply, bp)
-    j, bp = yosida_resolvent(pot, yp, 2.5, with_beta_prime=True)
+    j, bp = yosida_resolvent(pot, yp, 2.5)
     assert type(j) is float and type(bp) is float
     assert bp == float(pot.beta_prime(j))
 
@@ -247,12 +245,12 @@ def test_resolvent_start_at_the_root_costs_one_beta(monkeypatch, rng):
     pot = double_well(4.0)
     yp = YosidaParams(epsilon=0.01)
     r = rng.uniform(-5.0, 5.0, 300)
-    cold = yosida_resolvent(pot, yp, r)
+    cold = yosida_resolvent(pot, yp, r)[0]
     calls = []
     beta_pair = Potential.beta_pair  # one (beta, beta') evaluation per point visited
     monkeypatch.setattr(Potential, "beta_pair",
                         lambda self, y: calls.append(y) or beta_pair(self, y))
-    assert np.array_equal(yosida_resolvent(pot, yp, r, start=cold), cold)
+    assert np.array_equal(yosida_resolvent(pot, yp, r, start=cold)[0], cold)
     assert len(calls) == 1
     calls.clear()
     yosida_resolvent(pot, yp, r)
@@ -265,9 +263,9 @@ def test_resolvent_start_must_have_the_shape_of_r():
     with pytest.raises(ValueError, match="shape"):
         yosida_resolvent(pot, yp, np.ones(4), start=np.ones(3))
     # a scalar r takes a scalar start, and apply passes it on
-    assert yosida_resolvent(pot, yp, 2.0, start=1.0) == pytest.approx(
-        yosida_resolvent(pot, yp, 2.0), abs=_ROOT_TOL)
-    assert yosida_apply(pot, yp, 2.0, start=np.nan) == yosida_apply(pot, yp, 2.0)
+    assert yosida_resolvent(pot, yp, 2.0, start=1.0)[0] == pytest.approx(
+        yosida_resolvent(pot, yp, 2.0)[0], abs=_ROOT_TOL)
+    assert yosida_apply(pot, yp, 2.0, start=np.nan)[0] == yosida_apply(pot, yp, 2.0)[0]
 
 
 def _quiet(f):
@@ -286,7 +284,7 @@ def test_resolvent_rejects_beta_nan_at_the_start():
         g_hat=lambda y: 0.0 * np.asarray(y), lam=0.0, check=False,
     )
     yp = YosidaParams(epsilon=0.1)
-    j = yosida_resolvent(pot, yp, 0.5)  # beta finite along the whole iteration
+    j = yosida_resolvent(pot, yp, 0.5)[0]  # beta finite along the whole iteration
     assert abs(j + 0.1 * pot.beta(j) - 0.5) <= 1e-12
     with pytest.raises(NewtonDivergenceError):
         yosida_resolvent(pot, yp, np.array([0.5, 1.5, -3.0]))
