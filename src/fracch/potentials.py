@@ -7,11 +7,16 @@ Hypothesis checks on user potentials are sampling-based and warn instead of
 aborting, so the tool stays usable outside the theory's assumptions.
 
 ``yosida_resolvent`` returns (j(r), beta'(j(r))) and ``yosida_apply``
-(beta_eps(r), j(r), beta'(j(r))), each from one resolvent solve.
+(beta_eps(r), j(r), beta'(j(r))), each from one resolvent solve.  For the
+double well with m in {2, 3, 4} and lambda >= 1 the resolvent is a root of
+a polynomial and is taken in closed form; every other potential, exponent
+or lambda takes a safeguarded Newton iteration whose residual tolerance is
+max(1e-12, 4 eps_mach |r|).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -31,6 +36,9 @@ class Potential:
 
     ``g_pair`` returns (g(r), g'(r)) and must agree bit for bit with the two
     separate callables; ``double_well`` forms both from one pass over r.
+    ``resolvent(eps, lam, r)``, when set, is the closed-form root j of
+    j + eps beta(j) = r for lam >= 1 and finite r; ``yosida_resolvent`` then
+    takes it in place of Newton.
     """
 
     g: Callable
@@ -38,6 +46,7 @@ class Potential:
     g_hat: Callable
     lam: float
     g_pair: Callable
+    resolvent: Callable | None = None
 
     def beta(self, r):
         return self.g(r) + self.lam * np.asarray(r, dtype=float)
@@ -77,7 +86,34 @@ def double_well(m: float = 4.0) -> Potential:
         power = np.abs(r) ** (m - 2.0)
         return power * r - r, (m - 1.0) * power - 1.0
 
-    return Potential(g, g_prime, g_hat, lam=1.0, g_pair=g_pair)
+    return Potential(g, g_prime, g_hat, lam=1.0, g_pair=g_pair,
+                     resolvent=_DOUBLE_WELL_RESOLVENTS.get(m))
+
+
+# Closed-form roots of j + eps beta(j) = r for the double well, where
+# beta(j) = |j|^(m-2) j + (lam - 1) j.  Let b = 1 + eps (lam - 1), which is
+# >= 1 for lam >= 1.
+def _linear_resolvent(eps, lam, r):
+    return r / (1.0 + eps * lam)  # m = 2: g = 0, beta(j) = lam j
+
+
+def _quadratic_resolvent(eps, lam, r):
+    # m = 3: eps |j| j + b j = r, the root of the quadratic in |j| written
+    # as r / (b/2 + sqrt(b^2/4 + eps |r|)), without the cancellation of
+    # (-b + sqrt(b^2 + 4 eps |r|)) / (2 eps); hypot keeps eps |r| from overflowing
+    h = 0.5 * (1.0 + eps * (lam - 1.0))
+    return r / (h + np.hypot(h, math.sqrt(eps) * np.sqrt(np.abs(r))))
+
+
+def _cubic_resolvent(eps, lam, r):
+    # m = 4: eps j^3 + b j = r has one real root, Cardano's in its hyperbolic
+    # form (Press et al., Numerical Recipes, 3rd ed., section 5.6)
+    b = 1.0 + eps * (lam - 1.0)
+    c = math.sqrt(3.0 * eps / b)
+    return (2.0 / c) * np.sinh(np.arcsinh((1.5 * c / b) * r) / 3.0)
+
+
+_DOUBLE_WELL_RESOLVENTS = {2: _linear_resolvent, 3: _quadratic_resolvent, 4: _cubic_resolvent}
 
 
 def custom_potential(
@@ -117,7 +153,10 @@ def _run_sampled_checks(pot: Potential) -> None:
         )
 
 
-_ROOT_TOL = 1e-12  # resolvent residual |y + eps beta(y) - r| accepted as a root
+# resolvent residual |y + eps beta(y) - r| accepted as a root: _ROOT_TOL, or
+# _ROOT_RTOL |r| where y + eps beta(y) - r cannot round below that
+_ROOT_TOL = 1e-12
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
 _ROOT_MAX_ITER = 100
 
 
@@ -133,14 +172,23 @@ class YosidaParams:
 def yosida_resolvent(pot: Potential, yp: YosidaParams, r, start=None):
     """Resolvent (j(r), beta'(j(r))), j(r) the unique root of y + eps * beta(y) = r.
 
-    Safeguarded Newton with a bisection fallback on the bracket between 0
-    and r (valid because beta is monotone with beta(0) = 0).  Works
-    elementwise on arrays.  An element counts as converged only when its
-    residual is finite and within the tolerance.  A NaN residual (beta NaN
-    there, or r infinite) moves neither end of the bracket, and a Newton
-    step that is not finite or leaves the bracket is replaced by bisection.
-    An element still not converged after the iteration cap raises
-    ``NewtonDivergenceError``.
+    When ``pot.resolvent`` is set (the double well with m in {2, 3, 4}),
+    ``pot.lam >= 1`` and every element of r is finite, j is that closed form
+    and beta'(j) is ``pot.beta_pair(j)[1]``; ``start`` is then not read.  The
+    guard is lam >= 1, not b = 1 + eps (lam - 1) > 0: below the split
+    constant beta is not monotone, the root can lie outside the bracket
+    between 0 and r that the Newton path keeps, and Newton stalls there.
+
+    Otherwise: safeguarded Newton with a bisection fallback on the bracket
+    between 0 and r (valid because beta is monotone with beta(0) = 0).
+    Works elementwise on arrays.  An element counts as converged only when
+    its residual is finite and within max(1e-12, 4 eps_mach |r|): the
+    residual rounds at about eps_mach |r|, so at |r| >= 1e4 an absolute
+    1e-12 could not be met.  A NaN residual (beta NaN there, or r not
+    finite) moves neither end of the bracket, and a Newton step that is not
+    finite or leaves the bracket is replaced by bisection.  An element still
+    not converged after the iteration cap raises ``NewtonDivergenceError``;
+    a non-finite r always does.
 
     The iteration starts from y = r, or from ``start``, an initial guess of
     r's shape (a warm start, such as a tangent prediction from a nearby
@@ -154,21 +202,29 @@ def yosida_resolvent(pot: Potential, yp: YosidaParams, r, start=None):
     r's shape, or floats for a scalar r.
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    if start is not None:
+        start = np.atleast_1d(np.asarray(start, dtype=float))
+        if start.shape != r_arr.shape:
+            raise ValueError(f"start has shape {start.shape}, r has shape {r_arr.shape}")
     eps = yp.epsilon
+    finite = np.isfinite(r_arr)
+    if pot.resolvent is not None and pot.lam >= 1.0 and finite.all():
+        y = pot.resolvent(eps, pot.lam, r_arr)
+        bp = pot.beta_pair(y)[1]
+        return (y, bp) if np.ndim(r) else (float(y[0]), float(bp[0]))
+    # NaN for a non-finite r, so that no residual is ever within it
+    tol = np.where(finite, np.maximum(_ROOT_TOL, _ROOT_RTOL * np.abs(r_arr)), np.nan)
     lo = np.minimum(r_arr, 0.0)
     hi = np.maximum(r_arr, 0.0)
     if start is None:
         y = r_arr.copy()
     else:
-        start = np.atleast_1d(np.asarray(start, dtype=float))
-        if start.shape != r_arr.shape:
-            raise ValueError(f"start has shape {start.shape}, r has shape {r_arr.shape}")
         # np.clip's bits, without its Python-level dispatch
         y = np.minimum(np.maximum(np.where(np.isfinite(start), start, r_arr), lo), hi)
     b, bp = pot.beta_pair(y)
     residual = y + eps * np.asarray(b, dtype=float) - r_arr
     for _ in range(_ROOT_MAX_ITER):
-        open_ = ~(np.abs(residual) <= _ROOT_TOL)  # NaN counts as open
+        open_ = ~(np.abs(residual) <= tol)  # NaN counts as open
         if not open_.any():
             break
         np.minimum(hi, y, out=hi, where=residual > 0.0)
@@ -183,7 +239,7 @@ def yosida_resolvent(pot: Potential, yp: YosidaParams, r, start=None):
         b, bp = pot.beta_pair(y)
         residual = y + eps * np.asarray(b, dtype=float) - r_arr
     else:
-        if not np.all(np.abs(residual) <= _ROOT_TOL):
+        if not np.all(np.abs(residual) <= tol):
             raise NewtonDivergenceError(
                 "resolvent iteration cap exceeded; is potential.lambda below the split "
                 "constant (1 for the double well), or is a custom beta non-monotone or "

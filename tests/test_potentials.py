@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,12 @@ def test_resolvent_cap_on_nonmonotone_beta():
         yosida_resolvent(pot, YosidaParams(epsilon=1.0), 1.0)
 
 
+def _newton_cubic():
+    """double_well(4.0)'s beta without its closed form, so the Newton loop solves it."""
+    dw = double_well(4.0)
+    return custom_potential(dw.g, dw.g_prime, dw.g_hat, lam=1.0, check=False)
+
+
 def _steep_arctan():
     """beta(y) = 50 arctan(20 y), lambda = 0: Newton from r overshoots the bracket."""
     return custom_potential(
@@ -155,7 +163,7 @@ def _steep_arctan():
 @given(r=arrays(np.float64, st.integers(1, 50), elements=st.floats(-20, 20)),
        eps=st.sampled_from([1.0, 0.1, 0.01]))
 def test_resolvent_matches_reference_bitwise(r, eps):
-    pot = double_well(4.0)
+    pot = _newton_cubic()
     j = yosida_resolvent(pot, YosidaParams(epsilon=eps), r)[0]
     assert np.array_equal(j, reference_resolvent(pot.beta, pot.beta_prime, eps, r))
 
@@ -180,7 +188,7 @@ def test_resolvent_scalar_matches_reference():
         assert j == reference_resolvent(pot.beta, pot.beta_prime, 0.1, r)
 
 
-@pytest.mark.parametrize("pot", [double_well(4.0), _steep_arctan()], ids=["cubic", "arctan"])
+@pytest.mark.parametrize("pot", [_newton_cubic(), _steep_arctan()], ids=["cubic", "arctan"])
 @pytest.mark.parametrize("kind", ["nan", "inf", "-inf", "out_of_bracket", "far_off", "near"])
 def test_resolvent_from_any_start_finds_the_cold_root(rng, pot, kind):
     eps = 0.01
@@ -242,7 +250,7 @@ def test_resolvent_hands_back_beta_prime_at_the_root(rng, pot):
 
 
 def test_resolvent_start_at_the_root_costs_one_beta(monkeypatch, rng):
-    pot = double_well(4.0)
+    pot = _newton_cubic()
     yp = YosidaParams(epsilon=0.01)
     r = rng.uniform(-5.0, 5.0, 300)
     cold = yosida_resolvent(pot, yp, r)[0]
@@ -302,3 +310,75 @@ def test_resolvent_rejects_all_nan_beta():
 def test_yosida_params_validation():
     with pytest.raises(ConfigurationError):
         YosidaParams(epsilon=0.0)
+
+
+def _count_beta_pairs(monkeypatch):
+    calls = []
+    beta_pair = Potential.beta_pair
+    monkeypatch.setattr(Potential, "beta_pair",
+                        lambda self, y: calls.append(y) or beta_pair(self, y))
+    return calls
+
+
+def test_closed_form_resolvent_only_for_the_double_well_with_m_2_3_4():
+    assert all(double_well(m).resolvent is not None for m in (2.0, 3.0, 4.0))
+    assert all(double_well(m).resolvent is None for m in (2.5, 3.5, 6.5))
+    assert _newton_cubic().resolvent is None
+    # the lambda override keeps the closed form, which reads lambda at call time
+    assert replace(double_well(4.0), lam=2.0).resolvent is double_well(4.0).resolvent
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_closed_form_resolvent_matches_50_digit_roots(monkeypatch, m, lam):
+    import mpmath
+
+    pot = replace(double_well(float(m)), lam=lam)
+    draws = np.random.default_rng(m + 10 * int(lam))
+    eps = 10.0 ** np.concatenate([[-12.0, -12.0, 6.0, 6.0], draws.uniform(-12.0, 6.0, 150)])
+    mag = 10.0 ** np.concatenate([[-300.0, 6.0, -300.0, 6.0], draws.uniform(-300.0, 6.0, 150)])
+    r = np.where(draws.random(eps.size) < 0.5, -mag, mag)
+    calls = _count_beta_pairs(monkeypatch)
+    for e, x in zip(eps, r):
+        calls.clear()
+        j, bp = yosida_resolvent(pot, YosidaParams(epsilon=e), np.array([x]))
+        assert len(calls) == 1  # beta'(j) only: no Newton iterate
+        assert np.array_equal(bp, pot.beta_prime(j))
+        with mpmath.workdps(50):
+            E, R, L = mpmath.mpf(e), mpmath.mpf(x), mpmath.mpf(lam)
+            root = mpmath.findroot(
+                lambda y: y + E * (abs(y) ** (m - 2) * y + (L - 1) * y) - R, mpmath.mpf(j[0]))
+            assert abs(mpmath.mpf(j[0]) - root) <= 8 * np.finfo(float).eps * abs(root)
+
+
+def test_quadratic_closed_form_has_no_overflow_at_large_eps_r():
+    # j = sign(r) sqrt(|r| / eps) to 1e-145 relative, though 4 eps |r| overflows
+    j = yosida_resolvent(double_well(3.0), YosidaParams(epsilon=1e10), np.array([1e300, -1e300]))[0]
+    assert np.allclose(j, [1e145, -1e145], rtol=8 * np.finfo(float).eps, atol=0.0)
+
+
+def test_lambda_below_split_and_non_finite_r_take_newton(monkeypatch):
+    yp = YosidaParams(epsilon=0.01)
+    calls = _count_beta_pairs(monkeypatch)
+    # lambda 0.5: b = 1 + eps (lambda - 1) > 0, but the root r / b of the
+    # near-linear part lies past r, outside Newton's bracket, so Newton stalls
+    with pytest.raises(NewtonDivergenceError):
+        yosida_resolvent(replace(double_well(4.0), lam=0.5), yp, 1e-3)
+    assert len(calls) > 1
+    for r in ([1.0, np.nan], [np.inf], [-np.inf, 2.0]):
+        calls.clear()
+        with pytest.raises(NewtonDivergenceError), np.errstate(invalid="ignore"):
+            yosida_resolvent(double_well(4.0), yp, np.array(r))
+        assert len(calls) > 1
+
+
+@pytest.mark.parametrize("m", [3.5, 6.5])
+@pytest.mark.parametrize("eps", [1.0, 0.01])
+def test_newton_resolvent_converges_at_large_r(m, eps):
+    # the residual rounds at about eps_mach |r|: an absolute 1e-12 alone
+    # stalled here with NewtonDivergenceError
+    pot = double_well(m)
+    assert pot.resolvent is None
+    r = np.array([1e4, -3e5, 1e6, 1e8])
+    j = yosida_resolvent(pot, YosidaParams(epsilon=eps), r)[0]
+    assert np.all(np.abs(j + eps * pot.beta(j) - r) <= 4 * np.finfo(float).eps * np.abs(r))
