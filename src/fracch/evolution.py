@@ -67,10 +67,10 @@ dj/dr = 1 / (1 + eps beta'(j)) (Allgower & Georg, Introduction to Numerical
 Continuation Methods, ch. 2).  The resolvent replaces a non-finite start by
 r and clips the start into its bracket, and its tolerance is unchanged, so
 the start moves each root only within that tolerance.  Only the Newton
-path reads the start (the double well with m in {2, 3, 4} and lambda >= 1
-takes a closed form).  There it cuts the beta evaluations by more than
-40% on a Newton-solved cubic beta (200 steps at n = 64), and the run time
-by 20-30% on the ``simulate_yosida64`` benchmark config with m = 3.5.  The
+path reads the start (the double well with m = 4 and lambda >= 1 takes a
+closed form).  There it cuts the beta evaluations by more than 40% on a
+Newton-solved cubic beta (200 steps at n = 64), and the run time by
+20-30% on the ``simulate_yosida64`` benchmark config with m = 3.5.  The
 memory lives in the run only: ``step`` called alone builds its own callable
 and starts its first solve cold, as it builds its own ``_StepSolver``.
 """

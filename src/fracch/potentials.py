@@ -8,9 +8,9 @@ aborting, so the tool stays usable outside the theory's assumptions.
 
 ``yosida_resolvent`` returns (j(r), beta'(j(r))) and ``yosida_apply``
 (beta_eps(r), j(r), beta'(j(r))), each from one resolvent solve.  For the
-double well with m in {2, 3, 4} and lambda >= 1 the resolvent is a root of
-a polynomial and is taken in closed form; every other potential, exponent
-or lambda takes a safeguarded Newton iteration whose residual tolerance is
+double well with m = 4 and lambda >= 1 the resolvent is the real root of a
+cubic and is taken in closed form; every other potential, exponent or
+lambda takes a safeguarded Newton iteration whose residual tolerance is
 max(1e-12, 4 eps_mach |r|).
 """
 
@@ -36,9 +36,9 @@ class Potential:
 
     ``g_pair`` returns (g(r), g'(r)) and must agree bit for bit with the two
     separate callables; ``double_well`` forms both from one pass over r.
-    ``resolvent(eps, lam, r)``, when set, is the closed-form root j of
-    j + eps beta(j) = r for lam >= 1 and finite r; ``yosida_resolvent`` then
-    takes it in place of Newton.
+    ``resolvent(eps, lam, r)``, when set (``double_well(4.0)``), is the
+    closed-form root j of j + eps beta(j) = r for lam >= 1 and finite r;
+    ``yosida_resolvent`` then takes it in place of Newton.
     """
 
     g: Callable
@@ -87,33 +87,32 @@ def double_well(m: float = 4.0) -> Potential:
         return power * r - r, (m - 1.0) * power - 1.0
 
     return Potential(g, g_prime, g_hat, lam=1.0, g_pair=g_pair,
-                     resolvent=_DOUBLE_WELL_RESOLVENTS.get(m))
+                     resolvent=_cubic_resolvent if m == 4 else None)
 
 
-# Closed-form roots of j + eps beta(j) = r for the double well, where
-# beta(j) = |j|^(m-2) j + (lam - 1) j.  Let b = 1 + eps (lam - 1), which is
-# >= 1 for lam >= 1.
-def _linear_resolvent(eps, lam, r):
-    return r / (1.0 + eps * lam)  # m = 2: g = 0, beta(j) = lam j
-
-
-def _quadratic_resolvent(eps, lam, r):
-    # m = 3: eps |j| j + b j = r, the root of the quadratic in |j| written
-    # as r / (b/2 + sqrt(b^2/4 + eps |r|)), without the cancellation of
-    # (-b + sqrt(b^2 + 4 eps |r|)) / (2 eps); hypot keeps eps |r| from overflowing
-    h = 0.5 * (1.0 + eps * (lam - 1.0))
-    return r / (h + np.hypot(h, math.sqrt(eps) * np.sqrt(np.abs(r))))
+# |x| up to which _cubic_resolvent takes Cardano's hyperbolic form
+_CARDANO_X_MAX = 1e4
 
 
 def _cubic_resolvent(eps, lam, r):
-    # m = 4: eps j^3 + b j = r has one real root, Cardano's in its hyperbolic
-    # form (Press et al., Numerical Recipes, 3rd ed., section 5.6)
+    # m = 4: eps j^3 + b j = r with b = 1 + eps (lam - 1) >= 1 has one real
+    # root.  With c = sqrt(3 eps / b) and x = 1.5 c r / b it is Cardano's
+    # (2/c) sinh(asinh(x) / 3) (Press et al., Numerical Recipes, 3rd ed.,
+    # section 5.6), whose error grows as ln|x| and whose x overflows at
+    # large eps |r|.  Past |x| = _CARDANO_X_MAX it takes the same root as
+    # 3 r / (b (s^2 + 1 + s^-2)), s^3 = |x| + sqrt(x^2 + 1) = exp(asinh|x|):
+    # (s - 1/s)(s^2 + 1 + s^-2) = s^3 - s^-3 = 2|x|, so sinh(asinh(|x|) / 3)
+    # = |x| / (s^2 + 1 + s^-2), a sum of positive terms without cancellation
     b = 1.0 + eps * (lam - 1.0)
     c = math.sqrt(3.0 * eps / b)
-    return (2.0 / c) * np.sinh(np.arcsinh((1.5 * c / b) * r) / 3.0)
-
-
-_DOUBLE_WELL_RESOLVENTS = {2: _linear_resolvent, 3: _quadratic_resolvent, 4: _cubic_resolvent}
+    k = 1.5 * c / b
+    if np.maximum.reduce(np.abs(r), axis=None, initial=0.0) <= _CARDANO_X_MAX / k:
+        return (2.0 / c) * np.sinh(np.arcsinh(k * r) / 3.0)
+    # s = cbrt(2k) cbrt(|r|/2 + hypot(0.5/k, |r|/2)), so that nothing overflows
+    h = 0.5 * np.abs(r)
+    s = np.cbrt(2.0 * k) * np.cbrt(h + np.hypot(0.5 / k, h))
+    u = s * s
+    return r / ((b / 3.0) * (u + 1.0 + 1.0 / u))
 
 
 def custom_potential(
@@ -172,9 +171,9 @@ class YosidaParams:
 def yosida_resolvent(pot: Potential, yp: YosidaParams, r, start=None):
     """Resolvent (j(r), beta'(j(r))), j(r) the unique root of y + eps * beta(y) = r.
 
-    When ``pot.resolvent`` is set (the double well with m in {2, 3, 4}),
+    When ``pot.resolvent`` is set (the double well with m = 4),
     ``pot.lam >= 1`` and every element of r is finite, j is that closed form
-    and beta'(j) is ``pot.beta_pair(j)[1]``; ``start`` is then not read.  The
+    and beta'(j) is ``pot.beta_prime(j)``; ``start`` is then not read.  The
     guard is lam >= 1, not b = 1 + eps (lam - 1) > 0: below the split
     constant beta is not monotone, the root can lie outside the bracket
     between 0 and r that the Newton path keeps, and Newton stalls there.
@@ -207,13 +206,17 @@ def yosida_resolvent(pot: Potential, yp: YosidaParams, r, start=None):
         if start.shape != r_arr.shape:
             raise ValueError(f"start has shape {start.shape}, r has shape {r_arr.shape}")
     eps = yp.epsilon
-    finite = np.isfinite(r_arr)
-    if pot.resolvent is not None and pot.lam >= 1.0 and finite.all():
+    r_abs = np.abs(r_arr)
+    r_max = np.maximum.reduce(r_abs, axis=None, initial=0.0)  # NaN or inf unless every r is finite
+    if pot.resolvent is not None and pot.lam >= 1.0 and r_max < math.inf:
         y = pot.resolvent(eps, pot.lam, r_arr)
-        bp = pot.beta_pair(y)[1]
+        bp = pot.beta_prime(y)
         return (y, bp) if np.ndim(r) else (float(y[0]), float(bp[0]))
-    # NaN for a non-finite r, so that no residual is ever within it
-    tol = np.where(finite, np.maximum(_ROOT_TOL, _ROOT_RTOL * np.abs(r_arr)), np.nan)
+    if r_max <= _ROOT_TOL / _ROOT_RTOL:
+        tol = _ROOT_TOL
+    else:
+        # NaN for a non-finite r, so that no residual is ever within it
+        tol = np.where(np.isfinite(r_abs), np.maximum(_ROOT_TOL, _ROOT_RTOL * r_abs), np.nan)
     lo = np.minimum(r_arr, 0.0)
     hi = np.maximum(r_arr, 0.0)
     if start is None:

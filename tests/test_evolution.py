@@ -614,11 +614,19 @@ def _count_beta_calls(monkeypatch):
     return calls
 
 
-def test_warm_resolvent_halves_the_beta_evaluations(ctx64, rng, monkeypatch):
-    # double_well(4.0)'s beta without its closed form: the start only serves Newton
+def _newton_cubic(ctx):
+    """ctx with double_well(4.0)'s beta but not its closed-form resolvent.
+
+    The resolvent memory only serves the Newton path, so the tests of it
+    march this context.
+    """
     dw = double_well(4.0)
-    ctx = EnergyContext(ops=ctx64.ops,
-                        pot=custom_potential(dw.g, dw.g_prime, dw.g_hat, lam=1.0, check=False))
+    return EnergyContext(ops=ctx.ops,
+                         pot=custom_potential(dw.g, dw.g_prime, dw.g_hat, lam=1.0, check=False))
+
+
+def test_warm_resolvent_halves_the_beta_evaluations(ctx64, rng, monkeypatch):
+    ctx = _newton_cubic(ctx64)
     u0 = rng.standard_normal(ctx.ops.mesh.dof_count)
     cfg = StepConfig(tau=1e-3, use_yosida=1e-2)
     calls = _count_beta_calls(monkeypatch)
@@ -636,11 +644,12 @@ def test_warm_resolvent_halves_the_beta_evaluations(ctx64, rng, monkeypatch):
 
 
 def test_marches_keep_no_state_between_runs(ctx64, ctx64_wide, rng):
-    u0 = 0.5 * rng.standard_normal(ctx64.ops.mesh.dof_count)
+    ctx, ctx_wide = _newton_cubic(ctx64), _newton_cubic(ctx64_wide)
+    u0 = 0.5 * rng.standard_normal(ctx.ops.mesh.dof_count)
     cfg = StepConfig(tau=1e-3, use_yosida=1e-2)
-    alone = [u for _, u, _ in itertools.islice(march(ctx64, cfg, u0, t_end=1e9), 30)]
-    runs = [march(ctx64, cfg, u0, t_end=1e9), march(ctx64_wide, cfg, 2.0 * u0, t_end=1e9),
-            march(ctx64, cfg, u0, t_end=1e9)]
+    alone = [u for _, u, _ in itertools.islice(march(ctx, cfg, u0, t_end=1e9), 30)]
+    runs = [march(ctx, cfg, u0, t_end=1e9), march(ctx_wide, cfg, 2.0 * u0, t_end=1e9),
+            march(ctx, cfg, u0, t_end=1e9)]
     interleaved = [[next(run)[1] for run in runs] for _ in range(30)]
     for u, (first, _, second) in zip(alone, interleaved):
         assert u.tobytes() == first.tobytes() == second.tobytes()
@@ -651,9 +660,10 @@ def test_warm_resolvent_through_retry_and_halving(ctx64, rng, monkeypatch, nan_b
     # retry from u fail, so march halves tau for that step; the run's
     # resolvent memory goes through all of it
     poison = nan_beta_poison
-    u0 = 0.3 * rng.standard_normal(ctx64.ops.mesh.dof_count)
+    ctx = _newton_cubic(ctx64)
+    u0 = 0.3 * rng.standard_normal(ctx.ops.mesh.dof_count)
     cfg = StepConfig(tau=1e-2, use_yosida=1e-2)
-    run = march(ctx64, cfg, u0, t_end=1e9)
+    run = march(ctx, cfg, u0, t_end=1e9)
     marched = [next(run) for _ in range(5)]
     poison["left"] = 2
     marched += [next(run) for _ in range(10)]
@@ -664,7 +674,7 @@ def test_warm_resolvent_through_retry_and_halving(ctx64, rng, monkeypatch, nan_b
     monkeypatch.undo()
     u = u0
     for (_, u_marched, cert) in marched:
-        u = step(ctx64, cfg, u, tau=cert.tau_used)[0]  # cold: own pair, from u_prev
+        u = step(ctx, cfg, u, tau=cert.tau_used)[0]  # cold: own pair, from u_prev
         assert np.linalg.norm(u_marched - u) <= 1e-9 * np.linalg.norm(u)
 
 

@@ -232,8 +232,9 @@ def test_custom_beta_pair_is_the_two_calls():
     assert np.array_equal(b, pot.beta(r)) and np.array_equal(bp, pot.beta_prime(r))
 
 
-@pytest.mark.parametrize("pot", [double_well(4.0), double_well(6.5), _steep_arctan()],
-                         ids=["cubic", "m6.5", "arctan"])
+@pytest.mark.parametrize("pot", [_newton_cubic(), double_well(6.5), _steep_arctan(),
+                                 double_well(4.0)],
+                         ids=["cubic", "m6.5", "arctan", "closed_form"])
 def test_resolvent_hands_back_beta_prime_at_the_root(rng, pot):
     yp = YosidaParams(epsilon=0.01)
     r = rng.uniform(-20.0, 20.0, 400)
@@ -266,10 +267,11 @@ def test_resolvent_start_at_the_root_costs_one_beta(monkeypatch, rng):
 
 
 def test_resolvent_start_must_have_the_shape_of_r():
-    pot = double_well(4.0)
+    pot = _newton_cubic()
     yp = YosidaParams(epsilon=0.1)
-    with pytest.raises(ValueError, match="shape"):
-        yosida_resolvent(pot, yp, np.ones(4), start=np.ones(3))
+    for p in (pot, double_well(4.0)):  # the closed form checks the shape too
+        with pytest.raises(ValueError, match="shape"):
+            yosida_resolvent(p, yp, np.ones(4), start=np.ones(3))
     # a scalar r takes a scalar start, and apply passes it on
     assert yosida_resolvent(pot, yp, 2.0, start=1.0)[0] == pytest.approx(
         yosida_resolvent(pot, yp, 2.0)[0], abs=_ROOT_TOL)
@@ -320,41 +322,49 @@ def _count_beta_pairs(monkeypatch):
     return calls
 
 
-def test_closed_form_resolvent_only_for_the_double_well_with_m_2_3_4():
-    assert all(double_well(m).resolvent is not None for m in (2.0, 3.0, 4.0))
-    assert all(double_well(m).resolvent is None for m in (2.5, 3.5, 6.5))
+def test_closed_form_resolvent_only_for_the_double_well_with_m_4():
+    assert double_well(4.0).resolvent is not None
+    assert all(double_well(m).resolvent is None for m in (2.0, 3.0, 3.5, 6.5))
     assert _newton_cubic().resolvent is None
     # the lambda override keeps the closed form, which reads lambda at call time
     assert replace(double_well(4.0), lam=2.0).resolvent is double_well(4.0).resolvent
 
 
-@pytest.mark.parametrize("lam", [1.0, 2.0])
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_closed_form_resolvent_matches_50_digit_roots(monkeypatch, m, lam):
+def _relative_error_to_50_digit_root(eps, lam, r, j):
+    """|j - root| / |root| for the root of eps y^3 + b y = r, b = 1 + eps (lam - 1)."""
     import mpmath
 
-    pot = replace(double_well(float(m)), lam=lam)
-    draws = np.random.default_rng(m + 10 * int(lam))
+    with mpmath.workdps(50):
+        E, R = mpmath.mpf(eps), mpmath.mpf(r)
+        b = 1 + E * (mpmath.mpf(lam) - 1)
+        c = mpmath.sqrt(3 * E / b)
+        root = (2 / c) * mpmath.sinh(mpmath.asinh(1.5 * c * R / b) / 3)
+        assert abs(E * root ** 3 + b * root - R) <= mpmath.mpf(10) ** -40 * abs(R)
+        return float(abs(mpmath.mpf(j) - root) / abs(root))
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+def test_closed_form_resolvent_matches_50_digit_roots(monkeypatch, lam):
+    pot = replace(double_well(4.0), lam=lam)
+    draws = np.random.default_rng(4 + 10 * int(lam))
     eps = 10.0 ** np.concatenate([[-12.0, -12.0, 6.0, 6.0], draws.uniform(-12.0, 6.0, 150)])
     mag = 10.0 ** np.concatenate([[-300.0, 6.0, -300.0, 6.0], draws.uniform(-300.0, 6.0, 150)])
     r = np.where(draws.random(eps.size) < 0.5, -mag, mag)
     calls = _count_beta_pairs(monkeypatch)
     for e, x in zip(eps, r):
-        calls.clear()
         j, bp = yosida_resolvent(pot, YosidaParams(epsilon=e), np.array([x]))
-        assert len(calls) == 1  # beta'(j) only: no Newton iterate
         assert np.array_equal(bp, pot.beta_prime(j))
-        with mpmath.workdps(50):
-            E, R, L = mpmath.mpf(e), mpmath.mpf(x), mpmath.mpf(lam)
-            root = mpmath.findroot(
-                lambda y: y + E * (abs(y) ** (m - 2) * y + (L - 1) * y) - R, mpmath.mpf(j[0]))
-            assert abs(mpmath.mpf(j[0]) - root) <= 8 * np.finfo(float).eps * abs(root)
+        assert _relative_error_to_50_digit_root(e, lam, x, j[0]) <= 8 * np.finfo(float).eps
+    assert not calls  # no Newton iterate
 
 
-def test_quadratic_closed_form_has_no_overflow_at_large_eps_r():
-    # j = sign(r) sqrt(|r| / eps) to 1e-145 relative, though 4 eps |r| overflows
-    j = yosida_resolvent(double_well(3.0), YosidaParams(epsilon=1e10), np.array([1e300, -1e300]))[0]
-    assert np.allclose(j, [1e145, -1e145], rtol=8 * np.finfo(float).eps, atol=0.0)
+@pytest.mark.parametrize("eps, r", [(1e6, 1e306), (1e6, -1.7e308), (1e-12, 1.7e308),
+                                    (1e6, 1e200), (1e-12, -1e-300)])
+def test_closed_form_resolvent_at_extreme_eps_r(eps, r):
+    # x = 1.5 c r / b overflows at the first two points, and all but the last
+    # take the form for |x| past 1e4; pytest turns a RuntimeWarning into an error
+    j = yosida_resolvent(double_well(4.0), YosidaParams(epsilon=eps), np.array([r]))[0]
+    assert _relative_error_to_50_digit_root(eps, 1.0, r, j[0]) <= 8 * np.finfo(float).eps
 
 
 def test_lambda_below_split_and_non_finite_r_take_newton(monkeypatch):
