@@ -4,7 +4,6 @@ from .config import RunConfig, parse_config
 from .diagnostics import (
     LojFit,
     PoincareReport,
-    fit_curve_points,
     fit_decay_series,
     poincare_report,
     smoothing_report,
@@ -23,7 +22,6 @@ from .equilibrium import (
     complete_report,
     default_equilibrium_seed,
     isomorphism_check,
-    kernel_and_projection,
     linearize,
     lsi_probe,
     pencil_eigenvalues,

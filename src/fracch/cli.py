@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig, parse_config
-from .diagnostics import fit_curve_points, fit_decay_series, poincare_report
+from .diagnostics import fit_decay_series, poincare_report
 from .energy import energy
 from .equilibrium import (
     complete_report,
@@ -242,8 +242,7 @@ def run_rates(cfg: RunConfig, out: str | None) -> int:
     with open(curve_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(("t", "H", "H_fit"))
-        for t, H, H_fit in fit_curve_points(np.asarray(times), np.asarray(energies), fit):
-            w.writerow((t, H, H_fit))
+        w.writerows(fit.curve)
     print(f"wrote {path} and {curve_path}")
     return 0
 

@@ -38,10 +38,10 @@ _DEFAULTS = {
 # either G = M U^{-1} while P = G G^T is built, or the Newton step matrix,
 # factored and inverted in its own buffer and kept as the PCG preconditioner;
 # verify holds the same in its short run (its Poincare samples are 100 x dof
-# blocks).  equilibrium and spectrum never assemble A_s and hold four:
-# A_sigma, its factor, the linearization L and its reduced pencil or the
-# eigensolver's copy of L (five with the projection P of a non-empty kernel).
-# rates holds A_sigma.
+# blocks).  equilibrium and spectrum never assemble A_s and hold four, with
+# or without a kernel: A_sigma, its factor, the linearization L and one of
+# its reduced pencil, the eigensolver's copy of L or L + M P (M P is formed
+# from the kernel basis straight into that sum).  rates holds A_sigma.
 _DENSE_ARRAYS = 5
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,9 @@ class LojFit:
     r_squared: float
     window: tuple
     e_limit: float
-    degenerate: bool = False
+    degenerate: bool
+    # (t, H, H_fit) rows the fit was made on, for external plotting; (0, 3) when degenerate
+    curve: np.ndarray = field(compare=False)
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -39,21 +41,21 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def _select_window(times, energies, phi_energy, theta, warn=False):
+def _select_window(times, energies, phi_energy, theta):
     """Samples of H above the noise cutoff, or None when H vanishes entirely.
 
     The cutoff is max(100 eps scale, 3 min H): the first term is the classic
     roundoff floor, the second excises the plateau where the solver tolerance
-    freezes the trajectory.
+    freezes the trajectory.  A negative gap (an energy below the limit) is
+    clipped to zero with a warning.
     """
     times = np.asarray(times, dtype=float)
     energies = np.asarray(energies, dtype=float)
     diff = energies - phi_energy
     if np.any(diff < 0):
-        if warn:
-            warnings.warn(
-                "energy dipped below the limit energy; clipping negative gaps to zero"
-            )
+        warnings.warn(
+            "energy dipped below the limit energy; clipping negative gaps to zero"
+        )
         diff = np.clip(diff, 0.0, None)
     H = diff**theta
     positive = H[H > 0]
@@ -71,14 +73,16 @@ def fit_decay_series(
     """Fit H(t) = (E(t) - E_phi)^theta on an automatically chosen window.
 
     Fits need at least 10 samples spanning two decades of H above the noise
-    cutoff (see ``_select_window``), otherwise they are refused.
+    cutoff (see ``_select_window``), otherwise they are refused.  The fit's
+    ``curve`` holds the samples it was made on (for the algebraic mode those
+    with t > 0) beside the fitted H from its own slope and intercept.
     """
     times = np.asarray(times, dtype=float)
-    selected = _select_window(times, energies, phi_energy, theta, warn=True)
+    selected = _select_window(times, energies, phi_energy, theta)
     if selected is None:
         return LojFit(mode="exponential", theta=theta, rate=0.0, r_squared=0.0,
                       window=(float(times[0]), float(times[-1])),
-                      e_limit=phi_energy, degenerate=True)
+                      e_limit=phi_energy, degenerate=True, curve=np.empty((0, 3)))
     tw, Hw = selected
     if tw.size < 10:
         raise ValueError(
@@ -89,49 +93,26 @@ def fit_decay_series(
         raise ValueError(f"fit window spans {decades:.2f} decades (< 2); fit refused")
 
     log_h = np.log(Hw)
-    slope_e, _, r2_exp = _linear_fit(tw, log_h)
+    slope_e, icpt_e, r2_exp = _linear_fit(tw, log_h)
 
     pos_t = tw > 0
-    if int(pos_t.sum()) >= 10:
-        slope_a, _, r2_alg = _linear_fit(np.log(tw[pos_t]), log_h[pos_t])
+    log_t = np.log(tw[pos_t])
+    if log_t.size >= 10:
+        slope_a, icpt_a, r2_alg = _linear_fit(log_t, log_h[pos_t])
     else:
-        slope_a, r2_alg = 0.0, -math.inf
+        slope_a, icpt_a, r2_alg = 0.0, 0.0, -math.inf
 
+    window = (float(tw[0]), float(tw[-1]))
     if r2_exp >= r2_alg:
-        fit = LojFit(mode="exponential", theta=theta, rate=-slope_e,
-                     r_squared=r2_exp, window=(float(tw[0]), float(tw[-1])),
-                     e_limit=phi_energy)
+        mode, rate, r2 = "exponential", -slope_e, r2_exp
+        H_fit = np.exp(icpt_e + slope_e * tw)
     else:
-        fit = LojFit(mode="algebraic", theta=theta, rate=slope_a,
-                     r_squared=r2_alg, window=(float(tw[0]), float(tw[-1])),
-                     e_limit=phi_energy)
-    return fit
-
-
-def fit_curve_points(
-    times: np.ndarray, energies: np.ndarray, fit: LojFit
-) -> np.ndarray:
-    """(t, H, H_fit) samples over the fit window, for external plotting.
-
-    Reapplies the fit's window selection; the intercept is reconstructed
-    from the fitted slope (least-squares intercept = mean(y) - slope mean(x)).
-    """
-    selected = _select_window(times, energies, fit.e_limit, fit.theta)
-    if selected is None:
-        return np.zeros((0, 3))
-    tw, Hw = selected
-    log_h = np.log(Hw)
-    if fit.mode == "exponential":
-        x = tw
-        slope = -fit.rate
-    else:
-        pos = tw > 0
-        tw, Hw, log_h = tw[pos], Hw[pos], log_h[pos]
-        x = np.log(tw)
-        slope = fit.rate
-    intercept = float(np.mean(log_h) - slope * np.mean(x))
-    H_fit = np.exp(intercept + slope * x)
-    return np.column_stack([tw, Hw, H_fit])
+        mode, rate, r2 = "algebraic", slope_a, r2_alg
+        tw, Hw = tw[pos_t], Hw[pos_t]
+        H_fit = np.exp(icpt_a + slope_a * log_t)
+    return LojFit(mode=mode, theta=theta, rate=rate, r_squared=r2, window=window,
+                  e_limit=phi_energy, degenerate=False,
+                  curve=np.column_stack([tw, Hw, H_fit]))
 
 
 _POINCARE_BLOCK = 100  # normal draws per block in poincare_report

@@ -3,16 +3,17 @@
 A stationary state solves A_sigma phi + b_g(phi) = 0 in the dual space, by a
 damped Newton whose last residual is the reported one.  Its
 linearization L = A_sigma + B_g'(phi) is symmetric; the generalized pencil
-(L, M) yields the spectrum, a tolerance-based kernel, and the L2-orthogonal
-projection P onto it.  M is the mass matrix as its diagonals (diag, off), as
-``mesh.mass_matrix`` returns it, and every product with it is
-``mesh.tridiagonal_product``.  Every pencil goes through the O(n^2) reduction
-by M's factor (operators.reduce_pencil) and one symmetric eigh.  The
-spectrum comes from an eigenvalues-only solve, and eigenvectors are computed
-for the kernel alone, when it is non-empty.  The seed of the stationary solve
-needs one mode only, the lowest of (A_sigma, M), and takes it from a
-shift-invert Lanczos on the cached A_sigma factor (OperatorSet.lowest_mode)
-instead of a dense eigensolve.
+(L, M) yields the spectrum, a tolerance-based kernel with its M-orthonormal
+basis V, and the L2-orthogonal projection P = V V^T M onto it, which is
+never formed: M P = (M V)(M V)^T is.  M is the mass matrix as its
+diagonals (diag, off), as ``mesh.mass_matrix`` returns it, and every
+product with it is ``mesh.tridiagonal_product``.  Every pencil goes
+through the O(n^2) reduction by M's factor (operators.reduce_pencil) and
+one symmetric eigh.  The spectrum comes from an eigenvalues-only solve, and
+eigenvectors are computed for the kernel alone, when it is non-empty.  The
+seed of the stationary solve needs one mode only, the lowest of
+(A_sigma, M), and takes it from a shift-invert Lanczos on the cached
+A_sigma factor (OperatorSet.lowest_mode) instead of a dense eigensolve.
 Finiteness of the condition number of L + M P, taken from the eigenvalues of
 that symmetric matrix, is the discrete stand-in for the isomorphism property
 behind the gradient inequality, and the probe below samples that
@@ -135,55 +136,37 @@ def linearize(ctx: EnergyContext, phi: np.ndarray) -> np.ndarray:
     return add_tridiagonal(ctx.ops.A_sigma.copy(), *B)
 
 
-def kernel_and_projection(L: np.ndarray, M) -> tuple[list, np.ndarray]:
-    """Near-kernel of the pencil L v = mu M v and its L2 projection matrix.
-
-    M is the pair (diag, off).  Eigenvectors come out M-orthonormal, so
-    P = V V^T M is idempotent and M-self-adjoint.  The kernel is the
-    eigenvalues below 1e-8 times the largest pencil eigenvalue magnitude
-    (scale-aware zero detection).
-    """
-    _, V = _pencil_kernel(L, M)
-    return list(V.T), _projection(V, M)
-
-
-def _projection(V: np.ndarray, M) -> np.ndarray:
-    """P = V V^T M, with no dof x dof intermediate; zero for an empty basis."""
-    return V @ tridiagonal_product(*M, V).T
-
-
 def _pencil_kernel(L: np.ndarray, M) -> tuple[np.ndarray, np.ndarray]:
-    """Pencil eigenvalues and the near-kernel basis as columns (none if empty).
+    """Pencil eigenvalues and the M-orthonormal near-kernel basis as columns (none if empty).
 
-    The kernel is |mu| < 1e-8 max|mu|.  Eigenvectors are computed for it
-    only, and only when it is non-empty: the eigenvalues are sorted, so the
-    kernel is one contiguous run of them, which one subset solve returns.
+    The kernel is |mu| < 1e-8 max|mu| (scale-aware zero detection).
+    Eigenvectors are computed for it only, and only when it is non-empty:
+    the eigenvalues are sorted, so the kernel is one contiguous run of them,
+    which one subset solve of the reduced pencil returns.
     """
     mu = pencil_eigenvalues(L, M)
     run = np.flatnonzero(np.abs(mu) < 1e-8 * float(np.max(np.abs(mu))))
     if run.size == 0:
         return mu, np.empty((L.shape[0], 0))
-    return mu, _pencil_pairs(L, M, run[0], run[-1])[1]
-
-
-def _pencil_pairs(X: np.ndarray, M, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pencil eigenvalues lo..hi (sorted) and their M-orthonormal eigenvectors."""
-    C, vectors = reduce_pencil(X, M)
-    mu, Y = eigh(C, subset_by_index=(lo, hi), driver="evr", overwrite_a=True)
+    C, vectors = reduce_pencil(L, M)
+    Y = eigh(C, subset_by_index=(run[0], run[-1]), driver="evr", overwrite_a=True)[1]
     return mu, vectors(Y)
 
 
-def isomorphism_check(L: np.ndarray, M, P_mat: np.ndarray | None) -> float:
+def isomorphism_check(L: np.ndarray, M, V: np.ndarray) -> float:
     """Condition number of L + M P, for M = (diag, off); finite means discrete isomorphism.
 
-    L + M P is symmetric (M P = M V V^T M), so its singular values are the
-    absolute values of its eigenvalues.  An exactly singular matrix gives
-    inf, a non-finite one raises LinAlgError.  P_mat None stands for an
-    empty kernel (P = 0).  L is not modified; a sum L + M P is formed once
-    and its eigenvalues are computed in place.
+    V is the M-orthonormal kernel basis as columns (n x k; k = 0 for an
+    empty kernel, where P = 0), so P = V V^T M and M P = (M V)(M V)^T comes
+    from one n x k product with M's diagonals.  L + M P is symmetric, so its
+    singular values are the absolute values of its eigenvalues.  An exactly
+    singular matrix gives inf, a non-finite one raises LinAlgError.  L is
+    not modified; a sum L + M P is formed once and its eigenvalues are
+    computed in place.
     """
-    if P_mat is not None and P_mat.any():
-        A = tridiagonal_product(*M, P_mat)
+    if V.size:
+        MV = tridiagonal_product(*M, V)
+        A = MV @ MV.T
         A += L
     else:
         A = L
@@ -214,8 +197,8 @@ def complete_report(ctx: EnergyContext, rep: EquilibriumReport) -> EquilibriumRe
     """Attach spectrum, kernel, projection quality, and a theta hint.
 
     One eigenvalues-only solve of the pencil (L, M) gives the spectrum and
-    locates the kernel; the kernel's eigenvectors, the projection and the
-    product M P are computed only when the kernel is non-empty.
+    locates the kernel; the kernel's eigenvectors are computed only when the
+    kernel is non-empty, and ``isomorphism_check`` forms M P from them.
     """
     L = linearize(ctx, rep.phi)
     M = ctx.ops.M
@@ -224,7 +207,7 @@ def complete_report(ctx: EnergyContext, rep: EquilibriumReport) -> EquilibriumRe
         rep,
         pencil_eigs=mu,
         kernel_basis=list(V.T),
-        iso_condition=isomorphism_check(L, M, _projection(V, M) if V.size else None),
+        iso_condition=isomorphism_check(L, M, V),
         theta_hint=None if V.size else 0.5,
     )
 

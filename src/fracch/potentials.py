@@ -212,11 +212,8 @@ def yosida_resolvent(pot: Potential, yp: YosidaParams, r, start=None):
         y = pot.resolvent(eps, pot.lam, r_arr)
         bp = pot.beta_prime(y)
         return (y, bp) if np.ndim(r) else (float(y[0]), float(bp[0]))
-    if r_max <= _ROOT_TOL / _ROOT_RTOL:
-        tol = _ROOT_TOL
-    else:
-        # NaN for a non-finite r, so that no residual is ever within it
-        tol = np.where(np.isfinite(r_abs), np.maximum(_ROOT_TOL, _ROOT_RTOL * r_abs), np.nan)
+    # NaN for a non-finite r, so that no residual is ever within it
+    tol = np.where(np.isfinite(r_abs), np.maximum(_ROOT_TOL, _ROOT_RTOL * r_abs), np.nan)
     lo = np.minimum(r_arr, 0.0)
     hi = np.maximum(r_arr, 0.0)
     if start is None:

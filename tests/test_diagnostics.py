@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fracch.diagnostics import (
-    fit_curve_points,
     fit_decay_series,
     poincare_report,
     smoothing_report,
@@ -44,7 +43,7 @@ def test_fit_curve_points_tracks_series():
     t = np.arange(0.0, 20.0, 0.01)
     energies = np.exp(-2.0 * t) + 3.0
     fit = fit_decay_series(t, energies, 3.0, 0.5)
-    curve = fit_curve_points(t, energies, fit)
+    curve = fit.curve
     assert curve.shape[1] == 3
     rel = np.abs(curve[:, 1] - curve[:, 2]) / curve[:, 1]
     assert np.median(rel) < 1e-4
@@ -52,10 +51,25 @@ def test_fit_curve_points_tracks_series():
     assert curve[0, 0] >= fit.window[0] and curve[-1, 0] <= fit.window[1]
 
 
+def test_algebraic_fit_curve_holds_positive_times_only():
+    # the window starts at t = 0, which the log-log fit cannot use
+    t = np.arange(0.0, 5000.0, 0.5)
+    fit = fit_decay_series(t, (1.0 + t) ** (-2.0), 0.0, 0.5)
+    assert fit.mode == "algebraic"
+    assert fit.window[0] == 0.0
+    curve = fit.curve
+    assert curve.shape == (int(np.count_nonzero((t > 0) & (t <= fit.window[1]))), 3)
+    assert np.all(curve[:, 0] > 0)
+    assert np.allclose(curve[:, 1], (1.0 + curve[:, 0]) ** (-1.0), rtol=1e-14, atol=0.0)
+    rel = np.abs(curve[:, 1] - curve[:, 2]) / curve[:, 1]
+    assert np.median(rel) < 0.02  # (1+t)^-1 bends away from a power law near t = 0
+
+
 def test_decay_fit_degenerate_series():
     t = np.linspace(0, 1, 50)
     fit = fit_decay_series(t, np.full(50, 2.0), 2.0, 0.5)
     assert fit.degenerate
+    assert fit.curve.shape == (0, 3)
 
 
 def test_decay_fit_refusals():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from fracch.equilibrium import (
     complete_report,
     default_equilibrium_seed,
     isomorphism_check,
-    kernel_and_projection,
     linearize,
     lsi_probe,
     pencil_eigenvalues,
@@ -21,9 +21,15 @@ from fracch.equilibrium import (
 )
 from fracch.errors import ConfigurationError
 from fracch.evolution import StepConfig, evolve
-from fracch.mesh import build_uniform_mesh, interpolate
+from fracch.mesh import build_uniform_mesh, interpolate, tridiagonal_product
 from fracch.operators import FracExponents, build_operator_set
 from fracch.potentials import custom_potential, double_well
+
+
+def kernel_and_projection(L, M):
+    """The M-orthonormal kernel basis V of the pencil (L, M) and P = V V^T M."""
+    V = equilibrium._pencil_kernel(L, M)[1]
+    return V, V @ tridiagonal_product(*M, V).T
 
 
 def test_zero_initial_guess_returns_zero(ctx64):
@@ -69,8 +75,8 @@ def test_spectral_shift_identity(ctx64):
 
 def test_kernel_empty_for_nondegenerate(ctx64):
     L = linearize(ctx64, np.zeros(ctx64.ops.mesh.dof_count))
-    basis, P = kernel_and_projection(L, ctx64.ops.M)
-    assert basis == []
+    V, P = kernel_and_projection(L, ctx64.ops.M)
+    assert V.shape == (L.shape[0], 0)
     assert np.all(P == 0.0)
 
 
@@ -79,30 +85,33 @@ def test_planted_kernel_recovered(ctx64):
     L = linearize(ctx64, np.zeros(ctx64.ops.mesh.dof_count))
     Md = add_tridiagonal(np.zeros_like(L), *M)
     Lt, mode = plant_zero_mode(L, Md, index=0)
-    basis, P = kernel_and_projection(Lt, M)
-    assert len(basis) == 1
-    overlap = abs(basis[0] @ Md @ mode)  # both M-normalized
+    V, P = kernel_and_projection(Lt, M)
+    assert V.shape[1] == 1
+    overlap = abs(V[:, 0] @ Md @ mode)  # both M-normalized
     assert abs(overlap - 1.0) < 1e-8
     assert np.max(np.abs(P @ P - P)) < 1e-10
     assert np.max(np.abs(Md @ P - P.T @ Md)) < 1e-10  # M-self-adjoint
+    # M P from the basis gives the condition number of the dense L + M P
+    cond = isomorphism_check(Lt, M, V)
+    assert cond == pytest.approx(np.linalg.cond(Lt + Md @ V @ V.T @ Md), rel=1e-10)
 
 
 def test_isomorphism_check(ctx64, rng):
     M = ctx64.ops.M
     L = linearize(ctx64, np.zeros(ctx64.ops.mesh.dof_count))
-    basis, P = kernel_and_projection(L, M)
-    cond_plain = isomorphism_check(L, M, P)
+    V, _ = kernel_and_projection(L, M)
+    cond_plain = isomorphism_check(L, M, V)
     assert math.isfinite(cond_plain)
     assert cond_plain == pytest.approx(np.linalg.cond(L), rel=1e-12)
 
     Lt, _ = plant_zero_mode(L, add_tridiagonal(np.zeros_like(L), *M), index=0)
-    _, Pt = kernel_and_projection(Lt, M)
+    Vt, _ = kernel_and_projection(Lt, M)
     assert np.linalg.cond(Lt) > 1e12  # singular without the projection
-    assert isomorphism_check(Lt, M, Pt) < 1e6
+    assert isomorphism_check(Lt, M, Vt) < 1e6
 
     X = rng.standard_normal((10, 10))
     spd = X @ X.T + 10 * np.eye(10)
-    assert math.isfinite(isomorphism_check(spd, (np.ones(10), np.zeros(9)), np.zeros((10, 10))))
+    assert math.isfinite(isomorphism_check(spd, (np.ones(10), np.zeros(9)), np.empty((10, 0))))
 
 
 def test_pencil_eigenvalues_match_full_solve(ctx64):
@@ -134,11 +143,34 @@ def test_planted_two_dimensional_kernel_recovered(ctx64, monkeypatch, first):
     assert np.max(np.abs(B.T @ Md @ B - np.eye(2))) < 1e-10  # M-orthonormal
     for mode in (mode_a, mode_b):  # each planted mode lies in the recovered span
         assert abs(np.linalg.norm(B.T @ Md @ mode) - 1.0) < 1e-8
-    basis, P = kernel_and_projection(Lt, M)
-    assert len(basis) == 2
+    V, P = kernel_and_projection(Lt, M)
+    assert V.shape[1] == 2
     assert np.max(np.abs(P @ P - P)) < 1e-10
     assert np.max(np.abs(Md @ P - P.T @ Md)) < 1e-10  # M-self-adjoint
     assert math.isfinite(rep.iso_condition)
+    cond = np.linalg.cond(Lt + Md @ B @ B.T @ Md)  # M P from the basis gives the dense one's
+    assert rep.iso_condition == pytest.approx(cond, rel=1e-10)
+
+
+def test_complete_report_with_a_kernel_forms_no_projection(monkeypatch):
+    # with a kernel the report holds L and L + M P, about two dof x dof
+    # arrays; a dense P = V V^T M would be a third
+    dof = 512
+    ops = build_operator_set(build_uniform_mesh(-1.0, 1.0, dof + 1), FracExponents(0.5, 0.5))
+    ctx = EnergyContext(ops=ops, pot=double_well(4.0))
+    L, _ = plant_zero_mode(linearize(ctx, np.zeros(dof)),
+                           add_tridiagonal(np.zeros((dof, dof)), *ops.M))
+    monkeypatch.setattr(equilibrium, "linearize", lambda ctx, phi: L.copy())
+    rep = solve_stationary(ctx, np.zeros(dof))
+    tracemalloc.start()
+    try:
+        rep = complete_report(ctx, rep)
+        peak = tracemalloc.get_traced_memory()[1] / (8 * dof**2)
+    finally:
+        tracemalloc.stop()
+    assert len(rep.kernel_basis) == 1
+    assert math.isfinite(rep.iso_condition)
+    assert peak < 2.5, peak
 
 
 def test_empty_kernel_solves_for_eigenvalues_only(ctx64, monkeypatch):
@@ -161,14 +193,14 @@ def test_isomorphism_check_equals_cond(kind, seed):
     n = 8 + 9 * seed
     X = rng.standard_normal((n, n))
     A = X @ X.T + 0.1 * np.eye(n) if kind == "spd" else X + X.T
-    cond = isomorphism_check(A, (np.ones(n), np.zeros(n - 1)), np.zeros((n, n)))
+    cond = isomorphism_check(A, (np.ones(n), np.zeros(n - 1)), np.empty((n, 0)))
     assert cond == pytest.approx(np.linalg.cond(A), rel=1e-12)
 
 
 @pytest.mark.parametrize("A", [np.diag([2.0, 0.0, 1.0]), np.zeros((3, 3))])
 def test_isomorphism_check_singular_is_inf(A):
     # a RuntimeWarning here would be an error under the pytest settings
-    assert isomorphism_check(A, (np.ones(3), np.zeros(2)), np.zeros((3, 3))) == math.inf
+    assert isomorphism_check(A, (np.ones(3), np.zeros(2)), np.empty((3, 0))) == math.inf
     assert np.linalg.cond(A) == math.inf
 
 
@@ -177,7 +209,7 @@ def test_isomorphism_check_nan_raises(where):
     A = np.full((3, 3), np.nan) if where == "everywhere" else np.eye(3)
     A[0, 2] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
-        isomorphism_check(A, (np.ones(3), np.zeros(2)), np.zeros((3, 3)))
+        isomorphism_check(A, (np.ones(3), np.zeros(2)), np.empty((3, 0)))
 
 
 def test_complete_report_fields(ctx64):
@@ -268,11 +300,11 @@ def test_pencil_functions_leave_their_arguments_alone(ctx64):
     L, _ = plant_zero_mode(L, add_tridiagonal(np.zeros_like(L), *M))
     L_in, M_in = L.copy(), [m.copy() for m in M]
     pencil_eigenvalues(L, M)
-    _, P = kernel_and_projection(L, M)
-    P_in = P.copy()
-    isomorphism_check(L, M, P)
-    isomorphism_check(L, M, np.zeros_like(P))
-    for arg, before in zip((L, *M, P), (L_in, *M_in, P_in)):
+    V, _ = kernel_and_projection(L, M)
+    V_in = V.copy()
+    isomorphism_check(L, M, V)
+    isomorphism_check(L, M, V[:, :0])
+    for arg, before in zip((L, *M, V), (L_in, *M_in, V_in)):
         assert np.array_equal(arg, before)
 
 
