@@ -18,13 +18,18 @@ symmetric positive definite, and only B' changes between iterates at one
 tau.  ``march`` therefore keeps one ``_StepSolver`` per run (Kelley,
 Iterative Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 5-6):
 the first update at a tau factors S in place (Cholesky), solves with the
-factor and, above a crossover dof, turns the factor into S^{-1} in the same
-buffer.  Every later update at that tau runs PCG on the true S,
-preconditioned by one symmetric matvec with that inverse, to a relative
-preconditioned residual of 1e-10; PCG that meets p^T S p <= 0 or needs more
-than 8 iterations, and any change of tau (a halving, a shortened last
-step), factor afresh.  Below the crossover (dof 128) a factorization costs
-less than the PCG loop's Python overhead, and every update factors.  (With
+factor and, above a crossover dof, turns the factor into S0^{-1} in the same
+buffer, S0 being S at that update's B'0.  Every later update at that tau
+runs PCG on S = S0 + (B' - B'0), preconditioned by one symmetric matvec with
+the kept inverse, to a relative preconditioned residual of 1e-10.  Each
+preconditioned residual z = S0^{-1} r gives S0 z = r, so S0 p is carried by
+recurrence from vectors the loop holds and S p costs one tridiagonal product
+with the drift B' - B'0: an iteration's one dense product is the
+preconditioner's (Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981).  PCG that
+meets p^T S p <= 0 or needs more than 8 iterations, and any change of tau (a
+halving, a shortened last step), factor afresh.  Below the crossover (dof
+112) a factorization costs less than the PCG loop's Python overhead, and
+every update factors.  (With
 potential.lambda below the tightest monotone split, beta' < 0 can make S
 indefinite; the factorization then fails with JacobianSingularError.)
 Each certificate counts the factorizations and PCG iterations of its
@@ -210,11 +215,18 @@ def _beta_pair(ctx: EnergyContext, cfg: StepConfig):
 
 # Below this dof every Newton update factors its step matrix: one dpotrf
 # (about 25 us at dof 63) costs less there than the Python overhead of the
-# PCG iterations that would replace it.  Timing march alone (300 steps, one
-# thread), PCG was 30-50% slower at dof 63, about even at dof 127 and
-# 30-40% faster at dof 255
-_PCG_MIN_DOF = 128
-_PCG_MAX_ITERS = 8  # past this, refactoring costs less than iterating on
+# PCG iterations that would replace it.  Timing march alone (300 steps, tau
+# 1e-3, one thread, 15 alternating pairs), PCG was 28% slower at dof 63, 7%
+# slower at dof 95, even at dof 103 and 111, and 7% / 15% / 47% faster at
+# dof 119 / 127 / 255
+_PCG_MIN_DOF = 112
+# PCG that has not converged in this many iterations gives up and the update
+# factors afresh, which also moves B'0 to the current B'.  A factorization
+# costs about 14 / 55 / 116 iterations at dof 127 / 255 / 511, but the cap is
+# a drift guard, not that break-even: an update of the simulate_wide256
+# config takes 4 or 5 iterations, and at dof 255 no 300-step run at tau
+# 1e-3, 1e-2 or 1e-1 reached the cap (one factorization each)
+_PCG_MAX_ITERS = 8
 _PCG_RTOL = 1e-10  # relative preconditioned residual at which PCG stops
 
 
@@ -223,11 +235,13 @@ class _StepSolver:
 
     The first update at a tau forms S, factors it in place and solves with
     the factor; above ``_PCG_MIN_DOF`` it then turns the factor into the
-    upper triangle of S^{-1} in the same buffer and keeps it.  Later updates
-    at that tau run PCG on the true S (B' from its diagonals), preconditioned
-    by one symmetric matvec with the kept inverse.  PCG that meets
-    p^T S p <= 0 or has not converged within ``_PCG_MAX_ITERS`` iterations,
-    and any change of tau, drop the inverse and factor again.  Below
+    upper triangle of S0^{-1} in the same buffer and keeps it, with the
+    diagonals of that update's B'0.  Later updates at that tau run PCG on
+    S = S0 + (B' - B'0), preconditioned by one symmetric matvec with the kept
+    inverse; S0 p is carried by recurrence, so that matvec is an iteration's
+    one dense product.  PCG that meets p^T S p <= 0 or has not converged
+    within ``_PCG_MAX_ITERS`` iterations, and any change of tau, drop the
+    inverse and factor again.  Below
     ``_PCG_MIN_DOF`` the PCG budget is zero and every update factors.
     ``factorizations`` and ``pcg_iters`` count the run's work.
     """
@@ -237,17 +251,18 @@ class _StepSolver:
         self.budget = _PCG_MAX_ITERS if ops.mesh.dof_count >= _PCG_MIN_DOF else 0
         self.tau = None  # the tau of the kept inverse, None while none is kept
         self.inv = None
+        self.Bp0 = None  # the diagonals of the B' that the kept inverse was factored at
         self.factorizations = 0
         self.pcg_iters = 0
 
     def delta(self, tau: float, Bp, F: np.ndarray) -> np.ndarray:
         """The Newton update -S^{-1} F at this tau; Bp is B' as (diag, off)."""
         if tau == self.tau:
-            du = self._pcg(tau, Bp, -F)
+            du = self._pcg(Bp, -F)
             if du is not None:
                 return du
         # drop the old inverse first: one dof x dof step-matrix buffer at a time
-        self.tau = self.inv = None
+        self.tau = self.inv = self.Bp0 = None
         S = self.ops.P / tau
         S += self.ops.A_sigma
         add_tridiagonal(S, *Bp)
@@ -262,23 +277,30 @@ class _StepSolver:
         du = dpotrs(factor, -F)[0]
         if self.budget:
             self.inv = dpotri(factor, overwrite_c=1)[0]
-            self.tau = tau
+            self.tau, self.Bp0 = tau, Bp
         return du
 
-    def _pcg(self, tau: float, Bp, r: np.ndarray):
-        """PCG for S x = r from x = 0, overwriting r; None when S must be factored instead."""
-        P, A_sig, inv = self.ops.P, self.ops.A_sigma, self.inv
+    def _pcg(self, Bp, r: np.ndarray):
+        """PCG for S x = r from x = 0, overwriting r; None when S must be factored instead.
+
+        S = S0 + D with D = B' - B'0 tridiagonal.  Since S0 z = r for each
+        z = S0^{-1} r, S0 p_0 = r_0 and S0 p_{k+1} = r_{k+1} + beta_k S0 p_k,
+        so S p is S0 p plus one tridiagonal product.  This is PCG on
+        inv^{-1} + D, which is S up to the rounding of the inverse; Newton's
+        residual F is formed from P and A_sigma, so its tolerance still holds.
+        """
+        inv = self.inv
+        D = (Bp[0] - self.Bp0[0], Bp[1] - self.Bp0[1])
         x = np.zeros_like(r)
         p = z = dsymv(1.0, inv, r)  # dsymv reads the upper triangle only
         rz = r @ z
         if rz == 0.0:  # r = 0, as at an exact fixed point
             return x
+        S0p = r.copy()  # r is overwritten below
         stop = _PCG_RTOL**2 * rz
         for _ in range(self.budget):
-            q = P @ p
-            q /= tau
-            q += A_sig @ p
-            q += tridiagonal_product(*Bp, p)
+            q = tridiagonal_product(*D, p)
+            q += S0p
             pq = p @ q
             self.pcg_iters += 1
             if not pq > 0.0:  # S is not positive definite along p (or NaN)
@@ -290,7 +312,10 @@ class _StepSolver:
             rz_next = r @ z
             if rz_next <= stop:
                 return x
-            p = z + (rz_next / rz) * p
+            beta = rz_next / rz
+            p = z + beta * p
+            S0p *= beta
+            S0p += r
             rz = rz_next
         return None
 

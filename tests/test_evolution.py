@@ -768,6 +768,54 @@ def test_failed_pcg_falls_back_to_a_factorization(ctx256_wide, rng):
     assert np.linalg.norm(S @ du + F) <= 1e-10 * np.linalg.norm(F)
 
 
+def _solver_factored_at_zero_drift(ops, tau, F):
+    """A _StepSolver whose kept inverse is of S0 = P/tau + A_sigma (B'0 = 0)."""
+    dof = ops.mesh.dof_count
+    solver = _StepSolver(ops)
+    solver.delta(tau, (np.zeros(dof), np.zeros(dof - 1)), F)
+    assert solver.factorizations == 1 and solver.inv is not None
+    return solver
+
+
+def test_pcg_solves_with_the_step_matrix_at_the_new_b_prime(ctx256_wide, rng):
+    # factored at B'0 = 0, PCG at a nearby B'1 applies S0 by recurrence and
+    # only the drift B'1 - B'0 as a product; its update must solve with S1
+    ops = ctx256_wide.ops
+    dof = ops.mesh.dof_count
+    F = rng.standard_normal(dof)
+    solver = _solver_factored_at_zero_drift(ops, 1e-3, F)
+    Bp1 = (0.1 * np.linspace(0.0, 1.0, dof), np.zeros(dof - 1))
+    du = solver.delta(1e-3, Bp1, F)
+    assert solver.factorizations == 1 and solver.pcg_iters > 0
+    S1 = add_tridiagonal(ops.P / 1e-3 + ops.A_sigma, *Bp1)
+    assert np.linalg.norm(S1 @ du + F) <= 1e-9 * np.linalg.norm(F)
+
+
+def test_pcg_iteration_makes_one_dense_product(ctx256_wide, rng, monkeypatch):
+    ops = ctx256_wide.ops
+    dof = ops.mesh.dof_count
+    F = rng.standard_normal(dof)
+    solver = _solver_factored_at_zero_drift(ops, 1e-3, F)
+
+    class NoOperators:  # PCG that read P, A_sigma or anything else of ops fails here
+        def __getattr__(self, name):
+            raise AssertionError(f"PCG read ops.{name}")
+
+    solver.ops = NoOperators()
+    calls = []
+    dsymv = evolution.dsymv
+
+    def counting_dsymv(*args, **kwargs):
+        calls.append(1)
+        return dsymv(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "dsymv", counting_dsymv)
+    solver.delta(1e-3, (0.1 * np.linspace(0.0, 1.0, dof), np.zeros(dof - 1)), F)
+    assert solver.factorizations == 1 and solver.pcg_iters > 0
+    # one preconditioner apply before the loop, then one per iteration
+    assert len(calls) == solver.pcg_iters + 1
+
+
 def test_tau_halving_and_shortened_last_step_refactor(ctx256_wide, rng, nan_beta_poison):
     # NaN beta values on the predicted start of step 4 and on its retry make
     # march halve tau for that step; t_end leaves a shortened last step
