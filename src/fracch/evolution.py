@@ -10,12 +10,15 @@ that into the second leaves one equation in u_n alone,
 
     F(u) = P (u - u_prev) / tau + A_sigma u + b_beta(u) - lambda M u_prev = 0,
 
-with P = M A_s^{-1} M.  Newton solves it until |F(u)|_{M^{-1}} < newton_tol;
-w_n is then recovered once, by one A_s solve.  The Jacobian of F is
-S = P/tau + A_sigma + B'(u), where P is fixed per operator set and cached
-there and B', the weighted mass of beta' >= 0, is tridiagonal.  So S is
-symmetric positive definite, and only B' changes between iterates at one
-tau.  ``march`` therefore keeps one ``_StepSolver`` per run (Kelley,
+with P = M A_s^{-1} M.  Newton solves it until |F(u)|_{M^{-1}} < newton_tol.
+w_n itself is never formed: the certificate needs only
+|w_n|_{A_s}^2 = du^T P du / tau^2 with du = u_n - u_prev, and the last
+residual has formed P du.  A caller that wants w_n forms it in one line,
+w = -ops.solve_A_s(tridiagonal_product(*ops.M, du) / tau).  The Jacobian
+of F is S = P/tau + A_sigma + B'(u), where P is fixed per operator set and
+cached there and B', the weighted mass of beta' >= 0, is tridiagonal.  So
+S is symmetric positive definite, and only B' changes between iterates at
+one tau.  ``march`` therefore keeps one ``_StepSolver`` per run (Kelley,
 Iterative Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 5-6):
 the first update at a tau factors S in place (Cholesky), solves with the
 factor and, above a crossover dof, turns the factor into S0^{-1} in the same
@@ -47,7 +50,7 @@ with w_n and u_n - u_prev gives the per-step inequality
 
 up to solver tolerance; the defect of that inequality is recorded in a
 StepCertificate for every accepted step, its terms by O(n) dot products
-with M du = M (u_n - u_prev) and with the last residual's A_sigma u_n.
+with M du and with the last residual's P du and A_sigma u_n.
 
 ``march`` starts each step's Newton iteration from the linear predictor
 2 u_n - u_{n-1} when the step tries the same tau as the step before it
@@ -330,7 +333,12 @@ def step(
     beta_pair=None,
     solver: _StepSolver | None = None,
 ):
-    """One convex-splitting step; returns (u_n, w_n, certificate).
+    """One convex-splitting step; returns (u_n, certificate).
+
+    The step makes no A_s solve: the certificate's w_normsq = |w_n|_{A_s}^2
+    is du^T P du / tau^2 (du = u_n - u_prev), from the P du that the last
+    residual formed.  A caller that wants w_n itself forms it as
+    ``w = -ops.solve_A_s(tridiagonal_product(*ops.M, du) / tau)``.
 
     ``e_before`` is E(u_prev) when the caller already has it (``march``
     passes the previous step's ``e_after``); it is computed otherwise.
@@ -370,7 +378,8 @@ def step(
             u_q = ctx.values_at_quad(u)  # kept: at the accepted u it gives e_after
             b_q, bp_q = beta_pair(u_q)
             A_sig_u = A_sig @ u  # kept: at the accepted u it gives e_after and u_xnorm_sigma
-            F = P @ (u - u_prev) / tau + A_sig_u + load_vector(ctx, b_q) - lam_Mu_prev
+            P_du = P @ (u - u_prev)  # kept: at the accepted u it gives w_normsq
+            F = P_du / tau + A_sig_u + load_vector(ctx, b_q) - lam_Mu_prev
             if it < min(min_updates, cfg.newton_max):
                 # the update is due whatever the residual (it < min_updates, so 0.0
                 # cannot pass the tolerance test below): only finiteness counts
@@ -391,13 +400,11 @@ def step(
             u = u + solver.delta(tau, weighted_mass(ctx, bp_q), F)
 
         du = u - u_prev
-        M_du = tridiagonal_product(*M, du)
-        w = -ops.solve_A_s(M_du / tau)
         u_A_u = float(u @ A_sig_u)
         e_after = energy_from_parts(ctx, u_A_u, u_q)
-        # w^T A_s w = -w^T M du / tau; (-w) @ M_du, not -(w @ M_du), gives a zero step +0.0
-        w_normsq = float(-w @ M_du) / tau
-        du_msq = float(du @ M_du)
+        # A_s w = -M du / tau, so w^T A_s w = du^T M A_s^{-1} M du / tau^2 = du^T P du / tau^2
+        w_normsq = float(du @ P_du) / tau**2
+        du_msq = float(du @ tridiagonal_product(*M, du))
         defect = e_after + tau * w_normsq + 0.5 * lam * du_msq - e_before
 
     tol = _CERT_REL_TOL * max(1.0, abs(e_before))
@@ -409,7 +416,7 @@ def step(
         factorizations=solver.factorizations - factorizations,
         pcg_iters=solver.pcg_iters - pcg_iters,
     )
-    return u, w, cert
+    return u, cert
 
 
 # the ways a step can fail that a smaller tau may cure: a stalled or
@@ -472,11 +479,11 @@ def march(
         for attempt in range(max_halvings + 1):
             try:
                 if tau_try == tau_back:
-                    u_new, _, cert = _step_from_predictor(ctx, cfg, u, tau_try, e_u, u_back,
-                                                          beta_pair, solver)
+                    u_new, cert = _step_from_predictor(ctx, cfg, u, tau_try, e_u, u_back,
+                                                       beta_pair, solver)
                 else:
-                    u_new, _, cert = step(ctx, cfg, u, tau=tau_try, e_before=e_u,
-                                          beta_pair=beta_pair, solver=solver)
+                    u_new, cert = step(ctx, cfg, u, tau=tau_try, e_before=e_u,
+                                       beta_pair=beta_pair, solver=solver)
                 break
             except _STEP_FAILURES as exc:
                 if attempt == max_halvings:

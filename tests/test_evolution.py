@@ -102,8 +102,11 @@ def test_march_and_evolve_reject_t_end_before_the_first_step(ctx64, monkeypatch,
 
 
 def test_zero_is_exact_fixed_point(ctx64):
-    u0 = np.zeros(ctx64.ops.mesh.dof_count)
-    u1, w1, cert = step(ctx64, StepConfig(tau=1e-2), u0)
+    ops = ctx64.ops
+    u0 = np.zeros(ops.mesh.dof_count)
+    u1, cert = step(ctx64, StepConfig(tau=1e-2), u0)
+    M = add_tridiagonal(np.zeros_like(ops.A_sigma), *ops.M)
+    w1 = -ops.solve_A_s(M @ (u1 - u0) / 1e-2)
     assert np.all(u1 == 0.0)
     assert np.all(w1 == 0.0)
     assert cert.defect == 0.0 and cert.satisfied
@@ -112,8 +115,9 @@ def test_zero_is_exact_fixed_point(ctx64):
 def test_stationary_state_is_preserved(ctx64_wide):
     rep = solve_stationary(ctx64_wide, default_equilibrium_seed(ctx64_wide), tol=1e-12)
     cfg = StepConfig(tau=1e-4)
-    u, w, cert = step(ctx64_wide, cfg, rep.phi)
+    u, cert = step(ctx64_wide, cfg, rep.phi)
     M = add_tridiagonal(np.zeros_like(ctx64_wide.ops.A_sigma), *ctx64_wide.ops.M)
+    w = -ctx64_wide.ops.solve_A_s(M @ (u - rep.phi) / cfg.tau)
     drift = math.sqrt((u - rep.phi) @ M @ (u - rep.phi))
     assert drift <= 10 * cfg.newton_tol
     assert xnorm(ctx64_wide.ops.A_s, w) <= 10 * cfg.newton_tol
@@ -321,7 +325,7 @@ def test_step_solves_both_coupled_equations(exps, yosida, tau, rng):
     ctx = EnergyContext(ops=ops, pot=double_well(4.0))
     cfg = StepConfig(tau=tau, use_yosida=yosida)
     u_prev = 0.25 * rng.standard_normal(ops.mesh.dof_count)
-    u, w, _ = step(ctx, cfg, u_prev)
+    u, _ = step(ctx, cfg, u_prev)
 
     def m_inv_norm(r):
         return math.sqrt(r @ ops.solve_M(r))
@@ -329,6 +333,7 @@ def test_step_solves_both_coupled_equations(exps, yosida, tau, rng):
     b_q, _ = _beta_pair(ctx, cfg)(ctx.values_at_quad(u))
     M = add_tridiagonal(np.zeros_like(ops.A_sigma), *ops.M)
     flux = M @ (u - u_prev) / tau
+    w = -ops.solve_A_s(flux)  # the step's w_n, which step no longer returns
     first = flux + ops.A_s @ w
     second = M @ w - ops.A_sigma @ u - load_vector(ctx, b_q) + ctx.pot.lam * M @ u_prev
     assert m_inv_norm(first) <= 1e-12 * m_inv_norm(flux)
@@ -390,8 +395,8 @@ def test_step_reuses_the_accepted_iterate_for_its_energy(ctx64_wide, rng, monkey
     u_prev = 0.5 * rng.standard_normal(ctx64_wide.ops.mesh.dof_count)
     e_before = energy(ctx64_wide, u_prev)
     calls["quad"] = 0
-    u, _, cert = step(ctx64_wide, StepConfig(tau=1e-2, use_yosida=yosida), u_prev,
-                      e_before=e_before)
+    u, cert = step(ctx64_wide, StepConfig(tau=1e-2, use_yosida=yosida), u_prev,
+                   e_before=e_before)
     # one grid evaluation per iterate, the accepted one included, and no energy() call
     assert calls["updates"] == cert.newton_iters >= 2
     assert calls["quad"] == cert.newton_iters + 1
@@ -435,7 +440,7 @@ def test_lambda_below_split_is_singular_step(ctx64_wide, rng):
         evolve(ctx, StepConfig(tau=10.0), u0, t_end=20.0, max_halvings=0)
     first = next(march(ctx, StepConfig(tau=10.0), u0, t_end=20.0))
     assert first[2].tau_used == 5.0 and first[2].halvings == 1
-    assert step(ctx, StepConfig(tau=5.0), u0)[2].halvings == 0
+    assert step(ctx, StepConfig(tau=5.0), u0)[1].halvings == 0
 
 
 def test_energy_chains_between_steps(ctx64, rng):
@@ -484,7 +489,7 @@ def test_march_is_lazy(ctx64, rng):
     assert len(steps) == 3
     assert [cert.tau_used for _, _, cert in steps] == [1e-2] * 3
     # each yield carries the state after its step
-    u1, _, cert1 = step(ctx64, cfg, u0)
+    u1, cert1 = step(ctx64, cfg, u0)
     assert np.array_equal(steps[0][1], u1) and steps[0][2] == cert1
     # the second step starts Newton from the predictor 2 u1 - u0
     assert np.array_equal(steps[1][1], step(ctx64, cfg, u1, u_start=2 * u1 - u0)[0])
@@ -510,7 +515,7 @@ def _step_chain(ctx, cfg, u0, n):
     chain = []
     u = u0
     for _ in range(n):
-        u, _, cert = step(ctx, cfg, u)
+        u, cert = step(ctx, cfg, u)
         chain.append((u, cert))
     return chain
 
@@ -530,9 +535,9 @@ def test_predicted_start_keeps_the_states_and_saves_updates(ctx64, yosida):
 def test_start_meeting_tolerance_still_takes_one_update(ctx64, rng):
     u0 = 0.3 * rng.standard_normal(ctx64.ops.mesh.dof_count)
     cfg = StepConfig(tau=1e-2)
-    u1, _, cert1 = step(ctx64, cfg, u0)
+    u1, cert1 = step(ctx64, cfg, u0)
     assert cert1.newton_iters >= 2
-    u, _, cert = step(ctx64, cfg, u0, u_start=u1)
+    u, cert = step(ctx64, cfg, u0, u_start=u1)
     assert cert.newton_iters == 1
     assert np.linalg.norm(u - u1) <= 1e-9 * np.linalg.norm(u1)
 
@@ -542,14 +547,14 @@ def test_given_start_skips_the_first_residual_solve(ctx64, rng, monkeypatch):
     # only the residuals after an update cost an M solve
     u0 = 0.3 * rng.standard_normal(ctx64.ops.mesh.dof_count)
     cfg = StepConfig(tau=1e-2)
-    u1, _, _ = step(ctx64, cfg, u0)
+    u1, _ = step(ctx64, cfg, u0)
     solves = []
     solve_M = OperatorSet.solve_M
     monkeypatch.setattr(OperatorSet, "solve_M", lambda ops, f: solves.append(f) or solve_M(ops, f))
-    _, _, cert = step(ctx64, cfg, u0)
+    _, cert = step(ctx64, cfg, u0)
     assert len(solves) == cert.newton_iters + 1
     solves.clear()
-    _, _, cert = step(ctx64, cfg, u0, u_start=2.0 * u1 - u0)
+    _, cert = step(ctx64, cfg, u0, u_start=2.0 * u1 - u0)
     assert len(solves) == cert.newton_iters
     # with no update allowed, the stall message still reports the residual
     with pytest.raises(NewtonDivergenceError, match=r"stalled at residual \d.*after 0 iterations"):
@@ -814,6 +819,39 @@ def test_pcg_iteration_makes_one_dense_product(ctx256_wide, rng, monkeypatch):
     assert solver.factorizations == 1 and solver.pcg_iters > 0
     # one preconditioner apply before the loop, then one per iteration
     assert len(calls) == solver.pcg_iters + 1
+
+
+@pytest.mark.parametrize("ctx_name", ["ctx256_wide", "ctx64"])
+def test_step_takes_w_normsq_from_p_du_without_an_a_s_solve(ctx_name, request, rng, monkeypatch):
+    # |w_n|_{A_s}^2 = du^T P du / tau^2 from the last residual's P du: no
+    # A_s solve above the PCG crossover (dof 255) or below it (dof 63)
+    ctx = request.getfixturevalue(ctx_name)
+    ops = ctx.ops
+    assert (ops.mesh.dof_count >= evolution._PCG_MIN_DOF) == (ctx_name == "ctx256_wide")
+
+    def no_solve(ops, f):
+        raise AssertionError("a step solved with A_s")
+
+    monkeypatch.setattr(OperatorSet, "solve_A_s", no_solve)
+    tau = 1e-3
+    u0 = 0.25 * rng.standard_normal(ops.mesh.dof_count)
+    steps = list(march(ctx, StepConfig(tau=tau), u0, t_end=10 * tau))
+    zero = list(march(ctx, StepConfig(tau=tau), np.zeros_like(u0), t_end=3 * tau))
+    monkeypatch.undo()
+    certs = [cert for _, _, cert in steps]
+    assert len(certs) == 10 and all(c.satisfied for c in certs)
+    assert (sum(c.pcg_iters for c in certs) > 0) == (ctx_name == "ctx256_wide")
+    M = add_tridiagonal(np.zeros_like(ops.A_sigma), *ops.M)
+    states = [u0] + [u for _, u, _ in steps]
+    for u_prev, u, cert in zip(states, states[1:], certs):
+        du = u - u_prev
+        assert cert.w_normsq == float(du @ (ops.P @ du)) / tau**2
+        w = -np.linalg.solve(ops.A_s, M @ du / tau)
+        assert cert.w_normsq == pytest.approx(w @ ops.A_s @ w, rel=1e-12, abs=0)
+    for _, u, cert in zero:
+        assert not u.any()
+        assert cert.w_normsq == 0.0 and cert.defect == 0.0 and cert.satisfied
+        assert math.copysign(1.0, cert.w_normsq) == 1.0  # +0.0, written as "0.0"
 
 
 def test_tau_halving_and_shortened_last_step_refactor(ctx256_wide, rng, nan_beta_poison):
