@@ -49,7 +49,6 @@ TRAJECTORY_COLUMNS = (
 CERTIFICATE_COLUMNS = (
     "step", "t", "tau_used", "e_before", "e_after", "w_normsq",
     "du_msq", "lambda_half_du", "defect", "satisfied",
-    "newton_iters", "newton_residual", "halvings", "factorizations", "pcg_iters",
 )
 
 
@@ -90,8 +89,6 @@ def run_simulate(cfg: RunConfig, out: str | None) -> int:
             cw.writerow([
                 step_idx, t, cert.tau_used, cert.e_before, cert.e_after, cert.w_normsq,
                 cert.du_msq, 0.5 * ctx.pot.lam * cert.du_msq, cert.defect, int(cert.satisfied),
-                cert.newton_iters, cert.newton_residual, cert.halvings, cert.factorizations,
-                cert.pcg_iters,
             ])
             tfh.flush()
     print(f"wrote {traj_path} and {cert_path}")

@@ -325,7 +325,7 @@ def test_step_solves_both_coupled_equations(exps, yosida, tau, rng):
     ctx = EnergyContext(ops=ops, pot=double_well(4.0))
     cfg = StepConfig(tau=tau, use_yosida=yosida)
     u_prev = 0.25 * rng.standard_normal(ops.mesh.dof_count)
-    u, _ = step(ctx, cfg, u_prev)
+    u, cert = step(ctx, cfg, u_prev)
 
     def m_inv_norm(r):
         return math.sqrt(r @ ops.solve_M(r))
@@ -337,6 +337,7 @@ def test_step_solves_both_coupled_equations(exps, yosida, tau, rng):
     first = flux + ops.A_s @ w
     second = M @ w - ops.A_sigma @ u - load_vector(ctx, b_q) + ctx.pot.lam * M @ u_prev
     assert m_inv_norm(first) <= 1e-12 * m_inv_norm(flux)
+    assert cert.w_normsq == pytest.approx(w @ ops.A_s @ w, rel=1e-12)  # the step's |w_n|_As^2
     assert m_inv_norm(second) <= 10 * cfg.newton_tol
 
 
