@@ -3,21 +3,22 @@
 A stationary state solves A_sigma phi + b_g(phi) = 0 in the dual space, by a
 damped Newton whose last residual is the reported one.  Its
 linearization L = A_sigma + B_g'(phi) is symmetric; the generalized pencil
-(L, M) yields the spectrum, a tolerance-based kernel with its M-orthonormal
-basis V, and the L2-orthogonal projection P = V V^T M onto it, which is
-never formed: M P = (M V)(M V)^T is.  M is the mass matrix as its
-diagonals (diag, off), as ``mesh.mass_matrix`` returns it, and every
-product with it is ``mesh.tridiagonal_product``.  Every pencil goes
-through the O(n^2) reduction by M's factor (operators.reduce_pencil) and
-one symmetric eigh.  The spectrum comes from an eigenvalues-only solve, and
-eigenvectors are computed for the kernel alone, when it is non-empty.  The
-seed of the stationary solve needs one mode only, the lowest of
-(A_sigma, M), and takes it from a shift-invert Lanczos on the cached
-A_sigma factor (OperatorSet.lowest_mode) instead of a dense eigensolve.
-Finiteness of the condition number of L + M P, taken from the eigenvalues of
-that symmetric matrix, is the discrete stand-in for the isomorphism property
-behind the gradient inequality, and the probe below samples that
-inequality's ratio directly.
+(L, M) yields the spectrum and a tolerance-based kernel with its
+M-orthonormal basis V.  M is the mass matrix as its diagonals (diag, off),
+as ``mesh.mass_matrix`` returns it.  Every pencil goes through the O(n^2)
+reduction by M's factor (operators.reduce_pencil) and one symmetric eigh.
+The spectrum comes from an eigenvalues-only solve, and eigenvectors are
+computed for the kernel alone, when it is non-empty.  The seed of the
+stationary solve needs one mode only, the lowest of (A_sigma, M), and takes
+it from a shift-invert Lanczos on the cached A_sigma factor
+(OperatorSet.lowest_mode) instead of a dense eigensolve.  With the
+L2-orthogonal projection P = V V^T M onto the kernel, the pencil
+(L + M P, M) has the spectrum of (L, M) with the kernel's eigenvalues
+shifted by +1, so neither P nor L + M P is formed: finiteness of the
+condition number of L + M P in the M inner product, read off that shifted
+spectrum, is the discrete stand-in for the isomorphism property behind the
+gradient inequality, and the probe below samples that inequality's ratio
+directly.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .energy import (
     weighted_mass,
 )
 from .errors import ConfigurationError, JacobianSingularError, NewtonDivergenceError
-from .mesh import linf_norm, tridiagonal_product
+from .mesh import linf_norm
 from .operators import reduce_pencil, xnorm
 
 
@@ -136,46 +137,37 @@ def linearize(ctx: EnergyContext, phi: np.ndarray) -> np.ndarray:
     return add_tridiagonal(ctx.ops.A_sigma.copy(), *B)
 
 
-def _pencil_kernel(L: np.ndarray, M) -> tuple[np.ndarray, np.ndarray]:
-    """Pencil eigenvalues and the M-orthonormal near-kernel basis as columns (none if empty).
+def _pencil_kernel(L: np.ndarray, M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pencil eigenvalues, the kernel's index run and its M-orthonormal basis as columns.
 
     The kernel is |mu| < 1e-8 max|mu| (scale-aware zero detection).
     Eigenvectors are computed for it only, and only when it is non-empty:
     the eigenvalues are sorted, so the kernel is one contiguous run of them,
-    which one subset solve of the reduced pencil returns.
+    which one subset solve of the reduced pencil returns.  An empty kernel
+    gives an empty run and an n x 0 basis.
     """
     mu = pencil_eigenvalues(L, M)
     run = np.flatnonzero(np.abs(mu) < 1e-8 * float(np.max(np.abs(mu))))
     if run.size == 0:
-        return mu, np.empty((L.shape[0], 0))
+        return mu, run, np.empty((L.shape[0], 0))
     C, vectors = reduce_pencil(L, M)
     Y = eigh(C, subset_by_index=(run[0], run[-1]), driver="evr", overwrite_a=True)[1]
-    return mu, vectors(Y)
+    return mu, run, vectors(Y)
 
 
-def isomorphism_check(L: np.ndarray, M, V: np.ndarray) -> float:
-    """Condition number of L + M P, for M = (diag, off); finite means discrete isomorphism.
+def isomorphism_check(mu: np.ndarray, run: np.ndarray) -> float:
+    """Condition number of L + M P in the M inner product; finite means discrete isomorphism.
 
-    V is the M-orthonormal kernel basis as columns (n x k; k = 0 for an
-    empty kernel, where P = 0), so P = V V^T M and M P = (M V)(M V)^T comes
-    from one n x k product with M's diagonals.  L + M P is symmetric, so its
-    singular values are the absolute values of its eigenvalues.  An exactly
-    singular matrix gives inf, a non-finite one raises LinAlgError.  L is
-    not modified; a sum L + M P is formed once and its eigenvalues are
-    computed in place.
+    mu are the eigenvalues of the pencil (L, M) and run the indices of its
+    kernel, whose M-orthonormal basis V gives P = V V^T M.  The pencil
+    (L + M P, M) has the eigenvalues nu = mu with the kernel's shifted by
+    +1, since M P v = M v on the kernel and M P v = 0 on the other
+    eigenvectors, which are M-orthogonal to it.  The condition number is
+    max|nu| / min|nu|, inf when min|nu| = 0.  mu is not modified.
     """
-    if V.size:
-        MV = tridiagonal_product(*M, V)
-        A = MV @ MV.T
-        A += L
-    else:
-        A = L
-    if not np.isfinite(A).all():
-        raise np.linalg.LinAlgError("non-finite entries in L + M P")
-    # A.T is the Fortran-ordered view, which LAPACK overwrites without a copy
-    lam = np.abs(eigh(A.T, eigvals_only=True, driver="evr", check_finite=False,
-                      overwrite_a=A is not L))
-    lo, hi = float(lam.min()), float(lam.max())
+    nu = np.abs(mu)
+    nu[run] = np.abs(mu[run] + 1.0)
+    lo, hi = float(nu.min()), float(nu.max())
     return hi / lo if lo > 0.0 else math.inf
 
 
@@ -187,10 +179,13 @@ def pencil_eigenvalues(L: np.ndarray, M) -> np.ndarray:
     absolute terms, so the lowest lose relative accuracy on a wide spectrum:
     at 768 elements and sigma = 0.99 (mu_max / mu_1 about 6.3e5) mu_1 of
     (A_sigma, M) is 4.4e-11 relative off its long-double Rayleigh quotient.
-    ``OperatorSet.lowest_mode`` gives lambda_1 to 1.0e-13 there.
+    ``OperatorSet.lowest_mode`` gives lambda_1 to 1.0e-13 there.  A
+    non-finite L (or one whose reduction overflows) raises LinAlgError.
     """
     C, _ = reduce_pencil(L, M)
-    return eigh(C, eigvals_only=True, driver="evr", overwrite_a=True)
+    if not np.isfinite(C).all():
+        raise np.linalg.LinAlgError("non-finite entries in the reduced pencil")
+    return eigh(C, eigvals_only=True, driver="evr", overwrite_a=True, check_finite=False)
 
 
 def complete_report(ctx: EnergyContext, rep: EquilibriumReport) -> EquilibriumReport:
@@ -198,16 +193,15 @@ def complete_report(ctx: EnergyContext, rep: EquilibriumReport) -> EquilibriumRe
 
     One eigenvalues-only solve of the pencil (L, M) gives the spectrum and
     locates the kernel; the kernel's eigenvectors are computed only when the
-    kernel is non-empty, and ``isomorphism_check`` forms M P from them.
+    kernel is non-empty, and ``isomorphism_check`` reads the condition
+    number of L + M P off the same spectrum, with no further eigensolve.
     """
-    L = linearize(ctx, rep.phi)
-    M = ctx.ops.M
-    mu, V = _pencil_kernel(L, M)
+    mu, run, V = _pencil_kernel(linearize(ctx, rep.phi), ctx.ops.M)
     return replace(
         rep,
         pencil_eigs=mu,
         kernel_basis=list(V.T),
-        iso_condition=isomorphism_check(L, M, V),
+        iso_condition=isomorphism_check(mu, run),
         theta_hint=None if V.size else 0.5,
     )
 

@@ -460,9 +460,10 @@ def test_overflowing_domain_length_is_one_line_without_a_warning(tmp_path, capsy
     assert len(err) == 1 and "b - a overflows" in err[0], err
 
 
-def test_equilibrium_solves_two_dense_pencils_and_factors_a_sigma_once(tmp_path, monkeypatch):
-    # the seed's mode comes from Lanczos on the A_sigma factor the dual norms use:
-    # the dense eigensolves left are the spectrum and the isomorphism check
+def test_equilibrium_solves_one_dense_pencil_and_factors_a_sigma_once(tmp_path, monkeypatch):
+    # the seed's mode comes from Lanczos on the A_sigma factor the dual norms use,
+    # and the isomorphism check reads the spectrum: the one dense eigensolve
+    # left is the spectrum's
     eigh_calls, potrf_calls = [], []
 
     def counted(record, fn):
@@ -482,8 +483,21 @@ def test_equilibrium_solves_two_dense_pencils_and_factors_a_sigma_once(tmp_path,
     assert main(["equilibrium", "--config", cfg]) == 0
     payload = json.loads((tmp_path / "out" / "equilibrium.json").read_text())
     assert payload["kernel_dim"] == 0 and payload["newton_history"]  # seeded off zero
-    assert eigh_calls == [(47, 47), (47, 47)]
+    assert eigh_calls == [(47, 47)]
     assert potrf_calls == [(47, 47)]
+
+
+def test_non_finite_linearization_is_a_numerical_failure(quick_cfg, monkeypatch, capsys):
+    linearize = fracch.equilibrium.linearize
+
+    def with_nan(ctx, phi):
+        L = linearize(ctx, phi)
+        L[0, 2] = np.nan
+        return L
+
+    monkeypatch.setattr(fracch.equilibrium, "linearize", with_nan)
+    assert main(["equilibrium", "--config", quick_cfg]) == 6
+    assert capsys.readouterr().err.startswith("numerical failure: non-finite")
 
 
 def test_cli_runs_import_no_sparse_scipy(tmp_path):

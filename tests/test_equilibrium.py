@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh
 
 from surgery import plant_zero_mode
@@ -28,7 +30,7 @@ from fracch.potentials import custom_potential, double_well
 
 def kernel_and_projection(L, M):
     """The M-orthonormal kernel basis V of the pencil (L, M) and P = V V^T M."""
-    V = equilibrium._pencil_kernel(L, M)[1]
+    V = equilibrium._pencil_kernel(L, M)[2]
     return V, V @ tridiagonal_product(*M, V).T
 
 
@@ -91,27 +93,33 @@ def test_planted_kernel_recovered(ctx64):
     assert abs(overlap - 1.0) < 1e-8
     assert np.max(np.abs(P @ P - P)) < 1e-10
     assert np.max(np.abs(Md @ P - P.T @ Md)) < 1e-10  # M-self-adjoint
-    # M P from the basis gives the condition number of the dense L + M P
-    cond = isomorphism_check(Lt, M, V)
-    assert cond == pytest.approx(np.linalg.cond(Lt + Md @ V @ V.T @ Md), rel=1e-10)
+    # the shifted spectrum gives the condition number of the dense pencil (L + M P, M)
+    mu, run, _ = equilibrium._pencil_kernel(Lt, M)
+    nu = np.abs(eigh(Lt + Md @ V @ V.T @ Md, Md, eigvals_only=True))
+    assert isomorphism_check(mu, run) == pytest.approx(nu.max() / nu.min(), rel=1e-10)
 
 
 def test_isomorphism_check(ctx64, rng):
     M = ctx64.ops.M
     L = linearize(ctx64, np.zeros(ctx64.ops.mesh.dof_count))
-    V, _ = kernel_and_projection(L, M)
-    cond_plain = isomorphism_check(L, M, V)
+    Md = add_tridiagonal(np.zeros_like(L), *M)
+    mu, run, _ = equilibrium._pencil_kernel(L, M)
+    assert run.size == 0
+    cond_plain = isomorphism_check(mu, run)
     assert math.isfinite(cond_plain)
-    assert cond_plain == pytest.approx(np.linalg.cond(L), rel=1e-12)
+    nu = np.abs(eigh(L, Md, eigvals_only=True))  # no kernel: the pencil (L, M) itself
+    assert cond_plain == pytest.approx(nu.max() / nu.min(), rel=1e-12)
 
-    Lt, _ = plant_zero_mode(L, add_tridiagonal(np.zeros_like(L), *M), index=0)
-    Vt, _ = kernel_and_projection(Lt, M)
+    Lt, _ = plant_zero_mode(L, Md, index=0)
+    mu, run, _ = equilibrium._pencil_kernel(Lt, M)
     assert np.linalg.cond(Lt) > 1e12  # singular without the projection
-    assert isomorphism_check(Lt, M, Vt) < 1e6
+    assert isomorphism_check(mu, run[:0]) > 1e12
+    assert isomorphism_check(mu, run) < 1e6
 
     X = rng.standard_normal((10, 10))
     spd = X @ X.T + 10 * np.eye(10)
-    assert math.isfinite(isomorphism_check(spd, (np.ones(10), np.zeros(9)), np.empty((10, 0))))
+    assert math.isfinite(isomorphism_check(*equilibrium._pencil_kernel(
+        spd, (np.ones(10), np.zeros(9)))[:2]))
 
 
 def test_pencil_eigenvalues_match_full_solve(ctx64):
@@ -148,13 +156,14 @@ def test_planted_two_dimensional_kernel_recovered(ctx64, monkeypatch, first):
     assert np.max(np.abs(P @ P - P)) < 1e-10
     assert np.max(np.abs(Md @ P - P.T @ Md)) < 1e-10  # M-self-adjoint
     assert math.isfinite(rep.iso_condition)
-    cond = np.linalg.cond(Lt + Md @ B @ B.T @ Md)  # M P from the basis gives the dense one's
-    assert rep.iso_condition == pytest.approx(cond, rel=1e-10)
+    # the shifted spectrum gives the condition number of the dense pencil (L + M P, M)
+    nu = np.abs(eigh(Lt + Md @ B @ B.T @ Md, Md, eigvals_only=True))
+    assert rep.iso_condition == pytest.approx(nu.max() / nu.min(), rel=1e-10)
 
 
 def test_complete_report_with_a_kernel_forms_no_projection(monkeypatch):
-    # with a kernel the report holds L and L + M P, about two dof x dof
-    # arrays; a dense P = V V^T M would be a third
+    # with a kernel the report holds L and the reduced pencil, about two
+    # dof x dof arrays; a dense P = V V^T M would be a third
     dof = 512
     ops = build_operator_set(build_uniform_mesh(-1.0, 1.0, dof + 1), FracExponents(0.5, 0.5))
     ctx = EnergyContext(ops=ops, pot=double_well(4.0))
@@ -183,33 +192,59 @@ def test_empty_kernel_solves_for_eigenvalues_only(ctx64, monkeypatch):
     monkeypatch.setattr(equilibrium, "eigh", recording_eigh)
     rep = complete_report(ctx64, solve_stationary(ctx64, np.zeros(ctx64.ops.mesh.dof_count)))
     assert len(rep.kernel_basis) == 0
-    assert calls and all(kw.get("eigvals_only") for kw in calls)
+    assert len(calls) == 1 and calls[0].get("eigvals_only")  # the spectrum alone
+
+
+def test_kernel_adds_one_subset_eigensolve(ctx64, monkeypatch):
+    calls = []
+
+    def recording_eigh(*args, **kwargs):
+        calls.append(kwargs)
+        return eigh(*args, **kwargs)
+
+    M = ctx64.ops.M
+    L = linearize(ctx64, np.zeros(ctx64.ops.mesh.dof_count))
+    Lt, _ = plant_zero_mode(L, add_tridiagonal(np.zeros_like(L), *M), index=0)
+    monkeypatch.setattr(equilibrium, "linearize", lambda ctx, phi: Lt)
+    monkeypatch.setattr(equilibrium, "eigh", recording_eigh)
+    rep = complete_report(ctx64, solve_stationary(ctx64, np.zeros(ctx64.ops.mesh.dof_count)))
+    assert len(rep.kernel_basis) == 1
+    assert [kw.get("eigvals_only", False) for kw in calls] == [True, False]
+    assert calls[1]["subset_by_index"] == (0, 0)
 
 
 @pytest.mark.parametrize("kind", ["spd", "indefinite"])
 @pytest.mark.parametrize("seed", range(4))
 def test_isomorphism_check_equals_cond(kind, seed):
+    # with M = I the M inner product is the Euclidean one
     rng = np.random.default_rng(seed)
     n = 8 + 9 * seed
     X = rng.standard_normal((n, n))
     A = X @ X.T + 0.1 * np.eye(n) if kind == "spd" else X + X.T
-    cond = isomorphism_check(A, (np.ones(n), np.zeros(n - 1)), np.empty((n, 0)))
-    assert cond == pytest.approx(np.linalg.cond(A), rel=1e-12)
+    mu, run, _ = equilibrium._pencil_kernel(A, (np.ones(n), np.zeros(n - 1)))
+    assert run.size == 0
+    assert isomorphism_check(mu, run) == pytest.approx(np.linalg.cond(A), rel=1e-12)
 
 
 @pytest.mark.parametrize("A", [np.diag([2.0, 0.0, 1.0]), np.zeros((3, 3))])
 def test_isomorphism_check_singular_is_inf(A):
     # a RuntimeWarning here would be an error under the pytest settings
-    assert isomorphism_check(A, (np.ones(3), np.zeros(2)), np.empty((3, 0))) == math.inf
+    mu = pencil_eigenvalues(A, (np.ones(3), np.zeros(2)))
+    assert isomorphism_check(mu, np.empty(0, dtype=int)) == math.inf  # no kernel projected out
     assert np.linalg.cond(A) == math.inf
+    # the kernel's projection makes diag(2, 0, 1) an isomorphism; the zero
+    # matrix has no scale to detect a kernel against, so it stays singular
+    mu, run, _ = equilibrium._pencil_kernel(A, (np.ones(3), np.zeros(2)))
+    assert isomorphism_check(mu, run) == (2.0 if A.any() else math.inf)
 
 
 @pytest.mark.parametrize("where", ["everywhere", "upper"])
 def test_isomorphism_check_nan_raises(where):
+    # a non-finite linearization fails at its spectrum, before the check
     A = np.full((3, 3), np.nan) if where == "everywhere" else np.eye(3)
     A[0, 2] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
-        isomorphism_check(A, (np.ones(3), np.zeros(2)), np.empty((3, 0)))
+        equilibrium._pencil_kernel(A, (np.ones(3), np.zeros(2)))
 
 
 def test_complete_report_fields(ctx64):
@@ -300,12 +335,36 @@ def test_pencil_functions_leave_their_arguments_alone(ctx64):
     L, _ = plant_zero_mode(L, add_tridiagonal(np.zeros_like(L), *M))
     L_in, M_in = L.copy(), [m.copy() for m in M]
     pencil_eigenvalues(L, M)
-    V, _ = kernel_and_projection(L, M)
-    V_in = V.copy()
-    isomorphism_check(L, M, V)
-    isomorphism_check(L, M, V[:, :0])
-    for arg, before in zip((L, *M, V), (L_in, *M_in, V_in)):
+    mu, run, _ = equilibrium._pencil_kernel(L, M)
+    assert run.size == 1
+    mu_in = mu.copy()
+    isomorphism_check(mu, run)
+    isomorphism_check(mu, run[:0])
+    for arg, before in zip((L, *M, mu), (L_in, *M_in, mu_in)):
         assert np.array_equal(arg, before)
+
+
+_EDGE_EXPONENTS = st.one_of(st.floats(0.01, 0.05), st.floats(0.45, 0.55), st.floats(0.95, 0.99))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(s=_EDGE_EXPONENTS, n_elems=st.integers(4, 24),
+       picks=st.lists(st.integers(0, 10**6), max_size=2))
+def test_kernel_projection_shifts_the_kernel_run_by_one(s, n_elems, picks):
+    # (L + M V V^T M, M) is (L, M) with each kernel eigenvalue raised by 1:
+    # the identity isomorphism_check reads the condition number from
+    ops = build_operator_set(build_uniform_mesh(-4.0, 4.0, n_elems), FracExponents(s, s))
+    L = linearize(EnergyContext(ops=ops, pot=double_well(4.0)), np.zeros(ops.mesh.dof_count))
+    Md = add_tridiagonal(np.zeros_like(L), *ops.M)
+    for pick in picks:  # zero a pencil eigenvalue that is not zero yet
+        live = np.flatnonzero(np.abs(eigh(L, Md, eigvals_only=True)) > 1e-6)
+        L, _ = plant_zero_mode(L, Md, index=int(live[pick % live.size]))
+    mu, run, V = equilibrium._pencil_kernel(L, ops.M)
+    assert run.size == V.shape[1] == len(picks)
+    shifted = mu.copy()
+    shifted[run] += 1.0
+    nu = eigh(L + Md @ V @ V.T @ Md, Md, eigvals_only=True)
+    assert np.max(np.abs(np.sort(shifted) - nu)) <= 1e-10 * np.max(np.abs(mu))
 
 
 def test_lsi_probe_nondegenerate(ctx64, rng):
