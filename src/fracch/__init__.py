@@ -58,7 +58,6 @@ from .operators import (
 )
 from .potentials import (
     Potential,
-    YosidaParams,
     custom_potential,
     double_well,
     yosida_apply,

@@ -2,10 +2,11 @@
 
 Every subcommand takes --config <path> (JSON, see fracch.config) and an
 optional --out <dir> overriding output.dir.  Exit codes: 0 ok, 1 verification
-check failed, 2 configuration error, 3 missing input, 4 solver divergence,
-5 certificate violation, 6 numerical failure (assembly, energy overflow,
-linear algebra or memory).  Time series go out as CSV, reports as JSON; the
-trajectory CSV streams row by row so long runs are inspectable mid-flight.
+check failed, 2 configuration error or an output file that cannot be written,
+3 missing input, 4 solver divergence, 5 certificate violation, 6 numerical
+failure (assembly, energy overflow, linear algebra or memory).  Time series
+go out as CSV, reports as JSON; the trajectory CSV streams row by row so long
+runs are inspectable mid-flight.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
 from .evolution import evolve, march
 from .mesh import check_coeffs
 from .operators import xnorm
-from .potentials import YosidaParams, yosida_apply
+from .potentials import yosida_apply
 
 TRAJECTORY_COLUMNS = (
     "step", "t", "tau_used", "energy", "w_xnorm", "u_xnorm_sigma",
@@ -158,14 +159,14 @@ def run_verify(cfg: RunConfig, out: str | None) -> int:
 
     pot = ctx.pot
     r = rng.uniform(-5.0, 5.0, size=1000)
+    beta_r = pot.beta_pair(r)[0]
     yos_ok = True
     details = {}
     for eps in (1.0, 0.1, 0.01):
-        yp = YosidaParams(epsilon=eps)
-        be, j, _ = yosida_apply(pot, yp, r)
-        bound_ok = bool(np.all(np.abs(be) <= np.abs(pot.beta(r)) + 1e-9))
+        be, j, _ = yosida_apply(pot, eps, r)
+        bound_ok = bool(np.all(np.abs(be) <= np.abs(beta_r) + 1e-9))
         r2 = rng.uniform(-5.0, 5.0, size=1000)
-        be2, j2, _ = yosida_apply(pot, yp, r2)
+        be2, j2, _ = yosida_apply(pot, eps, r2)
         lip_ok = bool(np.all(np.abs(be - be2) <= np.abs(r - r2) / eps + 1e-9))
         nonexp_ok = bool(np.all(np.abs(j - j2) <= np.abs(r - r2) + 1e-9))
         details[str(eps)] = {"bound": bound_ok, "lipschitz": lip_ok, "nonexpansive": nonexp_ok}
@@ -285,6 +286,9 @@ def main(argv=None) -> int:
     except (AssemblyError, OverflowError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 6
+    except OSError as exc:  # the commands report their failed reads above, as exit 2 or 3
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -39,9 +39,9 @@ _DEFAULTS = {
 # factored and inverted in its own buffer and kept as the PCG preconditioner;
 # verify holds the same in its short run (its Poincare samples are 100 x dof
 # blocks).  equilibrium and spectrum never assemble A_s and hold four, with
-# or without a kernel: A_sigma, its factor, the linearization L and one of
-# its reduced pencil, the eigensolver's copy of L or L + M P (M P is formed
-# from the kernel basis straight into that sum).  rates holds A_sigma.
+# or without a kernel: A_sigma, its factor, the linearization L and its
+# reduced pencil, which the eigensolver overwrites in place.  rates holds
+# A_sigma.
 _DENSE_ARRAYS = 5
 
 

@@ -118,7 +118,7 @@ def add_tridiagonal(A: np.ndarray, diag: np.ndarray, off: np.ndarray) -> np.ndar
 def energy_gradient(ctx: EnergyContext, v: np.ndarray) -> np.ndarray:
     """Dual-vector gradient A_sigma v + b_g(v)."""
     v = np.asarray(v, dtype=float)
-    grad = ctx.ops.A_sigma @ v + load_vector(ctx, ctx.pot.g(ctx.values_at_quad(v)))
+    grad = ctx.ops.A_sigma @ v + load_vector(ctx, ctx.pot.g_pair(ctx.values_at_quad(v))[0])
     if not np.all(np.isfinite(grad)):
         raise OverflowError("potential overflow while evaluating the gradient")
     return grad

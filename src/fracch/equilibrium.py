@@ -58,14 +58,15 @@ class EquilibriumReport:
 def solve_semilinear(
     ctx: EnergyContext,
     rhs: np.ndarray,
-    fn,
-    fn_prime,
+    fn_pair,
     u_init: np.ndarray | None = None,
     tol: float = 1e-10,
     max_iter: int = 60,
 ) -> tuple[np.ndarray, float, list]:
-    """Newton with backtracking for A_sigma u + b_fn(u) = rhs.
+    """Newton with backtracking for A_sigma u + b_fn(u) = rhs; fn_pair(r) is (fn(r), fn'(r)).
 
+    Each residual evaluates ``fn_pair`` once, on its iterate's grid values,
+    and the next Jacobian takes fn' from the accepted iterate's evaluation.
     The merit function is the dual norm of the residual; a step is accepted
     once it produces a sufficient decrease, halving the step length otherwise.
     Each symmetric Jacobian is LU-factored in place (LAPACK gesv on its
@@ -79,15 +80,16 @@ def solve_semilinear(
     u = np.zeros(ops.mesh.dof_count) if u_init is None else np.array(u_init, dtype=float)
 
     def residual(vec):
-        return ops.A_sigma @ vec + load_vector(ctx, fn(ctx.values_at_quad(vec))) - rhs
+        f, f_prime = fn_pair(ctx.values_at_quad(vec))
+        return ops.A_sigma @ vec + load_vector(ctx, f) - rhs, f_prime
 
-    F = residual(u)
+    F, f_prime = residual(u)
     res = ops.dual_norm_sigma(F)
     history = []
     for _ in range(max_iter):
         if res < tol:
             return u, res, history
-        B = weighted_mass(ctx, fn_prime(ctx.values_at_quad(u)))
+        B = weighted_mass(ctx, f_prime)
         jac = add_tridiagonal(ops.A_sigma.copy(), *B)
         direction, info = dgesv(jac.T, -F, overwrite_a=1)[2:]
         if info > 0:
@@ -100,11 +102,11 @@ def solve_semilinear(
             # a trial whose residual overflows reads inf or NaN, which the
             # sufficient-decrease test rejects: the step is shortened instead
             with np.errstate(over="ignore", invalid="ignore"):
-                F_trial = residual(trial)
+                F_trial, f_prime_trial = residual(trial)
                 res_trial = ops.dual_norm_sigma(F_trial)
             if res_trial <= (1.0 - 1e-4 * alpha) * res:
                 history.append((res, alpha))
-                u, F, res = trial, F_trial, res_trial
+                u, F, f_prime, res = trial, F_trial, f_prime_trial, res_trial
                 break
             alpha *= 0.5
         else:
@@ -125,15 +127,15 @@ def solve_stationary(
     energy gradient A_sigma phi + b_g(phi) at phi, so it is not evaluated again.
     """
     rhs = np.zeros(ctx.ops.mesh.dof_count)
-    phi, res, history = solve_semilinear(ctx, rhs, ctx.pot.g, ctx.pot.g_prime,
-                                         u_init=u_init, tol=tol, max_iter=max_iter)
+    phi, res, history = solve_semilinear(ctx, rhs, ctx.pot.g_pair, u_init=u_init, tol=tol,
+                                         max_iter=max_iter)
     return EquilibriumReport(phi=phi, residual_dual=res, linf=linf_norm(ctx.ops.mesh, phi),
                              newton_history=tuple(history))
 
 
 def linearize(ctx: EnergyContext, phi: np.ndarray) -> np.ndarray:
     """Second variation at phi: A_sigma + weighted mass of g'(phi)."""
-    B = weighted_mass(ctx, ctx.pot.g_prime(ctx.values_at_quad(phi)))
+    B = weighted_mass(ctx, ctx.pot.g_pair(ctx.values_at_quad(phi))[1])
     return add_tridiagonal(ctx.ops.A_sigma.copy(), *B)
 
 
@@ -218,7 +220,7 @@ def default_equilibrium_seed(ctx: EnergyContext) -> np.ndarray:
     reproducibility.
     """
     lam1, v = ctx.ops.lowest_mode()
-    if lam1 + float(ctx.pot.g_prime(0.0)) >= 0:
+    if lam1 + float(ctx.pot.g_pair(0.0)[1]) >= 0:
         return np.zeros(ctx.ops.mesh.dof_count)
     anchor = int(np.argmax(np.abs(v)))
     if v[anchor] < 0:

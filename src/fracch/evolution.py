@@ -62,25 +62,12 @@ predictor.  If Newton fails from the predicted start, the step is retried
 once from u_prev at the same tau before any halving, so the predictor never
 causes a halving.
 
-With the Yosida option, every iterate solves the resolvent j(r) of
-beta_eps(r) = (r - j(r)) / eps on the whole quadrature grid, and
-consecutive solves in a run see nearly the same r.  ``march`` therefore
-builds one (beta, beta') callable per run and passes it to every step,
-through the predictor retry and the tau halvings.  That callable takes
-beta_eps(r), j and beta'(j) from one resolvent solve (``yosida_apply``
-returns all three), remembers its last (r, j, 1 + eps beta'(j)) and starts
-the next resolvent solve at the tangent prediction
-j + (r - r_last) / (1 + eps beta'(j)), since
-dj/dr = 1 / (1 + eps beta'(j)) (Allgower & Georg, Introduction to Numerical
-Continuation Methods, ch. 2).  The resolvent replaces a non-finite start by
-r and clips the start into its bracket, and its tolerance is unchanged, so
-the start moves each root only within that tolerance.  Only the Newton
-path reads the start (the double well with m = 4 and lambda >= 1 takes a
-closed form).  There it cuts the beta evaluations by more than 40% on a
-Newton-solved cubic beta (200 steps at n = 64), and the run time by
-20-30% on the ``simulate_yosida64`` benchmark config with m = 3.5.  The
-memory lives in the run only: ``step`` called alone builds its own callable
-and starts its first solve cold, as it builds its own ``_StepSolver``.
+With the Yosida option, ``march`` builds one (beta_eps, beta_eps') pair
+per run with ``potentials.yosida_pair`` and passes it to every step, through
+the predictor retry and the tau halvings, so that the pair's resolvent warm
+start (described in ``potentials``) spans the run.  ``step`` called alone
+builds its own pair and starts its first solve cold, as it builds its own
+``_StepSolver``.
 """
 
 from __future__ import annotations
@@ -108,7 +95,7 @@ from .errors import (
     NewtonDivergenceError,
 )
 from .mesh import check_coeffs, linf_norm, tridiagonal_product
-from .potentials import YosidaParams, yosida_apply
+from .potentials import yosida_pair
 
 
 def _checked_positive(name: str, value):
@@ -187,33 +174,10 @@ class Trajectory:
 
 
 def _beta_pair(ctx: EnergyContext, cfg: StepConfig):
-    """One callable r -> (beta(r), beta'(r)), with beta Yosida-regularized if configured.
-
-    The Yosida callable takes beta_eps, j and beta'(j) from one resolvent
-    solve and starts each solve after its first at the tangent prediction
-    from the previous one, when the shapes match.
-    """
-    pot = ctx.pot
+    """One callable r -> (beta(r), beta'(r)), with beta Yosida-regularized if configured."""
     if cfg.use_yosida is None:
-        return pot.beta_pair
-    yp = YosidaParams(epsilon=cfg.use_yosida)
-    eps = yp.epsilon
-    last = None  # (r, j, 1 + eps beta'(j)) of the previous call
-
-    def beta_eps_pair(r):
-        nonlocal last
-        start = None
-        if last is not None and last[0].shape == r.shape:
-            r_last, j_last, slope_last = last
-            # dj/dr = 1 / (1 + eps beta'(j)); the resolvent replaces a non-finite start by r
-            start = j_last + (r - r_last) / slope_last
-        beta_eps, j, bp = yosida_apply(pot, yp, r, start=start)
-        # chain rule through the resolvent: beta_eps' = beta'(j) / (1 + eps beta'(j))
-        slope = 1.0 + eps * bp
-        last = (r, j, slope)
-        return beta_eps, bp / slope
-
-    return beta_eps_pair
+        return ctx.pot.beta_pair
+    return yosida_pair(ctx.pot, cfg.use_yosida)
 
 
 # Below this dof every Newton update factors its step matrix: one dpotrf

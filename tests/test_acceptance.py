@@ -32,7 +32,7 @@ from fracch.operators import (
     normalization_constant,
     xnorm,
 )
-from fracch.potentials import YosidaParams, double_well, yosida_apply, yosida_resolvent
+from fracch.potentials import double_well, yosida_apply, yosida_resolvent
 
 
 def _report(num, text):
@@ -185,12 +185,11 @@ def test_criterion_10_yosida_property_suite():
     rng = np.random.default_rng(6)
     r = rng.uniform(-5.0, 5.0, size=1000)
     r2 = rng.uniform(-5.0, 5.0, size=1000)
-    beta = pot.beta(r)
+    beta = pot.beta_pair(r)[0]
     prev_err = None
     for eps in (1.0, 0.1, 0.01):
-        yp = YosidaParams(epsilon=eps)
-        be, be2 = yosida_apply(pot, yp, r)[0], yosida_apply(pot, yp, r2)[0]
-        j, j2 = yosida_resolvent(pot, yp, r)[0], yosida_resolvent(pot, yp, r2)[0]
+        be, be2 = yosida_apply(pot, eps, r)[0], yosida_apply(pot, eps, r2)[0]
+        j, j2 = yosida_resolvent(pot, eps, r)[0], yosida_resolvent(pot, eps, r2)[0]
         assert np.all(np.abs(be) <= np.abs(beta) + 1e-9)
         assert np.all(np.abs(be - be2) <= np.abs(r - r2) / eps + 1e-9)
         assert np.all(np.abs(j - j2) <= np.abs(r - r2) + 1e-9)

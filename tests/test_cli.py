@@ -286,6 +286,39 @@ def test_rates_on_malformed_inputs_is_missing_input(tmp_path, capsys, name, cont
     assert err[0].startswith("missing input: ") and name in err[0]
 
 
+def _rates_inputs(out):
+    """A trajectory.csv decaying as exp(-t) to the zero state's energy, and that state."""
+    rows = ["step,t,energy"] + [f"{k},{0.1 * k},{math.exp(-0.1 * k)}" for k in range(1, 201)]
+    (out / "trajectory.csv").write_text("\n".join(rows) + "\n")
+    (out / "equilibrium.json").write_text(json.dumps({"phi": [0.0] * 15, "theta_hint": None}))
+
+
+@pytest.mark.parametrize("command, name", [
+    ("simulate", "trajectory.csv"), ("simulate", "certificates.csv"),
+    ("equilibrium", "equilibrium.json"), ("verify", "verify.json"),
+    ("spectrum", "spectrum.csv"), ("rates", "rates.json"), ("rates", "rates_curve.csv"),
+])
+def test_unwritable_output_file_is_one_line_and_exit_2(tmp_path, capsys, command, name):
+    # a directory where the output file goes cannot be opened for writing, even by root
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = _write(tmp_path, "cfg.json", {
+        "mesh": {"n_elems": 16},
+        "time": {"tau": 0.01, "t_end": 0.05},
+        "output": {"dir": str(out)},
+    })
+    if command == "rates":
+        _rates_inputs(out)
+        assert main(["rates", "--config", cfg]) == 0  # the inputs give a fit
+        (out / name).unlink()
+    (out / name).mkdir()
+    capsys.readouterr()
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("cannot write output: ") and name in err[0]
+
+
 def test_equilibrium_respects_newton_max_iter(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", {
         "domain": {"a": -4, "b": 4},
@@ -527,9 +560,9 @@ def test_verify_passes_on_default_config(tmp_path, monkeypatch):
     resolvent = fracch.potentials.yosida_resolvent
     epsilons = []
 
-    def counted(pot, yp, r, **kwargs):
-        epsilons.append(yp.epsilon)
-        return resolvent(pot, yp, r, **kwargs)
+    def counted(pot, eps, r, **kwargs):
+        epsilons.append(eps)
+        return resolvent(pot, eps, r, **kwargs)
 
     # verify takes each sample's resolvent through yosida_apply, which looks it
     # up in fracch.potentials

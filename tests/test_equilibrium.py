@@ -58,6 +58,27 @@ def test_wide_domain_nontrivial_equilibrium(ctx64_wide):
     assert ctx64_wide.ops.dual_norm_sigma(energy_gradient(ctx64_wide, rep.phi)) < 1e-10
 
 
+def test_stationary_newton_evaluates_the_grid_once_per_residual(ctx64_wide, monkeypatch):
+    calls = {"quad": 0, "residuals": 0, "jacobians": 0}
+    values_at_quad = EnergyContext.values_at_quad
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(EnergyContext, "values_at_quad", counted("quad", values_at_quad))
+    monkeypatch.setattr(equilibrium, "load_vector", counted("residuals", equilibrium.load_vector))
+    monkeypatch.setattr(equilibrium, "weighted_mass",
+                        counted("jacobians", equilibrium.weighted_mass))
+    seed = default_equilibrium_seed(ctx64_wide)
+    rep = solve_stationary(ctx64_wide, seed, tol=1e-10)
+    # each Jacobian takes g' from the accepted trial's residual: no grid evaluation of its own
+    assert calls["jacobians"] == len(rep.newton_history) >= 2
+    assert calls["quad"] == calls["residuals"] > calls["jacobians"]
+
+
 def test_linearize_at_zero(ctx64):
     L = linearize(ctx64, np.zeros(ctx64.ops.mesh.dof_count))
     Md = add_tridiagonal(np.zeros_like(L), *ctx64.ops.M)
@@ -279,12 +300,12 @@ def test_beta_bound_at_elliptic_solves(ctx64, rng):
             mesh,
             lambda x: sum(c * np.sin((k + 1) * np.pi * x / 4) for k, c in enumerate(coeffs)),
         )
-        u, res, history = solve_semilinear(ctx64, Md @ f, pot.beta, pot.beta_prime, tol=1e-11)
+        u, res, history = solve_semilinear(ctx64, Md @ f, pot.beta_pair, tol=1e-11)
         assert res < 1e-11
         assert history and all(0.0 < alpha <= 1.0 for _, alpha in history)
         residuals = [r for r, _ in history] + [res]  # each accepted step decreased it
         assert all(after < before for before, after in zip(residuals, residuals[1:]))
-        beta_l2 = math.sqrt(float((pot.beta(ctx64.values_at_quad(u)) ** 2 @ w).sum()))
+        beta_l2 = math.sqrt(float((pot.beta_pair(ctx64.values_at_quad(u))[0] ** 2 @ w).sum()))
         f_l2 = math.sqrt(float(f @ Md @ f))
         assert beta_l2 <= f_l2 * (1.0 + 10.0 * mesh.h)
 

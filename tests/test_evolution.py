@@ -26,7 +26,7 @@ from fracch.evolution import StepConfig, _beta_pair, _StepSolver, evolve, march,
 from fracch.equilibrium import default_equilibrium_seed, solve_stationary
 from fracch.mesh import build_uniform_mesh, interpolate
 from fracch.operators import FracExponents, OperatorSet, build_operator_set, xnorm
-from fracch.potentials import Potential, YosidaParams, custom_potential, double_well, yosida_apply
+from fracch.potentials import Potential, custom_potential, double_well, yosida_apply
 
 
 def test_step_config_validation():
@@ -283,7 +283,7 @@ def test_beta_l2_bounded_per_unit_window(ctx64, rng):
     for k in range(3):
         sel = [u for t, u in zip([0.0, *traj.times], traj.states) if k <= t < k + 1]
         vals = [
-            math.sqrt(float((pot.beta(ctx64.values_at_quad(np.asarray(u))) ** 2 @ w).sum()))
+            math.sqrt(float((pot.beta_pair(ctx64.values_at_quad(np.asarray(u)))[0] ** 2 @ w).sum()))
             for u in sel
         ]
         windows.append(max(vals))
@@ -344,14 +344,14 @@ def test_step_solves_both_coupled_equations(exps, yosida, tau, rng):
 def test_yosida_pair_is_yosida_apply_and_its_derivative():
     ops = build_operator_set(build_uniform_mesh(-1, 1, 8), FracExponents(0.5, 0.5))
     ctx = EnergyContext(ops=ops, pot=double_well(4.0))
-    yp = YosidaParams(epsilon=1e-2)
-    pair = _beta_pair(ctx, StepConfig(tau=1e-3, use_yosida=yp.epsilon))
+    eps = 1e-2
+    pair = _beta_pair(ctx, StepConfig(tau=1e-3, use_yosida=eps))
     half = np.linspace(0.05, 6.0, 120)
     r = np.concatenate([-half[::-1], half]).reshape(8, 30)  # a quadrature-grid shape
     beta_eps, beta_eps_prime = pair(r)
-    assert np.array_equal(beta_eps, yosida_apply(ctx.pot, yp, r)[0])
+    assert np.array_equal(beta_eps, yosida_apply(ctx.pot, eps, r)[0])
     h = 1e-5 * (1.0 + np.abs(r))
-    fd = (yosida_apply(ctx.pot, yp, r + h)[0] - yosida_apply(ctx.pot, yp, r - h)[0]) / (2.0 * h)
+    fd = (yosida_apply(ctx.pot, eps, r + h)[0] - yosida_apply(ctx.pot, eps, r - h)[0]) / (2.0 * h)
     assert np.all(np.abs(beta_eps_prime - fd) <= 1e-6 * np.abs(fd))
 
 
@@ -626,9 +626,10 @@ def _newton_cubic(ctx):
     The resolvent memory only serves the Newton path, so the tests of it
     march this context.
     """
-    dw = double_well(4.0)
-    return EnergyContext(ops=ctx.ops,
-                         pot=custom_potential(dw.g, dw.g_prime, dw.g_hat, lam=1.0, check=False))
+    pot = custom_potential(lambda r: np.abs(r) ** 2.0 * r - r,
+                           lambda r: 3.0 * np.abs(r) ** 2.0 - 1.0,
+                           double_well(4.0).g_hat, lam=1.0, check=False)
+    return EnergyContext(ops=ctx.ops, pot=pot)
 
 
 def test_warm_resolvent_halves_the_beta_evaluations(ctx64, rng, monkeypatch):
@@ -639,8 +640,8 @@ def test_warm_resolvent_halves_the_beta_evaluations(ctx64, rng, monkeypatch):
     warm = list(itertools.islice(march(ctx, cfg, u0, t_end=1e9), 200))
     n_warm = len(calls)
     # the same steps with every resolvent solve started cold, at y = r
-    monkeypatch.setattr(evolution, "yosida_apply",
-                        lambda pot, yp, r, start=None: yosida_apply(pot, yp, r))
+    monkeypatch.setattr(potentials, "yosida_apply",
+                        lambda pot, eps, r, start=None: yosida_apply(pot, eps, r))
     calls.clear()
     cold = list(itertools.islice(march(ctx, cfg, u0, t_end=1e9), 200))
     assert n_warm <= 0.6 * len(calls)
