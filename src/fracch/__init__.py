@@ -44,7 +44,7 @@ from .evolution import (
     march,
     step,
 )
-from .mesh import FracMesh, build_uniform_mesh, interpolate, linf_norm, mass_matrix
+from .mesh import FracMesh, interpolate, linf_norm, mass_matrix
 from .operators import (
     FracExponents,
     OperatorSet,

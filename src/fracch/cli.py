@@ -67,13 +67,16 @@ def _initial_data(cfg: RunConfig, dof: int) -> np.ndarray:
     return 0.25 * cfg.rng().standard_normal(dof)
 
 
-def run_simulate(cfg: RunConfig, out: str | None) -> int:
-    out = _out_dir(cfg, out)
+def run_simulate(cfg: RunConfig, out: str) -> int:
     ctx = cfg.build_context()
     u0 = _initial_data(cfg, ctx.ops.mesh.dof_count)
     traj_path = os.path.join(out, "trajectory.csv")
     cert_path = os.path.join(out, "certificates.csv")
-    with open(traj_path, "w", newline="") as tfh, open(cert_path, "w", newline="") as cfh:
+    # append mode, then truncation once both are open: a file that cannot be
+    # opened leaves the earlier output of the other as it was
+    with open(traj_path, "a", newline="") as tfh, open(cert_path, "a", newline="") as cfh:
+        tfh.truncate(0)
+        cfh.truncate(0)
         tw = csv.writer(tfh)
         cw = csv.writer(cfh)
         tw.writerow(TRAJECTORY_COLUMNS)
@@ -96,8 +99,7 @@ def run_simulate(cfg: RunConfig, out: str | None) -> int:
     return 0
 
 
-def run_equilibrium(cfg: RunConfig, out: str | None) -> int:
-    out = _out_dir(cfg, out)
+def run_equilibrium(cfg: RunConfig, out: str) -> int:
     ctx = cfg.build_context()
     seed = default_equilibrium_seed(ctx)
     rep = solve_stationary(ctx, seed, tol=cfg.newton_tol, max_iter=cfg.newton_max)
@@ -120,8 +122,7 @@ def run_equilibrium(cfg: RunConfig, out: str | None) -> int:
     return 0
 
 
-def run_spectrum(cfg: RunConfig, out: str | None) -> int:
-    out = _out_dir(cfg, out)
+def run_spectrum(cfg: RunConfig, out: str) -> int:
     ctx = cfg.build_context()
     seed = default_equilibrium_seed(ctx)
     rep = solve_stationary(ctx, seed, tol=cfg.newton_tol, max_iter=cfg.newton_max)
@@ -137,8 +138,7 @@ def run_spectrum(cfg: RunConfig, out: str | None) -> int:
     return 0
 
 
-def run_verify(cfg: RunConfig, out: str | None) -> int:
-    out = _out_dir(cfg, out)
+def run_verify(cfg: RunConfig, out: str) -> int:
     ctx = cfg.build_context()
     ops = ctx.ops
     rng = cfg.rng()
@@ -194,8 +194,7 @@ def run_verify(cfg: RunConfig, out: str | None) -> int:
     return 0 if all_pass else 1
 
 
-def run_rates(cfg: RunConfig, out: str | None) -> int:
-    out = _out_dir(cfg, out)
+def run_rates(cfg: RunConfig, out: str) -> int:
     traj_path = os.path.join(out, "trajectory.csv")
     eq_path = os.path.join(out, "equilibrium.json")
     for p in (traj_path, eq_path):
@@ -237,11 +236,12 @@ def run_rates(cfg: RunConfig, out: str | None) -> int:
         "e_limit": fit.e_limit, "degenerate": fit.degenerate,
     }
     path = os.path.join(out, "rates.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
     curve_path = os.path.join(out, "rates_curve.csv")
-    with open(curve_path, "w", newline="") as fh:
-        w = csv.writer(fh)
+    with open(path, "a") as fh, open(curve_path, "a", newline="") as cfh:  # as in run_simulate
+        fh.truncate(0)
+        cfh.truncate(0)
+        json.dump(payload, fh, indent=1)
+        w = csv.writer(cfh)
         w.writerow(("t", "H", "H_fit"))
         w.writerows(fit.curve)
     print(f"wrote {path} and {curve_path}")
@@ -270,7 +270,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        return _COMMANDS[args.command](cfg, args.out)
+        return _COMMANDS[args.command](cfg, _out_dir(cfg, args.out))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -16,9 +16,9 @@ import numpy as np
 from .energy import EnergyContext
 from .errors import ConfigurationError
 from .evolution import StepConfig
-from .mesh import FracMesh, build_uniform_mesh
-from .operators import FracExponents, OperatorSet, build_operator_set
-from .potentials import Potential, double_well
+from .mesh import FracMesh
+from .operators import FracExponents, build_operator_set
+from .potentials import double_well
 
 _DEFAULTS = {
     "domain": {"a": -1.0, "b": 1.0},
@@ -63,21 +63,14 @@ class RunConfig:
     rng_seed: int
     out_dir: str
 
-    def build_mesh(self) -> FracMesh:
-        return build_uniform_mesh(self.a, self.b, self.n_elems)
-
-    def build_potential(self) -> Potential:
+    def build_context(self) -> EnergyContext:
+        ops = build_operator_set(FracMesh(self.a, self.b, self.n_elems),
+                                 FracExponents(self.s, self.sigma))
         pot = double_well(self.m)
         if self.lam is not None and self.lam != pot.lam:
             # explicit override of the split constant
             pot = replace(pot, lam=self.lam)
-        return pot
-
-    def build_operator_set(self) -> OperatorSet:
-        return build_operator_set(self.build_mesh(), FracExponents(self.s, self.sigma))
-
-    def build_context(self) -> EnergyContext:
-        return EnergyContext(ops=self.build_operator_set(), pot=self.build_potential())
+        return EnergyContext(ops=ops, pot=pot)
 
     def build_step_config(self) -> StepConfig:
         return StepConfig(

@@ -146,7 +146,11 @@ def _pencil_kernel(L: np.ndarray, M) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Eigenvectors are computed for it only, and only when it is non-empty:
     the eigenvalues are sorted, so the kernel is one contiguous run of them,
     which one subset solve of the reduced pencil returns.  An empty kernel
-    gives an empty run and an n x 0 basis.
+    gives an empty run and an n x 0 basis.  That solve reduces the pencil
+    again rather than keep the spectrum's reduction: keeping it would hold
+    an n x n copy on every report (4.7 MB at dof 767, 5.5% of that run's
+    peak memory) to save one O(n^2) reduction (5.1 ms there) on degenerate
+    equilibria only.
     """
     mu = pencil_eigenvalues(L, M)
     run = np.flatnonzero(np.abs(mu) < 1e-8 * float(np.max(np.abs(mu))))

@@ -52,15 +52,12 @@ up to solver tolerance; the defect of that inequality is recorded in a
 StepCertificate for every accepted step, its terms by O(n) dot products
 with M du and with the last residual's P du and A_sigma u_n.
 
-``march`` starts each step's Newton iteration from the linear predictor
-2 u_n - u_{n-1} when the step tries the same tau as the step before it
-(Hairer & Wanner, Solving ODEs II, IV.8); the first step, a shortened last
-step and the step after a halving start from u_prev.  From a predicted start
-Newton takes at least one update before the residual test may stop it, so
-the returned state always comes out of a Newton update and not out of the
-predictor.  If Newton fails from the predicted start, the step is retried
-once from u_prev at the same tau before any halving, so the predictor never
-causes a halving.
+``march`` takes each step's attempts in the order its docstring states:
+from the linear predictor 2 u_n - u_{n-1} (Hairer & Wanner, Solving ODEs
+II, IV.8), from u_prev, and at halved taus.  From a predicted start Newton
+takes at least one update before the residual test may stop it, so the
+returned state always comes out of a Newton update and not out of the
+predictor.
 
 With the Yosida option, ``march`` builds one (beta_eps, beta_eps') pair
 per run with ``potentials.yosida_pair`` and passes it to every step, through
@@ -389,16 +386,6 @@ def step(
 _STEP_FAILURES = (NewtonDivergenceError, JacobianSingularError, OverflowError)
 
 
-def _step_from_predictor(ctx, cfg, u, tau, e_before, u_back, beta_pair, solver):
-    """``step`` from the linear predictor 2u - u_back; retried once from u if it fails there."""
-    try:
-        return step(ctx, cfg, u, tau=tau, e_before=e_before, u_start=2.0 * u - u_back,
-                    beta_pair=beta_pair, solver=solver)
-    except _STEP_FAILURES:
-        return step(ctx, cfg, u, tau=tau, e_before=e_before, beta_pair=beta_pair,
-                    solver=solver)
-
-
 def march(
     ctx: EnergyContext,
     cfg: StepConfig,
@@ -412,18 +399,25 @@ def march(
     Only the last two states are kept between steps; arguments are checked
     before the first step (a t_end that is not a finite positive real
     number is a ConfigurationError).  A last step that would pass t_end is
-    shortened to end there.  A step that tries the same tau as the step before it starts
-    Newton from the predictor 2 u_n - u_{n-1}; if Newton fails from there,
-    the step is retried once from u_n at that tau.  The other steps (the
-    first, a shortened last one, one after a halving) start from u_n.  On
-    Newton divergence, an indefinite step matrix (P/tau grows as tau
-    shrinks) or an accepted iterate whose energy overflows, from u_n, the
-    step retries with tau halved (this step only, up to ``max_halvings``);
-    the certificate records the tau actually used and the number of
+    shortened to end there.  Each step takes its attempts in this order:
+
+    1. An attempt whose tau equals the tau of the last accepted step starts
+       Newton from the predictor 2 u_n - u_{n-1}; any other attempt starts
+       from u_n (so the first step, a shortened last step and the step
+       after a halved one do).
+    2. A predicted attempt that fails is retried once from u_n at the same
+       tau, so the predictor never causes a halving.
+    3. An attempt from u_n that fails halves tau, for this step only and up
+       to ``max_halvings`` times, and the next attempt goes back to 1: a
+       halved tau that equals the last accepted tau starts from the
+       predictor again.
+
+    An attempt fails on Newton divergence, an indefinite step matrix (P/tau
+    grows as tau shrinks) or an accepted iterate whose energy overflows.
+    The certificate records the tau actually used and the number of
     halvings.  One ``_beta_pair`` and one ``_StepSolver`` serve the whole
-    run.  A
-    violated certificate raises CertificateViolationError ("abort") or is
-    only recorded in the certificate's ``satisfied`` ("ignore").
+    run.  A violated certificate raises CertificateViolationError ("abort")
+    or is only recorded in the certificate's ``satisfied`` ("ignore").
     """
     _checked_positive("t_end", t_end)
     if on_violation not in ("abort", "ignore"):
@@ -440,24 +434,28 @@ def march(
     slack = 1e-9 * t_end  # rounding that summing the step sizes leaves in t
     while t < t_end - slack:
         tau_try = cfg.tau if t + cfg.tau <= t_end + slack else t_end - t
-        for attempt in range(max_halvings + 1):
+        halvings = 0
+        predict = tau_try == tau_back
+        while True:
             try:
-                if tau_try == tau_back:
-                    u_new, cert = _step_from_predictor(ctx, cfg, u, tau_try, e_u, u_back,
-                                                       beta_pair, solver)
-                else:
-                    u_new, cert = step(ctx, cfg, u, tau=tau_try, e_before=e_u,
-                                       beta_pair=beta_pair, solver=solver)
+                u_new, cert = step(ctx, cfg, u, tau=tau_try, e_before=e_u,
+                                   u_start=2.0 * u - u_back if predict else None,
+                                   beta_pair=beta_pair, solver=solver)
                 break
             except _STEP_FAILURES as exc:
-                if attempt == max_halvings:
+                if predict:  # retried once from u at this tau
+                    predict = False
+                    continue
+                if halvings == max_halvings:
                     raise type(exc)(
                         f"{exc}; still stalled after {max_halvings} tau halvings "
                         f"(final tau={tau_try:.6g})"
                     ) from exc
                 tau_try *= 0.5
-        if attempt:
-            cert = replace(cert, halvings=attempt)
+                halvings += 1
+                predict = tau_try == tau_back
+        if halvings:
+            cert = replace(cert, halvings=halvings)
         if not cert.satisfied and on_violation == "abort":
             raise CertificateViolationError(
                 f"energy certificate violated at step {step_idx + 1} "

@@ -17,7 +17,7 @@ from .errors import ConfigurationError
 
 @dataclass(frozen=True, eq=False)
 class FracMesh:
-    """Uniform partition of (a, b) into ``n_elems`` elements."""
+    """Uniform partition of (a, b) into ``n_elems`` elements; rejects a >= b and n_elems < 2."""
 
     a: float
     b: float
@@ -45,11 +45,6 @@ class FracMesh:
     @property
     def interior_nodes(self) -> np.ndarray:
         return self.nodes[1:-1]
-
-
-def build_uniform_mesh(a: float, b: float, n_elems: int) -> FracMesh:
-    """Uniform mesh of (a, b); rejects a >= b and n_elems < 2."""
-    return FracMesh(a, b, n_elems)
 
 
 def mass_matrix(mesh: FracMesh) -> tuple[np.ndarray, np.ndarray]:

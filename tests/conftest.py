@@ -4,7 +4,7 @@ from hypothesis import settings
 
 from fracch import evolution
 from fracch.energy import EnergyContext
-from fracch.mesh import build_uniform_mesh
+from fracch.mesh import FracMesh
 from fracch.operators import FracExponents, build_operator_set
 from fracch.potentials import double_well
 
@@ -16,7 +16,7 @@ settings.register_profile("ci", derandomize=True, print_blob=True, deadline=None
 
 @pytest.fixture(scope="session")
 def mesh8():
-    return build_uniform_mesh(-1.0, 1.0, 8)
+    return FracMesh(-1.0, 1.0, 8)
 
 
 @pytest.fixture(scope="session")
@@ -26,7 +26,7 @@ def ops8(mesh8):
 
 @pytest.fixture(scope="session")
 def ops64():
-    return build_operator_set(build_uniform_mesh(-1.0, 1.0, 64), FracExponents(0.5, 0.5))
+    return build_operator_set(FracMesh(-1.0, 1.0, 64), FracExponents(0.5, 0.5))
 
 
 @pytest.fixture(scope="session")
@@ -36,14 +36,14 @@ def ctx64(ops64):
 
 @pytest.fixture(scope="session")
 def ctx64_wide():
-    ops = build_operator_set(build_uniform_mesh(-4.0, 4.0, 64), FracExponents(0.5, 0.5))
+    ops = build_operator_set(FracMesh(-4.0, 4.0, 64), FracExponents(0.5, 0.5))
     return EnergyContext(ops=ops, pot=double_well(4.0))
 
 
 @pytest.fixture(scope="session")
 def ctx256_wide():
     """The simulate_wide256 benchmark operators (dof 255, above the stepper's PCG crossover)."""
-    ops = build_operator_set(build_uniform_mesh(-4.0, 4.0, 256), FracExponents(0.5, 0.5))
+    ops = build_operator_set(FracMesh(-4.0, 4.0, 256), FracExponents(0.5, 0.5))
     ops.P  # P = M A_s^{-1} M, cached for every test that steps on it
     return EnergyContext(ops=ops, pot=double_well(4.0))
 

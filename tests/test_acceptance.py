@@ -24,7 +24,7 @@ from fracch.equilibrium import (
     solve_stationary,
 )
 from fracch.evolution import StepConfig, evolve
-from fracch.mesh import build_uniform_mesh, interpolate
+from fracch.mesh import FracMesh, interpolate
 from fracch.operators import (
     FracExponents,
     assemble_gagliardo,
@@ -41,7 +41,7 @@ def _report(num, text):
 
 @pytest.fixture(scope="module")
 def ctx128():
-    ops = build_operator_set(build_uniform_mesh(-1.0, 1.0, 128), FracExponents(0.5, 0.5))
+    ops = build_operator_set(FracMesh(-1.0, 1.0, 128), FracExponents(0.5, 0.5))
     return EnergyContext(ops=ops, pot=double_well(4.0))
 
 
@@ -52,7 +52,7 @@ def settle_run(ctx128):
 
 
 def test_criterion_01_assembly_oracle_equivalence():
-    mesh = build_uniform_mesh(-1.0, 1.0, 8)
+    mesh = FracMesh(-1.0, 1.0, 8)
     worst = 0.0
     for s in (0.25, 0.5, 0.75):
         C = normalization_constant(s)
@@ -141,7 +141,7 @@ def test_criterion_07_spectral_shift_identity(ctx128):
 
 
 def test_criterion_08_maximum_principle():
-    mesh = build_uniform_mesh(-4.0, 4.0, 256)
+    mesh = FracMesh(-4.0, 4.0, 256)
     ops = build_operator_set(mesh, FracExponents(0.5, 0.5))
     ctx = EnergyContext(ops=ops, pot=double_well(4.0))
     rep = solve_stationary(ctx, default_equilibrium_seed(ctx), tol=1e-10)
@@ -205,7 +205,7 @@ def test_criterion_11_smoothing_shape():
     # rough random data in the slow-coarsening regime of a wider interval;
     # the products must stay bounded and never exceed the earliest one by
     # more than 3x (growth would mean w decays slower than the 1/t envelope)
-    mesh = build_uniform_mesh(-2.0, 2.0, 128)
+    mesh = FracMesh(-2.0, 2.0, 128)
     ops = build_operator_set(mesh, FracExponents(0.5, 0.5))
     ctx = EnergyContext(ops=ops, pot=double_well(4.0))
     u0 = np.random.default_rng(7).standard_normal(mesh.dof_count)

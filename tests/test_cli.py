@@ -286,9 +286,9 @@ def test_rates_on_malformed_inputs_is_missing_input(tmp_path, capsys, name, cont
     assert err[0].startswith("missing input: ") and name in err[0]
 
 
-def _rates_inputs(out):
-    """A trajectory.csv decaying as exp(-t) to the zero state's energy, and that state."""
-    rows = ["step,t,energy"] + [f"{k},{0.1 * k},{math.exp(-0.1 * k)}" for k in range(1, 201)]
+def _rates_inputs(out, rate=1.0):
+    """A trajectory.csv decaying as exp(-rate t) to the zero state's energy, and that state."""
+    rows = ["step,t,energy"] + [f"{k},{0.1 * k},{math.exp(-rate * 0.1 * k)}" for k in range(1, 201)]
     (out / "trajectory.csv").write_text("\n".join(rows) + "\n")
     (out / "equilibrium.json").write_text(json.dumps({"phi": [0.0] * 15, "theta_hint": None}))
 
@@ -317,6 +317,34 @@ def test_unwritable_output_file_is_one_line_and_exit_2(tmp_path, capsys, command
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("cannot write output: ") and name in err[0]
+
+
+@pytest.mark.parametrize("command, first, second", [
+    ("simulate", "trajectory.csv", "certificates.csv"),
+    ("rates", "rates.json", "rates_curve.csv"),
+])
+def test_unopenable_second_output_leaves_the_first_as_it_was(tmp_path, capsys, command, first,
+                                                             second):
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = {"mesh": {"n_elems": 16}, "time": {"tau": 0.01, "t_end": 0.05},
+           "output": {"dir": str(out)}}
+    if command == "rates":
+        _rates_inputs(out)
+    assert main([command, "--config", _write(tmp_path, "cfg.json", cfg)]) == 0
+    kept = (out / first).read_bytes()
+    # the second run's inputs differ, so a rewritten first file would differ too
+    cfg["seeds"] = {"rng_seed": 1}
+    if command == "rates":
+        _rates_inputs(out, rate=2.0)
+    (out / second).unlink()
+    (out / second).mkdir()
+    capsys.readouterr()
+    assert main([command, "--config", _write(tmp_path, "cfg.json", cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("cannot write output: ") and second in err[0]
+    assert (out / first).read_bytes() == kept
 
 
 def test_equilibrium_respects_newton_max_iter(tmp_path, capsys):

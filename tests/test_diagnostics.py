@@ -8,7 +8,7 @@ from fracch.diagnostics import (
 )
 from fracch.evolution import StepConfig, evolve
 from fracch.equilibrium import default_equilibrium_seed, solve_stationary
-from fracch.mesh import build_uniform_mesh, interpolate
+from fracch.mesh import FracMesh, interpolate
 from fracch.operators import FracExponents, build_operator_set, xnorm
 
 
@@ -137,7 +137,7 @@ def test_poincare_report(ops64, rng):
 def test_poincare_bound_far_from_the_origin_underflows_to_zero():
     # R = 1e155 puts (2R + 1)^2 past the float range, while the mesh width
     # 2.5e149 keeps every stiffness power in it
-    ops = build_operator_set(build_uniform_mesh(1e155, 1e155 + 1e150, 4), FracExponents(0.5, 0.5))
+    ops = build_operator_set(FracMesh(1e155, 1e155 + 1e150, 4), FracExponents(0.5, 0.5))
     rep = poincare_report(ops, trials=10)
     assert 0.0 <= rep.bound <= 1e-300 and rep.holds
 

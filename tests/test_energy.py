@@ -11,7 +11,7 @@ from fracch.energy import (
     load_vector,
     weighted_mass,
 )
-from fracch.mesh import build_uniform_mesh
+from fracch.mesh import FracMesh
 from fracch.operators import FracExponents, build_operator_set, xnorm
 from fracch.potentials import custom_potential, double_well
 
@@ -59,7 +59,7 @@ def test_nonlinear_part_quadrature_refinement(ops8):
 
 
 def test_gradient_matches_finite_differences(rng):
-    ops = build_operator_set(build_uniform_mesh(-1, 1, 24), FracExponents(0.5, 0.5))
+    ops = build_operator_set(FracMesh(-1, 1, 24), FracExponents(0.5, 0.5))
     ctx = EnergyContext(ops=ops, pot=double_well(4.0))
     dof = ops.mesh.dof_count
     for _ in range(100):

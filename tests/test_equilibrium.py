@@ -23,7 +23,7 @@ from fracch.equilibrium import (
 )
 from fracch.errors import ConfigurationError
 from fracch.evolution import StepConfig, evolve
-from fracch.mesh import build_uniform_mesh, interpolate, tridiagonal_product
+from fracch.mesh import FracMesh, interpolate, tridiagonal_product
 from fracch.operators import FracExponents, build_operator_set
 from fracch.potentials import custom_potential, double_well
 
@@ -186,7 +186,7 @@ def test_complete_report_with_a_kernel_forms_no_projection(monkeypatch):
     # with a kernel the report holds L and the reduced pencil, about two
     # dof x dof arrays; a dense P = V V^T M would be a third
     dof = 512
-    ops = build_operator_set(build_uniform_mesh(-1.0, 1.0, dof + 1), FracExponents(0.5, 0.5))
+    ops = build_operator_set(FracMesh(-1.0, 1.0, dof + 1), FracExponents(0.5, 0.5))
     ctx = EnergyContext(ops=ops, pot=double_well(4.0))
     L, _ = plant_zero_mode(linearize(ctx, np.zeros(dof)),
                            add_tridiagonal(np.zeros((dof, dof)), *ops.M))
@@ -319,7 +319,7 @@ def test_default_seed_branches(ctx64, ctx64_wide):
 @pytest.mark.parametrize("sigma", [0.01, 0.1, 0.5, 0.7, 0.99])
 def test_default_seed_matches_generalized_eigh(sigma):
     for n_elems in (2, 3, 8, 64, 257):  # dof 1 included: the scalar pencil
-        ops = build_operator_set(build_uniform_mesh(-4.0, 4.0, n_elems), FracExponents(sigma, sigma))
+        ops = build_operator_set(FracMesh(-4.0, 4.0, n_elems), FracExponents(sigma, sigma))
         ctx = EnergyContext(ops=ops, pot=double_well(4.0))
         # the seed as the dense generalized solve gave it
         Md = add_tridiagonal(np.zeros_like(ops.A_sigma), *ops.M)
@@ -334,7 +334,7 @@ def test_default_seed_matches_generalized_eigh(sigma):
 @pytest.mark.parametrize("n_elems", [2, 64])
 def test_default_seed_stable_branch_at_the_threshold(n_elems):
     # g = c r makes the linearization at zero A_sigma + c M, stable iff lambda_1 + c >= 0
-    ops = build_operator_set(build_uniform_mesh(-4.0, 4.0, n_elems), FracExponents(0.5, 0.5))
+    ops = build_operator_set(FracMesh(-4.0, 4.0, n_elems), FracExponents(0.5, 0.5))
     lam1 = ops.lowest_mode()[0]
 
     def seed(c):
@@ -374,7 +374,7 @@ _EDGE_EXPONENTS = st.one_of(st.floats(0.01, 0.05), st.floats(0.45, 0.55), st.flo
 def test_kernel_projection_shifts_the_kernel_run_by_one(s, n_elems, picks):
     # (L + M V V^T M, M) is (L, M) with each kernel eigenvalue raised by 1:
     # the identity isomorphism_check reads the condition number from
-    ops = build_operator_set(build_uniform_mesh(-4.0, 4.0, n_elems), FracExponents(s, s))
+    ops = build_operator_set(FracMesh(-4.0, 4.0, n_elems), FracExponents(s, s))
     L = linearize(EnergyContext(ops=ops, pot=double_well(4.0)), np.zeros(ops.mesh.dof_count))
     Md = add_tridiagonal(np.zeros_like(L), *ops.M)
     for pick in picks:  # zero a pencil eigenvalue that is not zero yet

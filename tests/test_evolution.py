@@ -24,7 +24,7 @@ from fracch.errors import (
 )
 from fracch.evolution import StepConfig, _beta_pair, _StepSolver, evolve, march, step
 from fracch.equilibrium import default_equilibrium_seed, solve_stationary
-from fracch.mesh import build_uniform_mesh, interpolate
+from fracch.mesh import FracMesh, interpolate
 from fracch.operators import FracExponents, OperatorSet, build_operator_set, xnorm
 from fracch.potentials import Potential, custom_potential, double_well, yosida_apply
 
@@ -199,7 +199,7 @@ def test_defect_scaling_with_tau(ctx64):
 
 
 def test_defect_loglog_slope_sigma_above_s():
-    ops = build_operator_set(build_uniform_mesh(-1, 1, 64), FracExponents(0.25, 0.75))
+    ops = build_operator_set(FracMesh(-1, 1, 64), FracExponents(0.25, 0.75))
     ctx = EnergyContext(ops=ops, pot=double_well(4.0))
     u0 = 0.5 * interpolate(ops.mesh, lambda x: np.sin(np.pi * x))
     pts = []
@@ -301,7 +301,7 @@ def test_energy_matches_certificates(ctx64, rng):
 @pytest.mark.parametrize("exps", [(0.3, 0.7), (0.5, 0.5)])
 @pytest.mark.parametrize("yosida", [None, 1e-2])
 def test_spd_update_matches_block_solve(exps, yosida, tau, rng):
-    ops = build_operator_set(build_uniform_mesh(-4, 4, 64), FracExponents(*exps))
+    ops = build_operator_set(FracMesh(-4, 4, 64), FracExponents(*exps))
     ctx = EnergyContext(ops=ops, pot=double_well(4.0))
     dof = ops.mesh.dof_count
     u, r1, r2 = rng.standard_normal((3, dof))
@@ -321,7 +321,7 @@ def test_spd_update_matches_block_solve(exps, yosida, tau, rng):
 @pytest.mark.parametrize("exps", [(0.3, 0.7), (0.5, 0.5)])
 @pytest.mark.parametrize("yosida", [None, 1e-2])
 def test_step_solves_both_coupled_equations(exps, yosida, tau, rng):
-    ops = build_operator_set(build_uniform_mesh(-4, 4, 64), FracExponents(*exps))
+    ops = build_operator_set(FracMesh(-4, 4, 64), FracExponents(*exps))
     ctx = EnergyContext(ops=ops, pot=double_well(4.0))
     cfg = StepConfig(tau=tau, use_yosida=yosida)
     u_prev = 0.25 * rng.standard_normal(ops.mesh.dof_count)
@@ -342,7 +342,7 @@ def test_step_solves_both_coupled_equations(exps, yosida, tau, rng):
 
 
 def test_yosida_pair_is_yosida_apply_and_its_derivative():
-    ops = build_operator_set(build_uniform_mesh(-1, 1, 8), FracExponents(0.5, 0.5))
+    ops = build_operator_set(FracMesh(-1, 1, 8), FracExponents(0.5, 0.5))
     ctx = EnergyContext(ops=ops, pot=double_well(4.0))
     eps = 1e-2
     pair = _beta_pair(ctx, StepConfig(tau=1e-3, use_yosida=eps))
@@ -476,7 +476,7 @@ def test_last_step_clamped_to_t_end(ctx64, rng):
 @pytest.mark.parametrize("tau, t_end", [(1e-3, 0.3), (1e-3, 2.0), (1e-2, 0.2), (0.1, 0.3)])
 def test_t_end_multiple_of_tau_keeps_every_step_full(tau, t_end):
     # summing tau leaves t a few ulps off t_end; no step may be clamped for that
-    ops = build_operator_set(build_uniform_mesh(-1.0, 1.0, 4), FracExponents(0.5, 0.5))
+    ops = build_operator_set(FracMesh(-1.0, 1.0, 4), FracExponents(0.5, 0.5))
     ctx = EnergyContext(ops=ops, pot=double_well(4.0))
     traj = evolve(ctx, StepConfig(tau=tau), np.zeros(3), t_end=t_end)
     assert len(traj.certificates) == round(t_end / tau)
@@ -610,6 +610,34 @@ def test_predictor_only_across_equal_steps(ctx64, rng, monkeypatch):
     traj = evolve(ctx64, StepConfig(tau=10.0, newton_max=4), u0, t_end=20.0)
     assert traj.certificates.tau_used[0] < traj.certificates.tau_used[1] == 10.0
     assert not any(predicted)
+
+
+def test_halved_attempt_predicts_when_it_matches_the_last_tau(ctx64, rng, monkeypatch):
+    # step 1 is accepted at tau/2 after a halving; step 2 fails at tau, so its
+    # halved attempt has the last accepted tau and starts from the predictor,
+    # and when that fails it is retried from u_n at tau/2 before any further
+    # halving
+    plain_step = evolution.step
+    calls = []
+
+    def spy(*args, tau=None, u_start=None, **kwargs):
+        calls.append((tau, u_start is None))
+        if len(calls) in (1, 3, 4):
+            raise NewtonDivergenceError("scripted failure")
+        return plain_step(*args, tau=tau, u_start=u_start, **kwargs)
+
+    monkeypatch.setattr(evolution, "step", spy)
+    u0 = 0.3 * rng.standard_normal(ctx64.ops.mesh.dof_count)
+    tau = 1e-2
+    certs = [c for _, _, c in itertools.islice(march(ctx64, StepConfig(tau=tau), u0, t_end=1e9), 4)]
+    assert calls == [
+        (tau, True), (tau / 2, True),  # step 1: fails at tau, accepted at tau/2
+        (tau, True), (tau / 2, False), (tau / 2, True),  # step 2
+        (tau, True),  # step 3: tau differs from step 2's, so no predictor
+        (tau, False),  # step 4
+    ]
+    assert [c.halvings for c in certs] == [1, 1, 0, 0]
+    assert [c.tau_used for c in certs] == [tau / 2, tau / 2, tau, tau]
 
 
 def _count_beta_calls(monkeypatch):
@@ -886,7 +914,7 @@ _EDGE_EXPONENTS = (1e-3, 0.5 - 1e-9, 0.5 + 1e-9, 0.999)
 @given(s=st.sampled_from(_EDGE_EXPONENTS), sigma=st.sampled_from(_EDGE_EXPONENTS),
        n_elems=st.integers(2, 24), log_tau=st.floats(-4.0, 0.0), seed=st.integers(0, 2**32 - 1))
 def test_certificates_hold_at_edge_exponents(s, sigma, n_elems, log_tau, seed):
-    ops = build_operator_set(build_uniform_mesh(-4.0, 4.0, n_elems), FracExponents(s, sigma))
+    ops = build_operator_set(FracMesh(-4.0, 4.0, n_elems), FracExponents(s, sigma))
     ctx = EnergyContext(ops=ops, pot=double_well(4.0))
     u0 = 0.25 * np.random.default_rng(seed).standard_normal(ops.mesh.dof_count)
     tau = 10.0**log_tau
@@ -897,7 +925,7 @@ def test_certificates_hold_at_edge_exponents(s, sigma, n_elems, log_tau, seed):
 
 @pytest.mark.parametrize("s, sigma", [(1e-3, 0.999), (0.999, 0.5 + 1e-9)])
 def test_certificates_hold_at_edge_exponents_on_the_pcg_path(s, sigma, rng):
-    ops = build_operator_set(build_uniform_mesh(-4.0, 4.0, 160), FracExponents(s, sigma))
+    ops = build_operator_set(FracMesh(-4.0, 4.0, 160), FracExponents(s, sigma))
     ctx = EnergyContext(ops=ops, pot=double_well(4.0))
     u0 = 0.25 * rng.standard_normal(ops.mesh.dof_count)
     certs = evolve(ctx, StepConfig(tau=1e-3), u0, t_end=0.01).certificates

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fracch.energy import add_tridiagonal
 from fracch.errors import ConfigurationError
 from fracch.mesh import (
-    build_uniform_mesh,
+    FracMesh,
     interpolate,
     linf_norm,
     mass_matrix,
@@ -15,11 +15,11 @@ from fracch.mesh import (
 
 
 def test_build_examples():
-    mesh = build_uniform_mesh(0.0, 1.0, 4)
+    mesh = FracMesh(0.0, 1.0, 4)
     assert np.allclose(mesh.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
     assert mesh.dof_count == 3
 
-    mesh2 = build_uniform_mesh(-1.0, 1.0, 2)
+    mesh2 = FracMesh(-1.0, 1.0, 2)
     assert mesh2.dof_count == 1
     assert mesh2.h == 1.0
     assert mesh2.interior_nodes[0] == 0.0
@@ -27,12 +27,12 @@ def test_build_examples():
 
 def test_build_rejects_bad_input():
     with pytest.raises(ConfigurationError):
-        build_uniform_mesh(1.0, 0.0, 4)
+        FracMesh(1.0, 0.0, 4)
     with pytest.raises(ConfigurationError):
-        build_uniform_mesh(0.0, 1.0, 1)
+        FracMesh(0.0, 1.0, 1)
     # both ends finite, b - a past the float range: refused before any numpy arithmetic
     with pytest.raises(ConfigurationError, match="b - a overflows"):
-        build_uniform_mesh(-1e308, 1e308, 8)
+        FracMesh(-1e308, 1e308, 8)
 
 
 @settings(max_examples=50, deadline=None)
@@ -42,14 +42,14 @@ def test_build_rejects_bad_input():
     n=st.integers(2, 64),
 )
 def test_uniform_spacing_property(a, width, n):
-    mesh = build_uniform_mesh(a, a + width, n)
+    mesh = FracMesh(a, a + width, n)
     gaps = np.diff(mesh.nodes)
     assert np.all(np.abs(gaps - mesh.h) < 1e-12 * mesh.h)
     assert mesh.dof_count == n - 1
 
 
 def test_mass_matrix_entries():
-    mesh = build_uniform_mesh(0.0, 1.0, 4)
+    mesh = FracMesh(0.0, 1.0, 4)
     diag, off = mass_matrix(mesh)
     assert diag.shape == (3,) and off.shape == (2,)
     M = add_tridiagonal(np.zeros((3, 3)), diag, off)
@@ -60,13 +60,13 @@ def test_mass_matrix_entries():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 64, 256])
 def test_mass_matrix_positive_definite(n):
-    M = add_tridiagonal(np.zeros((n - 1, n - 1)), *mass_matrix(build_uniform_mesh(0.0, 1.0, n)))
+    M = add_tridiagonal(np.zeros((n - 1, n - 1)), *mass_matrix(FracMesh(0.0, 1.0, n)))
     assert np.linalg.eigvalsh(M).min() > 0
 
 
 def test_mass_matrix_against_quadrature_oracle():
     # independent 3-point Gauss quadrature of the interpolant squared
-    mesh = build_uniform_mesh(0.0, 1.0, 4)
+    mesh = FracMesh(0.0, 1.0, 4)
     M = add_tridiagonal(np.zeros((3, 3)), *mass_matrix(mesh))
     v = np.array([1.0, 1.0, 1.0])
     full = np.concatenate(([0.0], v, [0.0]))
@@ -81,7 +81,7 @@ def test_mass_matrix_against_quadrature_oracle():
 
 
 def test_interpolate():
-    mesh = build_uniform_mesh(0.0, 1.0, 4)
+    mesh = FracMesh(0.0, 1.0, 4)
     assert np.allclose(interpolate(mesh, lambda x: 0.0), 0.0)
     assert np.allclose(interpolate(mesh, lambda x: x), [0.25, 0.5, 0.75])
     expected = [np.sin(np.pi / 4), 1.0, np.sin(3 * np.pi / 4)]
@@ -89,23 +89,23 @@ def test_interpolate():
 
 
 def test_interpolate_rejects_nonfinite():
-    mesh = build_uniform_mesh(0.0, 1.0, 4)
+    mesh = FracMesh(0.0, 1.0, 4)
     with np.errstate(divide="ignore"), pytest.raises(ValueError):
         interpolate(mesh, lambda x: 1.0 / (x - 0.5))
 
 
 def test_linf_norm():
-    mesh = build_uniform_mesh(0.0, 1.0, 3)
+    mesh = FracMesh(0.0, 1.0, 3)
     assert linf_norm(mesh, np.zeros(2)) == 0.0
     assert linf_norm(mesh, np.array([-2.0, 1.0])) == 2.0
 
-    fine = build_uniform_mesh(0.0, 1.0, 64)
+    fine = FracMesh(0.0, 1.0, 64)
     v = interpolate(fine, lambda x: np.sin(np.pi * x))
     assert abs(linf_norm(fine, v) - 1.0) < 1e-3
 
 
 def test_linf_never_exceeds_analytic_sup():
-    mesh = build_uniform_mesh(-1.0, 1.0, 37)
+    mesh = FracMesh(-1.0, 1.0, 37)
     f = lambda x: np.cos(3 * x) * np.exp(-x * x)  # noqa: E731
     assert linf_norm(mesh, interpolate(mesh, f)) <= 1.0
 
@@ -113,7 +113,7 @@ def test_linf_never_exceeds_analytic_sup():
 @pytest.mark.parametrize("dof", [1, 2, 63, 255])
 def test_tridiagonal_product_matches_the_dense_product(dof, rng):
     # dof 1 has an empty off-diagonal; blocks are wider than one product panel
-    M = mass_matrix(build_uniform_mesh(-1.0, 1.0, dof + 1))
+    M = mass_matrix(FracMesh(-1.0, 1.0, dof + 1))
     for diag, off in (M, (rng.standard_normal(dof), rng.standard_normal(dof - 1))):
         T = add_tridiagonal(np.zeros((dof, dof)), diag, off)
         for x in (rng.standard_normal(dof), rng.standard_normal((dof, dof))):

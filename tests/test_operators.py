@@ -15,7 +15,7 @@ from per_distance_assembly import per_distance_assembly
 from fracch import operators
 from fracch.energy import add_tridiagonal
 from fracch.errors import AssemblyError, ConfigurationError
-from fracch.mesh import build_uniform_mesh, interpolate, mass_matrix
+from fracch.mesh import FracMesh, interpolate, mass_matrix
 from fracch.operators import (
     FracExponents,
     _power_integral,
@@ -143,7 +143,7 @@ _EXPONENTS = [0.01, 0.25, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.75, 0.99]
 @pytest.mark.parametrize("n", [2, 3, 8, 33])
 @pytest.mark.parametrize("s", _EXPONENTS)
 def test_assembly_matches_element_pair_reference(n, s):
-    mesh = build_uniform_mesh(-1.0, 1.0, n)
+    mesh = FracMesh(-1.0, 1.0, n)
     C = normalization_constant(s)
     A = assemble_gagliardo(mesh, s)
     ref = _element_pair_reference(mesh, s, C)
@@ -153,7 +153,7 @@ def test_assembly_matches_element_pair_reference(n, s):
 @pytest.mark.parametrize("n", [64, 256])
 @pytest.mark.parametrize("s", _EXPONENTS)
 def test_assembly_matches_per_distance_assembly(n, s):
-    mesh = build_uniform_mesh(-1.0, 1.0, n)
+    mesh = FracMesh(-1.0, 1.0, n)
     C = normalization_constant(s)
     A = assemble_gagliardo(mesh, s)
     ref = per_distance_assembly(mesh, s, C)
@@ -187,7 +187,7 @@ def test_power_integral_is_elementwise(p):
 )
 def test_assembly_symmetric_definite_persymmetric(a, width, n, s):
     # x -> a+b-x maps the uniform mesh onto itself and reverses the node order
-    A = assemble_gagliardo(build_uniform_mesh(a, a + width, n), s)
+    A = assemble_gagliardo(FracMesh(a, a + width, n), s)
     assert np.array_equal(A, A.T)
     np.linalg.cholesky(A)  # raises unless positive definite
     assert np.max(np.abs(A - A[::-1, ::-1])) <= 1e-14 * np.max(np.abs(A))
@@ -200,7 +200,7 @@ def test_refinement_toward_torsion_seminorm():
     profile = lambda x: max(0.0, 1.0 - x * x) ** 0.5  # noqa: E731
     errors = []
     for n in (64, 128, 256):
-        mesh = build_uniform_mesh(-1.0, 1.0, n)
+        mesh = FracMesh(-1.0, 1.0, n)
         A = assemble_gagliardo(mesh, 0.5)
         v = interpolate(mesh, profile)
         errors.append(abs(xnorm(A, v) ** 2 - math.pi / 2))
@@ -228,7 +228,7 @@ def test_dual_norm_identity(ops64, rng):
 
 
 def test_dual_norm_zero_and_solve_oracle():
-    ops = build_operator_set(build_uniform_mesh(-1, 1, 8), FracExponents(0.3, 0.7))
+    ops = build_operator_set(FracMesh(-1, 1, 8), FracExponents(0.3, 0.7))
     dof = ops.mesh.dof_count
     f = np.zeros(dof)
     f[0] = 1.0
@@ -276,7 +276,7 @@ def test_a_s_assembled_on_first_use_only(monkeypatch):
         return assemble_gagliardo(mesh, s)
 
     monkeypatch.setattr(operators, "assemble_gagliardo", counting)
-    mesh = build_uniform_mesh(-1.0, 1.0, 16)
+    mesh = FracMesh(-1.0, 1.0, 16)
     ops = build_operator_set(mesh, FracExponents(0.3, 0.7))
     assert calls == [0.7]
     A_s = ops.A_s
@@ -294,7 +294,7 @@ def test_lazy_values_are_cached_per_copy(monkeypatch):
         return dtrtri(c)
 
     monkeypatch.setattr(operators, "dtrtri", counting)
-    ops = build_operator_set(build_uniform_mesh(-1.0, 1.0, 16), FracExponents(0.3, 0.7))
+    ops = build_operator_set(FracMesh(-1.0, 1.0, 16), FracExponents(0.3, 0.7))
     field_names = {f.name for f in fields(ops)}
     f = np.ones(ops.mesh.dof_count)
     for solve in (ops.dual_norm_s, ops.dual_norm_sigma, ops.solve_M):
@@ -310,7 +310,7 @@ def test_lazy_values_are_cached_per_copy(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
 def test_reduce_pencil_matches_generalized_eigh(n):
     rng = np.random.default_rng(n)
-    M = mass_matrix(build_uniform_mesh(-1.0, 1.0, n + 1))
+    M = mass_matrix(FracMesh(-1.0, 1.0, n + 1))
     Md = add_tridiagonal(np.zeros((n, n)), *M)
     X = rng.standard_normal((n, n))
     X = X + X.T
@@ -328,7 +328,7 @@ def test_reduce_pencil_matches_generalized_eigh(n):
 
 def test_reduce_pencil_rejects_other_mass_matrices():
     n = 512
-    diag, off = mass_matrix(build_uniform_mesh(-1.0, 1.0, n + 1))
+    diag, off = mass_matrix(FracMesh(-1.0, 1.0, n + 1))
     X = np.eye(n)
     with pytest.raises(ValueError, match="positive definite"):
         reduce_pencil(X, (-diag, -off))
@@ -339,7 +339,7 @@ def test_reduce_pencil_rejects_other_mass_matrices():
 @pytest.mark.parametrize("sigma", [0.01, 0.5, 0.99])
 @pytest.mark.parametrize("n_elems", [2, 3, 8, 64])
 def test_lowest_pencil_pair_matches_the_full_solve(n_elems, sigma):
-    ops = build_operator_set(build_uniform_mesh(-1.0, 1.0, n_elems), FracExponents(sigma, sigma))
+    ops = build_operator_set(FracMesh(-1.0, 1.0, n_elems), FracExponents(sigma, sigma))
     A, M = ops.A_sigma, ops.M
     Md = add_tridiagonal(np.zeros_like(A), *M)
     A_in, M_in = A.copy(), [m.copy() for m in M]
@@ -354,7 +354,7 @@ def test_lowest_pencil_pair_matches_the_full_solve(n_elems, sigma):
 def test_rayleigh_lambda1_refinement():
     vals = []
     for n in (32, 64, 128, 256):
-        ops = build_operator_set(build_uniform_mesh(-1, 1, n), FracExponents(0.5, 0.5))
+        ops = build_operator_set(FracMesh(-1, 1, n), FracExponents(0.5, 0.5))
         vals.append(ops.lowest_mode()[0])
     assert all(v > 0 for v in vals)
     assert vals[0] > vals[1] > vals[2] > vals[3]
@@ -363,10 +363,10 @@ def test_rayleigh_lambda1_refinement():
 
 
 def test_rayleigh_domain_scaling():
-    base = build_operator_set(build_uniform_mesh(-1, 1, 128), FracExponents(0.5, 0.5))
+    base = build_operator_set(FracMesh(-1, 1, 128), FracExponents(0.5, 0.5))
     lam1 = base.lowest_mode()[0]
     for L in (2.0, 4.0):
-        ops = build_operator_set(build_uniform_mesh(-L, L, 128), FracExponents(0.5, 0.5))
+        ops = build_operator_set(FracMesh(-L, L, 128), FracExponents(0.5, 0.5))
         lamL = ops.lowest_mode()[0]
         assert abs(lamL - lam1 / L) < 0.02 * lam1 / L  # 2 sigma = 1 here
 
@@ -375,7 +375,7 @@ def test_rayleigh_domain_scaling():
 def test_poincare_invariant_random_vectors(s, rng):
     from fracch.mesh import mass_matrix
 
-    mesh = build_uniform_mesh(-1.0, 1.0, 32)
+    mesh = FracMesh(-1.0, 1.0, 32)
     C = normalization_constant(s)
     A = assemble_gagliardo(mesh, s)
     M = add_tridiagonal(np.zeros_like(A), *mass_matrix(mesh))
