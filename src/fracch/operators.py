@@ -56,7 +56,6 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, toeplitz
 from scipy.linalg.lapack import dpotrf, dpotrs, dpttrf, dpttrs, dtrtri
-from scipy.special import gamma as _gamma
 
 from .errors import AssemblyError, ConfigurationError
 from .mesh import FracMesh, mass_matrix, tridiagonal_product
@@ -87,7 +86,7 @@ def normalization_constant(s: float) -> float:
     """
     if not (0.0 < s < 1.0):
         raise ConfigurationError(f"exponent s must lie in (0,1), got {s}")
-    return float(s * 4.0**s * _gamma(s + 0.5) / (math.pi ** 0.5 * _gamma(1.0 - s)))
+    return s * 4.0**s * math.gamma(s + 0.5) / (math.pi ** 0.5 * math.gamma(1.0 - s))
 
 
 def _power_integral(lo, hi, p: float) -> np.ndarray:
@@ -289,8 +288,9 @@ def assemble_gagliardo(mesh: FracMesh, s: float) -> np.ndarray:
     A[dof, dof] += diag
     A[dof[:-1], dof[1:]] += off
     A[dof[1:], dof[:-1]] += off
+    # exactly symmetric: toeplitz() mirrors its row, off lands on both sides, *= is elementwise
     A *= 0.5 * C_s
-    return 0.5 * (A + A.T)  # guarantee bit-exact symmetry regardless of BLAS
+    return A
 
 
 def xnorm(A: np.ndarray, v: np.ndarray) -> float:

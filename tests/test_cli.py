@@ -20,7 +20,8 @@ from fracch.cli import CERTIFICATE_COLUMNS, TRAJECTORY_COLUMNS, _initial_data, m
 from fracch.config import _DENSE_ARRAYS, RunConfig, parse_config
 from fracch.errors import AssemblyError, ConfigurationError
 from fracch.evolution import evolve
-from fracch.operators import assemble_gagliardo
+from fracch.mesh import FracMesh, tridiagonal_product
+from fracch.operators import FracExponents, assemble_gagliardo, build_operator_set
 
 
 def _write(tmp_path, name, payload):
@@ -476,6 +477,35 @@ def test_equilibrium_and_spectrum(quick_cfg, tmp_path, monkeypatch):
     assert float(rows[1][1]) - 1.0 == pytest.approx(float(rows[1][2]), abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [3, 16, 32])
+def test_degenerate_equilibrium_reports_its_kernel(tmp_path, n):
+    # At sigma = 1/2 scaling the domain by c scales the pencil eigenvalues by
+    # 1/c, so on (-L, L) with L = lambda_1(-1, 1) (1 - 1e-9) the lowest pencil
+    # eigenvalue of (A_sigma, M) is 1 + 1e-9: with g'(0) = -1 the seed is zero,
+    # phi = 0, and the linearization A_sigma - M has the eigenvalue 1e-9, inside
+    # the kernel threshold 1e-8 max|mu|.  At L = lambda_1(-1, 1) itself the
+    # seed would hang on the sign of a rounding error.
+    exps = FracExponents(0.5, 0.5)
+    half = build_operator_set(FracMesh(-1.0, 1.0, n), exps).lowest_mode()[0] * (1.0 - 1e-9)
+    cfg = _write(tmp_path, "cfg.json", {
+        "domain": {"a": -half, "b": half},
+        "mesh": {"n_elems": n},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["equilibrium", "--config", cfg]) == 0
+    payload = json.loads((tmp_path / "out" / "equilibrium.json").read_text())
+    assert payload["newton_history"] == [] and payload["linf"] == 0.0
+    assert payload["kernel_dim"] == 1 and payload["theta_hint"] is None
+    assert type(payload["iso_condition"]) is float and math.isfinite(payload["iso_condition"])
+    ops = build_operator_set(FracMesh(-half, half, n), exps)
+    lam1, v1 = ops.lowest_mode()
+    assert abs(lam1 - (1.0 + 1e-9)) < 1e-12
+    (v,) = np.array(payload["kernel_basis"])
+    assert abs(v @ tridiagonal_product(*ops.M, v) - 1.0) < 1e-12  # M-normalized
+    assert min(np.max(np.abs(v - v1)), np.max(np.abs(v + v1))) < 1e-10
+    assert main(["spectrum", "--config", cfg]) == 0
+
+
 def test_one_unknown_runs_through_every_command(tmp_path):
     # n_elems = 2 leaves one interior node: every pencil, factor and step is scalar
     cfg = _write(tmp_path, "cfg.json", {
@@ -582,6 +612,27 @@ def test_cli_runs_import_no_sparse_scipy(tmp_path):
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_import_loads_no_scipy_special():
+    # C_s takes its two Gamma values from the standard library; scipy.special
+    # would add some 4 MB to every run's peak memory
+    src = os.path.dirname(os.path.dirname(fracch.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import scipy.linalg\n"
+        "print('scipy.special' in sys.modules)\n"
+        "import fracch.cli\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    by_linalg, by_cli = proc.stdout.split()
+    if by_linalg == "True":
+        pytest.skip("this scipy's linalg already imports scipy.special")
+    assert by_cli == "False"
 
 
 def test_verify_passes_on_default_config(tmp_path, monkeypatch):
