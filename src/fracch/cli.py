@@ -28,6 +28,7 @@ from .equilibrium import (
     default_equilibrium_seed,
     linearize,
     pencil_eigenvalues,
+    pencil_eigenvalues_in_place,
     solve_stationary,
 )
 from .errors import (
@@ -127,7 +128,7 @@ def run_spectrum(cfg: RunConfig, out: str) -> int:
     seed = default_equilibrium_seed(ctx)
     rep = solve_stationary(ctx, seed, tol=cfg.newton_tol, max_iter=cfg.newton_max)
     op_eigs = pencil_eigenvalues(ctx.ops.A_sigma, ctx.ops.M)
-    lin_eigs = pencil_eigenvalues(linearize(ctx, rep.phi), ctx.ops.M)
+    lin_eigs = pencil_eigenvalues_in_place(linearize(ctx, rep.phi), ctx.ops.M)
     path = os.path.join(out, "spectrum.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

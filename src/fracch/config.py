@@ -38,10 +38,10 @@ _DEFAULTS = {
 # either G = M U^{-1} while P = G G^T is built, or the Newton step matrix,
 # factored and inverted in its own buffer and kept as the PCG preconditioner;
 # verify holds the same in its short run (its Poincare samples are 100 x dof
-# blocks).  equilibrium and spectrum never assemble A_s and hold four, with
-# or without a kernel: A_sigma, its factor, the linearization L and its
-# reduced pencil, which the eigensolver overwrites in place.  rates holds
-# A_sigma.
+# blocks).  equilibrium and spectrum never assemble A_s and hold three, with
+# or without a kernel: A_sigma, its factor and one working copy, which is the
+# stationary Newton's Jacobian buffer or a linearization L, reduced and then
+# overwritten by the eigensolver in its own memory.  rates holds A_sigma.
 _DENSE_ARRAYS = 5
 
 

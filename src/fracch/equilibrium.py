@@ -6,7 +6,8 @@ linearization L = A_sigma + B_g'(phi) is symmetric; the generalized pencil
 (L, M) yields the spectrum and a tolerance-based kernel with its
 M-orthonormal basis V.  M is the mass matrix as its diagonals (diag, off),
 as ``mesh.mass_matrix`` returns it.  Every pencil goes through the O(n^2)
-reduction by M's factor (operators.reduce_pencil) and one symmetric eigh.
+reduction by M's factor (operators.reduce_pencil_in_place) and one symmetric
+eigh, both in the memory of a fresh linearization or of a copy.
 The spectrum comes from an eigenvalues-only solve, and eigenvectors are
 computed for the kernel alone, when it is non-empty.  The seed of the
 stationary solve needs one mode only, the lowest of (A_sigma, M), and takes
@@ -40,7 +41,7 @@ from .energy import (
 )
 from .errors import ConfigurationError, JacobianSingularError, NewtonDivergenceError
 from .mesh import linf_norm
-from .operators import reduce_pencil, xnorm
+from .operators import reduce_pencil_in_place, xnorm
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,10 +70,11 @@ def solve_semilinear(
     and the next Jacobian takes fn' from the accepted iterate's evaluation.
     The merit function is the dual norm of the residual; a step is accepted
     once it produces a sufficient decrease, halving the step length otherwise.
-    Each symmetric Jacobian is LU-factored in place (LAPACK gesv on its
-    Fortran-ordered transpose, which is itself).  Returns the solution, the
-    dual norm of its residual and, per Newton step, the pair (dual norm of the
-    residual before the step, accepted step length).
+    Each symmetric Jacobian is formed in one buffer, allocated once, and
+    LU-factored there (LAPACK gesv on its Fortran-ordered transpose, which
+    is itself).  Returns the solution, the dual norm of its residual and,
+    per Newton step, the pair (dual norm of the residual before the step,
+    accepted step length).
     """
     if tol <= 0:
         raise ConfigurationError(f"tolerance must be positive, got {tol}")
@@ -86,11 +88,12 @@ def solve_semilinear(
     F, f_prime = residual(u)
     res = ops.dual_norm_sigma(F)
     history = []
+    jac = np.empty(ops.A_sigma.shape)  # every step's Jacobian, formed and factored here
     for _ in range(max_iter):
         if res < tol:
             return u, res, history
-        B = weighted_mass(ctx, f_prime)
-        jac = add_tridiagonal(ops.A_sigma.copy(), *B)
+        np.copyto(jac, ops.A_sigma)
+        add_tridiagonal(jac, *weighted_mass(ctx, f_prime))
         direction, info = dgesv(jac.T, -F, overwrite_a=1)[2:]
         if info > 0:
             raise JacobianSingularError(
@@ -139,24 +142,26 @@ def linearize(ctx: EnergyContext, phi: np.ndarray) -> np.ndarray:
     return add_tridiagonal(ctx.ops.A_sigma.copy(), *B)
 
 
-def _pencil_kernel(L: np.ndarray, M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pencil_kernel(make_L, M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pencil eigenvalues, the kernel's index run and its M-orthonormal basis as columns.
 
-    The kernel is |mu| < 1e-8 max|mu| (scale-aware zero detection).
-    Eigenvectors are computed for it only, and only when it is non-empty:
-    the eigenvalues are sorted, so the kernel is one contiguous run of them,
-    which one subset solve of the reduced pencil returns.  An empty kernel
-    gives an empty run and an n x 0 basis.  That solve reduces the pencil
-    again rather than keep the spectrum's reduction: keeping it would hold
-    an n x n copy on every report (4.7 MB at dof 767, 5.5% of that run's
-    peak memory) to save one O(n^2) reduction (5.1 ms there) on degenerate
+    ``make_L()`` returns a fresh C-ordered L, which the reduction and the
+    eigensolve overwrite.  The kernel is |mu| < 1e-8 max|mu| (scale-aware
+    zero detection).  Eigenvectors are computed for it only, and only when
+    it is non-empty: the eigenvalues are sorted, so the kernel is one
+    contiguous run of them, which one subset solve of the reduced pencil
+    returns.  An empty kernel gives an empty run and an n x 0 basis.  That
+    solve forms L again and reduces it again, since the spectrum's solve
+    overwrote the first one: keeping a copy would hold an n x n array on
+    every report (4.7 MB at dof 767, 5.5% of that run's peak memory) to
+    save one linearization and one O(n^2) reduction on degenerate
     equilibria only.
     """
-    mu = pencil_eigenvalues(L, M)
+    mu = pencil_eigenvalues_in_place(make_L(), M)
     run = np.flatnonzero(np.abs(mu) < 1e-8 * float(np.max(np.abs(mu))))
     if run.size == 0:
-        return mu, run, np.empty((L.shape[0], 0))
-    C, vectors = reduce_pencil(L, M)
+        return mu, run, np.empty((mu.size, 0))
+    C, vectors = reduce_pencil_in_place(make_L(), M)
     Y = eigh(C, subset_by_index=(run[0], run[-1]), driver="evr", overwrite_a=True)[1]
     return mu, run, vectors(Y)
 
@@ -177,6 +182,17 @@ def isomorphism_check(mu: np.ndarray, run: np.ndarray) -> float:
     return hi / lo if lo > 0.0 else math.inf
 
 
+def pencil_eigenvalues_in_place(X: np.ndarray, M) -> np.ndarray:
+    """``pencil_eigenvalues`` of (X, M), solved in X's memory: X is overwritten.
+
+    X is a float64 array, C-ordered for the eigensolve to work in place.
+    """
+    C, _ = reduce_pencil_in_place(X, M)
+    if not np.isfinite(C).all():
+        raise np.linalg.LinAlgError("non-finite entries in the reduced pencil")
+    return eigh(C, eigvals_only=True, driver="evr", overwrite_a=True, check_finite=False)
+
+
 def pencil_eigenvalues(L: np.ndarray, M) -> np.ndarray:
     """Sorted generalized eigenvalues of the symmetric pencil (L, M), no eigenvectors.
 
@@ -187,11 +203,9 @@ def pencil_eigenvalues(L: np.ndarray, M) -> np.ndarray:
     (A_sigma, M) is 4.4e-11 relative off its long-double Rayleigh quotient.
     ``OperatorSet.lowest_mode`` gives lambda_1 to 1.0e-13 there.  A
     non-finite L (or one whose reduction overflows) raises LinAlgError.
+    L is not modified: the solve works on a copy.
     """
-    C, _ = reduce_pencil(L, M)
-    if not np.isfinite(C).all():
-        raise np.linalg.LinAlgError("non-finite entries in the reduced pencil")
-    return eigh(C, eigvals_only=True, driver="evr", overwrite_a=True, check_finite=False)
+    return pencil_eigenvalues_in_place(np.array(L, dtype=float, order="C"), M)
 
 
 def complete_report(ctx: EnergyContext, rep: EquilibriumReport) -> EquilibriumReport:
@@ -201,8 +215,10 @@ def complete_report(ctx: EnergyContext, rep: EquilibriumReport) -> EquilibriumRe
     locates the kernel; the kernel's eigenvectors are computed only when the
     kernel is non-empty, and ``isomorphism_check`` reads the condition
     number of L + M P off the same spectrum, with no further eigensolve.
+    Each L is reduced in its own memory, so the report holds one n x n
+    array beside A_sigma and its factor.
     """
-    mu, run, V = _pencil_kernel(linearize(ctx, rep.phi), ctx.ops.M)
+    mu, run, V = _pencil_kernel(lambda: linearize(ctx, rep.phi), ctx.ops.M)
     return replace(
         rep,
         pencil_eigs=mu,

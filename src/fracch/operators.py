@@ -307,21 +307,23 @@ def _pttrf(diag: np.ndarray, upper: np.ndarray):
     return dpttrf(diag, upper if upper.size else np.zeros(1))
 
 
-def reduce_pencil(
+def reduce_pencil_in_place(
     X: np.ndarray, M
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Standard form of the symmetric pencil X v = mu M v, for a tridiagonal M.
+    """Standard form of the symmetric pencil X v = mu M v, for a tridiagonal M, in X's memory.
 
     M is the pair (diag, off) of ``mesh.mass_matrix``; one whose shapes do
     not fit X, or that is not positive definite, raises ValueError.  With
     M = L D L^T from LAPACK pttrf in O(n), L unit lower
     bidiagonal, the pencil has the eigenvalues of the symmetric
     C = D^(-1/2) L^(-1) X L^(-T) D^(-1/2), formed here by two O(n^2) row
-    recurrences (Golub & Van Loan, Matrix Computations, 4th ed., sec. 8.7).
-    Returns C, Fortran-ordered so that ``eigh(C, overwrite_a=True)`` works on
-    it in place, and the map from eigenvectors y of C (the columns of an
-    array) to the M-orthonormal pencil eigenvectors L^(-T) D^(-1/2) y, O(n)
-    each.  X is not modified.
+    recurrences (Golub & Van Loan, Matrix Computations, 4th ed., sec. 8.7):
+    one on the rows of X, which then hold L^(-1) X, and one on the rows of
+    its transpose C = X L^(-T).  X, a float64 array, is overwritten and C is
+    returned as the view X.T: Fortran-ordered when X is C-ordered, so that
+    ``eigh(C, overwrite_a=True)`` works on it in place.  Also returns the map
+    from eigenvectors y of C (the columns of an array) to the M-orthonormal
+    pencil eigenvectors L^(-T) D^(-1/2) y, O(n) each.
     """
     n = len(X)
     if X.shape != (n, n) or M[0].shape != (n,) or M[1].shape != (max(n - 1, 0),):
@@ -329,11 +331,9 @@ def reduce_pencil(
     d, e, info = _pttrf(*M)
     if info != 0:
         raise ValueError("the pencil's M must be positive definite")
-    C = np.empty((n, n), order="F")
-    rows = C.T  # C-ordered view: its rows are the columns of C
-    rows[0] = X[0]
-    for i in range(1, n):  # rows = L^(-1) X, so C = X L^(-T)
-        np.subtract(X[i], e[i - 1] * rows[i - 1], out=rows[i])
+    for i in range(1, n):  # X = L^(-1) X, so C = X.T = X L^(-T)
+        X[i] -= e[i - 1] * X[i - 1]
+    C = X.T
     for i in range(1, n):  # C = L^(-1) X L^(-T)
         C[i] -= e[i - 1] * C[i - 1]
     scale = 1.0 / np.sqrt(d)
@@ -347,6 +347,16 @@ def reduce_pencil(
         return V
 
     return C, vectors
+
+
+def reduce_pencil(
+    X: np.ndarray, M
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """``reduce_pencil_in_place`` on a C-ordered float64 copy of X: X is not modified.
+
+    C comes back Fortran-ordered, ready for ``eigh(C, overwrite_a=True)``.
+    """
+    return reduce_pencil_in_place(np.array(X, dtype=float, order="C"), M)
 
 
 def _potrf(X: np.ndarray, name: str) -> np.ndarray:

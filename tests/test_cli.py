@@ -163,7 +163,8 @@ def test_dense_array_count_bounds_the_peak_memory(tmp_path):
             tracemalloc.stop()
     assert max(peaks.values()) <= _DENSE_ARRAYS + 0.5, peaks
     assert peaks["simulate"] >= _DENSE_ARRAYS - 0.5, peaks
-    assert peaks["equilibrium"] <= 4.5 and peaks["spectrum"] <= 4.5, peaks
+    # equilibrium and spectrum hold three: A_sigma, its factor, one working copy
+    assert peaks["equilibrium"] <= 3.5 and peaks["spectrum"] <= 3.5, peaks
 
 
 def test_only_the_flux_commands_assemble_a_s(tmp_path, monkeypatch):

@@ -30,7 +30,7 @@ from fracch.potentials import custom_potential, double_well
 
 def kernel_and_projection(L, M):
     """The M-orthonormal kernel basis V of the pencil (L, M) and P = V V^T M."""
-    V = equilibrium._pencil_kernel(L, M)[2]
+    V = equilibrium._pencil_kernel(L.copy, M)[2]
     return V, V @ tridiagonal_product(*M, V).T
 
 
@@ -115,7 +115,7 @@ def test_planted_kernel_recovered(ctx64):
     assert np.max(np.abs(P @ P - P)) < 1e-10
     assert np.max(np.abs(Md @ P - P.T @ Md)) < 1e-10  # M-self-adjoint
     # the shifted spectrum gives the condition number of the dense pencil (L + M P, M)
-    mu, run, _ = equilibrium._pencil_kernel(Lt, M)
+    mu, run, _ = equilibrium._pencil_kernel(Lt.copy, M)
     nu = np.abs(eigh(Lt + Md @ V @ V.T @ Md, Md, eigvals_only=True))
     assert isomorphism_check(mu, run) == pytest.approx(nu.max() / nu.min(), rel=1e-10)
 
@@ -124,7 +124,7 @@ def test_isomorphism_check(ctx64, rng):
     M = ctx64.ops.M
     L = linearize(ctx64, np.zeros(ctx64.ops.mesh.dof_count))
     Md = add_tridiagonal(np.zeros_like(L), *M)
-    mu, run, _ = equilibrium._pencil_kernel(L, M)
+    mu, run, _ = equilibrium._pencil_kernel(L.copy, M)
     assert run.size == 0
     cond_plain = isomorphism_check(mu, run)
     assert math.isfinite(cond_plain)
@@ -132,7 +132,7 @@ def test_isomorphism_check(ctx64, rng):
     assert cond_plain == pytest.approx(nu.max() / nu.min(), rel=1e-12)
 
     Lt, _ = plant_zero_mode(L, Md, index=0)
-    mu, run, _ = equilibrium._pencil_kernel(Lt, M)
+    mu, run, _ = equilibrium._pencil_kernel(Lt.copy, M)
     assert np.linalg.cond(Lt) > 1e12  # singular without the projection
     assert isomorphism_check(mu, run[:0]) > 1e12
     assert isomorphism_check(mu, run) < 1e6
@@ -140,7 +140,7 @@ def test_isomorphism_check(ctx64, rng):
     X = rng.standard_normal((10, 10))
     spd = X @ X.T + 10 * np.eye(10)
     assert math.isfinite(isomorphism_check(*equilibrium._pencil_kernel(
-        spd, (np.ones(10), np.zeros(9)))[:2]))
+        spd.copy, (np.ones(10), np.zeros(9)))[:2]))
 
 
 def test_pencil_eigenvalues_match_full_solve(ctx64):
@@ -162,7 +162,8 @@ def test_planted_two_dimensional_kernel_recovered(ctx64, monkeypatch, first):
         L = L - 0.5 * (low[0] + low[1]) * Md
     Lt, mode_a = plant_zero_mode(L, Md, index=first)
     Lt, mode_b = plant_zero_mode(Lt, Md, index=first + 1)
-    monkeypatch.setattr(equilibrium, "linearize", lambda ctx, phi: Lt)
+    # each call a fresh copy: the kernel's solve reduces L again, in its own memory
+    monkeypatch.setattr(equilibrium, "linearize", lambda ctx, phi: Lt.copy())
     rep = complete_report(ctx64, solve_stationary(ctx64, np.zeros(ctx64.ops.mesh.dof_count)))
     assert len(rep.kernel_basis) == 2
     assert rep.theta_hint is None
@@ -182,9 +183,18 @@ def test_planted_two_dimensional_kernel_recovered(ctx64, monkeypatch, first):
     assert rep.iso_condition == pytest.approx(nu.max() / nu.min(), rel=1e-10)
 
 
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of its traced allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_complete_report_with_a_kernel_forms_no_projection(monkeypatch):
-    # with a kernel the report holds L and the reduced pencil, about two
-    # dof x dof arrays; a dense P = V V^T M would be a third
+    # with a kernel the report holds one L at a time, reduced in its own
+    # memory; a dense P = V V^T M would be a second dof x dof array
     dof = 512
     ops = build_operator_set(FracMesh(-1.0, 1.0, dof + 1), FracExponents(0.5, 0.5))
     ctx = EnergyContext(ops=ops, pot=double_well(4.0))
@@ -192,15 +202,47 @@ def test_complete_report_with_a_kernel_forms_no_projection(monkeypatch):
                            add_tridiagonal(np.zeros((dof, dof)), *ops.M))
     monkeypatch.setattr(equilibrium, "linearize", lambda ctx, phi: L.copy())
     rep = solve_stationary(ctx, np.zeros(dof))
-    tracemalloc.start()
-    try:
-        rep = complete_report(ctx, rep)
-        peak = tracemalloc.get_traced_memory()[1] / (8 * dof**2)
-    finally:
-        tracemalloc.stop()
+    rep, peak = _traced_peak(complete_report, ctx, rep)
+    peak /= 8 * dof**2
     assert len(rep.kernel_basis) == 1
     assert math.isfinite(rep.iso_condition)
     assert peak < 2.5, peak
+
+
+@pytest.fixture(scope="module")
+def ctx200_split():
+    """A split-exponent context, its A_sigma factor cached as a run's seed caches it."""
+    ops = build_operator_set(FracMesh(-4.0, 4.0, 200), FracExponents(0.3, 0.7))
+    ops.dual_norm_sigma(np.ones(ops.mesh.dof_count))
+    return EnergyContext(ops=ops, pot=double_well(4.0))
+
+
+def _degenerate_context(n_elems):
+    # sigma = 1/2 on (-L, L), L just below lambda_1 of (-1, 1): the zero state
+    # is stationary and its linearization has the eigenvalue about 1e-9
+    L = build_operator_set(FracMesh(-1.0, 1.0, n_elems), FracExponents(0.5, 0.5)).lowest_mode()[0]
+    L *= 1 - 1e-9
+    ops = build_operator_set(FracMesh(-L, L, n_elems), FracExponents(0.5, 0.5))
+    return EnergyContext(ops=ops, pot=double_well(4.0))
+
+
+def test_stationary_newton_holds_one_jacobian(ctx200_split):
+    # beside A_sigma and its factor, the Newton steps share one Jacobian buffer
+    seed = default_equilibrium_seed(ctx200_split)
+    rep, peak = _traced_peak(solve_stationary, ctx200_split, seed)
+    assert len(rep.newton_history) >= 2
+    assert peak / ctx200_split.ops.A_sigma.nbytes < 1.5
+
+
+@pytest.mark.parametrize("kernel", [False, True])
+def test_complete_report_holds_one_linearization(ctx200_split, kernel):
+    # beside A_sigma and its factor, the report reduces each L in its own memory
+    ctx = _degenerate_context(200) if kernel else ctx200_split
+    seed = np.zeros(ctx.ops.mesh.dof_count) if kernel else default_equilibrium_seed(ctx)
+    rep = solve_stationary(ctx, seed)  # caches the degenerate context's factor too
+    rep, peak = _traced_peak(complete_report, ctx, rep)
+    assert len(rep.kernel_basis) == kernel
+    assert peak / ctx.ops.A_sigma.nbytes < 1.5
 
 
 def test_empty_kernel_solves_for_eigenvalues_only(ctx64, monkeypatch):
@@ -226,7 +268,7 @@ def test_kernel_adds_one_subset_eigensolve(ctx64, monkeypatch):
     M = ctx64.ops.M
     L = linearize(ctx64, np.zeros(ctx64.ops.mesh.dof_count))
     Lt, _ = plant_zero_mode(L, add_tridiagonal(np.zeros_like(L), *M), index=0)
-    monkeypatch.setattr(equilibrium, "linearize", lambda ctx, phi: Lt)
+    monkeypatch.setattr(equilibrium, "linearize", lambda ctx, phi: Lt.copy())
     monkeypatch.setattr(equilibrium, "eigh", recording_eigh)
     rep = complete_report(ctx64, solve_stationary(ctx64, np.zeros(ctx64.ops.mesh.dof_count)))
     assert len(rep.kernel_basis) == 1
@@ -242,7 +284,7 @@ def test_isomorphism_check_equals_cond(kind, seed):
     n = 8 + 9 * seed
     X = rng.standard_normal((n, n))
     A = X @ X.T + 0.1 * np.eye(n) if kind == "spd" else X + X.T
-    mu, run, _ = equilibrium._pencil_kernel(A, (np.ones(n), np.zeros(n - 1)))
+    mu, run, _ = equilibrium._pencil_kernel(A.copy, (np.ones(n), np.zeros(n - 1)))
     assert run.size == 0
     assert isomorphism_check(mu, run) == pytest.approx(np.linalg.cond(A), rel=1e-12)
 
@@ -255,7 +297,7 @@ def test_isomorphism_check_singular_is_inf(A):
     assert np.linalg.cond(A) == math.inf
     # the kernel's projection makes diag(2, 0, 1) an isomorphism; the zero
     # matrix has no scale to detect a kernel against, so it stays singular
-    mu, run, _ = equilibrium._pencil_kernel(A, (np.ones(3), np.zeros(2)))
+    mu, run, _ = equilibrium._pencil_kernel(A.copy, (np.ones(3), np.zeros(2)))
     assert isomorphism_check(mu, run) == (2.0 if A.any() else math.inf)
 
 
@@ -265,7 +307,7 @@ def test_isomorphism_check_nan_raises(where):
     A = np.full((3, 3), np.nan) if where == "everywhere" else np.eye(3)
     A[0, 2] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
-        equilibrium._pencil_kernel(A, (np.ones(3), np.zeros(2)))
+        equilibrium._pencil_kernel(A.copy, (np.ones(3), np.zeros(2)))
 
 
 def test_complete_report_fields(ctx64):
@@ -356,7 +398,7 @@ def test_pencil_functions_leave_their_arguments_alone(ctx64):
     L, _ = plant_zero_mode(L, add_tridiagonal(np.zeros_like(L), *M))
     L_in, M_in = L.copy(), [m.copy() for m in M]
     pencil_eigenvalues(L, M)
-    mu, run, _ = equilibrium._pencil_kernel(L, M)
+    mu, run, _ = equilibrium._pencil_kernel(L.copy, M)
     assert run.size == 1
     mu_in = mu.copy()
     isomorphism_check(mu, run)
@@ -380,7 +422,7 @@ def test_kernel_projection_shifts_the_kernel_run_by_one(s, n_elems, picks):
     for pick in picks:  # zero a pencil eigenvalue that is not zero yet
         live = np.flatnonzero(np.abs(eigh(L, Md, eigvals_only=True)) > 1e-6)
         L, _ = plant_zero_mode(L, Md, index=int(live[pick % live.size]))
-    mu, run, V = equilibrium._pencil_kernel(L, ops.M)
+    mu, run, V = equilibrium._pencil_kernel(L.copy, ops.M)
     assert run.size == V.shape[1] == len(picks)
     shifted = mu.copy()
     shifted[run] += 1.0

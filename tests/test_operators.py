@@ -27,6 +27,7 @@ from fracch.operators import (
     load_stiffness,
     normalization_constant,
     reduce_pencil,
+    reduce_pencil_in_place,
     save_stiffness,
     xnorm,
 )
@@ -353,6 +354,25 @@ def test_reduce_pencil_matches_generalized_eigh(n):
     assert np.max(np.abs(V.T @ Md @ V - np.eye(n))) <= 1e-12  # M-orthonormal
     assert np.max(np.abs(X @ V - (Md @ V) * mu)) <= 1e-12 * scale
     assert np.array_equal(X, X_in) and all(map(np.array_equal, M, M_in))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+@example(n=1, seed=0)  # pttrf's empty superdiagonal
+def test_reduce_pencil_in_place_matches_the_copying_reduction(n, seed):
+    rng = np.random.default_rng(seed)
+    M = mass_matrix(FracMesh(-1.0, 1.0, n + 1))
+    X = rng.standard_normal((n, n))
+    X = X + X.T
+    X_in = X.copy()
+    C_ref, vectors_ref = reduce_pencil(X, M)
+    work = X.copy()
+    C, vectors = reduce_pencil_in_place(work, M)
+    assert np.array_equal(C, C_ref)  # the same operations in the same order, bit for bit
+    assert np.shares_memory(C, work) and C.flags.f_contiguous  # ready for eigh(overwrite_a=True)
+    Y = rng.standard_normal((n, 2))
+    assert np.array_equal(vectors(Y), vectors_ref(Y))
+    assert np.array_equal(X, X_in)
 
 
 def test_reduce_pencil_rejects_other_mass_matrices():
