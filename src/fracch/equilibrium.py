@@ -1,7 +1,11 @@
 """Stationary states, their linearization, kernel handling, and the LSI probe.
 
 A stationary state solves A_sigma phi + b_g(phi) = 0 in the dual space, by a
-damped Newton whose last residual is the reported one.  Its
+damped Newton whose last residual is the reported one.  Each Newton
+Jacobian A_sigma + B_g'(u) is the Hessian of the energy at the iterate, so
+it is symmetric, and positive definite near a stable equilibrium: the
+Newton solves it by Cholesky, and by LU from the first indefinite Jacobian
+on, such as a search for a saddle meets.  Its
 linearization L = A_sigma + B_g'(phi) is symmetric; the generalized pencil
 (L, M) yields the spectrum and a tolerance-based kernel with its
 M-orthonormal basis V.  M is the mass matrix as its diagonals (diag, off),
@@ -29,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.linalg.lapack import dgesv
+from scipy.linalg.lapack import dgesv, dposv
 
 from .energy import (
     EnergyContext,
@@ -71,10 +75,12 @@ def solve_semilinear(
     The merit function is the dual norm of the residual; a step is accepted
     once it produces a sufficient decrease, halving the step length otherwise.
     Each symmetric Jacobian is formed in one buffer, allocated once, and
-    LU-factored there (LAPACK gesv on its Fortran-ordered transpose, which
-    is itself).  Returns the solution, the dual norm of its residual and,
-    per Newton step, the pair (dual norm of the residual before the step,
-    accepted step length).
+    factored there (see ``_newton_direction``): by Cholesky while the
+    Jacobians are positive definite, as near a stable state, and by LU
+    from the first indefinite one to the end of the solve, so a saddle
+    search pays for one failed Cholesky at most.  Returns the solution,
+    the dual norm of its residual and, per Newton step, the pair (dual norm
+    of the residual before the step, accepted step length).
     """
     if tol <= 0:
         raise ConfigurationError(f"tolerance must be positive, got {tol}")
@@ -89,16 +95,13 @@ def solve_semilinear(
     res = ops.dual_norm_sigma(F)
     history = []
     jac = np.empty(ops.A_sigma.shape)  # every step's Jacobian, formed and factored here
+    cholesky = True  # until a Jacobian turns out indefinite
     for _ in range(max_iter):
         if res < tol:
             return u, res, history
-        np.copyto(jac, ops.A_sigma)
-        add_tridiagonal(jac, *weighted_mass(ctx, f_prime))
-        direction, info = dgesv(jac.T, -F, overwrite_a=1)[2:]
-        if info > 0:
-            raise JacobianSingularError(
-                "singular Jacobian in the stationary solve (degenerate critical point?)"
-            )
+        direction, cholesky = _newton_direction(
+            jac, ops.A_sigma, weighted_mass(ctx, f_prime), -F, cholesky
+        )
         alpha = 1.0
         for _ in range(40):
             trial = u + alpha * direction
@@ -119,6 +122,33 @@ def solve_semilinear(
     if res < tol:
         return u, res, history
     raise NewtonDivergenceError(f"stationary Newton stopped at residual {res:.3e}")
+
+
+def _newton_direction(jac, A, B, rhs, cholesky):
+    """Solve (A + B) d = rhs in the buffer jac; returns d and whether Cholesky solved it.
+
+    A is a dense symmetric array and B a symmetric tridiagonal as its
+    diagonals (diag, off).  Their sum is formed in jac, whose
+    Fortran-ordered transpose is itself, and LAPACK factors it there:
+    posv (Cholesky) when ``cholesky`` is set, and gesv (LU) when it is not
+    or when posv finds the sum not positive definite; the sum is formed
+    again for gesv, since posv overwrote part of it.  A singular sum raises
+    JacobianSingularError.
+    """
+    np.copyto(jac, A)
+    add_tridiagonal(jac, *B)
+    if cholesky:
+        direction, info = dposv(jac.T, rhs, overwrite_a=1)[1:]
+        if info == 0:
+            return direction, True
+        np.copyto(jac, A)
+        add_tridiagonal(jac, *B)
+    direction, info = dgesv(jac.T, rhs, overwrite_a=1)[2:]
+    if info > 0:
+        raise JacobianSingularError(
+            "singular Jacobian in the stationary solve (degenerate critical point?)"
+        )
+    return direction, False
 
 
 def solve_stationary(
@@ -162,7 +192,9 @@ def _pencil_kernel(make_L, M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if run.size == 0:
         return mu, run, np.empty((mu.size, 0))
     C, vectors = reduce_pencil_in_place(make_L(), M)
-    Y = eigh(C, subset_by_index=(run[0], run[-1]), driver="evr", overwrite_a=True)[1]
+    # the spectrum's solve checked this L for finiteness
+    Y = eigh(C, subset_by_index=(run[0], run[-1]), driver="evr", overwrite_a=True,
+             check_finite=False)[1]
     return mu, run, vectors(Y)
 
 
@@ -188,7 +220,9 @@ def pencil_eigenvalues_in_place(X: np.ndarray, M) -> np.ndarray:
     X is a float64 array, C-ordered for the eigensolve to work in place.
     """
     C, _ = reduce_pencil_in_place(X, M)
-    if not np.isfinite(C).all():
+    # min and max propagate NaN and +-inf, and allocate no n x n mask
+    if not (math.isfinite(np.minimum.reduce(C, axis=None))
+            and math.isfinite(np.maximum.reduce(C, axis=None))):
         raise np.linalg.LinAlgError("non-finite entries in the reduced pencil")
     return eigh(C, eigvals_only=True, driver="evr", overwrite_a=True, check_finite=False)
 

@@ -21,7 +21,7 @@ from fracch.equilibrium import (
     solve_semilinear,
     solve_stationary,
 )
-from fracch.errors import ConfigurationError
+from fracch.errors import ConfigurationError, JacobianSingularError
 from fracch.evolution import StepConfig, evolve
 from fracch.mesh import FracMesh, interpolate, tridiagonal_product
 from fracch.operators import FracExponents, build_operator_set
@@ -209,12 +209,16 @@ def test_complete_report_with_a_kernel_forms_no_projection(monkeypatch):
     assert peak < 2.5, peak
 
 
-@pytest.fixture(scope="module")
-def ctx200_split():
+def _split_context(n_elems):
     """A split-exponent context, its A_sigma factor cached as a run's seed caches it."""
-    ops = build_operator_set(FracMesh(-4.0, 4.0, 200), FracExponents(0.3, 0.7))
+    ops = build_operator_set(FracMesh(-4.0, 4.0, n_elems), FracExponents(0.3, 0.7))
     ops.dual_norm_sigma(np.ones(ops.mesh.dof_count))
     return EnergyContext(ops=ops, pot=double_well(4.0))
+
+
+@pytest.fixture(scope="module")
+def ctx200_split():
+    return _split_context(200)
 
 
 def _degenerate_context(n_elems):
@@ -234,15 +238,107 @@ def test_stationary_newton_holds_one_jacobian(ctx200_split):
     assert peak / ctx200_split.ops.A_sigma.nbytes < 1.5
 
 
+def _spy_factorizations(monkeypatch):
+    """A list that records (routine, LAPACK info) for each dposv and dgesv of the Newton."""
+    calls = []
+
+    def spy(name):
+        routine = getattr(equilibrium, name)
+
+        def wrapper(*args, **kwargs):
+            out = routine(*args, **kwargs)
+            calls.append((name, out[-1]))
+            return out
+        return wrapper
+
+    for name in ("dposv", "dgesv"):
+        monkeypatch.setattr(equilibrium, name, spy(name))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["ctx200_split", "ctx64_wide"])
+def test_stable_newton_factors_every_jacobian_by_cholesky(name, request, monkeypatch):
+    # the seed leads to a stable state, and every Jacobian on the way is positive definite
+    ctx = request.getfixturevalue(name)
+    calls = _spy_factorizations(monkeypatch)
+    rep = solve_stationary(ctx, default_equilibrium_seed(ctx))
+    assert len(rep.newton_history) >= 2
+    assert calls == [("dposv", 0)] * len(rep.newton_history)
+
+
+@pytest.mark.parametrize("n_elems, s, sigma", [(64, 0.5, 0.5), (128, 0.3, 0.7)])
+def test_saddle_search_switches_to_lu_once(n_elems, s, sigma, monkeypatch):
+    # Newton from 0.9 sin(pi x / 4) reaches the antisymmetric kink, a saddle:
+    # its Jacobians turn indefinite on the way
+    ops = build_operator_set(FracMesh(-4.0, 4.0, n_elems), FracExponents(s, sigma))
+    ctx = EnergyContext(ops=ops, pot=double_well(4.0))
+    calls = _spy_factorizations(monkeypatch)
+    u_init = 0.9 * interpolate(ops.mesh, lambda x: np.sin(np.pi * x / 4))
+    rep = complete_report(ctx, solve_stationary(ctx, u_init))
+    assert rep.residual_dual < 1e-10
+    assert rep.linf > 0.5
+    assert np.max(np.abs(rep.phi + rep.phi[::-1])) <= 1e-12  # the nodes are symmetric about 0
+    assert np.count_nonzero(rep.pencil_eigs < 0) == 1
+    # Cholesky until one fails, then LU for the rest of the solve
+    failed = [k for k, (routine, info) in enumerate(calls) if routine == "dposv" and info > 0]
+    assert len(failed) == 1
+    assert calls[:failed[0]] == [("dposv", 0)] * failed[0]
+    assert calls[failed[0] + 1:] == [("dgesv", 0)] * (len(calls) - failed[0] - 1)
+    assert len(calls) == len(rep.newton_history) + 1
+
+
+def test_singular_jacobian_raises(monkeypatch):
+    # dof 1, and B' = -A_sigma: the Jacobian is exactly zero
+    ops = build_operator_set(FracMesh(-4.0, 4.0, 2), FracExponents(0.5, 0.5))
+    ctx = EnergyContext(ops=ops, pot=double_well(4.0))
+    monkeypatch.setattr(equilibrium, "weighted_mass",
+                        lambda ctx, f_prime: (-ops.A_sigma[0], np.empty(0)))
+    calls = _spy_factorizations(monkeypatch)
+    with pytest.raises(JacobianSingularError,
+                       match=r"^singular Jacobian in the stationary solve \(degenerate"):
+        solve_stationary(ctx, np.full(1, 0.5))
+    assert calls == [("dposv", 1), ("dgesv", 1)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 40), negatives=st.integers(0, 3),
+       cholesky=st.booleans())
+def test_newton_direction_matches_a_dense_solve(data, n, negatives, cholesky):
+    # J = Q diag(lam) Q^T with 0.1 <= |lam| <= 10, so cond(J) <= 100, split
+    # into the dense part and a random tridiagonal the Newton adds to it
+    negatives = min(negatives, n)
+    mags = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    lam = np.where(np.arange(n) < negatives, -mags, mags)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    J = (Q * lam) @ Q.T
+    J = 0.5 * (J + J.T)
+    B = (rng.standard_normal(n), rng.standard_normal(n - 1))
+    A = J - add_tridiagonal(np.zeros((n, n)), *B)
+    jacobian = add_tridiagonal(A.copy(), *B)  # the sum as the Newton forms it
+    rhs = rng.standard_normal(n)
+    A_in, rhs_in = A.copy(), rhs.copy()
+    direction, used = equilibrium._newton_direction(np.empty((n, n)), A, B, rhs, cholesky)
+    assert used == (cholesky and negatives == 0)
+    ref = np.linalg.solve(jacobian, rhs)
+    # two backward-stable solves: each within n eps cond of the exact solution
+    cond = np.abs(lam).max() / np.abs(lam).min()
+    bound = 10 * n * np.finfo(float).eps * cond * np.linalg.norm(ref)
+    assert np.linalg.norm(direction - ref) <= bound
+    assert np.array_equal(A, A_in) and np.array_equal(rhs, rhs_in)
+
+
 @pytest.mark.parametrize("kernel", [False, True])
-def test_complete_report_holds_one_linearization(ctx200_split, kernel):
-    # beside A_sigma and its factor, the report reduces each L in its own memory
-    ctx = _degenerate_context(200) if kernel else ctx200_split
+def test_complete_report_holds_one_linearization(kernel):
+    # beside A_sigma and its factor, the report reduces each L in its own
+    # memory, and checks it for finiteness with no n x n mask: at dof 767 a
+    # bool mask (1/8 of an array) outweighs the eigensolver's O(n) workspace
+    ctx = _degenerate_context(768) if kernel else _split_context(768)
     seed = np.zeros(ctx.ops.mesh.dof_count) if kernel else default_equilibrium_seed(ctx)
     rep = solve_stationary(ctx, seed)  # caches the degenerate context's factor too
     rep, peak = _traced_peak(complete_report, ctx, rep)
     assert len(rep.kernel_basis) == kernel
-    assert peak / ctx.ops.A_sigma.nbytes < 1.5
+    assert peak / ctx.ops.A_sigma.nbytes < 1.1
 
 
 def test_empty_kernel_solves_for_eigenvalues_only(ctx64, monkeypatch):
