@@ -18,7 +18,7 @@ from .errors import ConfigurationError
 from .evolution import StepConfig
 from .mesh import FracMesh
 from .operators import FracExponents, build_operator_set
-from .potentials import double_well
+from .potentials import Potential, double_well
 
 _DEFAULTS = {
     "domain": {"a": -1.0, "b": 1.0},
@@ -33,52 +33,34 @@ _DEFAULTS = {
 }
 
 # the most dense dof x dof float64 arrays a command holds at once; M is kept
-# as its two diagonals.  simulate with s != sigma holds five (four at
-# s = sigma, where A_s is A_sigma): A_s, A_sigma, the factor U of A_s, P and
-# either G = M U^{-1} while P = G G^T is built, or the Newton step matrix,
-# factored and inverted in its own buffer and kept as the PCG preconditioner;
-# verify holds the same in its short run (its Poincare samples are 100 x dof
-# blocks).  equilibrium and spectrum never assemble A_s and hold three, with
-# or without a kernel: A_sigma, its factor and one working copy, which is the
-# stationary Newton's Jacobian buffer or a linearization L, reduced and then
-# overwritten by the eigensolver in its own memory.  rates holds A_sigma.
+# as its two diagonals.  verify with s != sigma holds five: A_s, A_sigma, the
+# cached factor of A_s that its duality check reads, P, and either
+# G = M U^{-1} (the factor P is built from, inverted in its own buffer and
+# dropped) while P = G G^T is built, or the Newton step matrix, factored and
+# inverted in its own buffer and kept as the PCG preconditioner (its Poincare
+# samples are 100 x dof blocks).  simulate keeps no factor of A_s and holds
+# four (three at s = sigma, where A_s is A_sigma).  equilibrium and spectrum
+# never assemble A_s and hold three, with or without a kernel: A_sigma, its
+# factor and one working copy, which is the stationary Newton's Jacobian
+# buffer or a linearization L, reduced and then overwritten by the
+# eigensolver in its own memory.  rates holds A_sigma.
 _DENSE_ARRAYS = 5
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    a: float
-    b: float
-    n_elems: int
-    s: float
-    sigma: float
-    m: float
-    lam: float | None
-    tau: float
+    """A checked run: the library objects its commands build on, and the run's own settings."""
+
+    mesh: FracMesh
+    exps: FracExponents
+    pot: Potential
+    step: StepConfig
     t_end: float
-    newton_tol: float
-    newton_max: int
-    yosida_enabled: bool
-    yosida_epsilon: float
     rng_seed: int
     out_dir: str
 
     def build_context(self) -> EnergyContext:
-        ops = build_operator_set(FracMesh(self.a, self.b, self.n_elems),
-                                 FracExponents(self.s, self.sigma))
-        pot = double_well(self.m)
-        if self.lam is not None and self.lam != pot.lam:
-            # explicit override of the split constant
-            pot = replace(pot, lam=self.lam)
-        return EnergyContext(ops=ops, pot=pot)
-
-    def build_step_config(self) -> StepConfig:
-        return StepConfig(
-            tau=self.tau,
-            newton_tol=self.newton_tol,
-            newton_max=self.newton_max,
-            use_yosida=self.yosida_epsilon if self.yosida_enabled else None,
-        )
+        return EnergyContext(ops=build_operator_set(self.mesh, self.exps), pot=self.pot)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.rng_seed)
@@ -99,7 +81,7 @@ def _require_number(group: str, key: str, value, integer: bool = False):
 
 
 def parse_config(path) -> RunConfig:
-    """Load, validate, and default-fill a JSON run configuration."""
+    """Load, validate, and default-fill a JSON run configuration, then build its library objects."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -192,11 +174,12 @@ def parse_config(path) -> RunConfig:
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigurationError(f"output.dir must be a nonempty string, got {out_dir!r}")
 
+    pot = double_well(m)
+    if lam is not None and lam != pot.lam:
+        pot = replace(pot, lam=lam)  # explicit override of the split constant
     return RunConfig(
-        a=a, b=b, n_elems=n_elems, s=s, sigma=sigma,
-        m=m, lam=lam,
-        tau=tau, t_end=t_end,
-        newton_tol=tol, newton_max=max_iter,
-        yosida_enabled=enabled, yosida_epsilon=epsilon,
-        rng_seed=seed, out_dir=out_dir,
+        mesh=FracMesh(a, b, n_elems), exps=FracExponents(s, sigma), pot=pot,
+        step=StepConfig(tau=tau, newton_tol=tol, newton_max=max_iter,
+                        use_yosida=epsilon if enabled else None),
+        t_end=t_end, rng_seed=seed, out_dir=out_dir,
     )

@@ -384,6 +384,7 @@ def step(
 # non-finite Newton iteration, an indefinite step matrix, and an accepted
 # iterate whose energy overflows
 _STEP_FAILURES = (NewtonDivergenceError, JacobianSingularError, OverflowError)
+_MAX_HALVINGS = 10  # tau halvings one step may take before its failure is raised
 
 
 def march(
@@ -392,7 +393,6 @@ def march(
     u0: np.ndarray,
     t_end: float,
     on_violation: str = "abort",
-    max_halvings: int = 10,
 ):
     """Step the scheme to t_end, yielding ``(t, u_n, cert)`` for each accepted step.
 
@@ -408,7 +408,7 @@ def march(
     2. A predicted attempt that fails is retried once from u_n at the same
        tau, so the predictor never causes a halving.
     3. An attempt from u_n that fails halves tau, for this step only and up
-       to ``max_halvings`` times, and the next attempt goes back to 1: a
+       to 10 times (``_MAX_HALVINGS``), and the next attempt goes back to 1: a
        halved tau that equals the last accepted tau starts from the
        predictor again.
 
@@ -422,7 +422,6 @@ def march(
     _checked_positive("t_end", t_end)
     if on_violation not in ("abort", "ignore"):
         raise ConfigurationError(f"on_violation must be 'abort' or 'ignore', got {on_violation}")
-    _check_count("max_halvings", max_halvings)
     u = check_coeffs(ctx.ops.mesh, u0)
     e_u = energy(ctx, u)  # also rejects initial data without finite energy
     u_back = tau_back = None  # the state before the last accepted step, and its tau
@@ -446,9 +445,9 @@ def march(
                 if predict:  # retried once from u at this tau
                     predict = False
                     continue
-                if halvings == max_halvings:
+                if halvings == _MAX_HALVINGS:
                     raise type(exc)(
-                        f"{exc}; still stalled after {max_halvings} tau halvings "
+                        f"{exc}; still stalled after {_MAX_HALVINGS} tau halvings "
                         f"(final tau={tau_try:.6g})"
                     ) from exc
                 tau_try *= 0.5
@@ -475,10 +474,9 @@ def evolve(
     u0: np.ndarray,
     t_end: float,
     on_violation: str = "abort",
-    max_halvings: int = 10,
 ) -> Trajectory:
     """Collect ``march`` to t_end in memory; runs that only stream should iterate ``march``."""
-    times, states, certs = zip(*march(ctx, cfg, u0, t_end, on_violation, max_halvings))
+    times, states, certs = zip(*march(ctx, cfg, u0, t_end, on_violation))
     return Trajectory(
         times=np.array(times),
         certificates=np.array([_cert_row(c) for c in certs], _CERT_DTYPE).view(np.recarray),

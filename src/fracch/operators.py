@@ -430,8 +430,11 @@ class OperatorSet:
         """P = M A_s^{-1} M, the tau-free part of the time stepper's step matrix.
 
         P = G G^T for G = M U^{-1}, A_s = U^T U: a trtri, M applied in place, one syrk.
+        U is factored here and inverted in its own buffer, not kept: no step
+        reads A_s's cached factor, which only ``dual_norm_s`` and
+        ``solve_A_s`` build.
         """
-        G = dtrtri(self._chol_A_s)[0]
+        G = dtrtri(_potrf(self.A_s, "A_s"), overwrite_c=1)[0]
         tridiagonal_product(*self.M, G, out=G)
         return G @ G.T  # numpy runs this as syrk: P is exactly symmetric
 

@@ -41,8 +41,22 @@ def quick_cfg(tmp_path):
 
 def test_defaults_filled(tmp_path):
     cfg = parse_config(_write(tmp_path, "minimal.json", {}))
-    assert cfg.newton_tol == 1e-10
-    assert cfg.s == 0.5 and cfg.sigma == 0.5
+    assert cfg.step.newton_tol == 1e-10
+    assert cfg.exps.s == 0.5 and cfg.exps.sigma == 0.5
+    assert cfg.pot.lam == 1.0 and cfg.step.use_yosida is None
+
+
+def test_potential_lambda_lands_in_the_potential(tmp_path):
+    cfg = parse_config(_write(tmp_path, "cfg.json", {"potential": {"lambda": 2.5}}))
+    assert cfg.pot.lam == 2.5
+
+
+@pytest.mark.parametrize("enabled, expected", [(False, None), (True, 0.05)])
+def test_yosida_group_sets_the_step_epsilon(tmp_path, enabled, expected):
+    cfg = parse_config(_write(tmp_path, "cfg.json", {
+        "yosida": {"enabled": enabled, "epsilon": 0.05},
+    }))
+    assert cfg.step.use_yosida == expected
 
 
 def test_range_violation_names_key(tmp_path):
@@ -101,8 +115,7 @@ def test_simulate_csvs_agree_with_each_other_and_evolve(quick_cfg, tmp_path):
         assert tr["dual_norm_ut"] == tr["w_xnorm"]
         assert float(cr["lambda_half_du"]) == 0.5 * ctx.pot.lam * float(cr["du_msq"])
 
-    traj = evolve(ctx, cfg.build_step_config(), _initial_data(cfg, ctx.ops.mesh.dof_count),
-                  cfg.t_end)
+    traj = evolve(ctx, cfg.step, _initial_data(cfg, ctx.ops.mesh.dof_count), cfg.t_end)
     certs = traj.certificates
     assert [float(r["t"]) for r in traj_rows] == list(traj.times)
     for name in CERTIFICATE_COLUMNS[2:]:
@@ -144,27 +157,37 @@ def test_config_error_exit_code(tmp_path, quick_cfg, capsys):
 
 def test_dense_array_count_bounds_the_peak_memory(tmp_path):
     # the memory check counts _DENSE_ARRAYS dof x dof float64 arrays: no command
-    # holds more, and simulate holds that many (config._DENSE_ARRAYS lists them)
+    # holds more, and verify holds that many (config._DENSE_ARRAYS lists them)
     dof = 512
-    cfg = _write(tmp_path, "cfg.json", {
-        "mesh": {"n_elems": dof + 1},
-        "frac": {"s": 0.3, "sigma": 0.7},
-        "time": {"tau": 1e-3, "t_end": 3e-3},
-        "output": {"dir": str(tmp_path / "out")},
-    })
     unit = 8 * dof**2
-    peaks = {}
-    for command in ("equilibrium", "spectrum", "simulate", "verify"):
-        tracemalloc.start()
-        try:
-            assert main([command, "--config", cfg]) == 0
-            peaks[command] = tracemalloc.get_traced_memory()[1] / unit
-        finally:
-            tracemalloc.stop()
-    assert max(peaks.values()) <= _DENSE_ARRAYS + 0.5, peaks
-    assert peaks["simulate"] >= _DENSE_ARRAYS - 0.5, peaks
+
+    def peaks(s, sigma, commands):
+        cfg = _write(tmp_path, "cfg.json", {
+            "mesh": {"n_elems": dof + 1},
+            "frac": {"s": s, "sigma": sigma},
+            "time": {"tau": 1e-3, "t_end": 3e-3},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        found = {}
+        for command in commands:
+            tracemalloc.start()
+            try:
+                assert main([command, "--config", cfg]) == 0
+                found[command] = tracemalloc.get_traced_memory()[1] / unit
+            finally:
+                tracemalloc.stop()
+        return found
+
+    split = peaks(0.3, 0.7, ("equilibrium", "spectrum", "simulate", "verify"))
+    assert max(split.values()) <= _DENSE_ARRAYS + 0.5, split
+    assert split["verify"] >= _DENSE_ARRAYS - 0.5, split
     # equilibrium and spectrum hold three: A_sigma, its factor, one working copy
-    assert peaks["equilibrium"] <= 3.5 and peaks["spectrum"] <= 3.5, peaks
+    assert split["equilibrium"] <= 3.5 and split["spectrum"] <= 3.5, split
+    # simulate keeps no factor of A_s: A_s, A_sigma, P and one working buffer,
+    # and one array fewer where A_s is A_sigma
+    assert split["simulate"] <= 4.5, split
+    equal = peaks(0.5, 0.5, ("simulate",))
+    assert equal["simulate"] <= 3.5, equal
 
 
 def test_only_the_flux_commands_assemble_a_s(tmp_path, monkeypatch):
@@ -539,7 +562,8 @@ def test_mesh_width_out_of_float_range_is_a_configuration_error(tmp_path, capsys
 
 @pytest.mark.parametrize("command", ["simulate", "equilibrium", "verify", "spectrum"])
 def test_overflowing_domain_length_is_one_line_without_a_warning(tmp_path, capsys, command):
-    # both ends finite, but b - a is past the float range
+    # both ends finite, but b - a is past the float range; parse_config
+    # refuses it before the output directory is made
     cfg = _write(tmp_path, "cfg.json", {
         "domain": {"a": -1e308, "b": 1e308}, "mesh": {"n_elems": 8},
         "output": {"dir": str(tmp_path / "out")},
@@ -550,6 +574,7 @@ def test_overflowing_domain_length_is_one_line_without_a_warning(tmp_path, capsy
     assert not caught, [str(w.message) for w in caught]
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "b - a overflows" in err[0], err
+    assert not (tmp_path / "out").exists()
 
 
 def test_equilibrium_solves_one_dense_pencil_and_factors_a_sigma_once(tmp_path, monkeypatch):

@@ -77,18 +77,6 @@ def test_step_rejects_an_explicit_tau_as_step_config_does(ctx64, tau):
         StepConfig(tau=tau)
 
 
-@pytest.mark.parametrize("value", [-1, 2.5, True, "3", None])
-def test_march_rejects_max_halvings_before_the_first_step(ctx64, monkeypatch, value):
-    # -1 used to reach the halving loop and fail there with an unbound name
-    monkeypatch.setattr(evolution, "step", None)  # no step may be taken
-    u0 = np.zeros(ctx64.ops.mesh.dof_count)
-    with pytest.raises(ConfigurationError, match="max_halvings"):
-        next(march(ctx64, StepConfig(tau=1e-2), u0, t_end=0.1, max_halvings=value))
-    monkeypatch.undo()
-    traj = evolve(ctx64, StepConfig(tau=1e-2), u0, t_end=0.02, max_halvings=np.int64(0))
-    assert len(traj.times) == 2
-
-
 @pytest.mark.parametrize("t_end", [math.nan, math.inf, 0.0, -1.0, True, "1"])
 def test_march_and_evolve_reject_t_end_before_the_first_step(ctx64, monkeypatch, t_end):
     # NaN and inf used to take no step, and evolve then failed to unpack
@@ -417,16 +405,17 @@ def test_energy_overflow_at_the_accepted_iterate_is_silent(ctx64, monkeypatch):
         step(ctx64, StepConfig(tau=1e-3), u0)
 
 
-def test_non_finite_residual_is_divergence(ctx64, rng, nan_from_first_update):
+def test_non_finite_residual_is_divergence(ctx64, rng, nan_from_first_update, monkeypatch):
     u0 = 0.3 * rng.standard_normal(ctx64.ops.mesh.dof_count)
     with pytest.raises(NewtonDivergenceError, match="not finite after 1 iterations"):
         step(ctx64, StepConfig(tau=1e-2), u0)
     # march treats it like any stall: halve tau, then give up
+    monkeypatch.setattr(evolution, "_MAX_HALVINGS", 2)
     with pytest.raises(NewtonDivergenceError, match="still stalled after 2 tau halvings"):
-        evolve(ctx64, StepConfig(tau=1e-2), u0, t_end=0.1, max_halvings=2)
+        evolve(ctx64, StepConfig(tau=1e-2), u0, t_end=0.1)
 
 
-def test_lambda_below_split_is_singular_step(ctx64_wide, rng):
+def test_lambda_below_split_is_singular_step(ctx64_wide, rng, monkeypatch):
     # double-well g with lambda 0: beta' = g' = 3 r^2 - 1 < 0 near r = 0
     pot = custom_potential(
         lambda r: r**3 - r, lambda r: 3.0 * r**2 - 1.0, lambda r: 0.25 * r**4 - 0.5 * r**2,
@@ -437,8 +426,10 @@ def test_lambda_below_split_is_singular_step(ctx64_wide, rng):
     with pytest.raises(JacobianSingularError, match="not positive definite.*lambda below"):
         step(ctx, StepConfig(tau=10.0), u0)
     # march halves tau for it, since P/tau grows; without halvings the error stands
+    monkeypatch.setattr(evolution, "_MAX_HALVINGS", 0)
     with pytest.raises(JacobianSingularError, match="still stalled after 0 tau halvings"):
-        evolve(ctx, StepConfig(tau=10.0), u0, t_end=20.0, max_halvings=0)
+        evolve(ctx, StepConfig(tau=10.0), u0, t_end=20.0)
+    monkeypatch.undo()
     first = next(march(ctx, StepConfig(tau=10.0), u0, t_end=20.0))
     assert first[2].tau_used == 5.0 and first[2].halvings == 1
     assert step(ctx, StepConfig(tau=5.0), u0)[1].halvings == 0
@@ -453,11 +444,12 @@ def test_energy_chains_between_steps(ctx64, rng):
         assert cur.e_before == prev.e_after
 
 
-def test_stall_after_halvings_reports_them(ctx64, rng):
+def test_stall_after_halvings_reports_them(ctx64, rng, monkeypatch):
     u0 = rng.standard_normal(ctx64.ops.mesh.dof_count)
     cfg = StepConfig(tau=1e-2, newton_tol=1e-300, newton_max=1)
+    monkeypatch.setattr(evolution, "_MAX_HALVINGS", 2)
     with pytest.raises(NewtonDivergenceError) as info:
-        evolve(ctx64, cfg, u0, t_end=0.1, max_halvings=2)
+        evolve(ctx64, cfg, u0, t_end=0.1)
     msg = str(info.value)
     assert "still stalled after 2 tau halvings (final tau=0.0025)" in msg
     assert "consider halving" not in msg
@@ -585,7 +577,8 @@ def test_failed_predicted_start_retries_from_u_before_halving(ctx64, rng, monkey
     monkeypatch.setattr(evolution, "step", fails_from_a_start)
     u0 = 0.3 * rng.standard_normal(ctx64.ops.mesh.dof_count)
     cfg = StepConfig(tau=1e-2)
-    marched = list(itertools.islice(march(ctx64, cfg, u0, t_end=1e9, max_halvings=0), 20))
+    monkeypatch.setattr(evolution, "_MAX_HALVINGS", 0)
+    marched = list(itertools.islice(march(ctx64, cfg, u0, t_end=1e9), 20))
     assert len(starts) == 19  # every step after the first tried the predictor
     assert [cert.tau_used for _, _, cert in marched] == [1e-2] * 20
     monkeypatch.undo()
@@ -734,8 +727,9 @@ def test_energy_overflow_after_the_last_halving_is_overflow(ctx64, monkeypatch):
     monkeypatch.setattr(evolution, "energy_from_parts",
                         lambda ctx, quad_form, vals: energy_from_parts(ctx, quad_form, vals * 1e300))
     u0 = 1e-3 * interpolate(ctx64.ops.mesh, lambda x: np.sin(np.pi * x))
+    monkeypatch.setattr(evolution, "_MAX_HALVINGS", 2)
     with pytest.raises(OverflowError, match="potential overflow.*still stalled after 2 tau halvings"):
-        evolve(ctx64, StepConfig(tau=1e-3), u0, t_end=1.0, max_halvings=2)
+        evolve(ctx64, StepConfig(tau=1e-3), u0, t_end=1.0)
 
 
 def test_one_factorization_per_tau_above_the_crossover(ctx256_wide, ctx64, rng):

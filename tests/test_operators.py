@@ -319,9 +319,9 @@ def test_a_s_assembled_on_first_use_only(monkeypatch):
 def test_lazy_values_are_cached_per_copy(monkeypatch):
     trtri = []
 
-    def counting(c):
+    def counting(c, **kwargs):
         trtri.append(c.shape)
-        return dtrtri(c)
+        return dtrtri(c, **kwargs)
 
     monkeypatch.setattr(operators, "dtrtri", counting)
     ops = build_operator_set(FracMesh(-1.0, 1.0, 16), FracExponents(0.3, 0.7))
@@ -335,6 +335,8 @@ def test_lazy_values_are_cached_per_copy(monkeypatch):
     copy = replace(ops)
     assert vars(copy).keys() == field_names  # none of the original's cached values
     assert copy.P is not P and np.array_equal(copy.P, P) and len(trtri) == 2
+    # P factors A_s in a buffer of its own and keeps no factor
+    assert vars(copy).keys() - field_names == {"A_s", "P"}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
