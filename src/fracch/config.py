@@ -17,7 +17,7 @@ from .energy import EnergyContext
 from .errors import ConfigurationError
 from .evolution import StepConfig
 from .mesh import FracMesh
-from .operators import FracExponents, build_operator_set
+from .operators import FracExponents, _check_lengths, build_operator_set
 from .potentials import Potential, double_well
 
 _DEFAULTS = {
@@ -39,8 +39,11 @@ _DEFAULTS = {
 # dropped) while P = G G^T is built, or the Newton step matrix, factored and
 # inverted in its own buffer and kept as the PCG preconditioner (its Poincare
 # samples are 100 x dof blocks).  simulate keeps no factor of A_s and holds
-# four (three at s = sigma, where A_s is A_sigma).  equilibrium and spectrum
-# never assemble A_s and hold three, with or without a kernel: A_sigma, its
+# four (three at s = sigma, where A_s is A_sigma).  Below dof 112 the
+# stepper also keeps K = P/tau + A_sigma beside its step matrix, one array
+# more for simulate and verify, but there six arrays take under 0.6 MB, so
+# the count this check guards is unchanged.  equilibrium and spectrum never
+# assemble A_s and hold three, with or without a kernel: A_sigma, its
 # factor and one working copy, which is the stationary Newton's Jacobian
 # buffer or a linearization L, reduced and then overwritten by the
 # eigensolver in its own memory.  rates holds A_sigma.
@@ -174,11 +177,16 @@ def parse_config(path) -> RunConfig:
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigurationError(f"output.dir must be a nonempty string, got {out_dir!r}")
 
+    mesh = FracMesh(a, b, n_elems)
+    # the powers of lengths that assembly forms, refused before any command
+    # makes its output directory
+    for exponent in (s, sigma):
+        _check_lengths(mesh, exponent)
     pot = double_well(m)
     if lam is not None and lam != pot.lam:
         pot = replace(pot, lam=lam)  # explicit override of the split constant
     return RunConfig(
-        mesh=FracMesh(a, b, n_elems), exps=FracExponents(s, sigma), pot=pot,
+        mesh=mesh, exps=FracExponents(s, sigma), pot=pot,
         step=StepConfig(tau=tau, newton_tol=tol, newton_max=max_iter,
                         use_yosida=epsilon if enabled else None),
         t_end=t_end, rng_seed=seed, out_dir=out_dir,

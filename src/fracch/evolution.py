@@ -32,11 +32,12 @@ preconditioner's (Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981).  PCG that
 meets p^T S p <= 0 or needs more than 8 iterations, and any change of tau (a
 halving, a shortened last step), factor afresh.  Below the crossover (dof
 112) a factorization costs less than the PCG loop's Python overhead, and
-every update factors.  (With
-potential.lambda below the tightest monotone split, beta' < 0 can make S
-indefinite; the factorization then fails with JacobianSingularError.)
-Each certificate counts the factorizations and PCG iterations of its
-step.  The pair (beta, beta') is evaluated once per
+every update factors, starting from a copy of K = P/tau + A_sigma, which
+the solver keeps for the current tau and forms again when tau changes.
+(With potential.lambda below the tightest monotone split, beta' < 0 can
+make S indefinite; the factorization then fails with
+JacobianSingularError.)  Each certificate counts the factorizations and
+PCG iterations of its step.  The pair (beta, beta') is evaluated once per
 iterate on the quadrature grid, and E(u_n) comes from the accepted
 iterate's grid values and A_sigma u_n, which the last residual formed.
 numpy's overflow and invalid-value warnings are off inside a step: an
@@ -177,12 +178,15 @@ def _beta_pair(ctx: EnergyContext, cfg: StepConfig):
     return yosida_pair(ctx.pot, cfg.use_yosida)
 
 
-# Below this dof every Newton update factors its step matrix: one dpotrf
-# (about 25 us at dof 63) costs less there than the Python overhead of the
-# PCG iterations that would replace it.  Timing march alone (300 steps, tau
-# 1e-3, one thread, 15 alternating pairs), PCG was 28% slower at dof 63, 7%
-# slower at dof 95, even at dof 103 and 111, and 7% / 15% / 47% faster at
-# dof 119 / 127 / 255
+# Below this dof every Newton update factors its step matrix: one copy of the
+# kept P/tau + A_sigma and one dpotrf (an update takes about 24 us at dof 63)
+# cost less there than the Python overhead of the PCG iterations that would
+# replace them.  Timing march alone (300 steps, tau 1e-3, s = sigma = 1/2 on
+# (-4, 4), one thread on a Xeon, two runs of 15 alternating pairs), PCG was
+# 24-26% slower at dof 63, 2-8% slower at dof 95, even at dof 103, and
+# 3% / 5-8% / 11-12% faster at dof 111 / 119 / 127.  The crossover stays
+# here: moving it would change which path, and so which rounding, a dof
+# near it takes
 _PCG_MIN_DOF = 112
 # PCG that has not converged in this many iterations gives up and the update
 # factors afresh, which also moves B'0 to the current B'.  A factorization
@@ -205,30 +209,41 @@ class _StepSolver:
     inverse; S0 p is carried by recurrence, so that matvec is an iteration's
     one dense product.  PCG that meets p^T S p <= 0 or has not converged
     within ``_PCG_MAX_ITERS`` iterations, and any change of tau, drop the
-    inverse and factor again.  Below
-    ``_PCG_MIN_DOF`` the PCG budget is zero and every update factors.
+    inverse and factor again.  Below ``_PCG_MIN_DOF`` the PCG budget is
+    zero and every update factors S = K + B', K = P/tau + A_sigma being kept
+    for the current tau (the same bits as forming S whole); at and above it
+    no K is kept.
     ``factorizations`` and ``pcg_iters`` count the run's work.
     """
 
     def __init__(self, ops):
         self.ops = ops
         self.budget = _PCG_MAX_ITERS if ops.mesh.dof_count >= _PCG_MIN_DOF else 0
-        self.tau = None  # the tau of the kept inverse, None while none is kept
+        self.tau = None  # the tau of the kept inverse (below the crossover, of K), None if none
         self.inv = None
         self.Bp0 = None  # the diagonals of the B' that the kept inverse was factored at
+        self.K = None  # P/tau + A_sigma, kept below the crossover only
         self.factorizations = 0
         self.pcg_iters = 0
 
     def delta(self, tau: float, Bp, F: np.ndarray) -> np.ndarray:
         """The Newton update -S^{-1} F at this tau; Bp is B' as (diag, off)."""
-        if tau == self.tau:
-            du = self._pcg(Bp, -F)
-            if du is not None:
-                return du
-        # drop the old inverse first: one dof x dof step-matrix buffer at a time
-        self.tau = self.inv = self.Bp0 = None
-        S = self.ops.P / tau
-        S += self.ops.A_sigma
+        if not self.budget:
+            if tau != self.tau:
+                self.K = None  # one K at a time
+                self.K = self.ops.P / tau
+                self.K += self.ops.A_sigma
+                self.tau = tau
+            S = self.K.copy()
+        else:
+            if tau == self.tau:
+                du = self._pcg(Bp, -F)
+                if du is not None:
+                    return du
+            # drop the old inverse first: one dof x dof step-matrix buffer at a time
+            self.tau = self.inv = self.Bp0 = None
+            S = self.ops.P / tau
+            S += self.ops.A_sigma
         add_tridiagonal(S, *Bp)
         # S.T is S's Fortran-ordered view, so LAPACK factors it in place
         factor, info = dpotrf(S.T, overwrite_a=1, clean=0)
@@ -277,7 +292,8 @@ class _StepSolver:
             if rz_next <= stop:
                 return x
             beta = rz_next / rz
-            p = z + beta * p
+            p *= beta  # z was just formed anew, so p does not alias it
+            p += z
             S0p *= beta
             S0p += r
             rz = rz_next
@@ -340,7 +356,10 @@ def step(
             b_q, bp_q = beta_pair(u_q)
             A_sig_u = A_sig @ u  # kept: at the accepted u it gives e_after and u_xnorm_sigma
             P_du = P @ (u - u_prev)  # kept: at the accepted u it gives w_normsq
-            F = P_du / tau + A_sig_u + load_vector(ctx, b_q) - lam_Mu_prev
+            F = P_du / tau
+            F += A_sig_u
+            F += load_vector(ctx, b_q)
+            F -= lam_Mu_prev
             if it < min(min_updates, cfg.newton_max):
                 # the update is due whatever the residual (it < min_updates, so 0.0
                 # cannot pass the tolerance test below): only finiteness counts

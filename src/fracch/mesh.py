@@ -64,10 +64,19 @@ def tridiagonal_product(diag: np.ndarray, off: np.ndarray, x: np.ndarray,
                         out: np.ndarray | None = None) -> np.ndarray:
     """y = T x for the symmetric tridiagonal T = (diag, off), x a vector or an (n, k) block.
 
-    ``out`` receives y and may be x itself.  A block goes ``_PANEL`` columns at
-    a time, so the temporaries stay two n x _PANEL panels whatever k is.
+    ``out`` receives y and may be x itself.  A vector takes the three
+    operations alone; a block goes ``_PANEL`` columns at a time, so the
+    temporaries stay two n x _PANEL panels whatever k is.
     """
-    X = x.reshape(x.shape[0], -1)  # a vector as one column
+    if x.ndim == 1:
+        y = diag * x
+        y[:-1] += off * x[1:]
+        y[1:] += off * x[:-1]
+        if out is None:
+            return y
+        out[...] = y  # only now, so that out may be x
+        return out
+    X = x.reshape(x.shape[0], -1)
     Y = np.empty(X.shape) if out is None else out.reshape(X.shape)
     diag, off = diag[:, None], off[:, None]
     for j in range(0, X.shape[1], _PANEL):

@@ -51,9 +51,10 @@ class Potential:
     """Nonlinearity bundle; callables must accept numpy arrays elementwise.
 
     ``g_pair(r)`` returns (g(r), g'(r)); ``double_well`` forms both from one
-    pass over r.  ``resolvent(eps, lam, r)``, when set (``double_well(4.0)``),
-    is the closed-form root j of j + eps beta(j) = r for lam >= 1 and finite
-    r; ``yosida_resolvent`` then takes it in place of Newton.
+    pass over r.  ``resolvent(eps, lam, r, r_max)``, when set
+    (``double_well(4.0)``), is the closed-form root j of j + eps beta(j) = r
+    for lam >= 1 and finite r, with r_max = max |r| taken by the caller;
+    ``yosida_resolvent`` then takes it in place of Newton.
     """
 
     g_pair: Callable
@@ -90,9 +91,12 @@ def double_well(m: float = 4.0) -> Potential:
 
 # |x| up to which _cubic_resolvent takes Cardano's hyperbolic form
 _CARDANO_X_MAX = 1e4
+# max |r| up to which g(j) = j^3 - j of the m = 4 double well cannot overflow:
+# its root has |j| <= |r|, and 1e102 is below the cube root of the float range
+_CUBE_FINITE_R = 1e102
 
 
-def _cubic_resolvent(eps, lam, r):
+def _cubic_resolvent(eps, lam, r, r_max):
     # m = 4: eps j^3 + b j = r with b = 1 + eps (lam - 1) >= 1 has one real
     # root.  With c = sqrt(3 eps / b) and x = 1.5 c r / b it is Cardano's
     # (2/c) sinh(asinh(x) / 3) (Press et al., Numerical Recipes, 3rd ed.,
@@ -104,7 +108,7 @@ def _cubic_resolvent(eps, lam, r):
     b = 1.0 + eps * (lam - 1.0)
     c = math.sqrt(3.0 * eps / b)
     k = 1.5 * c / b
-    if np.maximum.reduce(np.abs(r), axis=None, initial=0.0) <= _CARDANO_X_MAX / k:
+    if r_max <= _CARDANO_X_MAX / k:
         return (2.0 / c) * np.sinh(np.arcsinh(k * r) / 3.0)
     # s = cbrt(2k) cbrt(|r|/2 + hypot(0.5/k, |r|/2)), so that nothing overflows
     h = 0.5 * np.abs(r)
@@ -205,9 +209,12 @@ def yosida_resolvent(pot: Potential, epsilon: float, r, start=None):
     r_abs = np.abs(r_arr)
     r_max = np.maximum.reduce(r_abs, axis=None, initial=0.0)  # NaN or inf unless every r is finite
     if _takes_closed_form(pot) and r_max < math.inf:
-        y = pot.resolvent(epsilon, pot.lam, r_arr)
-        with np.errstate(over="ignore"):  # g(j), not read here, overflows before g'(j)
+        y = pot.resolvent(epsilon, pot.lam, r_arr, r_max)
+        if r_max <= _CUBE_FINITE_R:
             bp = pot.g_pair(y)[1] + pot.lam
+        else:
+            with np.errstate(over="ignore"):  # g(j), not read here, overflows before g'(j)
+                bp = pot.g_pair(y)[1] + pot.lam
         return (y, bp) if np.ndim(r) else (float(y[0]), float(bp[0]))
     # NaN for a non-finite r, so that no residual is ever within it
     tol = np.where(np.isfinite(r_abs), np.maximum(_ROOT_TOL, _ROOT_RTOL * r_abs), np.nan)

@@ -554,10 +554,13 @@ def test_mesh_width_out_of_float_range_is_a_configuration_error(tmp_path, capsys
     cfg = _write(tmp_path, "cfg.json", {
         "domain": {"a": a, "b": b}, "output": {"dir": str(tmp_path / "out")},
     })
-    assert main(["simulate", "--config", cfg]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("configuration error: mesh width") and "over- or underflows" in err[0]
+    # parse_config refuses it, so no command makes the output directory
+    for command in ("simulate", "equilibrium", "verify", "spectrum"):
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("configuration error: mesh width") and "over- or underflows" in err[0]
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "equilibrium", "verify", "spectrum"])

@@ -901,6 +901,37 @@ def test_tau_halving_and_shortened_last_step_refactor(ctx256_wide, rng, nan_beta
     assert solver.factorizations == 2 and solver.pcg_iters == 0
 
 
+def test_kept_step_matrix_below_the_crossover_matches_a_fresh_solver(ctx64_wide, rng, monkeypatch,
+                                                                    nan_beta_poison):
+    # below the crossover the solver keeps P/tau + A_sigma for its tau; the
+    # halved step 4, the full step after it and the shortened last step each
+    # change tau, and every step must come out as from a solver of its own
+    ops = ctx64_wide.ops
+    assert ops.mesh.dof_count < evolution._PCG_MIN_DOF
+    u0 = 0.25 * rng.standard_normal(ops.mesh.dof_count)
+
+    def run():
+        steps = march(ctx64_wide, StepConfig(tau=1e-3), u0, t_end=0.008)
+        out = [next(steps) for _ in range(3)]
+        nan_beta_poison["left"] = 2  # the predicted start of step 4 and its retry
+        return out + list(steps)
+
+    kept = run()
+    step_ = evolution.step
+    monkeypatch.setattr(evolution, "step", lambda ctx, cfg, u_prev, **kwargs: step_(
+        ctx, cfg, u_prev, **{**kwargs, "solver": _StepSolver(ctx.ops)}))
+    fresh = run()
+    certs = [cert for _, _, cert in kept]
+    assert [c.halvings for c in certs] == [0, 0, 0, 1, 0, 0, 0, 0, 0]
+    assert [c.tau_used for c in certs][3:5] == [5e-4, 1e-3]
+    assert certs[-1].tau_used == pytest.approx(5e-4)
+    assert len(fresh) == len(kept)
+    for (t, u, cert), (t_ref, u_ref, cert_ref) in zip(kept, fresh):
+        assert t == t_ref and u.tobytes() == u_ref.tobytes()
+        assert (np.array(evolution._cert_row(cert), evolution._CERT_DTYPE).tobytes()
+                == np.array(evolution._cert_row(cert_ref), evolution._CERT_DTYPE).tobytes())
+
+
 _EDGE_EXPONENTS = (1e-3, 0.5 - 1e-9, 0.5 + 1e-9, 0.999)
 
 

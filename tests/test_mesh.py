@@ -125,3 +125,14 @@ def test_tridiagonal_product_matches_the_dense_product(dof, rng):
             out = x.copy()
             res = tridiagonal_product(diag, off, out, out=out)
             assert np.shares_memory(res, out) and np.array_equal(out, y)  # in place, same numbers
+
+
+@pytest.mark.parametrize("dof", [1, 2, 63, 255])
+def test_tridiagonal_product_of_a_vector_is_its_one_column_block_bitwise(dof, rng):
+    # a vector skips the block path's reshape and panel loop, not its operations
+    diag, off = rng.standard_normal(dof), rng.standard_normal(dof - 1)
+    x = rng.standard_normal(dof)
+    y = tridiagonal_product(diag, off, x)
+    block = tridiagonal_product(diag, off, x[:, None])
+    assert y.shape == (dof,) and block.shape == (dof, 1)
+    assert y.tobytes() == block[:, 0].tobytes()

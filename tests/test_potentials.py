@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -387,6 +388,48 @@ def test_closed_form_resolvent_at_extreme_eps_r(eps, r):
     # take the form for |x| past 1e4; pytest turns a RuntimeWarning into an error
     j = yosida_resolvent(double_well(4.0), eps, np.array([r]))[0]
     assert _relative_error_to_50_digit_root(eps, 1.0, r, j[0]) <= 8 * np.finfo(float).eps
+
+
+def _closed_form_reference(eps, lam, r):
+    """The m = 4 root and beta'(root) in the form that max |r| selects, from the formulas."""
+    b = 1.0 + eps * (lam - 1.0)
+    c = math.sqrt(3.0 * eps / b)
+    k = 1.5 * c / b
+    if np.max(np.abs(r)) <= potentials._CARDANO_X_MAX / k:
+        j = (2.0 / c) * np.sinh(np.arcsinh(k * r) / 3.0)
+    else:
+        h = 0.5 * np.abs(r)
+        s = np.cbrt(2.0 * k) * np.cbrt(h + np.hypot(0.5 / k, h))
+        u = s * s
+        j = r / ((b / 3.0) * (u + 1.0 + 1.0 / u))
+    with np.errstate(over="ignore"):
+        return j, double_well(4.0).g_pair(j)[1] + lam
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+@pytest.mark.parametrize("eps", [1e-300, 1e-12, 0.01, 1.0, 1e6])
+def test_closed_form_resolvent_takes_one_form_per_call_bitwise_and_silently(eps, lam):
+    # |x| = k max|r| below, at and one ulp past _CARDANO_X_MAX, and |r| up to
+    # 1e308; g(j) overflows there for the largest r, and at eps = 1e-300 inside
+    # the Cardano range too.  Any RuntimeWarning fails the test
+    pot = replace(double_well(4.0), lam=lam)
+    b = 1.0 + eps * (lam - 1.0)
+    k = 1.5 * math.sqrt(3.0 * eps / b) / b
+    at = potentials._CARDANO_X_MAX / k
+    cases = [[0.5 * at, -0.25 * at, 1e-3 * at, 0.0], [at, -0.5 * at, 0.0], [-at, 1.0],
+             [np.nextafter(at, math.inf), 1.0, -1e-300], [-np.nextafter(at, math.inf)],
+             [1e102, -1.0], [np.nextafter(1e102, math.inf), 1.0], [1e150], [1e200, -1e-200],
+             [1e308, -1e308, 0.5]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in map(np.array, cases):
+            j, bp = yosida_resolvent(pot, eps, r)
+            ref_j, ref_bp = _closed_form_reference(eps, lam, r)
+            assert j.tobytes() == ref_j.tobytes() and bp.tobytes() == ref_bp.tobytes(), r
+    # a non-finite r takes the Newton path, which may overflow on its way to failing
+    for r in ([1.0, np.nan], [np.inf], [-np.inf, 2.0], [np.nan, 1e308]):
+        with pytest.raises(NewtonDivergenceError), np.errstate(over="ignore", invalid="ignore"):
+            yosida_resolvent(pot, eps, np.array(r))
 
 
 def test_lambda_below_split_and_non_finite_r_take_newton(monkeypatch):
