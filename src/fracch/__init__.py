@@ -61,7 +61,6 @@ from .potentials import (
     custom_potential,
     double_well,
     yosida_apply,
-    yosida_resolvent,
 )
 
 __version__ = "0.1.0"

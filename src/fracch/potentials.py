@@ -6,12 +6,12 @@ integrates the primitive g_hat of g, so no primitive of beta is formed.
 Hypothesis checks on user potentials are sampling-based and warn instead of
 aborting, so the tool stays usable outside the theory's assumptions.
 
-``yosida_resolvent`` returns (j(r), beta'(j(r))) and ``yosida_apply``
-(beta_eps(r), j(r), beta'(j(r))), each from one resolvent solve.  For the
-double well with m = 4 and lambda >= 1 the resolvent is the real root of a
-cubic and is taken in closed form; every other potential, exponent or
-lambda takes a safeguarded Newton iteration whose residual tolerance is
-max(1e-12, 4 eps_mach |r|).
+``yosida_apply`` returns (beta_eps(r), j(r), beta'(j(r))) from one resolvent
+solve, beta_eps(r) = beta(j(r)) coming from the ``beta_pair`` call at the
+root.  For the double well with m = 4 and lambda >= 1 the resolvent is the
+real root of a cubic, taken in closed form; everything else takes a
+safeguarded Newton iteration to a residual within twice its terms' rounding,
+max(1e-12, 4 eps_mach (|r| + eps (1 + lambda) |y|)) at the iterate y.
 
 ``yosida_pair`` builds one run's r -> (beta_eps(r), beta_eps'(r)), each
 value from one ``yosida_apply`` call: by the chain rule through the
@@ -54,7 +54,7 @@ class Potential:
     pass over r.  ``resolvent(eps, lam, r, r_max)``, when set
     (``double_well(4.0)``), is the closed-form root j of j + eps beta(j) = r
     for lam >= 1 and finite r, with r_max = max |r| taken by the caller;
-    ``yosida_resolvent`` then takes it in place of Newton.
+    ``yosida_apply`` then takes it in place of Newton.
     """
 
     g_pair: Callable
@@ -153,40 +153,43 @@ def _run_sampled_checks(g: Callable, g_prime: Callable, g_hat: Callable, lam: fl
         )
 
 
-# resolvent residual |y + eps beta(y) - r| accepted as a root: _ROOT_TOL, or
-# _ROOT_RTOL |r| where y + eps beta(y) - r cannot round below that
+# a resolvent root's residual bound: max(_ROOT_TOL, _ROOT_RTOL (|r| + eps (1 + lambda) |y|))
 _ROOT_TOL = 1e-12
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 _ROOT_MAX_ITER = 100
 
 
 def _takes_closed_form(pot: Potential) -> bool:
-    """Whether ``yosida_resolvent`` takes ``pot.resolvent`` for finite r."""
+    """Whether ``yosida_apply`` takes ``pot.resolvent`` for finite r."""
     return pot.resolvent is not None and pot.lam >= 1.0
 
 
-def yosida_resolvent(pot: Potential, epsilon: float, r, start=None):
-    """Resolvent (j(r), beta'(j(r))), j(r) the unique root of y + epsilon * beta(y) = r.
+def yosida_apply(pot: Potential, epsilon: float, r, start=None):
+    """(beta_eps(r), j(r), beta'(j(r))) from one resolvent solve, started at ``start``.
 
+    j(r) is the unique root of y + epsilon * beta(y) = r, and beta_eps(r) =
+    (r - j(r)) / epsilon is returned as beta(j(r)), the same value without
+    the cancellation (Brezis, Operateurs maximaux monotones, 1973).
     ``epsilon`` that is not a finite positive number raises
-    ConfigurationError.  When ``pot.resolvent`` is set (the double well
-    with m = 4), ``pot.lam >= 1`` and every element of r is finite, j is
-    that closed form and beta'(j) comes from ``pot.g_pair(j)``; ``start`` is
-    then not read.  The guard is lam >= 1, not b = 1 + eps (lam - 1) > 0:
-    below the split constant beta is not monotone, the root can lie outside
-    the bracket between 0 and r that the Newton path keeps, and Newton
-    stalls there.
+    ConfigurationError.  When ``pot.resolvent`` is set (the double well with
+    m = 4), ``pot.lam >= 1`` and every element of r is finite, j is that
+    closed form, and ``start`` is not read.  The guard is lam >= 1, not
+    b = 1 + eps (lam - 1) > 0: below the split constant beta is not
+    monotone, the root can lie outside the bracket between 0 and r that the
+    Newton path keeps, and Newton stalls there.
 
-    Otherwise: safeguarded Newton with a bisection fallback on the bracket
-    between 0 and r (valid because beta is monotone with beta(0) = 0).
-    Works elementwise on arrays.  An element counts as converged only when
-    its residual is finite and within max(1e-12, 4 eps_mach |r|): the
-    residual rounds at about eps_mach |r|, so at |r| >= 1e4 an absolute
-    1e-12 could not be met.  A NaN residual (beta NaN there, or r not
-    finite) moves neither end of the bracket, and a Newton step that is not
-    finite or leaves the bracket is replaced by bisection.  An element still
-    not converged after the iteration cap raises ``NewtonDivergenceError``;
-    a non-finite r always does.
+    Otherwise, elementwise: safeguarded Newton with a bisection fallback on
+    the bracket between 0 and r (valid because beta is monotone with
+    beta(0) = 0), numpy's floating-point warnings off.  An element converges
+    when its residual is finite and within max(1e-12, 4 eps_mach (|r| +
+    epsilon (1 + lambda) |y|)) at the iterate y, twice the rounding of the
+    residual's terms.  A NaN residual (beta NaN there, or r not finite)
+    moves neither end of the bracket, and a Newton step that is not finite
+    or leaves the bracket is replaced by bisection.  The last 64 iterations
+    bisect the bracket's bit patterns, which closes any bracket of finite
+    floats.  An element not converged by the iteration cap raises
+    ``NewtonDivergenceError``: a non-finite r always does, and so does a
+    root whose beta is beyond the float range.
 
     The iteration starts from y = r, or from ``start``, an initial guess of
     r's shape (a warm start, such as a tangent prediction from a nearby
@@ -195,13 +198,14 @@ def yosida_resolvent(pot: Potential, epsilon: float, r, start=None):
     tolerance, the bracket and the safeguard are the same either way, so a
     start changes the root only within the tolerance.
 
-    Each point the iteration visits costs one ``pot.beta_pair`` call, so
-    beta'(j) at the root comes with j at no extra cost.  Both are arrays of
-    r's shape, or floats for a scalar r.
+    Each point visited, and the closed form's root, costs one
+    ``pot.beta_pair`` call, which gives beta(j) and beta'(j) with j: arrays
+    of r's shape, or floats for a scalar r.
     """
     if not 0.0 < epsilon < math.inf:  # False for NaN too
         raise ConfigurationError(f"Yosida epsilon must be finite and positive, got {epsilon}")
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    r_arr = np.asarray(r, dtype=float)
+    r_arr = r_arr.reshape(1) if r_arr.ndim == 0 else r_arr  # np.atleast_1d, without its overhead
     if start is not None:
         start = np.atleast_1d(np.asarray(start, dtype=float))
         if start.shape != r_arr.shape:
@@ -211,55 +215,39 @@ def yosida_resolvent(pot: Potential, epsilon: float, r, start=None):
     if _takes_closed_form(pot) and r_max < math.inf:
         y = pot.resolvent(epsilon, pot.lam, r_arr, r_max)
         if r_max <= _CUBE_FINITE_R:
-            bp = pot.g_pair(y)[1] + pot.lam
+            b, bp = pot.beta_pair(y)
         else:
-            with np.errstate(over="ignore"):  # g(j), not read here, overflows before g'(j)
-                bp = pot.g_pair(y)[1] + pot.lam
-        return (y, bp) if np.ndim(r) else (float(y[0]), float(bp[0]))
-    # NaN for a non-finite r, so that no residual is ever within it
-    tol = np.where(np.isfinite(r_abs), np.maximum(_ROOT_TOL, _ROOT_RTOL * r_abs), np.nan)
-    lo = np.minimum(r_arr, 0.0)
-    hi = np.maximum(r_arr, 0.0)
-    if start is None:
-        y = r_arr.copy()
-    else:
-        # np.clip's bits, without its Python-level dispatch
-        y = np.minimum(np.maximum(np.where(np.isfinite(start), start, r_arr), lo), hi)
-    b, bp = pot.beta_pair(y)
-    residual = y + epsilon * np.asarray(b, dtype=float) - r_arr
-    for _ in range(_ROOT_MAX_ITER):
-        open_ = ~(np.abs(residual) <= tol)  # NaN counts as open
-        if not open_.any():
-            break
-        np.minimum(hi, y, out=hi, where=residual > 0.0)
-        np.maximum(lo, y, out=lo, where=residual <= 0.0)
-        slope = 1.0 + epsilon * np.asarray(bp, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = y - residual / slope
-        # a NaN step fails both tests and an infinite one fails one of them
-        # (the bracket is finite for finite r), so it falls back to bisection
-        inside = (newton > lo) & (newton < hi)
-        y = np.where(open_, np.where(inside, newton, 0.5 * (lo + hi)), y)
-        b, bp = pot.beta_pair(y)
-        residual = y + epsilon * np.asarray(b, dtype=float) - r_arr
-    else:
-        if not np.all(np.abs(residual) <= tol):
-            raise NewtonDivergenceError(
-                "resolvent iteration cap exceeded; is potential.lambda below the split "
-                "constant (1 for the double well), or is a custom beta non-monotone or "
-                "not finite on the bracket between 0 and r?"
-            )
-    bp = np.asarray(bp, dtype=float)
-    return (y, bp) if np.ndim(r) else (float(y[0]), float(bp.flat[0]))
-
-
-def yosida_apply(pot: Potential, epsilon: float, r, start=None):
-    """(beta_eps(r), j(r), beta'(j(r))) from one ``yosida_resolvent`` solve, started at ``start``.
-
-    beta_eps(r) = (r - j(r)) / epsilon is the Yosida approximation of beta.
-    """
-    j, bp = yosida_resolvent(pot, epsilon, r, start=start)
-    return (np.asarray(r, dtype=float) - j) / epsilon, j, bp
+            with np.errstate(over="ignore"):  # g(j) overflows only here, and beta_eps(r) with it
+                b, bp = pot.beta_pair(y)
+        return (b, y, bp) if np.ndim(r) else (float(b[0]), float(y[0]), float(bp[0]))
+    # the tolerance's |r| term, NaN for a non-finite r so that no residual is ever within it
+    tol_r = _ROOT_RTOL * np.where(np.isfinite(r_abs), r_abs, np.nan)
+    tol_y = _ROOT_RTOL * epsilon * (1.0 + abs(pot.lam))
+    lo, hi = np.minimum(r_arr, 0.0), np.maximum(r_arr, 0.0)
+    y = r_arr if start is None else np.where(np.isfinite(start), start, r_arr)
+    y = np.minimum(np.maximum(y, lo), hi)  # np.clip's bits, without its Python-level dispatch
+    with np.errstate(all="ignore"):
+        for it in range(_ROOT_MAX_ITER + 1):
+            b, bp = pot.beta_pair(y)
+            residual = y + epsilon * b - r_arr
+            open_ = ~(np.abs(residual) <= np.maximum(_ROOT_TOL, tol_r + tol_y * np.abs(y)))
+            if not open_.any():  # NaN counts as open
+                break
+            if it == _ROOT_MAX_ITER:
+                raise NewtonDivergenceError(
+                    "resolvent iteration cap exceeded; is potential.lambda below the split "
+                    "constant (1 for the double well), or is a custom beta non-monotone or "
+                    "not finite on the bracket between 0 and r?")
+            np.minimum(hi, y, out=hi, where=residual > 0.0)
+            np.maximum(lo, y, out=lo, where=residual <= 0.0)
+            newton = y - residual / (1.0 + epsilon * bp)
+            # a NaN or infinite step fails a test (a finite r's bracket is finite): bisection
+            y_next = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
+            if it >= _ROOT_MAX_ITER - 64:  # bisect the bits, which order floats of one sign
+                lo_bits, hi_bits = np.abs(lo).view(np.int64), np.abs(hi).view(np.int64)
+                y_next = np.copysign((lo_bits + (hi_bits - lo_bits) // 2).view(float), r_arr)
+            y = np.where(open_, y_next, y)
+    return (b, y, bp) if np.ndim(r) else (float(b[0]), float(y[0]), float(bp[0]))
 
 
 def yosida_pair(pot: Potential, epsilon: float):
@@ -272,21 +260,19 @@ def yosida_pair(pot: Potential, epsilon: float):
     if _takes_closed_form(pot):
         def closed_form_pair(r):
             beta_eps, _, bp = yosida_apply(pot, epsilon, r)
-            return beta_eps, bp / (1.0 + epsilon * bp)
+            # beta'(j) = inf past |j| = 7.7e153: the capped slope gives inf there, and fmin 1/eps
+            return beta_eps, np.fmin(bp / np.minimum(1.0 + epsilon * bp, 1e308), 1.0 / epsilon)
 
         return closed_form_pair
     last = None  # (r, j, 1 + epsilon beta'(j)) of the previous call
 
     def warm_pair(r):
         nonlocal last
-        start = None
-        if last is not None and last[0].shape == r.shape:
-            r_last, j_last, slope_last = last
-            # dj/dr = 1 / (1 + epsilon beta'(j)); the resolvent replaces a non-finite start by r
-            start = j_last + (r - r_last) / slope_last
+        # dj/dr = 1 / (1 + epsilon beta'(j)); the resolvent replaces a non-finite start by r
+        start = last[1] + (r - last[0]) / last[2] if last and last[0].shape == r.shape else None
         beta_eps, j, bp = yosida_apply(pot, epsilon, r, start=start)
         slope = 1.0 + epsilon * bp
         last = (r, j, slope)
-        return beta_eps, bp / slope
+        return beta_eps, np.fmin(bp / slope, 1.0 / epsilon)  # a rounding may pass 1/eps
 
     return warm_pair

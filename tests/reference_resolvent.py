@@ -1,13 +1,16 @@
 """Frozen copy of the Yosida resolvent iteration, kept as a reference.
 
-This is the loop ``fracch.potentials.yosida_resolvent`` ran before it moved
-to one convergence mask per iteration and in-place bracket updates: the
-same safeguarded Newton with a bisection fallback on the bracket between 0
-and r, written with ``np.where`` copies and the residual's magnitude formed
-anew for each test.  On inputs whose residuals are all finite the two must
-agree bit for bit.  It differs on purpose where a residual is NaN: this copy
-leaves such an element at r and counts it as converged.  It is
-self-contained on purpose: do not import the package's helpers here.
+This is the loop the Newton path of ``fracch.potentials.yosida_apply`` ran
+before it moved to one convergence mask per iteration and in-place bracket
+updates: the same safeguarded Newton with a bisection fallback on the
+bracket between 0 and r, written with ``np.where`` copies and the
+residual's magnitude formed anew for each test.  On inputs whose residuals
+are all finite, where the package's tolerance is this copy's 1e-12 (|r| and
+eps moderate) and Newton converges before the package turns to bisecting
+bit patterns, the two must agree bit for bit.  It differs on purpose where
+a residual is NaN: this copy leaves such an element at r and counts it as
+converged.  It is self-contained on purpose: do not import the package's
+helpers here.
 """
 
 from __future__ import annotations

@@ -441,9 +441,11 @@ def test_non_finite_residual_exits_solver_divergence(quick_cfg, nan_from_first_u
 
 
 def test_overflow_inside_a_step_is_one_line_of_solver_divergence(tmp_path, capsys):
-    # eps = 1e-300 overflows the Yosida beta and then the residual at every tau;
-    # numpy's overflow warnings stay off, and march's halvings end in exit 4
+    # lambda = 1e300 takes the lagged term and the Yosida beta to about 1e299, and
+    # the residual's norm overflows at every tau; numpy's overflow warnings stay
+    # off, and march's halvings end in exit 4
     cfg = _write(tmp_path, "cfg.json", {
+        "potential": {"lambda": 1e300},
         "yosida": {"enabled": True, "epsilon": 1e-300},
         "output": {"dir": str(tmp_path / "out")},
     })
@@ -451,6 +453,14 @@ def test_overflow_inside_a_step_is_one_line_of_solver_divergence(tmp_path, capsy
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("solver divergence:")
+    # eps = 1e-300 alone overflows nothing: beta_eps = beta(j) stays near beta
+    cfg = _write(tmp_path, "cfg.json", {
+        "yosida": {"enabled": True, "epsilon": 1e-300},
+        "time": {"t_end": 0.05},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["simulate", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_overflowing_line_search_trials_are_rejected_silently(tmp_path, capsys):
@@ -665,16 +675,15 @@ def test_cli_import_loads_no_scipy_special():
 
 
 def test_verify_passes_on_default_config(tmp_path, monkeypatch):
-    resolvent = fracch.potentials.yosida_resolvent
+    apply = fracch.potentials.yosida_apply
     epsilons = []
 
     def counted(pot, eps, r, **kwargs):
         epsilons.append(eps)
-        return resolvent(pot, eps, r, **kwargs)
+        return apply(pot, eps, r, **kwargs)
 
-    # verify takes each sample's resolvent through yosida_apply, which looks it
-    # up in fracch.potentials
-    monkeypatch.setattr(fracch.potentials, "yosida_resolvent", counted)
+    # verify's Yosida check calls the yosida_apply that fracch.cli imported
+    monkeypatch.setattr(fracch.cli, "yosida_apply", counted)
     cfg = _write(tmp_path, "cfg.json", {})  # every key defaulted
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert epsilons == [1.0, 1.0, 0.1, 0.1, 0.01, 0.01]  # one resolvent per sample array

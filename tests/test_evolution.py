@@ -352,8 +352,8 @@ def test_yosida_step_solves_one_resolvent_per_iterate(ctx64, rng, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(potentials, "yosida_resolvent",
-                        counted("resolvent", potentials.yosida_resolvent))
+    monkeypatch.setattr(potentials, "yosida_apply",
+                        counted("resolvent", potentials.yosida_apply))
     monkeypatch.setattr(evolution, "weighted_mass", counted("updates", evolution.weighted_mass))
     u0 = 0.3 * rng.standard_normal(ctx64.ops.mesh.dof_count)
     step(ctx64, StepConfig(tau=1e-2, use_yosida=1e-2), u0, e_before=0.0)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from reference_resolvent import reference_resolvent
@@ -19,7 +19,6 @@ from fracch.potentials import (
     double_well,
     yosida_apply,
     yosida_pair,
-    yosida_resolvent,
 )
 
 
@@ -33,6 +32,11 @@ def _beta(pot, r):
 
 def _beta_prime(pot, r):
     return pot.beta_pair(r)[1]
+
+
+def _resolvent(pot, eps, r, start=None):
+    """(j, beta'(j)) of one ``yosida_apply`` solve."""
+    return yosida_apply(pot, eps, r, start=start)[1:]
 
 
 def _reference(pot, eps, r):
@@ -103,8 +107,8 @@ def test_custom_potential_clean_passes():
 
 def test_yosida_resolvent_cubic():
     pot = double_well(4.0)  # beta(r) = r^3
-    assert yosida_resolvent(pot, 1.0, 2.0)[0] == pytest.approx(1.0, abs=1e-11)
-    assert yosida_resolvent(pot, 1.0, 0.0)[0] == 0.0
+    assert _resolvent(pot, 1.0, 2.0)[0] == pytest.approx(1.0, abs=1e-11)
+    assert _resolvent(pot, 1.0, 0.0)[0] == 0.0
     assert yosida_apply(pot, 1.0, 2.0)[0] == pytest.approx(1.0, abs=1e-11)
     assert yosida_apply(pot, 1.0, 0.0)[0] == 0.0
 
@@ -114,7 +118,7 @@ def test_yosida_resolvent_linear_closed_form():
         g=lambda r: 0.0 * np.asarray(r), g_prime=lambda r: 0.0 * np.asarray(r),
         g_hat=lambda r: 0.0 * np.asarray(r), lam=1.0, check=False,
     )  # beta(r) = r
-    j = yosida_resolvent(pot, 0.5, 3.0)[0]
+    j = _resolvent(pot, 0.5, 3.0)[0]
     assert j == pytest.approx(2.0, abs=1e-11)
 
 
@@ -147,8 +151,8 @@ def test_yosida_monotone_and_lipschitz(rng):
 @given(r1=st.floats(-20, 20), r2=st.floats(-20, 20), eps=st.sampled_from([1.0, 0.3, 0.05]))
 def test_resolvent_nonexpansive(r1, r2, eps):
     pot = double_well(4.0)
-    j1 = yosida_resolvent(pot, eps, r1)[0]
-    j2 = yosida_resolvent(pot, eps, r2)[0]
+    j1 = _resolvent(pot, eps, r1)[0]
+    j2 = _resolvent(pot, eps, r2)[0]
     assert abs(j1 - j2) <= abs(r1 - r2) + 1e-9
 
 
@@ -158,7 +162,7 @@ def test_resolvent_cap_on_nonmonotone_beta():
         g_hat=lambda r: -1.5 * np.asarray(r) ** 2, lam=1.0, check=False,
     )  # beta(r) = -2r, decreasing
     with pytest.raises(NewtonDivergenceError):
-        yosida_resolvent(pot, 1.0, 1.0)
+        _resolvent(pot, 1.0, 1.0)
 
 
 def _newton_cubic():
@@ -182,7 +186,7 @@ def _steep_arctan():
        eps=st.sampled_from([1.0, 0.1, 0.01]))
 def test_resolvent_matches_reference_bitwise(r, eps):
     pot = _newton_cubic()
-    j = yosida_resolvent(pot, eps, r)[0]
+    j = _resolvent(pot, eps, r)[0]
     assert np.array_equal(j, _reference(pot, eps, r))
 
 
@@ -193,7 +197,7 @@ def test_resolvent_matches_reference_bitwise_through_bisection(rng, eps):
     # the first Newton step leaves the bracket [min(r, 0), max(r, 0)] somewhere
     first = r - eps * _beta(pot, r) / (1.0 + eps * _beta_prime(pot, r))
     assert np.any((first <= np.minimum(r, 0.0)) | (first >= np.maximum(r, 0.0)))
-    j = yosida_resolvent(pot, eps, r)[0]
+    j = _resolvent(pot, eps, r)[0]
     assert np.array_equal(j, _reference(pot, eps, r))
     assert np.max(np.abs(j + eps * _beta(pot, j) - r)) <= 1e-12
 
@@ -201,7 +205,7 @@ def test_resolvent_matches_reference_bitwise_through_bisection(rng, eps):
 def test_resolvent_scalar_matches_reference():
     pot = _steep_arctan()
     for r in (-7.5, 0.0, 0.3, 25.0):
-        j = yosida_resolvent(pot, 0.1, r)[0]
+        j = _resolvent(pot, 0.1, r)[0]
         assert type(j) is float
         assert j == _reference(pot, 0.1, r)
 
@@ -211,7 +215,7 @@ def test_resolvent_scalar_matches_reference():
 def test_resolvent_from_any_start_finds_the_cold_root(rng, pot, kind):
     eps = 0.01
     r = rng.uniform(-20.0, 20.0, 500)
-    cold = yosida_resolvent(pot, eps, r)[0]
+    cold = _resolvent(pot, eps, r)[0]
     start = {
         "nan": np.full_like(r, np.nan),
         "inf": np.full_like(r, np.inf),
@@ -220,7 +224,7 @@ def test_resolvent_from_any_start_finds_the_cold_root(rng, pot, kind):
         "far_off": np.where(rng.random(r.size) < 0.5, 1e6, -1e6),
         "near": cold + 1e-3 * rng.standard_normal(r.size),
     }[kind]
-    j = yosida_resolvent(pot, eps, r, start=start)[0]
+    j = _resolvent(pot, eps, r, start=start)[0]
     assert np.max(np.abs(j - cold)) <= _ROOT_TOL
     assert np.max(np.abs(j + eps * _beta(pot, j) - r)) <= _ROOT_TOL
 
@@ -260,30 +264,28 @@ def test_resolvent_hands_back_beta_prime_at_the_root(rng, pot):
     eps = 0.01
     r = rng.uniform(-20.0, 20.0, 400)
     for start in (None, r + rng.standard_normal(r.size)):
-        j, bp = yosida_resolvent(pot, eps, r, start=start)
+        be, j, bp = yosida_apply(pot, eps, r, start=start)
+        # beta_eps(r) = beta(j(r)), the value the root's beta_pair call gave
+        assert np.array_equal(be, _beta(pot, j))
         assert np.array_equal(bp, _beta_prime(pot, j))
-        # yosida_apply hands the same solve on, with beta_eps(r) in front
-        be, j_apply, bp_apply = yosida_apply(pot, eps, r, start=start)
-        assert np.array_equal(be, (r - j) / eps)
-        assert np.array_equal(j_apply, j) and np.array_equal(bp_apply, bp)
-    j, bp = yosida_resolvent(pot, eps, 2.5)
-    assert type(j) is float and type(bp) is float
-    assert bp == float(_beta_prime(pot, j))
+    be, j, bp = yosida_apply(pot, eps, 2.5)
+    assert type(be) is float and type(j) is float and type(bp) is float
+    assert be == float(_beta(pot, j)) and bp == float(_beta_prime(pot, j))
 
 
 def test_resolvent_start_at_the_root_costs_one_beta(monkeypatch, rng):
     pot = _newton_cubic()
     eps = 0.01
     r = rng.uniform(-5.0, 5.0, 300)
-    cold = yosida_resolvent(pot, eps, r)[0]
+    cold = _resolvent(pot, eps, r)[0]
     calls = []
     beta_pair = Potential.beta_pair  # one (beta, beta') evaluation per point visited
     monkeypatch.setattr(Potential, "beta_pair",
                         lambda self, y: calls.append(y) or beta_pair(self, y))
-    assert np.array_equal(yosida_resolvent(pot, eps, r, start=cold)[0], cold)
+    assert np.array_equal(_resolvent(pot, eps, r, start=cold)[0], cold)
     assert len(calls) == 1
     calls.clear()
-    yosida_resolvent(pot, eps, r)
+    _resolvent(pot, eps, r)
     assert len(calls) >= 3  # from y = r: the start and at least two Newton updates
 
 
@@ -291,10 +293,10 @@ def test_resolvent_start_must_have_the_shape_of_r():
     pot = _newton_cubic()
     for p in (pot, double_well(4.0)):  # the closed form checks the shape too
         with pytest.raises(ValueError, match="shape"):
-            yosida_resolvent(p, 0.1, np.ones(4), start=np.ones(3))
+            _resolvent(p, 0.1, np.ones(4), start=np.ones(3))
     # a scalar r takes a scalar start, and apply passes it on
-    assert yosida_resolvent(pot, 0.1, 2.0, start=1.0)[0] == pytest.approx(
-        yosida_resolvent(pot, 0.1, 2.0)[0], abs=_ROOT_TOL)
+    assert _resolvent(pot, 0.1, 2.0, start=1.0)[0] == pytest.approx(
+        _resolvent(pot, 0.1, 2.0)[0], abs=_ROOT_TOL)
     assert yosida_apply(pot, 0.1, 2.0, start=np.nan)[0] == yosida_apply(pot, 0.1, 2.0)[0]
 
 
@@ -313,10 +315,10 @@ def test_resolvent_rejects_beta_nan_at_the_start():
         g_prime=_quiet(lambda y: 2.0 / (1.0 - y * y)),
         g_hat=lambda y: 0.0 * np.asarray(y), lam=0.0, check=False,
     )
-    j = yosida_resolvent(pot, 0.1, 0.5)[0]  # beta finite along the whole iteration
+    j = _resolvent(pot, 0.1, 0.5)[0]  # beta finite along the whole iteration
     assert abs(j + 0.1 * _beta(pot, j) - 0.5) <= 1e-12
     with pytest.raises(NewtonDivergenceError):
-        yosida_resolvent(pot, 0.1, np.array([0.5, 1.5, -3.0]))
+        _resolvent(pot, 0.1, np.array([0.5, 1.5, -3.0]))
 
 
 def test_resolvent_rejects_all_nan_beta():
@@ -325,14 +327,14 @@ def test_resolvent_rejects_all_nan_beta():
         g_hat=lambda y: 0.0 * np.asarray(y), lam=0.0, check=False,
     )
     with pytest.raises(NewtonDivergenceError):
-        yosida_resolvent(pot, 0.1, np.array([0.0, 1.0, -2.0]))
+        _resolvent(pot, 0.1, np.array([0.0, 1.0, -2.0]))
 
 
 def test_yosida_epsilon_validation():
     for pot in (double_well(4.0), _newton_cubic()):  # the closed form and the Newton path
         for eps in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ConfigurationError, match="epsilon"):
-                yosida_resolvent(pot, eps, 1.0)
+                _resolvent(pot, eps, 1.0)
             with pytest.raises(ConfigurationError, match="epsilon"):
                 yosida_apply(pot, eps, np.ones(3))
 
@@ -375,10 +377,10 @@ def test_closed_form_resolvent_matches_50_digit_roots(monkeypatch, lam):
     r = np.where(draws.random(eps.size) < 0.5, -mag, mag)
     calls = _count_beta_pairs(monkeypatch)
     for e, x in zip(eps, r):
-        j, bp = yosida_resolvent(pot, e, np.array([x]))
+        j, bp = _resolvent(pot, e, np.array([x]))
         assert np.array_equal(bp, 3.0 * np.abs(j) ** 2.0 - 1.0 + lam)  # beta'(j), m = 4
         assert _relative_error_to_50_digit_root(e, lam, x, j[0]) <= 8 * np.finfo(float).eps
-    assert not calls  # no Newton iterate
+    assert len(calls) == eps.size  # beta at the root only, no Newton iterate
 
 
 @pytest.mark.parametrize("eps, r", [(1e6, 1e306), (1e6, -1.7e308), (1e-12, 1.7e308),
@@ -386,7 +388,7 @@ def test_closed_form_resolvent_matches_50_digit_roots(monkeypatch, lam):
 def test_closed_form_resolvent_at_extreme_eps_r(eps, r):
     # x = 1.5 c r / b overflows at the first two points, and all but the last
     # take the form for |x| past 1e4; pytest turns a RuntimeWarning into an error
-    j = yosida_resolvent(double_well(4.0), eps, np.array([r]))[0]
+    j = _resolvent(double_well(4.0), eps, np.array([r]))[0]
     assert _relative_error_to_50_digit_root(eps, 1.0, r, j[0]) <= 8 * np.finfo(float).eps
 
 
@@ -423,13 +425,13 @@ def test_closed_form_resolvent_takes_one_form_per_call_bitwise_and_silently(eps,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for r in map(np.array, cases):
-            j, bp = yosida_resolvent(pot, eps, r)
+            j, bp = _resolvent(pot, eps, r)
             ref_j, ref_bp = _closed_form_reference(eps, lam, r)
             assert j.tobytes() == ref_j.tobytes() and bp.tobytes() == ref_bp.tobytes(), r
     # a non-finite r takes the Newton path, which may overflow on its way to failing
     for r in ([1.0, np.nan], [np.inf], [-np.inf, 2.0], [np.nan, 1e308]):
         with pytest.raises(NewtonDivergenceError), np.errstate(over="ignore", invalid="ignore"):
-            yosida_resolvent(pot, eps, np.array(r))
+            _resolvent(pot, eps, np.array(r))
 
 
 def test_lambda_below_split_and_non_finite_r_take_newton(monkeypatch):
@@ -437,12 +439,12 @@ def test_lambda_below_split_and_non_finite_r_take_newton(monkeypatch):
     # lambda 0.5: b = 1 + eps (lambda - 1) > 0, but the root r / b of the
     # near-linear part lies past r, outside Newton's bracket, so Newton stalls
     with pytest.raises(NewtonDivergenceError):
-        yosida_resolvent(replace(double_well(4.0), lam=0.5), 0.01, 1e-3)
+        _resolvent(replace(double_well(4.0), lam=0.5), 0.01, 1e-3)
     assert len(calls) > 1
     for r in ([1.0, np.nan], [np.inf], [-np.inf, 2.0]):
         calls.clear()
         with pytest.raises(NewtonDivergenceError), np.errstate(invalid="ignore"):
-            yosida_resolvent(double_well(4.0), 0.01, np.array(r))
+            _resolvent(double_well(4.0), 0.01, np.array(r))
         assert len(calls) > 1
 
 
@@ -454,7 +456,7 @@ def test_newton_resolvent_converges_at_large_r(m, eps):
     pot = double_well(m)
     assert pot.resolvent is None
     r = np.array([1e4, -3e5, 1e6, 1e8])
-    j = yosida_resolvent(pot, eps, r)[0]
+    j = _resolvent(pot, eps, r)[0]
     assert np.all(np.abs(j + eps * _beta(pot, j) - r) <= 4 * np.finfo(float).eps * np.abs(r))
 
 
@@ -495,6 +497,9 @@ def test_closed_form_yosida_pair_keeps_no_memory(r1_r2, eps, lam):
 
 @settings(max_examples=60, deadline=None)
 @given(r1_r2=_r1_r2, eps=_log_eps, lam=st.floats(1.0, 3.0))
+# the residual y + eps beta(y) - r at this root cannot round below 1.25e-12,
+# which a fixed tolerance of 1e-12 could not accept
+@example(r1_r2=(np.array([0.0]), np.array([5.5])), eps=1e6, lam=1.0)
 def test_newton_path_yosida_pair_passes_the_tangent_start(r1_r2, eps, lam):
     r1, r2 = r1_r2
     pot = replace(_newton_cubic(), lam=lam)
@@ -507,3 +512,82 @@ def test_newton_path_yosida_pair_passes_the_tangent_start(r1_r2, eps, lam):
     (start1, (_, j1, bp1)), (start2, _), (start3, _) = applied
     assert start1 is None and start3 is None
     assert np.array_equal(start2, j1 + (r2 - r1) / (1.0 + eps * bp1))
+
+
+# epsilon log-uniform over [1e-300, 1e6], and r of either sign, log-uniform in
+# magnitude up to 1e308, or 0, or not finite
+_wide_eps = st.floats(-300.0, 6.0).map(lambda e: 10.0 ** e)
+_wide_r = arrays(np.float64, st.integers(1, 4), elements=st.one_of(
+    st.tuples(st.booleans(), st.floats(-320.0, 308.0)).map(
+        lambda t: (-1.0 if t[0] else 1.0) * 10.0 ** t[1]),
+    st.sampled_from([0.0, math.inf, -math.inf, math.nan])))
+
+
+def _check_yosida_apply_and_pair(pot, eps, r):
+    """beta_eps = beta(j) bit for bit and beta_eps' in [0, 1/eps], both without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        be, j, _ = yosida_apply(pot, eps, r)
+        pair_be, pair_bp = yosida_pair(pot, eps)(r)
+    with np.errstate(over="ignore"):  # beta(j) overflows where beta_eps(r) does
+        assert be.tobytes() == _beta(pot, j).tobytes()
+    assert pair_be.tobytes() == be.tobytes()
+    assert np.all(np.isfinite(pair_bp))
+    assert np.all((pair_bp >= 0.0) & (pair_bp <= 1.0 / eps))
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=_wide_r, eps=_wide_eps, lam=st.floats(0.5, 3.0))
+@example(r=np.array([1e200]), eps=1e-300, lam=1.0)  # beta(j) and beta'(j) overflow
+def test_closed_form_yosida_apply_converges_to_beta_at_the_root(r, eps, lam):
+    # double_well(4.0) takes the closed form for finite r at lambda >= 1
+    pot = replace(double_well(4.0), lam=lam)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            yosida_apply(pot, eps, r)
+    except NewtonDivergenceError:
+        assert not np.all(np.isfinite(r)) or lam < 1.0
+        return
+    if lam >= 1.0:
+        _check_yosida_apply_and_pair(pot, eps, r)
+
+
+def _log_beta_at_root(p, lam, eps, r):
+    """log beta(j) for beta(y) = |y|^p sign(y) + (lam - 1) y, by bisection on log j.
+
+    j solves (1 + eps (lam - 1)) j + eps j^p = |r|; in logs nothing overflows.
+    """
+    log_a, log_eps, log_r = math.log1p(eps * (lam - 1.0)), math.log(eps), math.log(abs(r))
+    lo, hi = -800.0, 800.0
+    for _ in range(200):
+        t = 0.5 * (lo + hi)
+        if np.logaddexp(log_a + t, log_eps + p * t) < log_r:
+            lo = t
+        else:
+            hi = t
+    return p * lo if lam == 1.0 else float(np.logaddexp(p * lo, math.log(lam - 1.0) + lo))
+
+
+@pytest.mark.parametrize("pot, p", [(_newton_cubic(), 3.0), (double_well(3.5), 2.5)],
+                         ids=["cubic", "m3.5"])
+@settings(max_examples=100, deadline=None)
+@given(r=_wide_r, eps=_wide_eps, lam=st.floats(0.5, 3.0))
+@example(r=np.array([1e300, -1e-300]), eps=1e6, lam=1.0)  # the root ~200 decades below r
+def test_newton_yosida_apply_converges_to_beta_at_the_root(pot, p, r, eps, lam):
+    pot = replace(pot, lam=lam)
+    assert not potentials._takes_closed_form(pot)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            yosida_apply(pot, eps, r)
+    except NewtonDivergenceError:
+        # or beta at the root is past the float range (beta_eps(r) is there too),
+        # and the residual y + eps beta(y) - r cannot be formed near it
+        near_overflow = math.log(np.finfo(float).max) - 1e-6
+        assert (not np.all(np.isfinite(r)) or lam < 1.0
+                or any(x != 0.0 and _log_beta_at_root(p, lam, eps, x) > near_overflow
+                       for x in r))
+        return
+    if lam >= 1.0:
+        _check_yosida_apply_and_pair(pot, eps, r)
