@@ -12,6 +12,7 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random import default_rng
 
 from .energy import EnergyContext
 from .errors import ConfigurationError
@@ -66,7 +67,7 @@ class RunConfig:
         return EnergyContext(ops=build_operator_set(self.mesh, self.exps), pot=self.pot)
 
     def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.rng_seed)
+        return default_rng(self.rng_seed)
 
 
 def _require_number(group: str, key: str, value, integer: bool = False):

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from .evolution import Trajectory
 from .mesh import tridiagonal_product
@@ -143,7 +144,7 @@ def poincare_report(ops: OperatorSet, trials: int, rng=None) -> PoincareReport:
         bound = 2.0 / float(2.0 * R + 1.0) ** (1.0 + 2.0 * s)
     except OverflowError:  # the power is past the float range on a huge domain
         bound = 0.0
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = default_rng(0) if rng is None else rng
     dof = mesh.dof_count
     scale = 2.0 / normalization_constant(s)
     k = np.arange(min(10, dof))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .operators import OperatorSet
 from .potentials import Potential
@@ -41,7 +42,7 @@ class EnergyContext:
     @cached_property
     def quad_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(weights, shape0, shape1) of the per-element Gauss rule."""
-        ref, w = np.polynomial.legendre.leggauss(_QUAD_ORDER)
+        ref, w = leggauss(_QUAD_ORDER)
         ref = 0.5 * (ref + 1.0)
         return 0.5 * w * self.ops.mesh.h, 1.0 - ref, ref
 

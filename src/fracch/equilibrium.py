@@ -32,9 +32,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.linalg.lapack import dgesv, dposv
+from numpy.random import default_rng
 
+from ._lapack import dgesv, dposv, eigh
 from .energy import (
     EnergyContext,
     add_tridiagonal,
@@ -193,8 +193,7 @@ def _pencil_kernel(make_L, M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return mu, run, np.empty((mu.size, 0))
     C, vectors = reduce_pencil_in_place(make_L(), M)
     # the spectrum's solve checked this L for finiteness
-    Y = eigh(C, subset_by_index=(run[0], run[-1]), driver="evr", overwrite_a=True,
-             check_finite=False)[1]
+    Y = eigh(C, subset_by_index=(run[0], run[-1]))[1]
     return mu, run, vectors(Y)
 
 
@@ -224,7 +223,7 @@ def pencil_eigenvalues_in_place(X: np.ndarray, M) -> np.ndarray:
     if not (math.isfinite(np.minimum.reduce(C, axis=None))
             and math.isfinite(np.maximum.reduce(C, axis=None))):
         raise np.linalg.LinAlgError("non-finite entries in the reduced pencil")
-    return eigh(C, eigvals_only=True, driver="evr", overwrite_a=True, check_finite=False)
+    return eigh(C, eigvals_only=True)
 
 
 def pencil_eigenvalues(L: np.ndarray, M) -> np.ndarray:
@@ -322,7 +321,7 @@ def lsi_probe(
         energy_fn = lambda v: energy(ctx, v)  # noqa: E731
     if grad_fn is None:
         grad_fn = lambda v: energy_gradient(ctx, v)  # noqa: E731
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = default_rng(0) if rng is None else rng
     ops = ctx.ops
     phi = rep.phi
     e_phi = energy_fn(phi)

@@ -75,9 +75,8 @@ import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.linalg.blas import dsymv
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
+from ._lapack import dpotrf, dpotri, dpotrs, dsymv
 from .energy import (
     EnergyContext,
     add_tridiagonal,

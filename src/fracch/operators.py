@@ -54,9 +54,9 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, toeplitz
-from scipy.linalg.lapack import dpotrf, dpotrs, dpttrf, dpttrs, dtrtri
+from numpy.polynomial.legendre import leggauss
 
+from ._lapack import dpotrf, dpotrs, dpttrf, dpttrs, dtrtri, eigh_tridiagonal
 from .errors import AssemblyError, ConfigurationError
 from .mesh import FracMesh, mass_matrix, tridiagonal_product
 
@@ -152,7 +152,7 @@ def _separated_blocks(h: float, s: float, d) -> np.ndarray:
     values on one element each, so tensor Gauss-Legendre applies to a smooth
     integrand.
     """
-    pts, wts = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    pts, wts = leggauss(_GAUSS_ORDER)
     pts = 0.5 * (pts + 1.0)
     wts = 0.5 * wts
     shapes = np.stack([1.0 - pts, pts])
@@ -264,7 +264,7 @@ def assemble_gagliardo(mesh: FracMesh, s: float) -> np.ndarray:
     row[0] += same[0, 0] + same[1, 1] + touch[1, 1]
     row[1] += same[0, 1] + touch[0, 1] + touch[1, 2]
     row[2] += touch[0, 2]
-    A = toeplitz(row[:n - 1])
+    A = _toeplitz(row[:n - 1])
 
     # Near field, on interior nodes a = 1 .. n-1.  The self entries of the
     # blocks form prefix sums over the distance: node a is the left element's
@@ -288,9 +288,16 @@ def assemble_gagliardo(mesh: FracMesh, s: float) -> np.ndarray:
     A[dof, dof] += diag
     A[dof[:-1], dof[1:]] += off
     A[dof[1:], dof[:-1]] += off
-    # exactly symmetric: toeplitz() mirrors its row, off lands on both sides, *= is elementwise
+    # exactly symmetric: _toeplitz() mirrors its row, off lands on both sides, *= is elementwise
     A *= 0.5 * C_s
     return A
+
+
+def _toeplitz(c: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix with entries c[|i - j|], a new C-ordered array."""
+    # row i is the window (c[i], .., c[1], c[0], c[1], .., c[n-1-i]) of this sequence
+    seq = np.concatenate((c[:0:-1], c))
+    return np.lib.stride_tricks.sliding_window_view(seq, c.size)[::-1].copy()
 
 
 def xnorm(A: np.ndarray, v: np.ndarray) -> float:
@@ -480,7 +487,7 @@ class OperatorSet:
                 w -= (MQ @ w) @ Q
             Mw = tridiagonal_product(*M, w)
             b = math.sqrt(max(float(w @ Mw), 0.0))
-            theta, y = eigh_tridiagonal(alpha, beta, select="i", select_range=(k - 1, k - 1))
+            theta, y = eigh_tridiagonal(alpha, beta, (k - 1, k - 1))
             if k == n or b * abs(y[-1, 0]) <= _RITZ_TOL * theta[0]:
                 return 1.0 / float(theta[0]), y[:, 0] @ Q
             beta.append(b)

@@ -91,6 +91,8 @@ def double_well(m: float = 4.0) -> Potential:
 
 # |x| up to which _cubic_resolvent takes Cardano's hyperbolic form
 _CARDANO_X_MAX = 1e4
+# relative size of eps j^3 against b j up to which _cubic_resolvent takes j = r / b
+_LINEAR_RTOL = 2.0 ** -53
 # max |r| up to which g(j) = j^3 - j of the m = 4 double well cannot overflow:
 # its root has |j| <= |r|, and 1e102 is below the cube root of the float range
 _CUBE_FINITE_R = 1e102
@@ -98,20 +100,28 @@ _CUBE_FINITE_R = 1e102
 
 def _cubic_resolvent(eps, lam, r, r_max):
     # m = 4: eps j^3 + b j = r with b = 1 + eps (lam - 1) >= 1 has one real
-    # root.  With c = sqrt(3 eps / b) and x = 1.5 c r / b it is Cardano's
+    # root, that of q j^3 + j = r / b with q = eps / b.  Where q (r / b)^2,
+    # the size of q j^3 against j, is below rounding, the root is r / b.
+    # Otherwise, with c = sqrt(3 q) and x = 1.5 c r / b, it is Cardano's
     # (2/c) sinh(asinh(x) / 3) (Press et al., Numerical Recipes, 3rd ed.,
     # section 5.6), whose error grows as ln|x| and whose x overflows at
     # large eps |r|.  Past |x| = _CARDANO_X_MAX it takes the same root as
     # 3 r / (b (s^2 + 1 + s^-2)), s^3 = |x| + sqrt(x^2 + 1) = exp(asinh|x|):
     # (s - 1/s)(s^2 + 1 + s^-2) = s^3 - s^-3 = 2|x|, so sinh(asinh(|x|) / 3)
-    # = |x| / (s^2 + 1 + s^-2), a sum of positive terms without cancellation
+    # = |x| / (s^2 + 1 + s^-2), a sum of positive terms without cancellation.
+    # x is formed from r / b, not as (1.5 c / b) r: at huge lambda that
+    # factor is subnormal or 0.  At b = 1 the two are the same bits
     b = 1.0 + eps * (lam - 1.0)
-    c = math.sqrt(3.0 * eps / b)
-    k = 1.5 * c / b
-    if r_max <= _CARDANO_X_MAX / k:
-        return (2.0 / c) * np.sinh(np.arcsinh(k * r) / 3.0)
-    # s = cbrt(2k) cbrt(|r|/2 + hypot(0.5/k, |r|/2)), so that nothing overflows
-    h = 0.5 * np.abs(r)
+    q = eps / b
+    j_max = float(r_max) / b
+    if q * j_max * j_max <= _LINEAR_RTOL:
+        return r / b
+    c = math.sqrt(3.0 * q)
+    k = 1.5 * c
+    if j_max <= _CARDANO_X_MAX / k:
+        return (2.0 / c) * np.sinh(np.arcsinh(k * (r / b)) / 3.0)
+    # s = cbrt(2k) cbrt(|r/b|/2 + hypot(0.5/k, |r/b|/2)), so that nothing overflows
+    h = 0.5 * np.abs(r / b)
     s = np.cbrt(2.0 * k) * np.cbrt(h + np.hypot(0.5 / k, h))
     u = s * s
     return r / ((b / 3.0) * (u + 1.0 + 1.0 / u))

@@ -463,6 +463,23 @@ def test_overflow_inside_a_step_is_one_line_of_solver_divergence(tmp_path, capsy
     assert capsys.readouterr().err == ""
 
 
+def test_huge_lambda_closed_form_resolvent_is_one_line_of_solver_divergence(tmp_path, capsys):
+    # at lambda = 1e300, eps = 0.01 the m = 4 resolvent's 1.5 c / b underflows
+    # to 0; the root is r / b there, and the step's residual then overflows
+    # at every tau, so the run ends in exit 4, not in a traceback
+    cfg = _write(tmp_path, "cfg.json", {
+        "mesh": {"n_elems": 16},
+        "potential": {"lambda": 1e300},
+        "yosida": {"enabled": True, "epsilon": 0.01},
+        "time": {"t_end": 0.01},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["simulate", "--config", cfg]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("solver divergence:")
+
+
 def test_overflowing_line_search_trials_are_rejected_silently(tmp_path, capsys):
     # on this huge domain the first full Newton steps of the stationary solve
     # overflow the residual; the line search shortens them without a warning
@@ -660,18 +677,61 @@ def test_cli_import_loads_no_scipy_special():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
         "import sys\n"
-        "import scipy.linalg\n"
-        "print('scipy.special' in sys.modules)\n"
         "import fracch.cli\n"
-        "print('scipy.special' in sys.modules)\n"
+        "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    by_linalg, by_cli = proc.stdout.split()
-    if by_linalg == "True":
-        pytest.skip("this scipy's linalg already imports scipy.special")
-    assert by_cli == "False"
+    linalg, special = proc.stdout.split()
+    if linalg == special == "True":
+        pytest.skip("fracch fell back to scipy.linalg, and this scipy's linalg imports "
+                    "scipy.special")
+    assert special == "False"
+
+
+def test_cli_runs_without_scipy_linalg_or_imports_inside_main(tmp_path):
+    # fracch._lapack loads scipy's LAPACK and BLAS extension modules by file
+    # path: scipy.linalg's package init would add some 16 MB to every run's
+    # peak memory.  Numpy's random and polynomial modules are imported with
+    # fracch, not inside the timed run.  If the file-path load fails, the
+    # fallback to scipy.linalg's public modules writes the same files
+    cfg = _write(tmp_path, "cfg.json", {
+        "mesh": {"n_elems": 32},
+        "time": {"tau": 0.01, "t_end": 0.05},
+    })
+    src = os.path.dirname(os.path.dirname(fracch.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import json, sys\n"
+        "from fracch.cli import main\n"
+        "before = set(sys.modules)\n"
+        "for command in ('simulate', 'equilibrium', 'verify'):\n"
+        f"    assert main([command, '--config', {cfg!r}, '--out', command]) == 0\n"
+        "print(json.dumps(['scipy.linalg' in sys.modules, sorted(set(sys.modules) - before)]))\n"
+    )
+
+    def run(name, prefix):
+        (tmp_path / name).mkdir()
+        proc = subprocess.run([sys.executable, "-c", prefix + code], capture_output=True,
+                              text=True, cwd=tmp_path / name,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    assert run("fast", "") == [False, []]
+    refuse = (
+        "import importlib.util\n"
+        "def refuse(spec):\n"
+        "    raise ImportError('no extension module loaded by file path')\n"
+        "importlib.util.module_from_spec = refuse\n"
+    )
+    assert run("fallback", refuse) == [True, []]
+    files = sorted(p.relative_to(tmp_path / "fast")
+                   for p in (tmp_path / "fast").rglob("*") if p.is_file())
+    assert len(files) == 4  # two CSVs and two JSONs
+    for rel in files:
+        assert (tmp_path / "fallback" / rel).read_bytes() == (tmp_path / "fast" / rel).read_bytes()
 
 
 def test_verify_passes_on_default_config(tmp_path, monkeypatch):

@@ -392,15 +392,57 @@ def test_closed_form_resolvent_at_extreme_eps_r(eps, r):
     assert _relative_error_to_50_digit_root(eps, 1.0, r, j[0]) <= 8 * np.finfo(float).eps
 
 
+
+_signed_powers = st.tuples(st.booleans(), st.floats(-290.0, 20.0)).map(
+    lambda t: (-1.0 if t[0] else 1.0) * 10.0 ** t[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(eps=st.floats(-12.0, 6.0).map(lambda e: 10.0 ** e),
+       lam=st.floats(0.0, 300.0).map(lambda e: 10.0 ** e),
+       scaled=arrays(np.float64, st.integers(1, 4), elements=_signed_powers))
+@example(eps=0.01, lam=1e300, scaled=np.array([1e-298, -5e-299]))  # 1.5 c / b underflows to 0
+@example(eps=1.0, lam=1e210, scaled=np.array([1.7e98]))  # 1.5 c / b is subnormal
+def test_closed_form_resolvent_up_to_b_1e300(eps, lam, scaled):
+    # b = 1 + eps (lam - 1) up to about 1e306 and r = b * scaled, capped at
+    # 1.7e308: the root is within 8 ulp of the 50-digit one, without a
+    # RuntimeWarning, and within the frozen reference's residual tolerance of
+    # its root wherever that converges.  Its Newton from y = r cancels to
+    # rounding noise once r / b is below r's ulp, and its 100 iterations
+    # often run out there
+    pot = replace(double_well(4.0), lam=lam)
+    b = 1.0 + eps * (lam - 1.0)
+    with np.errstate(over="ignore"):
+        r = np.sign(scaled) * np.minimum(np.abs(scaled) * b, 1.7e308)
+    j = _resolvent(pot, eps, r)[0]
+    # 8 ulp, plus the rounding of x = 1.5 c r / b where it is subnormal, which an
+    # element far below max|r| can have on the Cardano form
+    k = 1.5 * math.sqrt(3.0 * eps / b)
+    for x, y in zip(r, j):
+        error = _relative_error_to_50_digit_root(eps, lam, x, y) * abs(y)
+        assert error <= 8 * np.finfo(float).eps * abs(y) + 2.0 ** -1074 / k
+    try:
+        with np.errstate(all="ignore"):
+            ref = _reference(pot, eps, r)
+    except RuntimeError:
+        return
+    # a residual within 1e-12 puts the reference within 1e-12 / slope of the root
+    slope = b + 3.0 * eps * ref * ref
+    assert np.all(np.abs(j - ref) <= 1.5e-12 / slope + 16 * np.finfo(float).eps * np.abs(ref))
+
 def _closed_form_reference(eps, lam, r):
     """The m = 4 root and beta'(root) in the form that max |r| selects, from the formulas."""
     b = 1.0 + eps * (lam - 1.0)
-    c = math.sqrt(3.0 * eps / b)
-    k = 1.5 * c / b
-    if np.max(np.abs(r)) <= potentials._CARDANO_X_MAX / k:
-        j = (2.0 / c) * np.sinh(np.arcsinh(k * r) / 3.0)
+    q = eps / b
+    j_max = float(np.max(np.abs(r))) / b
+    c = math.sqrt(3.0 * q)
+    k = 1.5 * c
+    if q * j_max * j_max <= potentials._LINEAR_RTOL:
+        j = r / b
+    elif j_max <= potentials._CARDANO_X_MAX / k:
+        j = (2.0 / c) * np.sinh(np.arcsinh(k * (r / b)) / 3.0)
     else:
-        h = 0.5 * np.abs(r)
+        h = 0.5 * np.abs(r / b)
         s = np.cbrt(2.0 * k) * np.cbrt(h + np.hypot(0.5 / k, h))
         u = s * s
         j = r / ((b / 3.0) * (u + 1.0 + 1.0 / u))
@@ -411,14 +453,16 @@ def _closed_form_reference(eps, lam, r):
 @pytest.mark.parametrize("lam", [1.0, 2.0])
 @pytest.mark.parametrize("eps", [1e-300, 1e-12, 0.01, 1.0, 1e6])
 def test_closed_form_resolvent_takes_one_form_per_call_bitwise_and_silently(eps, lam):
-    # |x| = k max|r| below, at and one ulp past _CARDANO_X_MAX, and |r| up to
-    # 1e308; g(j) overflows there for the largest r, and at eps = 1e-300 inside
-    # the Cardano range too.  Any RuntimeWarning fails the test
+    # |x| = k max|r| on both sides of the linear form's bound, below, at and
+    # one ulp past _CARDANO_X_MAX, and |r| up to 1e308; g(j) overflows there
+    # for the largest r, and at eps = 1e-300 inside the Cardano range too.
+    # Any RuntimeWarning fails the test
     pot = replace(double_well(4.0), lam=lam)
     b = 1.0 + eps * (lam - 1.0)
-    k = 1.5 * math.sqrt(3.0 * eps / b) / b
-    at = potentials._CARDANO_X_MAX / k
-    cases = [[0.5 * at, -0.25 * at, 1e-3 * at, 0.0], [at, -0.5 * at, 0.0], [-at, 1.0],
+    at = b * potentials._CARDANO_X_MAX / (1.5 * math.sqrt(3.0 * eps / b))
+    linear = b * math.sqrt(potentials._LINEAR_RTOL * b / eps)  # r / b up to about here
+    cases = [[0.5 * linear, -0.25 * linear], [2.0 * linear, 1e-300],
+             [0.5 * at, -0.25 * at, 1e-3 * at, 0.0], [at, -0.5 * at, 0.0], [-at, 1.0],
              [np.nextafter(at, math.inf), 1.0, -1e-300], [-np.nextafter(at, math.inf)],
              [1e102, -1.0], [np.nextafter(1e102, math.inf), 1.0], [1e150], [1e200, -1e-200],
              [1e308, -1e308, 0.5]]
