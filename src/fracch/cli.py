@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, parse_config
+from .config import RunConfig, check_memory, parse_config
 from .diagnostics import fit_decay_series, poincare_report
 from .energy import energy
 from .equilibrium import (
@@ -269,6 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
+        check_memory(cfg, args.command)
         return _COMMANDS[args.command](cfg, _out_dir(cfg, args.out))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -33,7 +33,7 @@ _DEFAULTS = {
     "output": {"dir": "fracch-out"},
 }
 
-# the most dense dof x dof float64 arrays a command holds at once; M is kept
+# the most dense dof x dof float64 arrays each command holds at once; M is kept
 # as its two diagonals.  verify with s != sigma holds five: A_s, A_sigma, the
 # cached factor of A_s that its duality check reads, P, and either
 # G = M U^{-1} (the factor P is built from, inverted in its own buffer and
@@ -43,12 +43,31 @@ _DEFAULTS = {
 # four (three at s = sigma, where A_s is A_sigma).  Below dof 112 the
 # stepper also keeps K = P/tau + A_sigma beside its step matrix, one array
 # more for simulate and verify, but there six arrays take under 0.6 MB, so
-# the count this check guards is unchanged.  equilibrium and spectrum never
+# the counts this check guards are unchanged.  equilibrium and spectrum never
 # assemble A_s and hold three, with or without a kernel: A_sigma, its
 # factor and one working copy, which is the stationary Newton's Jacobian
 # buffer or a linearization L, reduced and then overwritten by the
 # eigensolver in its own memory.  rates holds A_sigma.
-_DENSE_ARRAYS = 5
+_DENSE_ARRAYS = {"equilibrium": 3, "spectrum": 3, "rates": 1, "simulate": 4, "verify": 5}
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, inf where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def _check_dense_arrays(n_elems: int, arrays: int) -> None:
+    """ConfigurationError when ``arrays`` dense dof x dof float64 arrays exceed physical memory."""
+    footprint = arrays * 8 * (n_elems - 1) ** 2
+    memory = _physical_memory()
+    if footprint > memory:
+        raise ConfigurationError(
+            f"mesh.n_elems={n_elems} needs about {footprint / 2**30:.3g} GiB of dense "
+            f"matrices, more than the {memory / 2**30:.3g} GiB of physical memory"
+        )
 
 
 @dataclass(frozen=True)
@@ -120,16 +139,8 @@ def parse_config(path) -> RunConfig:
     n_elems = _require_number("mesh", "n_elems", merged["mesh"]["n_elems"], integer=True)
     if n_elems < 2:
         raise ConfigurationError(f"mesh.n_elems must be >= 2, got {n_elems}")
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # the platform does not say
-        memory = math.inf
-    footprint = _DENSE_ARRAYS * 8 * (n_elems - 1) ** 2
-    if footprint > memory:
-        raise ConfigurationError(
-            f"mesh.n_elems={n_elems} needs about {footprint / 2**30:.3g} GiB of dense "
-            f"matrices, more than the {memory / 2**30:.3g} GiB of physical memory"
-        )
+    # no command holds fewer arrays; check_memory then counts the command's own
+    _check_dense_arrays(n_elems, min(_DENSE_ARRAYS.values()))
     s = _require_number("frac", "s", merged["frac"]["s"])
     sigma = _require_number("frac", "sigma", merged["frac"]["sigma"])
     for name, val in (("frac.s", s), ("frac.sigma", sigma)):
@@ -192,3 +203,15 @@ def parse_config(path) -> RunConfig:
                         use_yosida=epsilon if enabled else None),
         t_end=t_end, rng_seed=seed, out_dir=out_dir,
     )
+
+
+def check_memory(cfg: RunConfig, command: str) -> None:
+    """ConfigurationError when ``command``'s dense arrays on ``cfg``'s mesh exceed physical memory.
+
+    The command line calls it between ``parse_config`` and the command, so a
+    refused run allocates nothing and makes no output directory.
+    """
+    arrays = _DENSE_ARRAYS[command]
+    if command == "simulate" and cfg.exps.s == cfg.exps.sigma:
+        arrays -= 1  # A_s is A_sigma
+    _check_dense_arrays(cfg.mesh.n_elems, arrays)

@@ -24,7 +24,11 @@ the first update at a tau factors S in place (Cholesky), solves with the
 factor and, above a crossover dof, turns the factor into S0^{-1} in the same
 buffer, S0 being S at that update's B'0.  Every later update at that tau
 runs PCG on S = S0 + (B' - B'0), preconditioned by one symmetric matvec with
-the kept inverse, to a relative preconditioned residual of 1e-10.  Each
+the kept inverse.  PCG stops at a relative preconditioned residual of 1e-10
+or once its residual r has |r|_{M^{-1}} <= 0.05 newton_tol, whichever comes
+first: Newton's residual after the update is then r plus the update's
+quadratic term, and only Newton's test certifies the step (inexact Newton;
+Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  Each
 preconditioned residual z = S0^{-1} r gives S0 z = r, so S0 p is carried by
 recurrence from vectors the loop holds and S p costs one tridiagonal product
 with the drift B' - B'0: an iteration's one dense product is the
@@ -58,7 +62,18 @@ from the linear predictor 2 u_n - u_{n-1} (Hairer & Wanner, Solving ODEs
 II, IV.8), from u_prev, and at halved taus.  From a predicted start Newton
 takes at least one update before the residual test may stop it, so the
 returned state always comes out of a Newton update and not out of the
-predictor.
+predictor.  Iterate 0 of an attempt makes no dense product: ``march``
+carries A_sigma u_n, A_sigma u_{n-1} and P (u_n - u_{n-1}) from the accepted
+steps' last residuals, so a start from u_n takes A_sigma u_n and a zero
+P du (the bits of forming both afresh), and a predicted start takes
+2 A_sigma u_n - A_sigma u_{n-1} and P (u_n - u_{n-1}), equal to its products
+up to rounding; that start's residual is never tested, since its first
+update is due whatever the residual.  Every tested residual after an update
+and every certificate term come from fresh products.  PCG applies its
+preconditioner before its first iteration and after each iteration that
+does not stop on the M-norm rule, which it tests first, so an accepted step
+makes two dense products per Newton update and one per PCG iteration (one
+more for each PCG loop that stops on the relative rule).
 
 With the Yosida option, ``march`` builds one (beta_eps, beta_eps') pair
 per run with ``potentials.yosida_pair`` and passes it to every step, through
@@ -76,7 +91,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from ._lapack import dpotrf, dpotri, dpotrs, dsymv
+from ._lapack import dpotrf, dpotri, dpotrs, dpttrs, dsymv
 from .energy import (
     EnergyContext,
     add_tridiagonal,
@@ -191,10 +206,19 @@ _PCG_MIN_DOF = 112
 # factors afresh, which also moves B'0 to the current B'.  A factorization
 # costs about 14 / 55 / 116 iterations at dof 127 / 255 / 511, but the cap is
 # a drift guard, not that break-even: an update of the simulate_wide256
-# config takes 4 or 5 iterations, and at dof 255 no 300-step run at tau
-# 1e-3, 1e-2 or 1e-1 reached the cap (one factorization each)
+# config takes 1 to 5 iterations (3.4 on average, where the relative rule
+# alone took 4.3), and at dof 255 no 300-step run at tau 1e-3, 1e-2 or 1e-1
+# reached the cap (one factorization each, at most 6 iterations an update)
 _PCG_MAX_ITERS = 8
-_PCG_RTOL = 1e-10  # relative preconditioned residual at which PCG stops
+_PCG_RTOL = 1e-10  # relative preconditioned residual at which PCG stops, if not sooner
+# PCG also stops once |r|_{M^{-1}} <= _PCG_ETA newton_tol: the next Newton
+# residual is that linear residual plus the update's quadratic term, so only
+# Newton's own test certifies anything (the forcing term of Dembo, Eisenstat
+# & Steihaug, SIAM J. Numer. Anal. 19, 1982; Eisenstat & Walker, SIAM J.
+# Sci. Comput. 17, 1996).  Against factoring every update, the states of a
+# 30-step run at dof 255 moved by up to 1.2e-12 relative at 0.1, past the
+# 1e-12 the tests allow, and by 7.0e-13 at 0.05
+_PCG_ETA = 0.05
 
 
 class _StepSolver:
@@ -206,12 +230,15 @@ class _StepSolver:
     diagonals of that update's B'0.  Later updates at that tau run PCG on
     S = S0 + (B' - B'0), preconditioned by one symmetric matvec with the kept
     inverse; S0 p is carried by recurrence, so that matvec is an iteration's
-    one dense product.  PCG that meets p^T S p <= 0 or has not converged
-    within ``_PCG_MAX_ITERS`` iterations, and any change of tau, drop the
-    inverse and factor again.  Below ``_PCG_MIN_DOF`` the PCG budget is
-    zero and every update factors S = K + B', K = P/tau + A_sigma being kept
-    for the current tau (the same bits as forming S whole); at and above it
-    no K is kept.
+    one dense product.  PCG stops at a relative preconditioned residual of
+    ``_PCG_RTOL`` or once its residual r has |r|_{M^{-1}} <= ``tol``, which
+    ``step`` sets to ``_PCG_ETA`` times Newton's tolerance; M's pttrf factor,
+    taken from ``ops`` here, applies M^{-1} to r in O(n).  PCG that meets
+    p^T S p <= 0 or has not converged within ``_PCG_MAX_ITERS`` iterations,
+    and any change of tau, drop the inverse and factor again.  Below
+    ``_PCG_MIN_DOF`` the PCG budget is zero and every update factors
+    S = K + B', K = P/tau + A_sigma being kept for the current tau (the same
+    bits as forming S whole); at and above it no K is kept.
     ``factorizations`` and ``pcg_iters`` count the run's work.
     """
 
@@ -222,11 +249,16 @@ class _StepSolver:
         self.inv = None
         self.Bp0 = None  # the diagonals of the B' that the kept inverse was factored at
         self.K = None  # P/tau + A_sigma, kept below the crossover only
+        self.ldl_M = ops._ldl_M  # M = L D L^T, the (d, e) that dpttrs takes
+        self.h = ops.mesh.h  # M's eigenvalues are below h
         self.factorizations = 0
         self.pcg_iters = 0
 
-    def delta(self, tau: float, Bp, F: np.ndarray) -> np.ndarray:
-        """The Newton update -S^{-1} F at this tau; Bp is B' as (diag, off)."""
+    def delta(self, tau: float, Bp, F: np.ndarray, tol: float = 0.0) -> np.ndarray:
+        """The Newton update -S^{-1} F at this tau; Bp is B' as (diag, off).
+
+        PCG, when it runs, may stop once its residual r has |r|_{M^{-1}} <= tol.
+        """
         if not self.budget:
             if tau != self.tau:
                 self.K = None  # one K at a time
@@ -236,7 +268,7 @@ class _StepSolver:
             S = self.K.copy()
         else:
             if tau == self.tau:
-                du = self._pcg(Bp, -F)
+                du = self._pcg(Bp, -F, tol)
                 if du is not None:
                     return du
             # drop the old inverse first: one dof x dof step-matrix buffer at a time
@@ -258,7 +290,7 @@ class _StepSolver:
             self.tau, self.Bp0 = tau, Bp
         return du
 
-    def _pcg(self, Bp, r: np.ndarray):
+    def _pcg(self, Bp, r: np.ndarray, tol: float):
         """PCG for S x = r from x = 0, overwriting r; None when S must be factored instead.
 
         S = S0 + D with D = B' - B'0 tridiagonal.  Since S0 z = r for each
@@ -266,8 +298,11 @@ class _StepSolver:
         so S p is S0 p plus one tridiagonal product.  This is PCG on
         inv^{-1} + D, which is S up to the rounding of the inverse; Newton's
         residual F is formed from P and A_sigma, so its tolerance still holds.
+        Besides the relative rule, PCG stops once |r|_{M^{-1}} <= tol, which
+        it tests before the next preconditioner product, so an iteration
+        that stops there makes none.
         """
-        inv = self.inv
+        inv, ldl_M = self.inv, self.ldl_M
         D = (Bp[0] - self.Bp0[0], Bp[1] - self.Bp0[1])
         x = np.zeros_like(r)
         p = z = dsymv(1.0, inv, r)  # dsymv reads the upper triangle only
@@ -275,7 +310,10 @@ class _StepSolver:
         if rz == 0.0:  # r = 0, as at an exact fixed point
             return x
         S0p = r.copy()  # r is overwritten below
-        stop = _PCG_RTOL**2 * rz
+        # M = (h/6) tridiag(1, 4, 1) has eigenvalues below h, so |r|^2 > h tol^2
+        # means |r|_{M^{-1}} > tol without a solve with M
+        stop, stop_M = _PCG_RTOL**2 * rz, tol * tol
+        stop_r = self.h * stop_M
         for _ in range(self.budget):
             q = tridiagonal_product(*D, p)
             q += S0p
@@ -286,6 +324,8 @@ class _StepSolver:
             alpha = rz / pq
             x += alpha * p
             r -= alpha * q
+            if r @ r <= stop_r and r @ dpttrs(*ldl_M, r)[0] <= stop_M:
+                return x
             z = dsymv(1.0, inv, r)
             rz_next = r @ z
             if rz_next <= stop:
@@ -308,6 +348,7 @@ def step(
     u_start: np.ndarray | None = None,
     beta_pair=None,
     solver: _StepSolver | None = None,
+    products: list | None = None,
 ):
     """One convex-splitting step; returns (u_n, certificate).
 
@@ -325,6 +366,13 @@ def step(
     ``_StepSolver`` (``march`` passes one of each per run); without them the
     step builds its own.  An explicit ``tau`` is checked as ``StepConfig.tau``
     is: ConfigurationError unless it is a finite positive real number.
+
+    ``products``, when given, is the list [A_sigma u_start, P (u_start - u_prev)]
+    of the start's two dense products (u_start is u_prev when no start is
+    given); Newton's iterate 0 takes them instead of forming them.  A
+    successful step then sets the list to the accepted iterate's
+    [A_sigma u_n, P (u_n - u_prev)], which ``march`` carries to the next
+    step's start.  Every later iterate forms both products afresh.
     """
     ops = ctx.ops
     mesh = ops.mesh
@@ -353,8 +401,11 @@ def step(
         for it in range(cfg.newton_max + 1):
             u_q = ctx.values_at_quad(u)  # kept: at the accepted u it gives e_after
             b_q, bp_q = beta_pair(u_q)
-            A_sig_u = A_sig @ u  # kept: at the accepted u it gives e_after and u_xnorm_sigma
-            P_du = P @ (u - u_prev)  # kept: at the accepted u it gives w_normsq
+            if it or products is None:
+                A_sig_u = A_sig @ u  # kept: at the accepted u it gives e_after and u_xnorm_sigma
+                P_du = P @ (u - u_prev)  # kept: at the accepted u it gives w_normsq
+            else:
+                A_sig_u, P_du = products
             F = P_du / tau
             F += A_sig_u
             F += load_vector(ctx, b_q)
@@ -376,7 +427,7 @@ def step(
                     f"step Newton stalled at residual {res:.3e} after {cfg.newton_max} "
                     f"iterations (tau={tau})"
                 )
-            u = u + solver.delta(tau, weighted_mass(ctx, bp_q), F)
+            u = u + solver.delta(tau, weighted_mass(ctx, bp_q), F, _PCG_ETA * cfg.newton_tol)
 
         du = u - u_prev
         u_A_u = float(u @ A_sig_u)
@@ -395,6 +446,8 @@ def step(
         factorizations=solver.factorizations - factorizations,
         pcg_iters=solver.pcg_iters - pcg_iters,
     )
+    if products is not None:
+        products[:] = A_sig_u, P_du
     return u, cert
 
 
@@ -434,8 +487,10 @@ def march(
     grows as tau shrinks) or an accepted iterate whose energy overflows.
     The certificate records the tau actually used and the number of
     halvings.  One ``_beta_pair`` and one ``_StepSolver`` serve the whole
-    run.  A violated certificate raises CertificateViolationError ("abort")
-    or is only recorded in the certificate's ``satisfied`` ("ignore").
+    run, and each attempt gets its start's two dense products from the
+    vectors that the accepted steps formed (``step``'s ``products``).  A
+    violated certificate raises CertificateViolationError ("abort") or is
+    only recorded in the certificate's ``satisfied`` ("ignore").
     """
     _checked_positive("t_end", t_end)
     if on_violation not in ("abort", "ignore"):
@@ -443,6 +498,9 @@ def march(
     u = check_coeffs(ctx.ops.mesh, u0)
     e_u = energy(ctx, u)  # also rejects initial data without finite energy
     u_back = tau_back = None  # the state before the last accepted step, and its tau
+    # A_sigma u_n, A_sigma u_{n-1} and P (u_n - u_{n-1}); each accepted step
+    # sets them from the products its certificate took
+    A_u, A_u_back, P_du = ctx.ops.A_sigma @ u, None, None
     beta_pair = _beta_pair(ctx, cfg)
     solver = _StepSolver(ctx.ops)
 
@@ -454,10 +512,13 @@ def march(
         halvings = 0
         predict = tau_try == tau_back
         while True:
+            # the start's A_sigma u and P (u - u_n), from the carried vectors:
+            # u_start - u_n = u_n - u_{n-1} for the predictor, 0 from u_n
+            products = [2.0 * A_u - A_u_back, P_du] if predict else [A_u, np.zeros_like(u)]
             try:
                 u_new, cert = step(ctx, cfg, u, tau=tau_try, e_before=e_u,
                                    u_start=2.0 * u - u_back if predict else None,
-                                   beta_pair=beta_pair, solver=solver)
+                                   beta_pair=beta_pair, solver=solver, products=products)
                 break
             except _STEP_FAILURES as exc:
                 if predict:  # retried once from u at this tau
@@ -482,6 +543,7 @@ def march(
         step_idx += 1
         yield t, u_new, cert
         u_back, u = u, u_new
+        A_u_back, (A_u, P_du) = A_u, products
         tau_back = cert.tau_used
         e_u = cert.e_after
 

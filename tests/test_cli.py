@@ -155,19 +155,22 @@ def test_config_error_exit_code(tmp_path, quick_cfg, capsys):
     assert "mesh.n_elems" in err[-1] and "physical memory" in err[-1]
 
 
-def test_dense_array_count_bounds_the_peak_memory(tmp_path):
-    # the memory check counts _DENSE_ARRAYS dof x dof float64 arrays: no command
-    # holds more, and verify holds that many (config._DENSE_ARRAYS lists them)
+def test_dense_array_count_bounds_the_peak_memory(tmp_path, monkeypatch, capsys):
+    # the memory check counts _DENSE_ARRAYS[command] dof x dof float64 arrays
+    # (config._DENSE_ARRAYS lists them): each command holds that many, within
+    # half an array, and simulate one fewer where A_s is A_sigma
     dof = 512
     unit = 8 * dof**2
 
-    def peaks(s, sigma, commands):
-        cfg = _write(tmp_path, "cfg.json", {
+    def config(s, sigma):
+        return _write(tmp_path, f"cfg{s}-{sigma}.json", {
             "mesh": {"n_elems": dof + 1},
             "frac": {"s": s, "sigma": sigma},
             "time": {"tau": 1e-3, "t_end": 3e-3},
             "output": {"dir": str(tmp_path / "out")},
         })
+
+    def peaks(cfg, commands):
         found = {}
         for command in commands:
             tracemalloc.start()
@@ -178,16 +181,35 @@ def test_dense_array_count_bounds_the_peak_memory(tmp_path):
                 tracemalloc.stop()
         return found
 
-    split = peaks(0.3, 0.7, ("equilibrium", "spectrum", "simulate", "verify"))
-    assert max(split.values()) <= _DENSE_ARRAYS + 0.5, split
-    assert split["verify"] >= _DENSE_ARRAYS - 0.5, split
-    # equilibrium and spectrum hold three: A_sigma, its factor, one working copy
-    assert split["equilibrium"] <= 3.5 and split["spectrum"] <= 3.5, split
-    # simulate keeps no factor of A_s: A_s, A_sigma, P and one working buffer,
-    # and one array fewer where A_s is A_sigma
-    assert split["simulate"] <= 4.5, split
-    equal = peaks(0.5, 0.5, ("simulate",))
-    assert equal["simulate"] <= 3.5, equal
+    split, equal = config(0.3, 0.7), config(0.5, 0.5)
+    found = peaks(split, ("equilibrium", "spectrum", "simulate", "verify"))
+    # rates reads a trajectory and an equilibrium: a decay to phi = 0 over
+    # enough decades for its fit
+    with open(tmp_path / "out" / "trajectory.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(TRAJECTORY_COLUMNS)
+        w.writerows([k, 0.1 * k, 0.1, math.exp(-0.1 * k), 0, 0, 0, 0, 0] for k in range(1, 200))
+    (tmp_path / "out" / "equilibrium.json").write_text(json.dumps({"phi": [0.0] * dof}))
+    found.update(peaks(split, ("rates",)))
+    assert found.keys() == _DENSE_ARRAYS.keys()
+    for command, peak in found.items():
+        assert abs(peak - _DENSE_ARRAYS[command]) <= 0.5, found
+    equal_peak = peaks(equal, ("simulate",))["simulate"]
+    assert abs(equal_peak - (_DENSE_ARRAYS["simulate"] - 1)) <= 0.5, equal_peak
+    # physical memory for 3.5 arrays, below the single ceiling of five that
+    # every command once shared: the three-array runs go ahead, and the others
+    # exit 2 before they make their output directory
+    capsys.readouterr()
+    monkeypatch.setattr(fracch.config, "_physical_memory", lambda: 3.5 * unit)
+    assert main(["equilibrium", "--config", split]) == 0
+    assert main(["simulate", "--config", equal]) == 0
+    for command, cfg in (("simulate", split), ("verify", equal), ("verify", split)):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "refused")]) == 2
+        assert not (tmp_path / "refused").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    assert all(line.startswith("configuration error: mesh.n_elems=513 needs about ")
+               and line.endswith(" GiB of physical memory") for line in err), err
 
 
 def test_only_the_flux_commands_assemble_a_s(tmp_path, monkeypatch):

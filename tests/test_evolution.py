@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import warnings
@@ -484,8 +485,12 @@ def test_march_is_lazy(ctx64, rng):
     # each yield carries the state after its step
     u1, cert1 = step(ctx64, cfg, u0)
     assert np.array_equal(steps[0][1], u1) and steps[0][2] == cert1
-    # the second step starts Newton from the predictor 2 u1 - u0
-    assert np.array_equal(steps[1][1], step(ctx64, cfg, u1, u_start=2 * u1 - u0)[0])
+    # the second step starts Newton from the predictor 2 u1 - u0, with the
+    # start's products formed from those of u1 and u0
+    A, P = ctx64.ops.A_sigma, ctx64.ops.P
+    products = [2.0 * (A @ u1) - A @ u0, P @ (u1 - u0)]
+    u2 = step(ctx64, cfg, u1, u_start=2 * u1 - u0, products=products)[0]
+    assert np.array_equal(steps[1][1], u2)
 
 
 def test_evolve_collects_march(ctx64, rng):
@@ -930,6 +935,101 @@ def test_kept_step_matrix_below_the_crossover_matches_a_fresh_solver(ctx64_wide,
         assert t == t_ref and u.tobytes() == u_ref.tobytes()
         assert (np.array(evolution._cert_row(cert), evolution._CERT_DTYPE).tobytes()
                 == np.array(evolution._cert_row(cert_ref), evolution._CERT_DTYPE).tobytes())
+
+
+@pytest.mark.parametrize("ctx_name", ["ctx256_wide", "ctx64_wide"])
+def test_carried_start_products_match_fresh_ones(ctx_name, request, rng, monkeypatch):
+    # iterate 0 of each attempt takes A_sigma u_start and P (u_start - u_prev)
+    # from march: from u_n they are the bits of fresh products, from the
+    # predictor they agree with them to rounding
+    ctx = request.getfixturevalue(ctx_name)
+    A, P = ctx.ops.A_sigma, ctx.ops.P
+    plain_step = evolution.step
+    starts = []
+
+    def spy(ctx, cfg, u_prev, u_start=None, products=None, **kwargs):
+        starts.append((u_prev, u_start, [v.copy() for v in products]))
+        return plain_step(ctx, cfg, u_prev, u_start=u_start, products=products, **kwargs)
+
+    monkeypatch.setattr(evolution, "step", spy)
+    u0 = 0.25 * rng.standard_normal(ctx.ops.mesh.dof_count)
+    # ten full steps and a shortened last one, which starts from u_n
+    list(march(ctx, StepConfig(tau=1e-3), u0, t_end=0.0105))
+    monkeypatch.undo()
+    assert [u_start is None for _, u_start, _ in starts] == [True] + [False] * 9 + [True]
+    eps = np.finfo(float).eps
+    for u_prev, u_start, (A_u, P_du) in starts:
+        if u_start is None:
+            assert A_u.tobytes() == (A @ u_prev).tobytes()
+            assert P_du.tobytes() == (P @ (u_prev - u_prev)).tobytes()
+            continue
+        # 2 A u_n - A u_{n-1} and P (u_n - u_{n-1}) against the products of
+        # u_start = 2 u_n - u_{n-1}: each side rounds terms of size |A| |u|
+        scale = np.abs(A) @ (np.abs(u_start) + 3.0 * np.abs(u_prev))
+        assert np.all(np.abs(A_u - A @ u_start) <= 16 * eps * scale)
+        scale = np.abs(P) @ (np.abs(u_start) + 3.0 * np.abs(u_prev))
+        assert np.all(np.abs(P_du - P @ (u_start - u_prev)) <= 16 * eps * scale)
+
+
+def test_accepted_step_makes_two_dense_products_per_update(ctx256_wide, rng, monkeypatch):
+    # no dense product at iterate 0, A_sigma u and P du after each update, and
+    # the preconditioner's product once per PCG iteration: before the loop
+    # and after each iteration that does not stop on the M-norm rule.  With
+    # the relative rule off, every loop stops on that rule
+    monkeypatch.setattr(evolution, "_PCG_RTOL", 0.0)
+    ops = ctx256_wide.ops
+    matvecs, applies = [], []
+
+    class Counted(np.ndarray):  # A_sigma and P that count their products
+        def __matmul__(self, other):
+            matvecs.append(1)
+            return np.asarray(self) @ other
+
+    counted = OperatorSet(A_sigma=ops.A_sigma.view(Counted), M=ops.M, mesh=ops.mesh,
+                          exps=ops.exps)
+    vars(counted)["P"] = ops.P.view(Counted)  # the cached property's slot
+    ctx = EnergyContext(ops=counted, pot=ctx256_wide.pot)
+    dsymv = evolution.dsymv
+    monkeypatch.setattr(evolution, "dsymv", lambda *a, **k: applies.append(1) or dsymv(*a, **k))
+    plain_step = evolution.step
+    counts = []
+
+    def spy(*args, **kwargs):
+        before = len(matvecs), len(applies)
+        u, cert = plain_step(*args, **kwargs)
+        counts.append((len(matvecs) - before[0], len(applies) - before[1]))
+        return u, cert
+
+    monkeypatch.setattr(evolution, "step", spy)
+    u0 = 0.25 * rng.standard_normal(ops.mesh.dof_count)
+    certs = [cert for _, _, cert in march(ctx, StepConfig(tau=1e-3), u0, t_end=0.02)]
+    assert len(counts) == len(certs) == 20
+    assert sum(c.factorizations for c in certs) == 1 and sum(c.pcg_iters for c in certs) > 0
+    assert counts == [(2 * c.newton_iters, c.pcg_iters) for c in certs]
+
+
+@functools.cache
+def _ctx_above_the_crossover(s, sigma):
+    ops = build_operator_set(FracMesh(-4.0, 4.0, 128), FracExponents(s, sigma))
+    assert ops.mesh.dof_count >= evolution._PCG_MIN_DOF
+    return EnergyContext(ops=ops, pot=double_well(4.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(exps=st.sampled_from([(0.5, 0.5), (0.3, 0.7), (0.7, 0.3)]),
+       log_tau=st.floats(-4.0, -1.0), log_tol=st.floats(-12.0, -8.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_pcg_stopped_at_newton_tolerance_keeps_residuals_and_certificates(exps, log_tau,
+                                                                           log_tol, seed):
+    # PCG may stop at |r|_{M^-1} <= _PCG_ETA newton_tol; Newton's own test
+    # still decides every accepted iterate, and every certificate holds
+    ctx = _ctx_above_the_crossover(*exps)
+    cfg = StepConfig(tau=10.0**log_tau, newton_tol=10.0**log_tol)
+    u0 = 0.25 * np.random.default_rng(seed).standard_normal(ctx.ops.mesh.dof_count)
+    # march raises CertificateViolationError at the first violated step
+    certs = [cert for _, _, cert in march(ctx, cfg, u0, t_end=5 * cfg.tau)]
+    assert len(certs) == 5 and sum(c.pcg_iters for c in certs) > 0
+    assert all(c.satisfied and c.newton_residual < cfg.newton_tol for c in certs)
 
 
 _EDGE_EXPONENTS = (1e-3, 0.5 - 1e-9, 0.5 + 1e-9, 0.999)
