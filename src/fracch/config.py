@@ -34,21 +34,20 @@ _DEFAULTS = {
 }
 
 # the most dense dof x dof float64 arrays each command holds at once; M is kept
-# as its two diagonals.  verify with s != sigma holds five: A_s, A_sigma, the
-# cached factor of A_s that its duality check reads, P, and either
-# G = M U^{-1} (the factor P is built from, inverted in its own buffer and
-# dropped) while P = G G^T is built, or the Newton step matrix, factored and
-# inverted in its own buffer and kept as the PCG preconditioner (its Poincare
-# samples are 100 x dof blocks).  simulate keeps no factor of A_s and holds
-# four (three at s = sigma, where A_s is A_sigma).  Below dof 112 the
-# stepper also keeps K = P/tau + A_sigma beside its step matrix, one array
-# more for simulate and verify, but there six arrays take under 0.6 MB, so
+# as its two diagonals.  simulate and verify hold four: A_s, A_sigma, P, and
+# either G = M U^{-1} (the factor P is built from, inverted in its own buffer
+# and dropped) while P = G G^T is built, or the Newton step matrix, factored
+# and inverted in its own buffer and kept as the PCG preconditioner.  verify's
+# duality check reads P, so it keeps no factor of A_s either, and its Poincare
+# samples are 100 x dof blocks.  At s = sigma, A_s is A_sigma and both hold
+# three.  Below dof 112 the stepper also keeps K = P/tau + A_sigma beside its
+# step matrix, one array more, but there five arrays take under 0.5 MB, so
 # the counts this check guards are unchanged.  equilibrium and spectrum never
 # assemble A_s and hold three, with or without a kernel: A_sigma, its
 # factor and one working copy, which is the stationary Newton's Jacobian
 # buffer or a linearization L, reduced and then overwritten by the
 # eigensolver in its own memory.  rates holds A_sigma.
-_DENSE_ARRAYS = {"equilibrium": 3, "spectrum": 3, "rates": 1, "simulate": 4, "verify": 5}
+_DENSE_ARRAYS = {"equilibrium": 3, "spectrum": 3, "rates": 1, "simulate": 4, "verify": 4}
 
 
 def _physical_memory() -> float:
@@ -212,6 +211,6 @@ def check_memory(cfg: RunConfig, command: str) -> None:
     refused run allocates nothing and makes no output directory.
     """
     arrays = _DENSE_ARRAYS[command]
-    if command == "simulate" and cfg.exps.s == cfg.exps.sigma:
+    if command in ("simulate", "verify") and cfg.exps.s == cfg.exps.sigma:
         arrays -= 1  # A_s is A_sigma
     _check_dense_arrays(cfg.mesh.n_elems, arrays)

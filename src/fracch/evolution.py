@@ -13,8 +13,8 @@ that into the second leaves one equation in u_n alone,
 with P = M A_s^{-1} M.  Newton solves it until |F(u)|_{M^{-1}} < newton_tol.
 w_n itself is never formed: the certificate needs only
 |w_n|_{A_s}^2 = du^T P du / tau^2 with du = u_n - u_prev, and the last
-residual has formed P du.  A caller that wants w_n forms it in one line,
-w = -ops.solve_A_s(tridiagonal_product(*ops.M, du) / tau).  The Jacobian
+residual has formed P du.  A caller that wants w_n = -M^{-1} P du / tau
+forms it in one line, w = -ops.solve_M(ops.P @ du) / tau.  The Jacobian
 of F is S = P/tau + A_sigma + B'(u), where P is fixed per operator set and
 cached there and B', the weighted mass of beta' >= 0, is tridiagonal.  So
 S is symmetric positive definite, and only B' changes between iterates at
@@ -355,7 +355,7 @@ def step(
     The step makes no A_s solve: the certificate's w_normsq = |w_n|_{A_s}^2
     is du^T P du / tau^2 (du = u_n - u_prev), from the P du that the last
     residual formed.  A caller that wants w_n itself forms it as
-    ``w = -ops.solve_A_s(tridiagonal_product(*ops.M, du) / tau)``.
+    ``w = -ops.solve_M(ops.P @ du) / tau``, since A_s^{-1} M = M^{-1} P.
 
     ``e_before`` is E(u_prev) when the caller already has it (``march``
     passes the previous step's ``e_after``); it is computed otherwise.

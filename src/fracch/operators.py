@@ -377,13 +377,12 @@ def _potrf(X: np.ndarray, name: str) -> np.ndarray:
 _RITZ_TOL = 1e-14  # Ritz residual |beta_k y_k|, relative to theta, at which Lanczos stops
 
 
-def _dual_norm(factor: np.ndarray, f: np.ndarray) -> float:
-    """sqrt(f^T A^{-1} f) from A's potrf factor; ValueError unless f is finite."""
+def _finite(f: np.ndarray) -> np.ndarray:
+    """f as a float array; ValueError unless every entry is finite (a dual norm's check)."""
     f = np.asarray(f, dtype=float)
     if not np.isfinite(f).all():
         raise ValueError("dual norm of a vector with non-finite entries")
-    x = dpotrs(factor, f)[0]
-    return math.sqrt(max(float(f @ x), 0.0))
+    return f
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,10 +393,11 @@ class OperatorSet:
     construction; A_s, the factorizations and the time stepper's block
     P = M A_s^{-1} M are cached properties, built on first read and then
     treated as read-only.  A copy, ``dataclasses.replace`` included, holds
-    none of them until it reads them itself.  A_s and A_sigma each keep one
-    LAPACK potrf factor, and every solve with them, the dual norms
-    sqrt(f^T A^{-1} f) included, is one potrs on it; only f is checked for
-    finiteness, in O(n).
+    none of them until it reads them itself.  A_s^{-1} appears only in P:
+    a caller that wants A_s^{-1} M x forms M^{-1} P x, as the stepper's w_n =
+    ``-ops.solve_M(ops.P @ du) / tau``.  A_sigma keeps one LAPACK potrf
+    factor, and every solve with it is one potrs.  In the dual norms
+    sqrt(f^T A^{-1} f) only f is checked for finiteness, in O(n).
     """
 
     A_sigma: np.ndarray
@@ -417,10 +417,6 @@ class OperatorSet:
         return assemble_gagliardo(self.mesh, self.exps.s)
 
     @cached_property
-    def _chol_A_s(self) -> np.ndarray:
-        return _potrf(self.A_s, "A_s")
-
-    @cached_property
     def _chol_A_sigma(self) -> np.ndarray:
         return _potrf(self.A_sigma, "A_sigma")
 
@@ -437,19 +433,21 @@ class OperatorSet:
         """P = M A_s^{-1} M, the tau-free part of the time stepper's step matrix.
 
         P = G G^T for G = M U^{-1}, A_s = U^T U: a trtri, M applied in place, one syrk.
-        U is factored here and inverted in its own buffer, not kept: no step
-        reads A_s's cached factor, which only ``dual_norm_s`` and
-        ``solve_A_s`` build.
+        This is the one factorization of A_s; U is inverted in its own buffer
+        and not kept.
         """
         G = dtrtri(_potrf(self.A_s, "A_s"), overwrite_c=1)[0]
         tridiagonal_product(*self.M, G, out=G)
         return G @ G.T  # numpy runs this as syrk: P is exactly symmetric
 
     def dual_norm_s(self, f: np.ndarray) -> float:
-        return _dual_norm(self._chol_A_s, f)
+        """sqrt(f^T A_s^{-1} f) = sqrt(g^T P g) for g = M^{-1} f: one O(n) solve, one product."""
+        g = self.solve_M(_finite(f))
+        return math.sqrt(max(float(g @ (self.P @ g)), 0.0))
 
     def dual_norm_sigma(self, f: np.ndarray) -> float:
-        return _dual_norm(self._chol_A_sigma, f)
+        f = _finite(f)
+        return math.sqrt(max(float(f @ dpotrs(self._chol_A_sigma, f)[0]), 0.0))
 
     def solve_M(self, f: np.ndarray) -> np.ndarray:
         """M^{-1} f in O(n): M is tridiagonal, factored once as L D L^T."""
@@ -461,7 +459,7 @@ class OperatorSet:
         Shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1980): T =
         A_sigma^{-1} M is self-adjoint in the M inner product, and its largest
         eigenvalue theta = 1/lambda_1 is the first to converge.  Each step is
-        one potrs on the cached A_sigma factor (the one the dual norms use)
+        one potrs on the cached A_sigma factor (the one ``dual_norm_sigma`` uses)
         and one O(n) product with M's diagonals; the basis, some 10 to 25
         vectors, is kept M-orthonormal by full reorthogonalization, and the
         Ritz pair comes from the tridiagonal T_k.  The start vector is all
@@ -491,10 +489,6 @@ class OperatorSet:
             if k == n or b * abs(y[-1, 0]) <= _RITZ_TOL * theta[0]:
                 return 1.0 / float(theta[0]), y[:, 0] @ Q
             beta.append(b)
-
-    def solve_A_s(self, f: np.ndarray) -> np.ndarray:
-        """A_s^{-1} f: LAPACK potrs on the cached Cholesky factor."""
-        return dpotrs(self._chol_A_s, f)[0]
 
 
 def build_operator_set(mesh: FracMesh, exps: FracExponents) -> OperatorSet:

@@ -158,7 +158,7 @@ def test_config_error_exit_code(tmp_path, quick_cfg, capsys):
 def test_dense_array_count_bounds_the_peak_memory(tmp_path, monkeypatch, capsys):
     # the memory check counts _DENSE_ARRAYS[command] dof x dof float64 arrays
     # (config._DENSE_ARRAYS lists them): each command holds that many, within
-    # half an array, and simulate one fewer where A_s is A_sigma
+    # half an array, and simulate and verify one fewer where A_s is A_sigma
     dof = 512
     unit = 8 * dof**2
 
@@ -194,8 +194,9 @@ def test_dense_array_count_bounds_the_peak_memory(tmp_path, monkeypatch, capsys)
     assert found.keys() == _DENSE_ARRAYS.keys()
     for command, peak in found.items():
         assert abs(peak - _DENSE_ARRAYS[command]) <= 0.5, found
-    equal_peak = peaks(equal, ("simulate",))["simulate"]
-    assert abs(equal_peak - (_DENSE_ARRAYS["simulate"] - 1)) <= 0.5, equal_peak
+    equal_peaks = peaks(equal, ("simulate", "verify"))
+    for command, peak in equal_peaks.items():
+        assert abs(peak - (_DENSE_ARRAYS[command] - 1)) <= 0.5, equal_peaks
     # physical memory for 3.5 arrays, below the single ceiling of five that
     # every command once shared: the three-array runs go ahead, and the others
     # exit 2 before they make their output directory
@@ -203,37 +204,50 @@ def test_dense_array_count_bounds_the_peak_memory(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(fracch.config, "_physical_memory", lambda: 3.5 * unit)
     assert main(["equilibrium", "--config", split]) == 0
     assert main(["simulate", "--config", equal]) == 0
-    for command, cfg in (("simulate", split), ("verify", equal), ("verify", split)):
+    assert main(["verify", "--config", equal]) == 0
+    for command, cfg in (("simulate", split), ("verify", split)):
         assert main([command, "--config", cfg, "--out", str(tmp_path / "refused")]) == 2
         assert not (tmp_path / "refused").exists()
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 3
+    assert len(err) == 2
     assert all(line.startswith("configuration error: mesh.n_elems=513 needs about ")
                and line.endswith(" GiB of physical memory") for line in err), err
 
 
 def test_only_the_flux_commands_assemble_a_s(tmp_path, monkeypatch):
-    calls = []
+    calls, factored = [], []
+    potrf = fracch.operators._potrf
 
     def counting(mesh, s):
         calls.append(s)
         return assemble_gagliardo(mesh, s)
 
+    def counting_potrf(X, name):
+        factored.append(name)
+        return potrf(X, name)
+
     monkeypatch.setattr(fracch.operators, "assemble_gagliardo", counting)
+    monkeypatch.setattr(fracch.operators, "_potrf", counting_potrf)
     cfg = _write(tmp_path, "cfg.json", {
         "mesh": {"n_elems": 24},
         "frac": {"s": 0.3, "sigma": 0.7},
         "time": {"tau": 0.01, "t_end": 10.0},
         "output": {"dir": str(tmp_path / "out")},
     })
-    counts = {}
+    counts, a_s_factors = {}, {}
     for command in ("simulate", "equilibrium", "rates", "spectrum", "verify"):
         calls.clear()
+        factored.clear()
         assert main([command, "--config", cfg]) == 0
         counts[command] = sorted(calls)
+        a_s_factors[command] = factored.count("A_s")
     assert counts == {
         "simulate": [0.3, 0.7], "equilibrium": [0.7], "rates": [0.7],
         "spectrum": [0.7], "verify": [0.3, 0.7],
+    }
+    # P's factorization is the only one of A_s: verify's duality check reads P too
+    assert a_s_factors == {
+        "simulate": 1, "equilibrium": 0, "rates": 0, "spectrum": 0, "verify": 1,
     }
 
 

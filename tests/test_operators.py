@@ -280,13 +280,51 @@ def test_solve_M_matches_dense_solve(ops8, ops64, rng):
 
 def test_dual_norm_rejects_indefinite(ops8):
     f = np.ones(ops8.mesh.dof_count)
-    ops8.dual_norm_s(f)  # caches the factor of the positive definite A_s
-    # a copy must not solve with that factor; at s = sigma, A_s is A_sigma
+    ops8.dual_norm_s(f)  # caches P of the positive definite A_s
+    # a copy must not read that P; at s = sigma, A_s is A_sigma
     ops = replace(ops8, A_sigma=-ops8.A_sigma)
     with pytest.raises(AssemblyError, match="matrix A_s is not positive definite"):
         ops.dual_norm_s(f)
+    assert "P" not in vars(ops)
+
+
+_EDGE_S = (0.01, 0.25, 0.5, 0.75, 0.99)
+# each edge s with s = sigma (A_s is A_sigma) and with s != sigma (A_s assembled apart)
+_EDGE_EXPONENTS = [(s, s) for s in _EDGE_S] + [(s, 0.6) for s in _EDGE_S]
+
+
+@pytest.mark.parametrize("n_elems", [64, 768])
+@pytest.mark.parametrize("exps", _EDGE_EXPONENTS)
+def test_dual_norm_s_through_p_at_edge_exponents(exps, n_elems, rng):
+    # |A_s v|_{A_s^{-1}} = |v|_{A_s}, with A_s^{-1} taken from P = M A_s^{-1} M alone
+    ops = build_operator_set(FracMesh(-1.0, 1.0, n_elems), FracExponents(*exps))
+    for _ in range(20):
+        v = rng.standard_normal(ops.mesh.dof_count)
+        nv = xnorm(ops.A_s, v)
+        assert abs(ops.dual_norm_s(ops.A_s @ v) - nv) <= 1e-10 * nv
+
+
+@pytest.mark.parametrize("exps", _EDGE_EXPONENTS)
+def test_w_from_p_solves_the_flux_equation_at_edge_exponents(exps, rng):
+    # the documented w_n = -M^{-1} P du / tau solves A_s w_n = -M du / tau
+    ops = build_operator_set(FracMesh(-1.0, 1.0, 64), FracExponents(*exps))
+    M = add_tridiagonal(np.zeros_like(ops.A_sigma), *ops.M)
+
+    def m_inv_norm(r):
+        return math.sqrt(r @ ops.solve_M(r))
+
+    tau = 1e-3
+    for _ in range(20):
+        du = rng.standard_normal(ops.mesh.dof_count)
+        w = -ops.solve_M(ops.P @ du) / tau
+        flux = M @ du / tau
+        assert m_inv_norm(ops.A_s @ w + flux) <= 1e-12 * m_inv_norm(flux)
+    # a copy whose A_s is indefinite fails in P's factorization, the only one of A_s
+    bad = replace(ops)
+    vars(bad)["A_s"] = -ops.A_s  # A_s is a cached property: the copy's own value stands in
     with pytest.raises(AssemblyError, match="matrix A_s is not positive definite"):
-        ops.solve_A_s(f)
+        bad.dual_norm_s(np.ones(ops.mesh.dof_count))
+    assert "P" not in vars(bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -329,9 +367,9 @@ def test_lazy_values_are_cached_per_copy(monkeypatch):
     f = np.ones(ops.mesh.dof_count)
     for solve in (ops.dual_norm_s, ops.dual_norm_sigma, ops.solve_M):
         solve(f)
-    P = ops.P
+    P = ops.P  # dual_norm_s built it
     assert ops.P is P and len(trtri) == 1  # one triangular inverse, then the kept P
-    assert len(vars(ops).keys() - field_names) == 5  # A_s, its factor, A_sigma's, M's, P
+    assert len(vars(ops).keys() - field_names) == 4  # A_s, A_sigma's factor, M's, P
     copy = replace(ops)
     assert vars(copy).keys() == field_names  # none of the original's cached values
     assert copy.P is not P and np.array_equal(copy.P, P) and len(trtri) == 2
