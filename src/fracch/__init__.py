@@ -52,7 +52,6 @@ from .operators import (
     build_operator_set,
     load_stiffness,
     normalization_constant,
-    reduce_pencil,
     save_stiffness,
     xnorm,
 )

@@ -3,17 +3,19 @@
 ``import scipy.linalg`` runs the package's ``__init__``, which loads some 270
 more modules (scipy's array-API layer, ``numpy.f2py``, ``numpy.testing``,
 ``unittest``, ...) and adds about 16 MB to the peak memory of every command.
-fracch needs a dozen routines from two of its f2py extension modules,
-``scipy/linalg/_flapack`` and ``_fblas``.  They are loaded here from their
-files and registered in ``sys.modules`` under their own names, so a later
-``import scipy.linalg`` reuses the same module objects.  A scipy laid out
+fracch needs ten routines from two of its f2py extension modules:
+dgesv, dposv, dpotrf, dpotri, dpotrs, dpttrf, dpttrs, dtrtri and dsyevr
+(through ``eigh``, with its workspace query) from ``scipy/linalg/_flapack``,
+and dsymv from ``_fblas``.  They are loaded here from their files and
+registered in ``sys.modules`` under their own names, so a later ``import
+scipy.linalg`` reuses the same module objects.  A scipy laid out
 otherwise falls back to ``scipy.linalg``'s public ``lapack`` and ``blas``
 modules, which re-export the same routines: the calls are the same either way.
 
-``eigh`` and ``eigh_tridiagonal`` are the call forms of scipy.linalg's
-functions of those names that fracch makes, with the LAPACK arguments scipy
-passes (``lower=1`` and its workspace sizes included), so they return the
-same bits.
+``eigh`` is the call form of ``scipy.linalg.eigh`` that fracch makes, with
+the LAPACK arguments scipy passes (``lower=1`` and its workspace sizes
+included), so it returns the same bits.  It serves every eigensolve: the
+pencil spectra and kernels, and the Ritz pair of the Lanczos tridiagonal.
 """
 
 from __future__ import annotations
@@ -78,24 +80,3 @@ def eigh(a: np.ndarray, eigvals_only: bool = False, subset_by_index=None):
     if select:
         w, v = w[:m], v[:, :m]
     return w if eigvals_only else (w, v)
-
-
-def eigh_tridiagonal(d, e, select_range):
-    """``scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=select_range)``.
-
-    The eigenpairs lo .. hi, counted from 0, of the symmetric tridiagonal
-    matrix with diagonal d and off-diagonal e: (eigenvalues, eigenvectors as
-    columns), from bisection (``dstebz``) and inverse iteration (``dstein``).
-    A non-finite entry raises ValueError, a failed solve LinAlgError.
-    """
-    d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
-    if d.size == 1:
-        return np.array([d[0]]), np.array([[1.0]])
-    lo, hi = select_range
-    m, w, iblock, isplit, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "B")
-    _check("dstebz", info)
-    w = w[:m]
-    v, info = _flapack.dstein(d, e, w, iblock, isplit)
-    _check("dstein", info)
-    order = np.argsort(w)  # dstebz returns them by block
-    return w[order], v[:, order]

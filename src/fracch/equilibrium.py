@@ -44,6 +44,7 @@ from .energy import (
     weighted_mass,
 )
 from .errors import ConfigurationError, JacobianSingularError, NewtonDivergenceError
+from .evolution import _check_count, _checked_positive
 from .mesh import linf_norm
 from .operators import reduce_pencil_in_place, xnorm
 
@@ -80,10 +81,12 @@ def solve_semilinear(
     from the first indefinite one to the end of the solve, so a saddle
     search pays for one failed Cholesky at most.  Returns the solution,
     the dual norm of its residual and, per Newton step, the pair (dual norm
-    of the residual before the step, accepted step length).
+    of the residual before the step, accepted step length).  A tol that is
+    not a finite positive real, or a max_iter that is not an integer >= 0,
+    raises ConfigurationError.
     """
-    if tol <= 0:
-        raise ConfigurationError(f"tolerance must be positive, got {tol}")
+    _checked_positive("tol", tol)
+    _check_count("max_iter", max_iter)
     ops = ctx.ops
     u = np.zeros(ops.mesh.dof_count) if u_init is None else np.array(u_init, dtype=float)
 
@@ -229,7 +232,7 @@ def pencil_eigenvalues_in_place(X: np.ndarray, M) -> np.ndarray:
 def pencil_eigenvalues(L: np.ndarray, M) -> np.ndarray:
     """Sorted generalized eigenvalues of the symmetric pencil (L, M), no eigenvectors.
 
-    M is a positive definite (diag, off) pair (see operators.reduce_pencil).
+    M is a positive definite (diag, off) pair (see operators.reduce_pencil_in_place).
     One dense eigensolve gives every eigenvalue to about eps * max|mu| in
     absolute terms, so the lowest lose relative accuracy on a wide spectrum:
     at 768 elements and sigma = 0.99 (mu_max / mu_1 about 6.3e5) mu_1 of
@@ -311,12 +314,14 @@ def lsi_probe(
     signature of a failing exponent or a degenerate critical point).  The
     theory guarantees a working theta in (0, 1/2] only; larger values are
     accepted for negative controls.  ``energy_fn`` / ``grad_fn`` override the
-    stock energy, e.g. to probe a surgically modified quadratic model.
+    stock energy, e.g. to probe a surgically modified quadratic model.  A
+    delta that is not a finite positive real, or samples that is not an
+    integer >= 0, raises ConfigurationError.
     """
     if not (0.0 < theta < 1.0):
         raise ConfigurationError(f"theta must lie in (0,1), got {theta}")
-    if delta <= 0:
-        raise ConfigurationError(f"delta must be positive, got {delta}")
+    _checked_positive("delta", delta)
+    _check_count("samples", samples)
     if energy_fn is None:
         energy_fn = lambda v: energy(ctx, v)  # noqa: E731
     if grad_fn is None:

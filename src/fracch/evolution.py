@@ -11,76 +11,16 @@ that into the second leaves one equation in u_n alone,
     F(u) = P (u - u_prev) / tau + A_sigma u + b_beta(u) - lambda M u_prev = 0,
 
 with P = M A_s^{-1} M.  Newton solves it until |F(u)|_{M^{-1}} < newton_tol.
-w_n itself is never formed: the certificate needs only
-|w_n|_{A_s}^2 = du^T P du / tau^2 with du = u_n - u_prev, and the last
-residual has formed P du.  A caller that wants w_n = -M^{-1} P du / tau
-forms it in one line, w = -ops.solve_M(ops.P @ du) / tau.  The Jacobian
-of F is S = P/tau + A_sigma + B'(u), where P is fixed per operator set and
-cached there and B', the weighted mass of beta' >= 0, is tridiagonal.  So
-S is symmetric positive definite, and only B' changes between iterates at
-one tau.  ``march`` therefore keeps one ``_StepSolver`` per run (Kelley,
-Iterative Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 5-6):
-the first update at a tau factors S in place (Cholesky), solves with the
-factor and, above a crossover dof, turns the factor into S0^{-1} in the same
-buffer, S0 being S at that update's B'0.  Every later update at that tau
-runs PCG on S = S0 + (B' - B'0), preconditioned by one symmetric matvec with
-the kept inverse.  PCG stops at a relative preconditioned residual of 1e-10
-or once its residual r has |r|_{M^{-1}} <= 0.05 newton_tol, whichever comes
-first: Newton's residual after the update is then r plus the update's
-quadratic term, and only Newton's test certifies the step (inexact Newton;
-Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  Each
-preconditioned residual z = S0^{-1} r gives S0 z = r, so S0 p is carried by
-recurrence from vectors the loop holds and S p costs one tridiagonal product
-with the drift B' - B'0: an iteration's one dense product is the
-preconditioner's (Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981).  PCG that
-meets p^T S p <= 0 or needs more than 8 iterations, and any change of tau (a
-halving, a shortened last step), factor afresh.  Below the crossover (dof
-112) a factorization costs less than the PCG loop's Python overhead, and
-every update factors, starting from a copy of K = P/tau + A_sigma, which
-the solver keeps for the current tau and forms again when tau changes.
-(With potential.lambda below the tightest monotone split, beta' < 0 can
-make S indefinite; the factorization then fails with
-JacobianSingularError.)  Each certificate counts the factorizations and
-PCG iterations of its step.  The pair (beta, beta') is evaluated once per
-iterate on the quadrature grid, and E(u_n) comes from the accepted
-iterate's grid values and A_sigma u_n, which the last residual formed.
-numpy's overflow and invalid-value warnings are off inside a step: an
-overflow shows up as a non-finite residual (NewtonDivergenceError) or as a
-non-finite energy at the accepted iterate (OverflowError), and ``march``
-answers either with a tau halving.  The monotone part of the nonlinearity is
-implicit, the expansive lambda-term is lagged, so testing the two equations
-with w_n and u_n - u_prev gives the per-step inequality
+Its Jacobian S = P/tau + A_sigma + B'(u), B' the weighted mass of
+beta' >= 0, is symmetric positive definite; ``_StepSolver`` solves the
+updates.  The monotone part of the nonlinearity is implicit, the expansive
+lambda-term is lagged, so testing the two equations with w_n and
+u_n - u_prev gives the per-step inequality
 
     E(u_n) + tau w_n^T A_s w_n + (lambda/2) |u_n - u_prev|_M^2 <= E(u_prev)
 
-up to solver tolerance; the defect of that inequality is recorded in a
-StepCertificate for every accepted step, its terms by O(n) dot products
-with M du and with the last residual's P du and A_sigma u_n.
-
-``march`` takes each step's attempts in the order its docstring states:
-from the linear predictor 2 u_n - u_{n-1} (Hairer & Wanner, Solving ODEs
-II, IV.8), from u_prev, and at halved taus.  From a predicted start Newton
-takes at least one update before the residual test may stop it, so the
-returned state always comes out of a Newton update and not out of the
-predictor.  Iterate 0 of an attempt makes no dense product: ``march``
-carries A_sigma u_n, A_sigma u_{n-1} and P (u_n - u_{n-1}) from the accepted
-steps' last residuals, so a start from u_n takes A_sigma u_n and a zero
-P du (the bits of forming both afresh), and a predicted start takes
-2 A_sigma u_n - A_sigma u_{n-1} and P (u_n - u_{n-1}), equal to its products
-up to rounding; that start's residual is never tested, since its first
-update is due whatever the residual.  Every tested residual after an update
-and every certificate term come from fresh products.  PCG applies its
-preconditioner before its first iteration and after each iteration that
-does not stop on the M-norm rule, which it tests first, so an accepted step
-makes two dense products per Newton update and one per PCG iteration (one
-more for each PCG loop that stops on the relative rule).
-
-With the Yosida option, ``march`` builds one (beta_eps, beta_eps') pair
-per run with ``potentials.yosida_pair`` and passes it to every step, through
-the predictor retry and the tau halvings, so that the pair's resolvent warm
-start (described in ``potentials``) spans the run.  ``step`` called alone
-builds its own pair and starts its first solve cold, as it builds its own
-``_StepSolver``.
+up to solver tolerance; ``step`` records its defect in a StepCertificate for
+every accepted step, and ``march`` steps a run to t_end.
 """
 
 from __future__ import annotations
@@ -195,12 +135,14 @@ def _beta_pair(ctx: EnergyContext, cfg: StepConfig):
 # Below this dof every Newton update factors its step matrix: one copy of the
 # kept P/tau + A_sigma and one dpotrf (an update takes about 24 us at dof 63)
 # cost less there than the Python overhead of the PCG iterations that would
-# replace them.  Timing march alone (300 steps, tau 1e-3, s = sigma = 1/2 on
-# (-4, 4), one thread on a Xeon, two runs of 15 alternating pairs), PCG was
-# 24-26% slower at dof 63, 2-8% slower at dof 95, even at dof 103, and
-# 3% / 5-8% / 11-12% faster at dof 111 / 119 / 127.  The crossover stays
-# here: moving it would change which path, and so which rounding, a dof
-# near it takes
+# replace them.  Timing march alone with PCG stopped at Newton's tolerance
+# (300 steps, tau 1e-3, s = sigma = 1/2 on (-4, 4), one thread pinned to one
+# core of a Xeon, runs of 15 and 25 alternating pairs), PCG took 1.18-1.22x
+# the time at dof 63, 1.01-1.02x at dof 95, 0.93-0.98x at dof 103 (faster in
+# 27 of 40 pairs), and 0.90-0.92x / 0.83-0.87x at dof 111 / 127.  The
+# crossover stays here: moving it below 111 would gain a few percent on dofs
+# no benchmark config uses and change which path, and so which rounding,
+# a dof near it takes
 _PCG_MIN_DOF = 112
 # PCG that has not converged in this many iterations gives up and the update
 # factors afresh, which also moves B'0 to the current B'.  A factorization
@@ -224,22 +166,29 @@ _PCG_ETA = 0.05
 class _StepSolver:
     """Newton updates du = -S^{-1} F of one run, S = P/tau + A_sigma + B'(u).
 
-    The first update at a tau forms S, factors it in place and solves with
-    the factor; above ``_PCG_MIN_DOF`` it then turns the factor into the
-    upper triangle of S0^{-1} in the same buffer and keeps it, with the
-    diagonals of that update's B'0.  Later updates at that tau run PCG on
-    S = S0 + (B' - B'0), preconditioned by one symmetric matvec with the kept
-    inverse; S0 p is carried by recurrence, so that matvec is an iteration's
-    one dense product.  PCG stops at a relative preconditioned residual of
+    P is fixed per operator set and cached there, and B' is tridiagonal, so
+    only B' changes between the iterates at one tau; ``march`` keeps one
+    solver per run (Kelley, Iterative Methods for Linear and Nonlinear
+    Equations, SIAM 1995, ch. 5-6).  The first update at a tau forms S,
+    factors it in place (Cholesky) and solves with the factor; above
+    ``_PCG_MIN_DOF`` it then turns the factor into the upper triangle of
+    S0^{-1} in the same buffer and keeps it, with the diagonals of that
+    update's B'0.  Later updates at that tau run PCG on S = S0 + (B' - B'0),
+    preconditioned by one symmetric matvec with the kept inverse (see
+    ``_pcg``).  PCG stops at a relative preconditioned residual of
     ``_PCG_RTOL`` or once its residual r has |r|_{M^{-1}} <= ``tol``, which
-    ``step`` sets to ``_PCG_ETA`` times Newton's tolerance; M's pttrf factor,
-    taken from ``ops`` here, applies M^{-1} to r in O(n).  PCG that meets
-    p^T S p <= 0 or has not converged within ``_PCG_MAX_ITERS`` iterations,
-    and any change of tau, drop the inverse and factor again.  Below
+    ``step`` sets to ``_PCG_ETA`` times Newton's tolerance, whichever comes
+    first; M's pttrf factor, taken from ``ops`` here, applies M^{-1} to r in
+    O(n).  PCG that meets p^T S p <= 0 or has not converged within
+    ``_PCG_MAX_ITERS`` iterations, and any change of tau (a halving, a
+    shortened last step), drop the inverse and factor again.  Below
     ``_PCG_MIN_DOF`` the PCG budget is zero and every update factors
     S = K + B', K = P/tau + A_sigma being kept for the current tau (the same
-    bits as forming S whole); at and above it no K is kept.
-    ``factorizations`` and ``pcg_iters`` count the run's work.
+    bits as forming S whole); at and above it no K is kept.  With
+    potential.lambda below the tightest monotone split, beta' < 0 can make
+    S indefinite, and its factorization raises JacobianSingularError.
+    ``factorizations`` and ``pcg_iters`` count the run's work, which each
+    certificate records per step.
     """
 
     def __init__(self, ops):
@@ -295,12 +244,15 @@ class _StepSolver:
 
         S = S0 + D with D = B' - B'0 tridiagonal.  Since S0 z = r for each
         z = S0^{-1} r, S0 p_0 = r_0 and S0 p_{k+1} = r_{k+1} + beta_k S0 p_k,
-        so S p is S0 p plus one tridiagonal product.  This is PCG on
-        inv^{-1} + D, which is S up to the rounding of the inverse; Newton's
-        residual F is formed from P and A_sigma, so its tolerance still holds.
-        Besides the relative rule, PCG stops once |r|_{M^{-1}} <= tol, which
-        it tests before the next preconditioner product, so an iteration
-        that stops there makes none.
+        so S p is S0 p plus one tridiagonal product, and the preconditioner's
+        matvec is an iteration's one dense product (Eisenstat, SIAM J. Sci.
+        Stat. Comput. 2, 1981).  This is PCG on inv^{-1} + D, which is S up to
+        the rounding of the inverse; Newton's residual F is formed from P and
+        A_sigma, so its tolerance still holds.  The preconditioner is applied
+        before the first iteration and after each iteration that does not
+        stop on |r|_{M^{-1}} <= tol, which is tested first: an iteration that
+        stops there makes no dense product, one that stops on the relative
+        rule makes one.
         """
         inv, ldl_M = self.inv, self.ldl_M
         D = (Bp[0] - self.Bp0[0], Bp[1] - self.Bp0[1])
@@ -352,10 +304,17 @@ def step(
 ):
     """One convex-splitting step; returns (u_n, certificate).
 
-    The step makes no A_s solve: the certificate's w_normsq = |w_n|_{A_s}^2
-    is du^T P du / tau^2 (du = u_n - u_prev), from the P du that the last
-    residual formed.  A caller that wants w_n itself forms it as
-    ``w = -ops.solve_M(ops.P @ du) / tau``, since A_s^{-1} M = M^{-1} P.
+    The step makes no A_s solve and never forms w_n: the certificate's
+    w_normsq = |w_n|_{A_s}^2 is du^T P du / tau^2 (du = u_n - u_prev), from
+    the P du that the last residual formed.  A caller that wants w_n itself
+    forms it as ``w = -ops.solve_M(ops.P @ du) / tau``, since A_s^{-1} M =
+    M^{-1} P.  Each iterate evaluates (beta, beta') once on the quadrature
+    grid and forms A_sigma u and P du, its two dense products; E(u_n) comes
+    from the accepted iterate's grid values and A_sigma u_n, and the other
+    certificate terms are O(n) dot products with M du, P du and A_sigma u_n.
+    numpy's overflow and invalid-value warnings are off inside the step: an
+    overflow shows up as a non-finite residual (NewtonDivergenceError) or as
+    a non-finite energy at the accepted iterate (OverflowError).
 
     ``e_before`` is E(u_prev) when the caller already has it (``march``
     passes the previous step's ``e_after``); it is computed otherwise.
@@ -372,7 +331,9 @@ def step(
     given); Newton's iterate 0 takes them instead of forming them.  A
     successful step then sets the list to the accepted iterate's
     [A_sigma u_n, P (u_n - u_prev)], which ``march`` carries to the next
-    step's start.  Every later iterate forms both products afresh.
+    step's start.  Every later iterate forms both products afresh, so every
+    tested residual after an update and every certificate term come from
+    fresh products.
     """
     ops = ctx.ops
     mesh = ops.mesh
@@ -473,9 +434,11 @@ def march(
     shortened to end there.  Each step takes its attempts in this order:
 
     1. An attempt whose tau equals the tau of the last accepted step starts
-       Newton from the predictor 2 u_n - u_{n-1}; any other attempt starts
-       from u_n (so the first step, a shortened last step and the step
-       after a halved one do).
+       Newton from the linear predictor 2 u_n - u_{n-1} (Hairer & Wanner,
+       Solving ODEs II, IV.8); any other attempt starts from u_n (so the
+       first step, a shortened last step and the step after a halved one
+       do).  From the predictor Newton takes at least one update, so the
+       returned state always comes out of a Newton update.
     2. A predicted attempt that fails is retried once from u_n at the same
        tau, so the predictor never causes a halving.
     3. An attempt from u_n that fails halves tau, for this step only and up
@@ -487,10 +450,17 @@ def march(
     grows as tau shrinks) or an accepted iterate whose energy overflows.
     The certificate records the tau actually used and the number of
     halvings.  One ``_beta_pair`` and one ``_StepSolver`` serve the whole
-    run, and each attempt gets its start's two dense products from the
-    vectors that the accepted steps formed (``step``'s ``products``).  A
-    violated certificate raises CertificateViolationError ("abort") or is
-    only recorded in the certificate's ``satisfied`` ("ignore").
+    run, through the predictor retry and the tau halvings, so that a Yosida
+    pair's resolvent warm start (see ``potentials``) spans the run.  Each
+    attempt gets its start's two dense products from the vectors that the
+    accepted steps formed (``step``'s ``products``): a start from u_n takes
+    A_sigma u_n and a zero P du, the bits of forming both afresh, and a
+    predicted start takes 2 A_sigma u_n - A_sigma u_{n-1} and
+    P (u_n - u_{n-1}), equal to its products up to rounding; that start's
+    residual is never tested, since its first update is due whatever the
+    residual.  A violated certificate raises CertificateViolationError
+    ("abort") or is only recorded in the certificate's ``satisfied``
+    ("ignore").
     """
     _checked_positive("t_end", t_end)
     if on_violation not in ("abort", "ignore"):

@@ -56,7 +56,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._lapack import dpotrf, dpotrs, dpttrf, dpttrs, dtrtri, eigh_tridiagonal
+from ._lapack import dpotrf, dpotrs, dpttrf, dpttrs, dtrtri, eigh
 from .errors import AssemblyError, ConfigurationError
 from .mesh import FracMesh, mass_matrix, tridiagonal_product
 
@@ -356,16 +356,6 @@ def reduce_pencil_in_place(
     return C, vectors
 
 
-def reduce_pencil(
-    X: np.ndarray, M
-) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """``reduce_pencil_in_place`` on a C-ordered float64 copy of X: X is not modified.
-
-    C comes back Fortran-ordered, ready for ``eigh(C, overwrite_a=True)``.
-    """
-    return reduce_pencil_in_place(np.array(X, dtype=float, order="C"), M)
-
-
 def _potrf(X: np.ndarray, name: str) -> np.ndarray:
     """LAPACK potrf factor U of X = U^T U (upper, zero below); AssemblyError unless X is SPD."""
     c, info = dpotrf(X)
@@ -462,7 +452,9 @@ class OperatorSet:
         one potrs on the cached A_sigma factor (the one ``dual_norm_sigma`` uses)
         and one O(n) product with M's diagonals; the basis, some 10 to 25
         vectors, is kept M-orthonormal by full reorthogonalization, and the
-        Ritz pair comes from the tridiagonal T_k.  The start vector is all
+        Ritz pair is the top eigenpair of the k x k tridiagonal T_k, from one
+        subset ``eigh`` of T_k held dense (LAPACK dsyevr, which finds that one
+        pair by bisection and inverse iteration).  The start vector is all
         ones, so the result is deterministic.  Lanczos stops when the Ritz
         residual |beta_k y_k| falls below ``_RITZ_TOL`` theta, which includes
         a breakdown (beta_k = 0: the basis spans an invariant subspace), or at
@@ -485,7 +477,8 @@ class OperatorSet:
                 w -= (MQ @ w) @ Q
             Mw = tridiagonal_product(*M, w)
             b = math.sqrt(max(float(w @ Mw), 0.0))
-            theta, y = eigh_tridiagonal(alpha, beta, (k - 1, k - 1))
+            off = np.diag(beta, -1)
+            theta, y = eigh(np.diag(alpha) + off + off.T, subset_by_index=(k - 1, k - 1))
             if k == n or b * abs(y[-1, 0]) <= _RITZ_TOL * theta[0]:
                 return 1.0 / float(theta[0]), y[:, 0] @ Q
             beta.append(b)

@@ -265,24 +265,21 @@ def yosida_pair(pot: Potential, epsilon: float):
 
     On the Newton path each solve whose r has the last call's shape starts
     at the tangent prediction from that call; a ``pot`` that takes the
-    closed form gets a pair without memory.
+    closed form reads no start, so its pair keeps no memory.
     """
-    if _takes_closed_form(pot):
-        def closed_form_pair(r):
-            beta_eps, _, bp = yosida_apply(pot, epsilon, r)
-            # beta'(j) = inf past |j| = 7.7e153: the capped slope gives inf there, and fmin 1/eps
-            return beta_eps, np.fmin(bp / np.minimum(1.0 + epsilon * bp, 1e308), 1.0 / epsilon)
+    newton = not _takes_closed_form(pot)
+    last = None  # (r, j, 1 + epsilon beta'(j)) of the previous call, on the Newton path
 
-        return closed_form_pair
-    last = None  # (r, j, 1 + epsilon beta'(j)) of the previous call
-
-    def warm_pair(r):
+    def pair(r):
         nonlocal last
         # dj/dr = 1 / (1 + epsilon beta'(j)); the resolvent replaces a non-finite start by r
         start = last[1] + (r - last[0]) / last[2] if last and last[0].shape == r.shape else None
         beta_eps, j, bp = yosida_apply(pot, epsilon, r, start=start)
-        slope = 1.0 + epsilon * bp
-        last = (r, j, slope)
-        return beta_eps, np.fmin(bp / slope, 1.0 / epsilon)  # a rounding may pass 1/eps
+        # beta'(j) = inf past |j| = 7.7e153 on the double well: the capped slope gives
+        # inf there, and fmin 1/eps, which a rounding may also pass
+        slope = np.minimum(1.0 + epsilon * bp, 1e308)
+        if newton:
+            last = (r, j, slope)
+        return beta_eps, np.fmin(bp / slope, 1.0 / epsilon)
 
-    return warm_pair
+    return pair

@@ -557,3 +557,17 @@ def test_lsi_probe_validation(ctx64):
         lsi_probe(ctx64, rep, theta=0.0, delta=0.01, samples=10)
     with pytest.raises(ConfigurationError):
         lsi_probe(ctx64, rep, theta=0.5, delta=-1.0, samples=10)
+    # NaN passes a delta <= 0 test, and a negative count would run no sample
+    with pytest.raises(ConfigurationError, match="delta"):
+        lsi_probe(ctx64, rep, theta=0.5, delta=math.nan, samples=10)
+    with pytest.raises(ConfigurationError, match="samples"):
+        lsi_probe(ctx64, rep, theta=0.5, delta=0.01, samples=-3)
+
+
+# NaN and inf pass a tol <= 0 test, and a negative cap would run no Newton step
+@pytest.mark.parametrize("name, value", [("tol", 0.0), ("tol", math.nan), ("tol", math.inf),
+                                         ("max_iter", -3), ("max_iter", 2.5)])
+def test_solve_semilinear_refuses_a_bad_tolerance_or_cap(ctx64, name, value):
+    rhs = np.zeros(ctx64.ops.mesh.dof_count)
+    with pytest.raises(ConfigurationError, match=name):
+        solve_semilinear(ctx64, rhs, ctx64.pot.g_pair, **{name: value})

@@ -128,9 +128,10 @@ def test_flux_identity_along_run(ctx64, rng):
     M = add_tridiagonal(np.zeros_like(ops.A_sigma), *ops.M)
     certs = traj.certificates
     w_xnorms = np.sqrt(certs.w_normsq)
-    # |M u_t|_{A_s^{-1}} from the states, not from w
-    duals = np.array([ops.dual_norm_s(M @ du / cert.tau_used)
-                      for du, cert in zip(np.diff(traj.states, axis=0), certs)])
+    # |M u_t|_{A_s^{-1}} from the states by a dense solve with A_s, not from
+    # P = M A_s^{-1} M, which both dual_norm_s and the certificates read
+    fluxes = [M @ du / cert.tau_used for du, cert in zip(np.diff(traj.states, axis=0), certs)]
+    duals = np.array([math.sqrt(f @ np.linalg.solve(ops.A_s, f)) for f in fluxes])
     rel = np.abs(duals - w_xnorms) / w_xnorms
     assert np.max(rel) < 1e-8
     # each recorded monitor against its dense quadratic form of the states

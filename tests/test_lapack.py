@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracch import _lapack
@@ -60,21 +60,6 @@ def test_eigh_is_scipy_evr_bit_for_bit(size_subset, seed, fortran):
     got_w, got_v = _lapack.eigh(a.copy(order="K"), subset_by_index=subset)
     assert got_w.shape == (subset[1] - subset[0] + 1,)
     assert np.array_equal(got_w, w) and np.array_equal(got_v, v)
-
-
-@settings(max_examples=60, deadline=None)
-@given(size_subset=_size_and_subset(), seed=st.integers(0, 2**32 - 1), split=st.booleans())
-@example(size_subset=(7, (0, 6)), seed=1, split=True)  # the two blocks' eigenvalues interleave
-def test_eigh_tridiagonal_is_scipy_select_i_bit_for_bit(size_subset, seed, split):
-    n, subset = size_subset
-    rng = np.random.default_rng(seed)
-    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
-    if split and n > 2:  # two blocks, whose eigenvalues dstebz returns block by block
-        e[n // 2] = 0.0
-    w, v = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=subset)
-    for args in ((d, e), (list(d), list(e))):  # lowest_mode passes lists
-        got_w, got_v = _lapack.eigh_tridiagonal(*args, subset)
-        assert np.array_equal(got_w, w) and np.array_equal(got_v, v)
 
 
 @settings(max_examples=40, deadline=None)
